@@ -21,6 +21,12 @@ guard for the tier. The sidecar must also show the tier actually
 engaged (`superblock.entries` > 0) — a silently disabled tier would
 otherwise pass the ratio check only by failing the absolute floors.
 
+The stealth row (cache-only AES under CSD stealth mode with a watchdog
+that retriggers several times per block) must keep its flow-cache hit
+rate at or above MIN_STEALTH_HIT_RATE: a retrigger only refills the
+decoy queue, so memoized flows must survive it. The ratio is a pure
+function of the simulated run, so host noise cannot flake it.
+
 Host machines differ, so the committed baseline is a floor for CI's
 runner class, not a universal truth; refresh it with
 `bench_sim_throughput --json bench/baseline_throughput.json` on the CI
@@ -45,6 +51,8 @@ MIN_SPEEDUP = 0.9
 # process): the threaded-code tier must at least double cache-only
 # throughput. In-process, so host noise cancels out.
 MIN_SB_SPEEDUP = 2.0
+# Floor for stealth_flow_cache_hit_rate (deterministic).
+MIN_STEALTH_HIT_RATE = 0.95
 
 
 def fail(msg):
@@ -135,6 +143,17 @@ def main():
             f"tier-off run entered {sb_interp:.0f} superblocks; "
             "setSuperblockEnabled(false) is not being honored"
         )
+
+    stealth_hit = current.get("stealth_flow_cache_hit_rate")
+    if stealth_hit is None:
+        fail("current run missing 'stealth_flow_cache_hit_rate'")
+    status = "ok" if stealth_hit >= MIN_STEALTH_HIT_RATE else "REGRESSED"
+    print(
+        f"check_throughput: stealth_flow_cache_hit_rate: current "
+        f"{stealth_hit:.4f} floor {MIN_STEALTH_HIT_RATE:.2f} [{status}]"
+    )
+    if stealth_hit < MIN_STEALTH_HIT_RATE:
+        ok = False
 
     if not ok:
         fail(f"throughput regressed >={max_regression:.0%} vs baseline")

@@ -28,8 +28,9 @@ cpiBucketName(CpiBucket bucket)
     return "?";
 }
 
-CpiStack::CpiStack(Tick start_cycle)
-    : startCycle_(start_cycle), accountedUpTo_(start_cycle)
+CpiStack::CpiStack(Tick start_cycle, std::size_t slot_count)
+    : startCycle_(start_cycle), accountedUpTo_(start_cycle),
+      rows_(slot_count)
 {
 }
 
@@ -37,15 +38,11 @@ void
 CpiStack::accountUop(const BackEnd::UopTiming &timing,
                      const UopContext &ctx)
 {
-    // Consecutive uops almost always share a parent macro-op PC (one
-    // flow is several uops), so memoize the last profile row instead
-    // of re-hashing per uop. References into an unordered_map survive
-    // insertion of other keys, so the cached pointer stays valid.
-    if (ctx.pc != lastPc_ || lastProfile_ == nullptr) {
-        lastProfile_ = &profiles_[ctx.pc];
-        lastPc_ = ctx.pc;
-    }
-    PcProfile &profile = *lastProfile_;
+    if (ctx.slot >= rows_.size()) [[unlikely]]
+        rows_.resize(ctx.slot + 1);
+    Row &row = rows_[ctx.slot];
+    row.pc = ctx.pc;
+    PcProfile &profile = row.profile;
     ++profile.uops;
     if (ctx.tainted)
         ++profile.taintHits;
@@ -117,20 +114,39 @@ CpiStack::totalBucketCycles() const
     return total;
 }
 
+std::unordered_map<Addr, CpiStack::PcProfile>
+CpiStack::pcProfiles() const
+{
+    std::unordered_map<Addr, PcProfile> profiles;
+    for (const Row &row : rows_)
+        if (row.pc != invalidAddr)
+            profiles.emplace(row.pc, row.profile);
+    return profiles;
+}
+
+std::vector<const CpiStack::Row *>
+CpiStack::hottestRows(std::size_t max_pcs) const
+{
+    std::vector<const Row *> rows;
+    for (const Row &row : rows_)
+        if (row.pc != invalidAddr)
+            rows.push_back(&row);
+    std::sort(rows.begin(), rows.end(), [](const Row *a, const Row *b) {
+        const Cycles ca = a->profile.cycles;
+        const Cycles cb = b->profile.cycles;
+        return ca != cb ? ca > cb : a->pc < b->pc;
+    });
+    if (max_pcs != 0 && rows.size() > max_pcs)
+        rows.resize(max_pcs);
+    return rows;
+}
+
 std::vector<Addr>
 CpiStack::hottestPcs(std::size_t max_pcs) const
 {
     std::vector<Addr> pcs;
-    pcs.reserve(profiles_.size());
-    for (const auto &[pc, profile] : profiles_)
-        pcs.push_back(pc);
-    std::sort(pcs.begin(), pcs.end(), [this](Addr a, Addr b) {
-        const Cycles ca = profiles_.at(a).cycles;
-        const Cycles cb = profiles_.at(b).cycles;
-        return ca != cb ? ca > cb : a < b;
-    });
-    if (max_pcs != 0 && pcs.size() > max_pcs)
-        pcs.resize(max_pcs);
+    for (const Row *row : hottestRows(max_pcs))
+        pcs.push_back(row->pc);
     return pcs;
 }
 
@@ -144,10 +160,10 @@ CpiStack::dumpJson(std::ostream &os, std::size_t max_pcs) const
            << buckets_[i];
     }
     os << "},\n  \"pcs\": [\n";
-    const auto pcs = hottestPcs(max_pcs);
-    for (std::size_t n = 0; n < pcs.size(); ++n) {
-        const PcProfile &profile = profiles_.at(pcs[n]);
-        os << "    {\"pc\": " << pcs[n] << ", \"uops\": " << profile.uops
+    const auto rows = hottestRows(max_pcs);
+    for (std::size_t n = 0; n < rows.size(); ++n) {
+        const PcProfile &profile = rows[n]->profile;
+        os << "    {\"pc\": " << rows[n]->pc << ", \"uops\": " << profile.uops
            << ", \"cycles\": " << profile.cycles
            << ", \"taint_hits\": " << profile.taintHits
            << ", \"decoy_uops\": " << profile.decoyUops
@@ -157,7 +173,7 @@ CpiStack::dumpJson(std::ostream &os, std::size_t max_pcs) const
                << cpiBucketName(static_cast<CpiBucket>(i)) << "\": "
                << profile.buckets[i];
         }
-        os << "}}" << (n + 1 < pcs.size() ? "," : "") << "\n";
+        os << "}}" << (n + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
 }
@@ -169,9 +185,9 @@ CpiStack::dumpCsv(std::ostream &os, std::size_t max_pcs) const
     for (unsigned i = 0; i < numCpiBuckets; ++i)
         os << ',' << cpiBucketName(static_cast<CpiBucket>(i));
     os << "\n";
-    for (Addr pc : hottestPcs(max_pcs)) {
-        const PcProfile &profile = profiles_.at(pc);
-        os << pc << ',' << profile.uops << ',' << profile.cycles << ','
+    for (const Row *row : hottestRows(max_pcs)) {
+        const PcProfile &profile = row->profile;
+        os << row->pc << ',' << profile.uops << ',' << profile.cycles << ','
            << profile.taintHits << ',' << profile.decoyUops;
         for (unsigned i = 0; i < numCpiBuckets; ++i)
             os << ',' << profile.buckets[i];

@@ -22,7 +22,9 @@
  * scalar compute introduced by the vector->scalar rewrite).
  *
  * The accountant also keeps a per-PC profile (cycles, uops, per-bucket
- * stalls, taint hits, decoy uops) dumpable as JSON or CSV.
+ * stalls, taint hits, decoy uops) dumpable as JSON or CSV. Rows are
+ * stored densely by instruction slot (the macro-op's index in
+ * Program::code()), so the per-uop row lookup is an array index.
  */
 
 #ifndef CSD_CPU_CPI_STACK_HH
@@ -76,6 +78,7 @@ class CpiStack
     struct UopContext
     {
         Addr pc = invalidAddr;     //!< parent macro-op PC
+        std::size_t slot = 0;      //!< parent's index in Program::code()
         bool decoy = false;        //!< stealth-mode decoy uop
         bool devectExpansion = false; //!< devect glue/per-lane uop
         bool tainted = false;      //!< touches DIFT-tainted state
@@ -93,8 +96,12 @@ class CpiStack
         std::array<Cycles, numCpiBuckets> buckets{};
     };
 
-    /** Start accounting at @p start_cycle (the enable-time cycle). */
-    explicit CpiStack(Tick start_cycle = 0);
+    /**
+     * Start accounting at @p start_cycle (the enable-time cycle), with
+     * per-PC rows for @p slot_count instruction slots (grown on demand
+     * if a later UopContext::slot exceeds it).
+     */
+    explicit CpiStack(Tick start_cycle = 0, std::size_t slot_count = 0);
 
     /** Account one processed micro-op. */
     void accountUop(const BackEnd::UopTiming &timing,
@@ -126,10 +133,8 @@ class CpiStack
 
     // --- per-PC profiles --------------------------------------------------
 
-    const std::unordered_map<Addr, PcProfile> &pcProfiles() const
-    {
-        return profiles_;
-    }
+    /** Every accounted PC's row (a copy; not for hot loops). */
+    std::unordered_map<Addr, PcProfile> pcProfiles() const;
 
     /** PCs ordered by descending attributed cycles (ties: by PC). */
     std::vector<Addr> hottestPcs(std::size_t max_pcs = 0) const;
@@ -144,13 +149,20 @@ class CpiStack
     void dumpCsv(std::ostream &os, std::size_t max_pcs = 0) const;
 
   private:
+    /** One instruction slot's row; pc stays invalidAddr until used. */
+    struct Row
+    {
+        Addr pc = invalidAddr;
+        PcProfile profile;
+    };
+
+    /** Used rows ordered like hottestPcs(). */
+    std::vector<const Row *> hottestRows(std::size_t max_pcs) const;
+
     Tick startCycle_;
     Tick accountedUpTo_;
     std::array<Cycles, numCpiBuckets> buckets_{};
-    std::unordered_map<Addr, PcProfile> profiles_;
-    // Hot-loop memo: the profile row of the last accounted PC.
-    Addr lastPc_ = invalidAddr;
-    PcProfile *lastProfile_ = nullptr;
+    std::vector<Row> rows_;  //!< indexed by UopContext::slot
 };
 
 } // namespace csd

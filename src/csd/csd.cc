@@ -87,7 +87,7 @@ ContextSensitiveDecoder::onMsrWrite(MsrAddr addr, std::uint64_t value)
 void
 ContextSensitiveDecoder::retriggerStealth()
 {
-    ++epoch_;
+    ++retriggers_;
     pending_.clear();
     for (const AddrRange &range : msrs_.decoyIRanges())
         if (range.valid())

@@ -68,9 +68,17 @@ class ContextSensitiveDecoder final : public Translator
     /** Advance the decoder clock; fires the watchdog. */
     void tick(Tick now) override;
 
-    /** Bumped on every trigger-state change (MSR write, devect/MCU
-     *  mode switch, stealth retrigger): cached flows become stale. */
+    /** Bumped on every change that can alter a *stable* translation
+     *  (MSR write, devect/MCU mode switch): cached flows become stale.
+     *  A stealth retrigger does not bump it — see retriggerStealth(). */
     std::uint64_t translationEpoch() const override { return epoch_; }
+
+    /** translationEpoch() plus every stealth retrigger so far. */
+    std::uint64_t
+    reportedEpoch() const override
+    {
+        return epoch_ + retriggers_;
+    }
 
     /**
      * A translation is memoizable unless it would consume mutable
@@ -133,7 +141,13 @@ class ContextSensitiveDecoder final : public Translator
   private:
     void onMsrWrite(MsrAddr addr, std::uint64_t value);
 
-    /** Copy the decoy-range MSRs into the decoder's internal registers. */
+    /**
+     * Copy the decoy-range MSRs into the decoder's internal registers.
+     * Refilling pending_ changes only the translation of tainted ops,
+     * which translationStable() already vetoes while ranges are
+     * pending, so memoized (native/devectorized) flows stay current
+     * and the epoch does not move.
+     */
     void retriggerStealth();
 
     /** Is this instruction tainted under the active trigger mechanisms? */
@@ -163,6 +177,7 @@ class ContextSensitiveDecoder final : public Translator
     unsigned tracedCtx_ = ctxNative;
     Tick now_ = 0;
     std::uint64_t epoch_ = 0;
+    std::uint64_t retriggers_ = 0;  //!< retriggerStealth() calls
     std::uint64_t noiseLfsr_ = 0xace1ace1ace1ace1ull;
 
     StatGroup stats_;

@@ -67,10 +67,22 @@ class DecoderProfiler : public Translator
         return inner_.translationEpoch();
     }
 
+    std::uint64_t
+    reportedEpoch() const override
+    {
+        return inner_.reportedEpoch();
+    }
+
     bool
     translationStable(const MacroOp &op) const override
     {
         return inner_.translationStable(op);
+    }
+
+    unsigned
+    stableContext(const MacroOp &op) const override
+    {
+        return inner_.stableContext(op);
     }
 
     void

@@ -19,11 +19,13 @@
  * and must never change simulated timing or statistics. Architectural
  * faithfulness is kept by the Translator's flow-cache protocol
  * (translator.hh): entries are tagged with the translator's epoch and
- * dropped when trigger state changes, ops whose translation depends on
- * mutable per-instance state bypass the cache entirely, and hits
- * replay the translator's accounting. The hit/miss counters below are
- * host-side plain integers, deliberately outside the simulated stat
- * tree, so a stat dump is byte-identical with the cache on or off.
+ * dropped when trigger state changes in a way that could alter a
+ * stable translation (a stealth retrigger does not), ops whose
+ * translation depends on mutable per-instance state bypass the cache
+ * entirely, and hits replay the translator's accounting. The hit/miss
+ * counters below are host-side plain integers, deliberately outside
+ * the simulated stat tree, so a stat dump is byte-identical with the
+ * cache on or off.
  */
 
 #ifndef CSD_DECODE_FLOW_CACHE_HH

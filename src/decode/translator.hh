@@ -52,12 +52,25 @@ class Translator
     // bit-identical whether a flow was cached or freshly translated.
 
     /**
-     * Monotonic counter bumped whenever a state change could alter the
-     * translation of *any* macro-op (MSR writes, devectorization or MCU
-     * mode switches, stealth retriggers). Cached flows recorded under
-     * an older epoch must be re-translated.
+     * Monotonic counter bumped whenever a state change could alter a
+     * *stable* translation (MSR writes, devectorization or MCU mode
+     * switches). Cached flows recorded under an older epoch must be
+     * re-translated. State that only changes unstable translations
+     * need not bump it: a CSD stealth retrigger refills the decoy
+     * queue, which only affects tainted ops, and translationStable()
+     * already sends those through translate() while ranges are pending.
      */
     virtual std::uint64_t translationEpoch() const { return 0; }
+
+    /**
+     * The count of every trigger-state change, the ones that leave
+     * memoized flows current included (stealth retriggers). Published
+     * as the manifest's `translator_epoch`; never a cache key.
+     */
+    virtual std::uint64_t reportedEpoch() const
+    {
+        return translationEpoch();
+    }
 
     /**
      * True iff translating @p op right now is a pure function of

@@ -21,9 +21,10 @@ Cache::Cache(const CacheParams &params)
     if (!isPowerOf2(numSets_))
         csd_fatal("Cache ", params_.name, ": set count ", numSets_,
                   " is not a power of two");
-    tags_.assign(num_blocks, invalidAddr);
-    lruStamps_.assign(num_blocks, 0);
-    dirty_.assign(num_blocks, 0);
+    tags_ = std::make_unique_for_overwrite<Addr[]>(num_blocks);
+    lruStamps_ = std::make_unique_for_overwrite<std::uint64_t[]>(num_blocks);
+    dirty_ = std::make_unique_for_overwrite<std::uint8_t[]>(num_blocks);
+    liveSets_.assign((numSets_ + 63) / 64, 0);
 
     stats_.addCounter("accesses", &accesses_, "demand accesses");
     stats_.addCounter("misses", &misses_, "demand misses");
@@ -33,8 +34,15 @@ Cache::Cache(const CacheParams &params)
                       "explicit invalidations (clflush)");
 }
 
-
-
+void
+Cache::makeSetLive(unsigned set)
+{
+    const std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
+    std::fill_n(&tags_[base], params_.assoc, invalidAddr);
+    std::fill_n(&lruStamps_[base], params_.assoc, 0);
+    std::fill_n(&dirty_[base], params_.assoc, 0);
+    liveSets_[set >> 6] |= std::uint64_t{1} << (set & 63);
+}
 
 bool
 Cache::contains(Addr addr) const
@@ -48,6 +56,8 @@ Cache::fill(Addr addr)
     if (findWay(addr) != invalidWay)
         return;  // already resident (e.g. racing fill)
     const unsigned set = setIndex(addr);
+    if (!setLive(set))
+        makeSetLive(set);
     const std::size_t base =
         static_cast<std::size_t>(set) * params_.assoc;
     std::size_t victim = base;
@@ -88,8 +98,10 @@ Cache::invalidate(Addr addr)
 void
 Cache::invalidateAll()
 {
-    std::fill(tags_.begin(), tags_.end(), invalidAddr);
-    std::fill(dirty_.begin(), dirty_.end(), 0);
+    // Every way of a set is invalid when makeSetLive() re-initializes
+    // it, and fill() prefers the first invalid way, so a set's stale
+    // LRU stamps can never influence a victim choice.
+    std::fill(liveSets_.begin(), liveSets_.end(), 0);
 }
 
 std::vector<Addr>
@@ -98,6 +110,8 @@ Cache::setContents(unsigned set) const
     if (set >= numSets_)
         csd_panic("Cache::setContents: bad set ", set);
     std::vector<Addr> contents;
+    if (!setLive(set))
+        return contents;
     const std::size_t base =
         static_cast<std::size_t>(set) * params_.assoc;
     for (unsigned way = 0; way < params_.assoc; ++way)

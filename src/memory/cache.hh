@@ -12,6 +12,7 @@
 #define CSD_MEMORY_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -110,12 +111,26 @@ class Cache
      */
     unsigned findWay(Addr addr) const;
 
+    /** Has @p set been initialized since construction/invalidateAll? */
+    bool
+    setLive(unsigned set) const
+    {
+        return (liveSets_[set >> 6] >> (set & 63)) & 1;
+    }
+
+    /** Initialize @p set's ways (all invalid) and mark it live. */
+    void makeSetLive(unsigned set);
+
     CacheParams params_;
     unsigned numSets_;
-    // numSets_ x assoc, row-major, parallel arrays.
-    std::vector<Addr> tags_;            //!< block base, invalidAddr = empty
-    std::vector<std::uint64_t> lruStamps_;
-    std::vector<std::uint8_t> dirty_;
+    // numSets_ x assoc, row-major, parallel arrays. Left uninitialized
+    // at construction (a large LLC is megabytes most runs never touch);
+    // a set's ways are only meaningful once liveSets_ marks it live,
+    // and the first fill() into a set initializes them.
+    std::unique_ptr<Addr[]> tags_;      //!< block base, invalidAddr = empty
+    std::unique_ptr<std::uint64_t[]> lruStamps_;
+    std::unique_ptr<std::uint8_t[]> dirty_;
+    std::vector<std::uint64_t> liveSets_;  //!< one bit per set
     std::uint64_t lruClock_ = 0;
 
     // Channel-observability hook (null = disarmed, the default).
@@ -140,9 +155,11 @@ Cache::setIndex(Addr addr) const
 inline unsigned
 Cache::findWay(Addr addr) const
 {
+    const unsigned set = setIndex(addr);
+    if (!setLive(set))
+        return invalidWay;
     const Addr tag = blockAlign(addr);
-    const std::size_t base =
-        static_cast<std::size_t>(setIndex(addr)) * params_.assoc;
+    const std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
     for (unsigned way = 0; way < params_.assoc; ++way) {
         if (tags_[base + way] == tag)
             return way;

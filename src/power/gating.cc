@@ -7,7 +7,10 @@ namespace csd
 
 PowerGateController::PowerGateController(const GatingParams &params,
                                          const EnergyModel &energy)
-    : params_(params), energy_(energy), stats_("gating")
+    : params_(params), energy_(energy), window_(params.windowInstrs, 0),
+      idleThreshold_(std::max(params.idleGateThreshold,
+                              energy.breakEvenCycles())),
+      stats_("gating")
 {
     stats_.addCounter("gate_events", &gateEvents_,
                       "times the VPU was power-gated");
@@ -86,11 +89,12 @@ PowerGateController::onMacroOp(const MacroOp &op, Tick now,
     // Maintain the vector-activity window.
     const unsigned weight = isVector(op.opcode) ? std::max(vec_uops, 1u)
                                                 : 0u;
-    window_.push_back(weight);
-    windowCount_ += weight;
-    while (window_.size() > params_.windowInstrs) {
-        windowCount_ -= window_.front();
-        window_.pop_front();
+    if (!window_.empty()) {
+        windowCount_ += weight;
+        windowCount_ -= window_[windowPos_];
+        window_[windowPos_] = weight;
+        if (++windowPos_ == window_.size())
+            windowPos_ = 0;
     }
 
     const bool uses_vpu = vec_uops > 0;
@@ -102,8 +106,6 @@ PowerGateController::onMacroOp(const MacroOp &op, Tick now,
         break;
 
       case GatingPolicy::ConventionalPG: {
-        const Cycles threshold = std::max(params_.idleGateThreshold,
-                                          energy_.breakEvenCycles());
         if (uses_vpu) {
             if (!vpuUsable(now)) {
                 // Demand wake: the pipeline stalls while the VPU
@@ -123,7 +125,7 @@ PowerGateController::onMacroOp(const MacroOp &op, Tick now,
             ++sseCounts_[static_cast<unsigned>(SseExecClass::PoweredOn)];
             lastVectorUse_ = now;
         } else if (state_ == VpuState::On &&
-                   now - lastVectorUse_ > threshold) {
+                   now - lastVectorUse_ > idleThreshold_) {
             switchState(VpuState::Gated, now);
         }
         break;

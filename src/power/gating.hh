@@ -16,7 +16,7 @@
 #ifndef CSD_POWER_GATING_HH
 #define CSD_POWER_GATING_HH
 
-#include <deque>
+#include <vector>
 
 #include "common/stats.hh"
 #include "common/trace.hh"
@@ -135,9 +135,16 @@ class PowerGateController
     Tick lastVectorUse_ = 0;
     Tick lastNow_ = 0;
 
-    // Sliding window of per-instruction vector weights.
-    std::deque<unsigned> window_;
+    // Sliding window of the last windowInstrs per-instruction vector
+    // weights, as a ring. Slots not yet written hold 0, which is what a
+    // non-vector instruction contributes, so the count is exact from
+    // the first instruction on.
+    std::vector<unsigned> window_;
+    std::size_t windowPos_ = 0;
     std::uint64_t windowCount_ = 0;
+
+    /** ConventionalPG idle threshold, clamped to the break-even time. */
+    Cycles idleThreshold_;
 
     Cycles gatedCycles_ = 0;
     Cycles wakingCycles_ = 0;

@@ -15,10 +15,11 @@
  *
  * Exit protocol: a superblock is entered only while the translator
  * epoch it was built under is current, and execution leaves it on the
- * first taken branch, epoch bump (watchdog retrigger, MSR write),
- * stability loss, or budget exhaustion — falling back to the
- * interpreter mid-region with all architectural and accounting state
- * exactly as the interpreter would have left it. Tier on or off,
+ * first taken branch, epoch bump (MSR write, devect/MCU toggle),
+ * stability loss (a tainted op after a watchdog retrigger), or budget
+ * exhaustion — falling back to the interpreter mid-region with all
+ * architectural and accounting state exactly as the interpreter would
+ * have left it. Tier on or off,
  * stats dumps and sidecars are bit-identical
  * (tests/sim/test_superblock.cc).
  *

@@ -205,7 +205,7 @@ Simulation::enableCpiStack()
         csd_fatal("Simulation: CPI-stack accounting requires detailed "
                   "mode");
     if (!cpiStack_) {
-        cpiStack_ = std::make_unique<CpiStack>(cycles_);
+        cpiStack_ = std::make_unique<CpiStack>(cycles_, prog_.code().size());
         feL1iSeen_ = frontend_->fetchStallCycles();
         feDecodeSeen_ = frontend_->decodeBwCycles();
     }
@@ -509,6 +509,9 @@ Simulation::stepDetailed(const MacroOp &op, const UopFlow &flow,
             if (cpiStack_) {
                 CpiStack::UopContext ctx;
                 ctx.pc = op.pc;
+                // step() fetches through Program::at, so op lives in
+                // code() and its position there is the row index.
+                ctx.slot = static_cast<std::size_t>(&op - prog_.code().data());
                 ctx.decoy = uop.decoy;
                 ctx.devectExpansion =
                     devect_ctx && devectExpansionUop(uop);
@@ -788,7 +791,7 @@ Simulation::buildManifest() const
     // No context id here: it depends on construction order, and the
     // manifest promises "deterministic except phases" for a fixed
     // build + host + configuration.
-    manifest.note("translator_epoch", translator_->translationEpoch());
+    manifest.note("translator_epoch", translator_->reportedEpoch());
     return manifest;
 }
 

@@ -129,5 +129,39 @@ TEST(Profiler, ComposesWithCsd)
     EXPECT_GT(profiler.count(ProfileEvent::Uops), 10u);
 }
 
+TEST(Profiler, ForwardsFlowCacheProtocolOfWrappedCsd)
+{
+    // Regression: the profiler did not forward stableContext(), so the
+    // flow cache expected ctxNative for every op; a wrapped CSD that
+    // devectorizes fills vector slots under ctxDevect, and every
+    // lookup of those slots was rejected as a ctx invalidation.
+    const Program prog = mixedProgram();
+    MsrFile msrs;
+    ContextSensitiveDecoder csd(msrs);
+    csd.setDevectorize(true);
+    DecoderProfiler profiler(csd);
+    EXPECT_EQ(profiler.stableContext(prog.code()[4]), ctxDevect);
+
+    Simulation sim(prog);
+    sim.setTranslator(&profiler);
+    for (int i = 0; i < 3; ++i) {
+        sim.restart();
+        sim.runToHalt();
+    }
+    EXPECT_EQ(sim.flowCache().ctx_invalidations, 0u);
+    EXPECT_EQ(sim.flowCache().invalidations, 0u);
+    EXPECT_GT(sim.flowCache().hits, 0u);
+    EXPECT_EQ(profiler.count(ProfileEvent::Instructions),
+              sim.instructions());
+
+    // The manifest reports the wrapped decoder's epoch, stealth
+    // retriggers included.
+    msrs.setDecoyDRange(0, AddrRange(0x1000, 0x1040));
+    msrs.setControl(ctrlStealthEnable);
+    EXPECT_GT(csd.reportedEpoch(), csd.translationEpoch());
+    EXPECT_EQ(profiler.reportedEpoch(), csd.reportedEpoch());
+    EXPECT_EQ(profiler.translationEpoch(), csd.translationEpoch());
+}
+
 } // namespace
 } // namespace csd

@@ -104,6 +104,31 @@ TEST(Cache, InvalidateAllEmptiesEverySet)
         EXPECT_TRUE(cache.setContents(set).empty());
 }
 
+TEST(Cache, RefillAfterInvalidateAllKeepsLruOrder)
+{
+    // Sets are re-initialized lazily on their first fill after
+    // invalidateAll(); replacement must then behave exactly as in a
+    // freshly built cache, untouched sets included.
+    Cache cache(smallCache());
+    const Addr stride = 16 * cacheBlockSize;
+    for (unsigned i = 0; i < 4; ++i)
+        cache.fill(0x10000 + i * stride);
+    EXPECT_TRUE(cache.access(0x10000 + 3 * stride, false));
+    cache.invalidateAll();
+    EXPECT_FALSE(cache.contains(0x10000));
+    EXPECT_FALSE(cache.invalidate(0x10000));
+
+    const Addr base = 0x20000;
+    for (unsigned i = 0; i < 4; ++i)
+        cache.fill(base + i * stride);
+    EXPECT_EQ(cache.setContents(cache.setIndex(base)).size(), 4u);
+    EXPECT_TRUE(cache.access(base, false));
+    cache.fill(base + 4 * stride);  // evicts block 1, the LRU
+    EXPECT_TRUE(cache.contains(base));
+    EXPECT_FALSE(cache.contains(base + stride));
+    EXPECT_TRUE(cache.setContents(cache.setIndex(base) + 1).empty());
+}
+
 TEST(Cache, SetIndexUsesBlockNumberBits)
 {
     Cache cache(smallCache());

@@ -132,6 +132,36 @@ TEST(Gating, CsdWakesOnSustainedVectorActivity)
     EXPECT_GT(ctrl.sseCount(SseExecClass::PoweredOn), 0u);
 }
 
+TEST(Gating, WindowCountsExactlyTheLastWindowInstrs)
+{
+    // A 4-instruction window with the wake watermark at 3: the count
+    // must drop the oldest weight exactly when a fifth op arrives.
+    EnergyModel energy;
+    GatingParams params;
+    params.policy = GatingPolicy::CsdDevect;
+    params.windowInstrs = 4;
+    params.lowWatermark = 0;
+    params.highWatermark = 3;
+    PowerGateController ctrl(params, energy);
+
+    Tick now = 0;
+    for (int i = 0; i < 10; ++i)
+        ctrl.onMacroOp(scalarOp(0x2000), ++now, 0);
+    ASSERT_EQ(ctrl.state(), VpuState::Gated);
+
+    // v v s s v: the last four hold two vector ops (a 5-wide window
+    // would hold three and wake).
+    for (const bool vec : {true, true, false, false, true}) {
+        ctrl.onMacroOp(vec ? vectorOp(0x1000) : scalarOp(0x2000), ++now,
+                       vec ? 1 : 0);
+    }
+    EXPECT_EQ(ctrl.state(), VpuState::Gated);
+    ctrl.onMacroOp(vectorOp(0x1000), ++now, 1);  // s s v v
+    EXPECT_EQ(ctrl.state(), VpuState::Gated);
+    ctrl.onMacroOp(vectorOp(0x1000), ++now, 1);  // s v v v
+    EXPECT_EQ(ctrl.state(), VpuState::PoweringOn);
+}
+
 TEST(Gating, CycleAccountingSumsToTotal)
 {
     EnergyModel energy;

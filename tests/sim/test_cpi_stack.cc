@@ -247,6 +247,44 @@ TEST(CpiStackTest, JsonAndCsvDumps)
               0u);
 }
 
+TEST(CpiStackTest, SlotRowsReportByPc)
+{
+    // Rows are stored by instruction slot, but every query and dump is
+    // keyed and ordered by PC: ties on cycles break by ascending PC
+    // whatever the slot order, and a slot past the sized table grows it.
+    CpiStack cpi(0, 2);
+    BackEnd::UopTiming timing;
+    const auto account = [&](std::size_t slot, Addr pc, Tick commit) {
+        CpiStack::UopContext ctx;
+        ctx.slot = slot;
+        ctx.pc = pc;
+        timing.commit = commit;
+        cpi.accountUop(timing, ctx);
+    };
+    account(3, 0x500, 10);
+    account(0, 0x900, 20);
+    account(1, 0x100, 30);
+    account(1, 0x100, 30);  // overlapped: a uop, no cycles
+
+    EXPECT_EQ(cpi.hottestPcs(), (std::vector<Addr>{0x100, 0x500, 0x900}));
+    EXPECT_EQ(cpi.hottestPcs(2), (std::vector<Addr>{0x100, 0x500}));
+    const auto profiles = cpi.pcProfiles();
+    ASSERT_EQ(profiles.size(), 3u);
+    EXPECT_EQ(profiles.at(0x100).uops, 2u);
+    EXPECT_EQ(profiles.at(0x100).cycles, 10u);
+    EXPECT_EQ(profiles.at(0x500).buckets[static_cast<unsigned>(
+                  CpiBucket::Base)],
+              10u);
+
+    std::ostringstream csv;
+    cpi.dumpCsv(csv);
+    std::istringstream lines(csv.str());
+    std::string header, first;
+    std::getline(lines, header);
+    std::getline(lines, first);
+    EXPECT_EQ(first.rfind("256,2,10,", 0), 0u) << first;
+}
+
 TEST(CpiStackTest, CacheOnlyModeRejectsAccounting)
 {
     Program prog = loopProgram(10);

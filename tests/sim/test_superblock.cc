@@ -269,11 +269,12 @@ TEST(Superblock, BranchOutExitsBlock)
 TEST(Superblock, EpochBumpMidBlockFallsBack)
 {
     // The stealth watchdog period (5000 cycles) outlives one AES run
-    // (~3200 cycles) but not two: blocks compile under a settled epoch
-    // at a run boundary and then a retrigger fires mid-execution. The
-    // per-macro protocol must surface the bump (or the stability loss
-    // the refilled decoy queue causes) as a mid-block exit, and the
-    // stale blocks must be dropped at their next entry attempt.
+    // (~3200 cycles) but not two: blocks compile between retriggers,
+    // and then a retrigger fires mid-execution. A retrigger refills the
+    // decoy queue without changing any stable translation, so it keeps
+    // the epoch: the first tainted op surfaces as an Unstable exit and
+    // the compiled blocks stay valid. An MSR write does move the epoch,
+    // and the blocks compiled before it are dropped at their next entry.
     std::array<std::uint8_t, 16> key{};
     for (unsigned i = 0; i < 16; ++i)
         key[i] = static_cast<std::uint8_t>(0x60 + i);
@@ -299,11 +300,142 @@ TEST(Superblock, EpochBumpMidBlockFallsBack)
         sim.runToHalt();
     }
     const FastPath::Counters &fp = sim.fastPath().counters();
+    EXPECT_GT(csd.stats().counterValue("watchdog_fires"), 1u);
     EXPECT_GT(fp.entries, 0u);
-    EXPECT_GT(fp.exits[static_cast<unsigned>(SbExit::EpochBump)] +
-                  fp.exits[static_cast<unsigned>(SbExit::Unstable)],
-              0u);
+    EXPECT_GT(fp.exits[static_cast<unsigned>(SbExit::Unstable)], 0u);
+    EXPECT_EQ(fp.exits[static_cast<unsigned>(SbExit::EpochBump)], 0u);
+    EXPECT_EQ(fp.invalidated, 0u);
+    EXPECT_EQ(sim.flowCache().invalidations, 0u);
+
+    // A decoy-range write halfway through a run bumps the epoch.
+    const std::uint64_t epoch = csd.translationEpoch();
+    sim.restart();
+    sim.run(1000);
+    msrs.setDecoyDRange(0, workload.tTableRange);
+    EXPECT_GT(csd.translationEpoch(), epoch);
+    sim.runToHalt();
+    sim.restart();
+    sim.runToHalt();
     EXPECT_GT(fp.invalidated, 0u);
+    EXPECT_GT(sim.flowCache().invalidations, 0u);
+}
+
+// --- stealth differential across every host-side switch ----------------
+
+/** Everything a run publishes: stats dump, CSD tree, CPI stack. */
+std::string
+stealthDump(Simulation &sim, ContextSensitiveDecoder &csd)
+{
+    std::ostringstream os;
+    sim.dumpStatsJson(os);
+    std::string dump = scrubPhases(os.str());
+    std::ostringstream csd_os;
+    csd.stats().dumpJson(csd_os);
+    dump += csd_os.str();
+    if (const CpiStack *cpi = sim.cpiStack()) {
+        std::ostringstream cpi_os;
+        cpi->dumpJson(cpi_os);
+        dump += cpi_os.str();
+    }
+    return dump;
+}
+
+/**
+ * A 100-cycle watchdog retriggers stealth many times per invocation,
+ * so memoized flows and compiled blocks live across dozens of decoy
+ * bursts. Runs @p invoke under every flow-cache x tier setting for
+ * each fidelity and demands byte-identical dumps; in cache-only mode
+ * with both on the tier must engage and the flow cache must keep
+ * hitting across retriggers.
+ */
+template <class Setup, class Invoke>
+void
+expectStealthDifferential(const Program &prog, Setup setup, Invoke invoke)
+{
+    for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
+        std::string reference;
+        for (const bool flow_cache : {false, true}) {
+            for (const bool tier : {false, true}) {
+                SimParams params;
+                params.mode = mode;
+                Simulation sim(prog, params);
+                sim.setFlowCacheEnabled(flow_cache);
+                sim.setSuperblockEnabled(tier);
+                sim.setSuperblockThreshold(2);
+                if (mode == SimMode::Detailed)
+                    sim.enableCpiStack();
+                MsrFile msrs;
+                TaintTracker taint;
+                ContextSensitiveDecoder csd(msrs, &taint);
+                msrs.setWatchdogPeriod(100);
+                setup(msrs, taint);
+                sim.setTaintTracker(&taint);
+                sim.setCsd(&csd);
+                invoke(sim);
+
+                const std::string dump = stealthDump(sim, csd);
+                EXPECT_GT(csd.stats().counterValue("watchdog_fires"), 10u);
+                if (reference.empty())
+                    reference = dump;
+                EXPECT_EQ(dump, reference)
+                    << (mode == SimMode::Detailed ? "detailed" : "cache-only")
+                    << " flow_cache=" << flow_cache << " tier=" << tier;
+                if (mode == SimMode::CacheOnly && flow_cache && tier) {
+                    EXPECT_GT(sim.fastPath().counters().entries, 0u);
+                    EXPECT_EQ(sim.fastPath().counters().invalidated, 0u);
+                }
+                if (flow_cache) {
+                    EXPECT_GT(sim.flowCache().hits, 0u);
+                    EXPECT_EQ(sim.flowCache().invalidations, 0u);
+                }
+            }
+        }
+    }
+}
+
+TEST(Superblock, AesWatchdog100IdenticalAcrossHostSwitches)
+{
+    std::array<std::uint8_t, 16> key{};
+    for (unsigned i = 0; i < 16; ++i)
+        key[i] = static_cast<std::uint8_t>(0x31 * i + 7);
+    const AesWorkload workload = AesWorkload::build(key);
+    expectStealthDifferential(
+        workload.program,
+        [&](MsrFile &msrs, TaintTracker &taint) {
+            taint.addTaintSource(workload.keyRange);
+            msrs.setDecoyDRange(0, workload.tTableRange);
+            msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+        },
+        [&](Simulation &sim) {
+            for (int block = 0; block < 4; ++block) {
+                AesReference::Block plain{};
+                for (unsigned i = 0; i < 16; ++i)
+                    plain[i] = static_cast<std::uint8_t>(block * 5 + i);
+                workload.setInput(sim.state().mem, plain);
+                sim.restart();
+                sim.runToHalt();
+            }
+        });
+}
+
+TEST(Superblock, RsaWatchdog100IdenticalAcrossHostSwitches)
+{
+    const RsaWorkload workload = RsaWorkload::build(
+        {0x12345678u, 0x9abcdef0u}, {0xfffffff1u, 0xdeadbeefu},
+        0xb1e5, 16);
+    expectStealthDifferential(
+        workload.program,
+        [&](MsrFile &msrs, TaintTracker &taint) {
+            taint.addTaintSource(workload.exponentRange);
+            msrs.setDecoyIRange(0, workload.multiplyRange);
+            msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+        },
+        [&](Simulation &sim) {
+            for (int i = 0; i < 2; ++i) {
+                sim.restart();
+                sim.runToHalt();
+            }
+        });
 }
 
 TEST(Superblock, ExitNamesPinTheSidecarKeys)
