@@ -55,4 +55,11 @@ parseBoolSetting(std::string_view name, const char *value)
     return false;  // unreachable; csd_fatal throws
 }
 
+bool
+envBoolSetting(const char *name, bool fallback)
+{
+    const char *value = std::getenv(name);
+    return value ? parseBoolSetting(name, value) : fallback;
+}
+
 } // namespace csd

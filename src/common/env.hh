@@ -1,6 +1,6 @@
 /**
  * @file
- * Strict parsing for integer environment/CLI settings.
+ * Strict parsing for integer and boolean environment/CLI settings.
  *
  * Every numeric knob (CSD_TRACE_CAPACITY, CSD_LIFECYCLE_CAPACITY,
  * CSD_BENCH_JOBS, --jobs) goes through these helpers so a typo'd
@@ -39,6 +39,14 @@ unsigned parseNonNegativeSetting(std::string_view name, const char *value);
  * enabling the default.
  */
 bool parseBoolSetting(std::string_view name, const char *value);
+
+/**
+ * The boolean environment knob @p name: @p fallback when unset, else
+ * its value through parseBoolSetting (exactly "0" or "1"; anything
+ * else — "false", "yes", an empty string — is fatal and names the
+ * knob). Every CSD_* on/off switch reads through this.
+ */
+bool envBoolSetting(const char *name, bool fallback);
 
 } // namespace csd
 

@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 
 namespace csd
@@ -12,10 +13,7 @@ namespace csd
 namespace stats_detail
 {
 
-bool processDefault = [] {
-    const char *env = std::getenv("CSD_STATS_DETAIL");
-    return env && *env && *env != '0';
-}();
+bool processDefault = envBoolSetting("CSD_STATS_DETAIL", false);
 
 constinit thread_local bool *enabled = &processDefault;
 

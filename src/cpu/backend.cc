@@ -18,173 +18,4 @@ BackEnd::BackEnd(const BackEndParams &params, MemHierarchy *mem)
                       "cycles lost waiting for an issue port");
 }
 
-const BackEnd::PortSet &
-BackEnd::portsFor(FuClass fu)
-{
-    // Sandy Bridge-like port binding:
-    //   p0: ALU, vector ALU/mul, divider
-    //   p1: ALU, int mul, scalar FP
-    //   p5: ALU, branch, vector ALU
-    //   p2/p3: loads, p4: store
-    // Indexed by FuClass; plain data so the per-uop lookup is one load.
-    static constexpr PortSet table[] = {
-        /* IntAlu   */ {3, {0, 1, 5}},
-        /* IntMul   */ {1, {1}},
-        /* Branch   */ {1, {5}},
-        /* MemLoad  */ {2, {2, 3}},
-        /* MemStore */ {1, {4}},
-        /* VecAlu   */ {2, {0, 5}},
-        /* VecMul   */ {1, {0}},
-        /* VecFpDiv */ {1, {0}},
-        /* FpScalar */ {1, {1}},
-        /* None     */ {0, {}},
-    };
-    return table[static_cast<std::size_t>(fu)];
-}
-
-BackEnd::UopTiming
-BackEnd::process(const Uop &uop, const DynUop &dyn, Tick deliver)
-{
-    UopTiming timing;
-
-    // Source readiness (also used by eliminated uops).
-    Tick ready = 0;
-    auto src_ready = [&](const RegId &reg) {
-        if (reg.valid())
-            ready = std::max(ready, regReady_[reg.flatIndex()]);
-    };
-    src_ready(uop.src1);
-    src_ready(uop.src2);
-    src_ready(uop.src3);
-    if (uop.readsFlags)
-        ready = std::max(ready, regReady_[flagsReg().flatIndex()]);
-
-    if (uop.eliminated) {
-        // Stack-pointer tracking: the update happens at rename, costs
-        // no slot and no execution; the result is renamed immediately.
-        if (uop.dst.valid()) {
-            regReady_[uop.dst.flatIndex()] =
-                std::max(ready, deliver + params_.dispatchLatency);
-        }
-        timing.dispatch = deliver;
-        timing.issue = deliver;
-        timing.complete = deliver;
-        timing.commit = lastCommit_;
-        return timing;
-    }
-
-    // Dispatch: after rename depth, subject to ROB occupancy.
-    Tick dispatch = deliver + params_.dispatchLatency;
-    if (robCount_ >= params_.robEntries &&
-        robRing_[robIdx_] > dispatch) {
-        // The slot this uop reuses must have committed.
-        timing.robStall = robRing_[robIdx_] - dispatch;
-        dispatch = robRing_[robIdx_];
-    }
-    ready = std::max(ready, dispatch);
-
-    // rdtsc is modeled serializing (rdtscp/lfence discipline): it
-    // waits for all older uops to commit, and younger uops cannot
-    // begin until it completes — so timing spies genuinely observe
-    // their reload latency.
-    ready = std::max(ready, serializeAfter_);
-    if (uop.op == MicroOpcode::ReadCycles)
-        ready = std::max(ready, lastCommit_);
-    if (ready > dispatch)
-        timing.depStall = ready - dispatch;
-
-    // Issue: earliest among candidate ports.
-    Tick issue = ready;
-    const FuClass fu = fuClass(uop);
-    const PortSet &ports = portsFor(fu);
-    if (ports.count > 0) {
-        unsigned best = ports.ports[0];
-        for (unsigned i = 1; i < ports.count; ++i) {
-            const unsigned port = ports.ports[i];
-            if (portFree_[port] < portFree_[best])
-                best = port;
-        }
-        if (portFree_[best] > issue) {
-            timing.portStall = portFree_[best] - issue;
-            portConflictCycles_ += portFree_[best] - issue;
-            issue = portFree_[best];
-        }
-        const bool pipelined = fu != FuClass::VecFpDiv;
-        portFree_[best] = issue + (pipelined ? 1 : fuLatency(uop));
-    }
-
-    // Complete.
-    Tick complete;
-    if (uop.isLoad()) {
-        ++loadsExecuted_;
-        Cycles latency = 4;
-        Cycles l1d_hit = 4;
-        timing.memLevel = 1;
-        if (mem_) {
-            const auto result = uop.instrFetch
-                ? mem_->fetchInstr(dyn.effAddr)
-                : mem_->readData(dyn.effAddr);
-            latency = result.latency;
-            l1d_hit = uop.instrFetch ? mem_->params().l1i.hitLatency
-                                     : mem_->params().l1d.hitLatency;
-            timing.memLevel =
-                static_cast<std::uint8_t>(result.levelHit);
-        }
-        timing.l1dLatency = std::min(latency, l1d_hit);
-        if (latency > l1d_hit)
-            timing.memStall = latency - l1d_hit;
-        complete = issue + latency;
-    } else if (uop.isStore()) {
-        ++storesExecuted_;
-        if (mem_)
-            mem_->writeData(dyn.effAddr);
-        // Stores retire into the store queue; no consumer waits on them.
-        complete = issue + 1;
-    } else if (uop.op == MicroOpcode::CacheFlush) {
-        if (mem_)
-            mem_->flush(dyn.effAddr);
-        complete = issue + 40;  // clflush is a slow, serializing-ish op
-    } else {
-        complete = issue + fuLatency(uop);
-    }
-
-    if (uop.dst.valid())
-        regReady_[uop.dst.flatIndex()] = complete;
-    if (uop.writesFlags)
-        regReady_[flagsReg().flatIndex()] = complete;
-    if (uop.op == MicroOpcode::ReadCycles)
-        serializeAfter_ = complete;
-    if (onVpu(uop))
-        ++vpuUops_;
-    ++uopsExecuted_;
-
-    // In-order commit with bounded width.
-    Tick commit = std::max(complete, lastCommit_);
-    if (commit == lastCommitCycle_ &&
-        commitsThisCycle_ >= params_.commitWidth) {
-        commit += 1;
-        timing.commitWidthStall = true;
-    }
-    if (commit != lastCommitCycle_) {
-        lastCommitCycle_ = commit;
-        commitsThisCycle_ = 1;
-    } else {
-        ++commitsThisCycle_;
-    }
-    lastCommit_ = commit;
-
-    // ROB ring bookkeeping.
-    robRing_[robIdx_] = commit;
-    if (++robIdx_ == params_.robEntries)
-        robIdx_ = 0;
-    if (robCount_ < params_.robEntries)
-        ++robCount_;
-
-    timing.dispatch = dispatch;
-    timing.issue = issue;
-    timing.complete = complete;
-    timing.commit = commit;
-    return timing;
-}
-
 } // namespace csd

@@ -35,68 +35,6 @@ CpiStack::CpiStack(Tick start_cycle, std::size_t slot_count)
 }
 
 void
-CpiStack::accountUop(const BackEnd::UopTiming &timing,
-                     const UopContext &ctx)
-{
-    if (ctx.slot >= rows_.size()) [[unlikely]]
-        rows_.resize(ctx.slot + 1);
-    Row &row = rows_[ctx.slot];
-    row.pc = ctx.pc;
-    PcProfile &profile = row.profile;
-    ++profile.uops;
-    if (ctx.tainted)
-        ++profile.taintHits;
-    if (ctx.decoy)
-        ++profile.decoyUops;
-
-    if (timing.commit <= accountedUpTo_)
-        return;  // fully overlapped; opens no new cycles
-    Cycles remaining = timing.commit - accountedUpTo_;
-    accountedUpTo_ = timing.commit;
-    profile.cycles += remaining;
-
-    const auto take = [&](CpiBucket bucket, Cycles amount) {
-        if (remaining == 0 || amount == 0)
-            return;
-        const Cycles credited = std::min(remaining, amount);
-        buckets_[static_cast<unsigned>(bucket)] += credited;
-        profile.buckets[static_cast<unsigned>(bucket)] += credited;
-        remaining -= credited;
-    };
-
-    // CSD-injected work is pure overhead: every cycle such a uop opens
-    // on the commit timeline is charged to its CSD bucket, whatever
-    // micro-architectural constraint produced it.
-    if (ctx.decoy) {
-        take(CpiBucket::CsdDecoy, remaining);
-        return;
-    }
-    if (ctx.devectExpansion) {
-        take(CpiBucket::CsdDevect, remaining);
-        return;
-    }
-
-    // Walk the constraint chain from commit backwards; each stage is
-    // credited at most the cycles it added, capped by what is left of
-    // the gap (overlapped portions stay hidden).
-    take(CpiBucket::BackendCommit, timing.commitWidthStall ? 1 : 0);
-    switch (timing.memLevel) {
-      case 2: take(CpiBucket::MemL2, timing.memStall); break;
-      case 3: take(CpiBucket::MemLlc, timing.memStall); break;
-      case 4: take(CpiBucket::MemDram, timing.memStall); break;
-      default: break;
-    }
-    if (timing.memLevel >= 1)
-        take(CpiBucket::MemL1d, timing.l1dLatency);
-    take(CpiBucket::BackendPort, timing.portStall);
-    take(CpiBucket::BackendDep, timing.depStall);
-    take(CpiBucket::BackendRob, timing.robStall);
-    take(CpiBucket::FrontendL1i, ctx.feL1i);
-    take(CpiBucket::FrontendDecode, ctx.feDecode);
-    take(CpiBucket::Base, remaining);
-}
-
-void
 CpiStack::accountExternal(Tick new_total, CpiBucket bucket)
 {
     if (new_total <= accountedUpTo_)

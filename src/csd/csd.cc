@@ -114,18 +114,19 @@ ContextSensitiveDecoder::setDevectorize(bool on)
 
 
 
-bool
-ContextSensitiveDecoder::instrTainted(const MacroOp &op) const
+ContextSensitiveDecoder::TaintTrigger
+ContextSensitiveDecoder::taintTrigger(const MacroOp &op) const
 {
     const std::uint64_t ctrl = msrs_.control();
     if (ctrl & ctrlPcRangeTrigger) {
         for (Addr pc : msrs_.taintedPcs())
             if (pc == op.pc)
-                return true;
+                return TaintTrigger::PcRange;
     }
-    if ((ctrl & ctrlDiftTrigger) && taint_)
-        return taint_->taintedLoadOrBranch(op);
-    return false;
+    if ((ctrl & ctrlDiftTrigger) && taint_ &&
+        taint_->taintedLoadOrBranch(op))
+        return TaintTrigger::Dift;
+    return TaintTrigger::None;
 }
 
 UopFlow
@@ -225,7 +226,12 @@ ContextSensitiveDecoder::translate(const MacroOp &op)
         flow = applyMcu(op, flow);
 
     // Stealth-mode decoy injection for tainted loads/stores/branches.
-    if (stealthArmed() && !pending_.empty() && instrTainted(op)) {
+    const TaintTrigger trigger = stealthArmed() && !pending_.empty()
+        ? taintTrigger(op)
+        : TaintTrigger::None;
+    if (trigger != TaintTrigger::None) {
+        if (trigger == TaintTrigger::Dift)
+            taint_->noteTaintedUse(op);
         const PendingRange next = pending_.front();
         if (injectDecoys(flow, next.range, next.isInstr, decoyStyle)) {
             pending_.erase(pending_.begin());

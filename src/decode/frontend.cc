@@ -72,18 +72,6 @@ switchEventName(DeliverySource src)
 
 } // namespace
 
-unsigned
-FrontEnd::slotLimit() const
-{
-    switch (source_) {
-      case DeliverySource::UopCache: return params_.uopCacheStreamWidth;
-      case DeliverySource::Legacy:   return params_.decodeWidth;
-      case DeliverySource::Msrom:    return params_.msromWidth;
-      case DeliverySource::Lsd:      return params_.lsdStreamWidth;
-    }
-    return params_.decodeWidth;
-}
-
 void
 FrontEnd::forceNextCycle()
 {
@@ -138,8 +126,9 @@ FrontEnd::noteSwitch(DeliverySource next)
 }
 
 void
-FrontEnd::beginMacroOp(const MacroOp &op, const UopFlow &flow, unsigned ctx,
-                       bool taken, Addr next_pc)
+FrontEnd::beginMacroOp(const MacroOp &op, const UopFlow &flow,
+                       std::uint64_t slots, unsigned ctx, bool taken,
+                       Addr next_pc)
 {
     ++macroOps_;
 
@@ -152,7 +141,6 @@ FrontEnd::beginMacroOp(const MacroOp &op, const UopFlow &flow, unsigned ctx,
     }
     haveLastCtx_ = true;
 
-    const auto slots = deliveredSlots(flow);
     if (statsDetailEnabled())
         slotsPerMacroOp_.sample(static_cast<double>(slots));
     const bool lsd_eligible = !flow.fromMsrom && !flow.loop;
@@ -238,23 +226,8 @@ FrontEnd::beginMacroOp(const MacroOp &op, const UopFlow &flow, unsigned ctx,
         }
         fillSlots_ += slots;
         fillCacheable_ =
-            fillCacheable_ && uopCacheEligible(flow, params_);
+            fillCacheable_ && uopCacheEligible(flow, params_, slots);
     }
-}
-
-Tick
-FrontEnd::nextSlotCycle()
-{
-    if (slotsThisCycle_ >= slotLimit())
-        forceNextCycle();
-    ++slotsThisCycle_;
-    switch (source_) {
-      case DeliverySource::UopCache: ++slotsUopCache_; break;
-      case DeliverySource::Legacy:   ++slotsLegacy_; break;
-      case DeliverySource::Msrom:    ++slotsMsrom_; break;
-      case DeliverySource::Lsd:      ++slotsLsd_; break;
-    }
-    return feCycle_;
 }
 
 void

@@ -28,7 +28,9 @@ TaintTracker::reset()
 {
     sources_.clear();
     regTaint_.reset();
-    taintedGranules_.clear();
+    shadow_.clear();
+    lastPage_ = invalidAddr;
+    lastPageBits_ = nullptr;
 }
 
 void
@@ -39,16 +41,41 @@ TaintTracker::setRegTaint(const RegId &reg, bool tainted)
     regTaint_.set(reg.flatIndex(), tainted);
 }
 
+TaintTracker::ShadowPage *
+TaintTracker::findPage(Addr granule) const
+{
+    const Addr page = granule >> (pageShift - granuleShift);
+    if (page != lastPage_) {
+        const auto it = shadow_.find(page);
+        if (it == shadow_.end())
+            return nullptr;
+        lastPage_ = page;
+        lastPageBits_ = const_cast<ShadowPage *>(&it->second);
+    }
+    return lastPageBits_;
+}
+
 void
 TaintTracker::taintMem(Addr addr, unsigned size, bool tainted)
 {
     const Addr first = addr >> granuleShift;
     const Addr last = (addr + (size ? size - 1 : 0)) >> granuleShift;
     for (Addr granule = first; granule <= last; ++granule) {
+        ShadowPage *bits = findPage(granule);
+        if (!bits) {
+            if (!tainted)
+                continue;  // an untouched page is already clean
+            bits = &shadow_[granule >> (pageShift - granuleShift)];
+            lastPage_ = granule >> (pageShift - granuleShift);
+            lastPageBits_ = bits;
+        }
+        const unsigned bit =
+            static_cast<unsigned>(granule & (granulesPerPage - 1));
+        const std::uint64_t mask = std::uint64_t{1} << (bit & 63);
         if (tainted)
-            taintedGranules_.insert(granule);
+            (*bits)[bit >> 6] |= mask;
         else
-            taintedGranules_.erase(granule);
+            (*bits)[bit >> 6] &= ~mask;
     }
 }
 
@@ -57,9 +84,15 @@ TaintTracker::memTainted(Addr addr, unsigned size) const
 {
     const Addr first = addr >> granuleShift;
     const Addr last = (addr + (size ? size - 1 : 0)) >> granuleShift;
-    for (Addr granule = first; granule <= last; ++granule)
-        if (taintedGranules_.count(granule))
+    for (Addr granule = first; granule <= last; ++granule) {
+        const ShadowPage *bits = findPage(granule);
+        if (!bits)
+            continue;
+        const unsigned bit =
+            static_cast<unsigned>(granule & (granulesPerPage - 1));
+        if (((*bits)[bit >> 6] >> (bit & 63)) & 1)
             return true;
+    }
     for (const AddrRange &range : sources_)
         if (range.overlaps(AddrRange(addr, addr + (size ? size : 1))))
             return true;
@@ -79,35 +112,28 @@ TaintTracker::taintedLoadOrBranch(const MacroOp &op) const
         const bool data_taint = op.opcode == MacroOpcode::Store &&
                                 op.src1 != Gpr::Invalid &&
                                 regTainted(intReg(op.src1));
-        if (base_taint || index_taint || data_taint) {
-            if (isMemRead(op))
-                ++const_cast<Counter &>(taintedLoads_);
-            CSD_TRACE_NOW(Dift, "tainted_load", 'i', "pc",
-                          static_cast<double>(op.pc));
-            return true;
-        }
-        return false;
+        return base_taint || index_taint || data_taint;
     }
-    if (op.opcode == MacroOpcode::Jcc && op.cond != Cond::Always) {
-        if (regTainted(flagsReg())) {
-            ++const_cast<Counter &>(taintedBranches_);
-            CSD_TRACE_NOW(Dift, "tainted_branch", 'i', "pc",
-                          static_cast<double>(op.pc));
-            return true;
-        }
-        return false;
-    }
-    if (op.opcode == MacroOpcode::JmpInd || op.opcode == MacroOpcode::Ret) {
-        if (op.opcode == MacroOpcode::JmpInd &&
-            regTainted(intReg(op.src1))) {
-            ++const_cast<Counter &>(taintedBranches_);
-            CSD_TRACE_NOW(Dift, "tainted_branch", 'i', "pc",
-                          static_cast<double>(op.pc));
-            return true;
-        }
-        return false;
-    }
+    if (op.opcode == MacroOpcode::Jcc && op.cond != Cond::Always)
+        return regTainted(flagsReg());
+    if (op.opcode == MacroOpcode::JmpInd)
+        return regTainted(intReg(op.src1));
     return false;
+}
+
+void
+TaintTracker::noteTaintedUse(const MacroOp &op)
+{
+    if (op.hasMem && (isMemRead(op) || isMemWrite(op))) {
+        if (isMemRead(op))
+            ++taintedLoads_;
+        CSD_TRACE_NOW(Dift, "tainted_load", 'i', "pc",
+                      static_cast<double>(op.pc));
+        return;
+    }
+    ++taintedBranches_;
+    CSD_TRACE_NOW(Dift, "tainted_branch", 'i', "pc",
+                  static_cast<double>(op.pc));
 }
 
 bool
@@ -137,37 +163,38 @@ void
 TaintTracker::propagate(const UopFlow &flow, const FlowResult &result)
 {
     (void)flow;
-    for (const DynUop &dyn : result.dynUops) {
-        const Uop &uop = *dyn.uop;
-        if (uop.decoy)
-            continue;  // decoys live outside the program dataflow
+    for (const DynUop &dyn : result.dynUops)
+        propagateUop(*dyn.uop, dyn.effAddr);
+}
 
-        if (uop.isStore()) {
-            bool data_taint = uop.src3.valid() && regTainted(uop.src3);
-            // Pointer taint flows into the stored location as well.
-            if (uop.src1.valid())
-                data_taint = data_taint || regTainted(uop.src1);
-            if (uop.src2.valid())
-                data_taint = data_taint || regTainted(uop.src2);
-            taintMem(dyn.effAddr, uop.memSize, data_taint);
-            if (data_taint)
-                ++propagations_;
-            continue;
-        }
-
-        if (uop.isBranch())
-            continue;  // no data result
-
-        const bool tainted = uopSourceTaint(uop, dyn.effAddr);
-        // Immediate loads break dependences (limm overwrites dst).
-        const bool clears = uop.op == MicroOpcode::LoadImm;
-        if (uop.dst.valid())
-            setRegTaint(uop.dst, clears ? false : tainted);
-        if (uop.writesFlags)
-            setRegTaint(flagsReg(), tainted);
-        if (tainted)
+void
+TaintTracker::propagateDataflow(const Uop &uop, Addr eff_addr)
+{
+    if (uop.isStore()) {
+        bool data_taint = uop.src3.valid() && regTainted(uop.src3);
+        // Pointer taint flows into the stored location as well.
+        if (uop.src1.valid())
+            data_taint = data_taint || regTainted(uop.src1);
+        if (uop.src2.valid())
+            data_taint = data_taint || regTainted(uop.src2);
+        taintMem(eff_addr, uop.memSize, data_taint);
+        if (data_taint)
             ++propagations_;
+        return;
     }
+
+    if (uop.isBranch())
+        return;  // no data result
+
+    const bool tainted = uopSourceTaint(uop, eff_addr);
+    // Immediate loads break dependences (limm overwrites dst).
+    const bool clears = uop.op == MicroOpcode::LoadImm;
+    if (uop.dst.valid())
+        setRegTaint(uop.dst, clears ? false : tainted);
+    if (uop.writesFlags)
+        setRegTaint(flagsReg(), tainted);
+    if (tainted)
+        ++propagations_;
 }
 
 } // namespace csd

@@ -12,8 +12,9 @@
 #ifndef CSD_DIFT_TAINT_HH
 #define CSD_DIFT_TAINT_HH
 
+#include <array>
 #include <bitset>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/addr_range.hh"
@@ -42,6 +43,12 @@ class TaintTracker
         return regTaint_.test(reg.flatIndex());
     }
 
+    /**
+     * Register taint as a bitmask over flat register indices (bit
+     * RegId::flatIndex()); indices past the last register read 0.
+     */
+    std::uint64_t regTaintMask() const { return regTaint_.to_ullong(); }
+
     /** Is any byte of [addr, addr+size) tainted? */
     bool memTainted(Addr addr, unsigned size) const;
 
@@ -50,9 +57,19 @@ class TaintTracker
      * or branch — i.e. should stealth-mode translation inject decoys
      * for it? A memory op is tainted if any address register is; a
      * conditional branch if the flags are; an indirect branch if its
-     * target register is.
+     * target register is. A pure query: host-side probes (flow-cache
+     * and superblock stability checks) may call it any number of
+     * times; the decoder reports the uses it acts on through
+     * noteTaintedUse().
      */
     bool taintedLoadOrBranch(const MacroOp &op) const;
+
+    /**
+     * Count (and trace) one decode-time tainted use of @p op, for
+     * which taintedLoadOrBranch() held: a tainted load bumps
+     * tainted_loads, a tainted branch tainted_branches.
+     */
+    void noteTaintedUse(const MacroOp &op);
 
     /**
      * Propagate taint through an executed flow. Decoy micro-ops are
@@ -60,18 +77,46 @@ class TaintTracker
      */
     void propagate(const UopFlow &flow, const FlowResult &result);
 
+    /**
+     * Propagate taint through one executed uop (program order; @p
+     * eff_addr is its effective address for memory uops). propagate()
+     * is this, applied to every uop of a flow.
+     */
+    void
+    propagateUop(const Uop &uop, Addr eff_addr)
+    {
+        if (!uop.decoy)  // decoys live outside the program dataflow
+            propagateDataflow(uop, eff_addr);
+    }
+
     StatGroup &stats() { return stats_; }
 
   private:
     void setRegTaint(const RegId &reg, bool tainted);
     bool uopSourceTaint(const Uop &uop, Addr eff_addr) const;
     void taintMem(Addr addr, unsigned size, bool tainted);
+    void propagateDataflow(const Uop &uop, Addr eff_addr);
 
     static constexpr unsigned granuleShift = 3; //!< 8-byte granules
+    static constexpr unsigned pageShift = 12;   //!< 4 KiB shadow pages
+    static constexpr unsigned granulesPerPage = 1u
+                                                << (pageShift - granuleShift);
+
+    /** One bit per granule of a shadow page. */
+    using ShadowPage = std::array<std::uint64_t, granulesPerPage / 64>;
+
+    /** The shadow page holding @p granule, or null if never tainted. */
+    ShadowPage *findPage(Addr granule) const;
 
     std::vector<AddrRange> sources_;
     std::bitset<numFlatRegs> regTaint_;
-    std::unordered_set<Addr> taintedGranules_;
+    // Shadow memory: a bitmap per 4 KiB page, allocated the first time
+    // a granule in it is tainted. Node-based, so page pointers stay
+    // valid across inserts; the last page looked up is memoized (taint
+    // traffic is dominated by a few key/table pages).
+    std::unordered_map<Addr, ShadowPage> shadow_;
+    mutable Addr lastPage_ = invalidAddr;
+    mutable ShadowPage *lastPageBits_ = nullptr;
 
     StatGroup stats_;
     Counter taintedLoads_;

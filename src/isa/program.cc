@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/bitutils.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "isa/finding.hh"
 
@@ -528,10 +529,7 @@ ProgramBuilder::verifyStructure(const Program &prog) const
     // setVerify(false) per builder or CSD_VERIFY=0 globally so
     // deliberately broken programs (verifier self-tests) can still be
     // assembled.
-    static const bool envEnabled = [] {
-        const char *env = std::getenv("CSD_VERIFY");
-        return !(env && env[0] == '0' && env[1] == '\0');
-    }();
+    static const bool envEnabled = envBoolSetting("CSD_VERIFY", true);
     if (!verify_ || !envEnabled || prog.code_.empty())
         return;
 

@@ -98,9 +98,8 @@ ObservabilityContext::ObservabilityContext(ProcessTag)
     // The process-default context wraps the legacy globals and is the
     // root all other contexts inherit from; parse the env knobs that
     // used to be read ad hoc by Simulation.
-    const char *lc_env = std::getenv("CSD_LIFECYCLE");
     const char *lc_file = std::getenv("CSD_LIFECYCLE_FILE");
-    lifecycle_.enabled = (lc_env && *lc_env && *lc_env != '0') ||
+    lifecycle_.enabled = envBoolSetting("CSD_LIFECYCLE", false) ||
                          (lc_file && *lc_file);
     if (const char *cap = std::getenv("CSD_LIFECYCLE_CAPACITY"))
         lifecycle_.capacity =
@@ -108,12 +107,10 @@ ObservabilityContext::ObservabilityContext(ProcessTag)
     if (lc_file && *lc_file)
         lifecycle_.exportPath = lc_file;
 
-    const char *prof = std::getenv("CSD_HOST_PROFILE");
-    profiler_.setEnabled(prof && *prof && *prof != '0');
+    profiler_.setEnabled(envBoolSetting("CSD_HOST_PROFILE", false));
 
-    const char *cm_env = std::getenv("CSD_CHANNEL_MONITOR");
     const char *cm_file = std::getenv("CSD_CHANNEL_HEATMAP");
-    channelMonitor_.enabled = (cm_env && *cm_env && *cm_env != '0') ||
+    channelMonitor_.enabled = envBoolSetting("CSD_CHANNEL_MONITOR", false) ||
                               (cm_file && *cm_file);
     if (const char *ival = std::getenv("CSD_CHANNEL_MONITOR_INTERVAL"))
         channelMonitor_.heatmapInterval =

@@ -190,7 +190,12 @@ enum class FuClass : std::uint8_t
     None,       //!< nop/halt
 };
 
-/** One micro-op. */
+/**
+ * One micro-op. The one-byte fields come first and the 8-byte ones
+ * last, so the struct packs into 56 bytes with no interior padding
+ * (flow-cache entries hold four inline, superblock streams and
+ * lifecycle records point at or copy them).
+ */
 struct Uop
 {
     MicroOpcode op = MicroOpcode::Nop;
@@ -200,13 +205,10 @@ struct Uop
     RegId src2;         //!< also the agen index for memory ops
     RegId src3;         //!< store-data register
 
-    std::int64_t imm = 0;
-    std::int64_t disp = 0;
     std::uint8_t scale = 1;
     std::uint8_t memSize = 8;   //!< access size in bytes
 
     Cond cond = Cond::Always;
-    Addr target = invalidAddr;  //!< macro-level branch target
 
     std::uint8_t lane = 4;      //!< vector lane width in bytes
     OpWidth width = OpWidth::W64;
@@ -222,8 +224,12 @@ struct Uop
     bool immData = false;       //!< ALU second operand is imm, not src2
     bool eliminated = false;    //!< removed at decode (SP tracker)
 
-    Addr macroPc = invalidAddr; //!< PC of the parent macro-op
     std::uint8_t uopIdx = 0;    //!< position within the parent flow
+
+    std::int64_t imm = 0;
+    std::int64_t disp = 0;
+    Addr target = invalidAddr;  //!< macro-level branch target
+    Addr macroPc = invalidAddr; //!< PC of the parent macro-op
 
     bool isLoad() const
     {
@@ -341,6 +347,8 @@ inline constexpr auto fuLatencyTable =
     makeOpcodeTable<Cycles, fuLatencyOf>();
 
 } // namespace detail
+
+static_assert(sizeof(Uop) == 56, "Uop field order: narrow fields first");
 
 /** Functional unit class a uop issues to. */
 inline FuClass

@@ -24,9 +24,17 @@
  *      tier.unroll-mismatch);
  *  (c) exit-protocol safety — a small CFG over the stream proving
  *      every mid-block exit flushes a clean whole-macro prefix in
- *      interpreter order, and every path from entry to a memory or
- *      branch effect crosses an epoch guard (tier.partial-flush,
- *      tier.unguarded-epoch-window).
+ *      interpreter order, every re-entry point after an Unstable or
+ *      Budget exit is a legal macro boundary (k+1 after the
+ *      interpreter retired the vetoed macro k, k after a budget
+ *      slice, never after an epoch bump), and every path from entry
+ *      or re-entry to a memory or branch effect crosses an epoch guard
+ *      (tier.partial-flush, tier.unguarded-epoch-window);
+ *  (d) timing-record soundness — every SbOp's timing record, the
+ *      detailed consumer's per-uop input, agrees with a re-derivation
+ *      from its Uop: flat register indices, FU class, port set,
+ *      latency, memory kind, and the slot/decoy/devectorization/VPU
+ *      bits (tier.timing-drift).
  *
  * Checks read the block through SuperblockView — the same
  * fault-injection indirection MicroTableView gives the table audit —
@@ -62,6 +70,7 @@ struct SuperblockView
     std::function<double(const SbOp &)> energyOf;
     std::function<bool(const SbOp &)> vpuOf;
     std::function<bool(const SbOp &)> countedOf;
+    std::function<UopTimingRec(const SbOp &)> timingOf;
     std::function<std::uint8_t(const SbMacro &)> guardsOf;
     std::function<SbExitMeta(SbExit)> exitMetaOf;
 

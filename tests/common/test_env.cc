@@ -1,12 +1,14 @@
 /**
  * @file
- * Strict integer-setting parser tests (common/env.hh): every numeric
- * env/CLI knob must reject malformed values loudly rather than fall
- * back to a default.
+ * Strict setting parser tests (common/env.hh): every numeric and
+ * boolean env/CLI knob must reject malformed values loudly rather than
+ * fall back to a default.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -50,6 +52,77 @@ TEST(EnvParse, ErrorMessageNamesTheSetting)
         const std::string msg = e.what();
         EXPECT_NE(msg.find("CSD_TRACE_CAPACITY"), std::string::npos);
         EXPECT_NE(msg.find("12abc"), std::string::npos);
+    }
+}
+
+/** Set an environment variable for one scope, restoring it after. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        if (value)
+            ::setenv(name, value, 1);
+        else
+            ::unsetenv(name);
+    }
+    ~ScopedEnv()
+    {
+        if (old_)
+            ::setenv(name_, old_->c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+TEST(EnvParse, BoolSettingAcceptsOnlyZeroOrOne)
+{
+    EXPECT_TRUE(parseBoolSetting("B", "1"));
+    EXPECT_FALSE(parseBoolSetting("B", "0"));
+    for (const char *bad : {"false", "true", "yes", "no", "", "01", "1 "})
+        EXPECT_THROW(parseBoolSetting("B", bad), std::runtime_error) << bad;
+}
+
+/**
+ * Every on/off CSD_* switch reads through envBoolSetting, so
+ * "=false" can no longer switch one on (the old `*v != '0'` parse)
+ * and "=yes" is not silently ignored: both fail, naming the knob.
+ */
+TEST(EnvParse, BoolKnobsRejectFalseAndYes)
+{
+    for (const char *knob :
+         {"CSD_CPI_STACK", "CSD_LIFECYCLE", "CSD_HOST_PROFILE",
+          "CSD_CHANNEL_MONITOR", "CSD_STATS_DETAIL", "CSD_VERIFY"}) {
+        for (const char *bad : {"false", "yes"}) {
+            const ScopedEnv env(knob, bad);
+            try {
+                envBoolSetting(knob, false);
+                ADD_FAILURE() << knob << "=" << bad << " was accepted";
+            } catch (const std::runtime_error &e) {
+                const std::string msg = e.what();
+                EXPECT_NE(msg.find(knob), std::string::npos) << msg;
+                EXPECT_NE(msg.find(bad), std::string::npos) << msg;
+            }
+        }
+        {
+            const ScopedEnv env(knob, "1");
+            EXPECT_TRUE(envBoolSetting(knob, false)) << knob;
+        }
+        {
+            const ScopedEnv env(knob, "0");
+            EXPECT_FALSE(envBoolSetting(knob, true)) << knob;
+        }
+        const ScopedEnv unset(knob, nullptr);
+        EXPECT_TRUE(envBoolSetting(knob, true)) << knob;
+        EXPECT_FALSE(envBoolSetting(knob, false)) << knob;
     }
 }
 

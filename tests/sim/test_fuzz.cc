@@ -3,6 +3,7 @@
 #include "common/random.hh"
 #include "csd/csd.hh"
 #include "sim/simulation.hh"
+#include "tests/support/random_program.hh"
 
 namespace csd
 {
@@ -15,78 +16,7 @@ namespace
  * with and without the context-sensitive decoder active.
  */
 
-Program
-randomProgram(Random &rng, unsigned body_instrs)
-{
-    ProgramBuilder b;
-    const Addr buf = b.reserveData("buf", 64 * 1024, 64);
-    const auto mask =
-        static_cast<std::int64_t>((64 * 1024 - 1) & ~63ull);
-
-    auto outer = b.newLabel();
-    b.movri(Gpr::Rbx, static_cast<std::int64_t>(buf));
-    b.movri(Gpr::R12, 0);
-    b.movri(Gpr::Rbp, 8);  // outer trip count
-    b.bind(outer);
-
-    for (unsigned i = 0; i < body_instrs; ++i) {
-        const Gpr dst = static_cast<Gpr>(8 + rng.below(4));
-        const Gpr src = static_cast<Gpr>(8 + rng.below(4));
-        switch (rng.below(12)) {
-          case 0:
-            b.load(dst, memIdx(Gpr::Rbx, Gpr::R12, 1, 0, MemSize::B8));
-            break;
-          case 1:
-            b.store(memIdx(Gpr::Rbx, Gpr::R12, 1, 8, MemSize::B8), src);
-            break;
-          case 2:
-            b.addi(Gpr::R12, 64);
-            b.andi(Gpr::R12, mask);
-            break;
-          case 3:
-            b.imul(dst, src);
-            break;
-          case 4: {
-            auto skip = b.newLabel();
-            b.testi(dst, 3);
-            b.jcc(Cond::Ne, skip);
-            b.xori(dst, 0x55);
-            b.bind(skip);
-            break;
-          }
-          case 5:
-            b.push(src);
-            b.pop(dst);
-            break;
-          case 6:
-            b.vecOp(MacroOpcode::Paddd, static_cast<Xmm>(rng.below(4)),
-                    static_cast<Xmm>(rng.below(4)));
-            break;
-          case 7:
-            b.vecOp(MacroOpcode::Pmullw, static_cast<Xmm>(rng.below(4)),
-                    static_cast<Xmm>(rng.below(4)));
-            break;
-          case 8:
-            b.aluMem(MacroOpcode::XorM, dst,
-                     memIdx(Gpr::Rbx, Gpr::R12, 1, 16, MemSize::B4),
-                     OpWidth::W32);
-            break;
-          case 9:
-            b.aluImm(MacroOpcode::RolI, dst, 1 + rng.below(31));
-            break;
-          case 10:
-            b.cpuid();
-            break;
-          default:
-            b.add(dst, src);
-            break;
-        }
-    }
-    b.subi(Gpr::Rbp, 1);
-    b.jcc(Cond::Ne, outer);
-    b.halt();
-    return b.build();
-}
+using testsupport::randomProgram;
 
 class SimFuzz : public ::testing::TestWithParam<std::uint64_t>
 {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <fstream>
 #include <functional>
 #include <set>
@@ -350,6 +352,40 @@ TEST_F(ObservabilityTest, TwoContextChannelMonitorExportsArePerContext)
     }
     for (const std::string &path : all_paths)
         std::remove(path.c_str());
+}
+
+TEST(Observability, CpiStackKnobIsStrict)
+{
+    // CSD_CPI_STACK=false used to *arm* the CPI stack (`*v != '0'`).
+    const Program prog = loopProgram(10);
+    SimParams params;
+    params.mode = SimMode::Detailed;
+    const char *old = std::getenv("CSD_CPI_STACK");
+    const std::string saved = old ? old : "";
+    for (const char *bad : {"false", "yes"}) {
+        ::setenv("CSD_CPI_STACK", bad, 1);
+        try {
+            Simulation sim(prog, params);
+            ADD_FAILURE() << "CSD_CPI_STACK=" << bad << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("CSD_CPI_STACK"),
+                      std::string::npos);
+        }
+    }
+    ::setenv("CSD_CPI_STACK", "0", 1);
+    {
+        Simulation sim(prog, params);
+        EXPECT_EQ(sim.cpiStack(), nullptr);
+    }
+    ::setenv("CSD_CPI_STACK", "1", 1);
+    {
+        Simulation sim(prog, params);
+        EXPECT_NE(sim.cpiStack(), nullptr);
+    }
+    if (old)
+        ::setenv("CSD_CPI_STACK", saved.c_str(), 1);
+    else
+        ::unsetenv("CSD_CPI_STACK");
 }
 
 } // namespace

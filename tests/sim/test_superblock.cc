@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <sstream>
 #include <string>
 
+#include "common/random.hh"
 #include "csd/csd.hh"
 #include "sim/fastpath.hh"
 #include "sim/simulation.hh"
+#include "tests/support/random_program.hh"
 #include "workloads/aes.hh"
 #include "workloads/rsa.hh"
 
@@ -20,10 +23,11 @@ namespace
  * builds on, a host-side optimization: with the tier on or off the
  * simulated machine must be bit-identical — cycles, uop counts,
  * energy scalars, the whole stat tree. These tests mirror the
- * flow-cache equivalence suite in cache-only mode (the only mode the
- * tier engages in) across the paper's crypto victims and the
- * adversarial trigger-toggling program, then pin the tier's exit
- * protocol with targeted unit scenarios.
+ * flow-cache equivalence suite in both fidelities across the paper's
+ * crypto victims and the adversarial trigger-toggling program (in
+ * detailed mode with the CPI stack and lifecycle tracer armed), pin
+ * the tier's exit and resume protocol with targeted unit scenarios,
+ * and run a randomized differential over generated programs.
  */
 
 struct CacheOnlyRecord
@@ -473,6 +477,16 @@ TEST(Superblock, ExitMetaContractInvariants)
     EXPECT_TRUE(sbExitMeta(SbExit::Budget).resumesInterpreter);
     EXPECT_FALSE(sbExitMeta(SbExit::Branch).resumesInterpreter);
     EXPECT_FALSE(sbExitMeta(SbExit::End).resumesInterpreter);
+    // Re-entry points: k+1 once the interpreter retired the vetoed
+    // macro k, k itself after a budget slice, never after an epoch
+    // bump (the block's translations are stale).
+    EXPECT_TRUE(sbExitMeta(SbExit::Unstable).reentersBlock);
+    EXPECT_EQ(sbExitMeta(SbExit::Unstable).interpreterMacros, 1u);
+    EXPECT_TRUE(sbExitMeta(SbExit::Budget).reentersBlock);
+    EXPECT_EQ(sbExitMeta(SbExit::Budget).interpreterMacros, 0u);
+    EXPECT_FALSE(sbExitMeta(SbExit::EpochBump).reentersBlock);
+    EXPECT_FALSE(sbExitMeta(SbExit::Branch).reentersBlock);
+    EXPECT_FALSE(sbExitMeta(SbExit::End).reentersBlock);
 }
 
 TEST(Superblock, DisablingDropsCompiledBlocks)
@@ -500,6 +514,385 @@ TEST(Superblock, DisablingDropsCompiledBlocks)
     sim.runToHalt();
     EXPECT_EQ(sim.fastPath().counters().entries, entries_before);
 }
+
+// --- detailed mode on the superblock stream ------------------------------
+
+/** One CSD setup step; null = native translator (no CSD attached). */
+using CsdSetup = std::function<void(MsrFile &, TaintTracker &,
+                                    ContextSensitiveDecoder &)>;
+/** Drives a configured simulation (restart/run loops). */
+using Invoke = std::function<void(Simulation &)>;
+
+/** Host-side switches one run is taken under. */
+struct HostConfig
+{
+    SimMode mode = SimMode::Detailed;
+    bool flowCache = true;
+    bool tier = true;
+    std::uint32_t threshold = 16;
+};
+
+/** Everything a run publishes, plus the host-side tier counters. */
+struct FullRecord
+{
+    std::string dump;  //!< stats + CSD + DIFT trees, CPI stack, lifecycle
+    std::string dift;  //!< the DIFT tree alone
+    FastPath::Counters fp;
+};
+
+FullRecord
+runFull(const Program &prog, const HostConfig &host, const CsdSetup &setup,
+        const Invoke &invoke)
+{
+    SimParams params;
+    params.mode = host.mode;
+    Simulation sim(prog, params);
+    sim.setFlowCacheEnabled(host.flowCache);
+    sim.setSuperblockEnabled(host.tier);
+    sim.setSuperblockThreshold(host.threshold);
+    if (host.mode == SimMode::Detailed) {
+        sim.enableCpiStack();
+        sim.enableLifecycle(1 << 12);
+    }
+    MsrFile msrs;
+    TaintTracker taint;
+    ContextSensitiveDecoder csd(msrs, &taint);
+    if (setup) {
+        setup(msrs, taint, csd);
+        sim.setTaintTracker(&taint);
+        sim.setCsd(&csd);
+    }
+    invoke(sim);
+
+    FullRecord rec;
+    std::ostringstream os;
+    sim.dumpStatsJson(os);
+    rec.dump = scrubPhases(os.str());
+    std::ostringstream dift_os;
+    taint.stats().dumpJson(dift_os);
+    rec.dift = dift_os.str();
+    if (setup) {
+        std::ostringstream csd_os;
+        csd.stats().dumpJson(csd_os);
+        rec.dump += csd_os.str() + rec.dift;
+    }
+    if (const CpiStack *cpi = sim.cpiStack()) {
+        std::ostringstream cpi_os;
+        cpi->dumpJson(cpi_os);
+        rec.dump += cpi_os.str();
+    }
+    if (LifecycleTracer *lc = sim.lifecycle()) {
+        std::ostringstream lc_os;
+        lc->exportO3PipeView(lc_os);
+        rec.dump += lc_os.str();
+    }
+    rec.fp = sim.fastPath().counters();
+    return rec;
+}
+
+/**
+ * Detailed mode, CPI stack and lifecycle armed: the tier at threshold
+ * 1 and 16 must publish exactly what the interpreter does, and at
+ * threshold 1 it must engage. Returns the threshold-1 record for
+ * scenario-specific checks.
+ */
+FullRecord
+expectDetailedTierIdentical(const Program &prog, const CsdSetup &setup,
+                            const Invoke &invoke)
+{
+    const FullRecord off =
+        runFull(prog, {SimMode::Detailed, true, false, 16}, setup, invoke);
+    EXPECT_EQ(off.fp.entries, 0u);
+    FullRecord engaged;
+    for (const std::uint32_t threshold : {1u, 16u}) {
+        const FullRecord on = runFull(
+            prog, {SimMode::Detailed, true, true, threshold}, setup, invoke);
+        EXPECT_EQ(on.dump, off.dump) << "threshold " << threshold;
+        if (threshold == 1) {
+            EXPECT_GT(on.fp.entries, 0u);
+            engaged = on;
+        }
+    }
+    return engaged;
+}
+
+AesWorkload
+detailedAes()
+{
+    std::array<std::uint8_t, 16> key{};
+    for (unsigned i = 0; i < 16; ++i)
+        key[i] = static_cast<std::uint8_t>(0x11 * i + 3);
+    return AesWorkload::build(key);
+}
+
+/** Encrypt @p blocks fresh input blocks, one whole run each. */
+Invoke
+aesBlocks(const AesWorkload &workload, int blocks)
+{
+    return [&workload, blocks](Simulation &sim) {
+        for (int block = 0; block < blocks; ++block) {
+            AesReference::Block plain{};
+            for (unsigned i = 0; i < 16; ++i)
+                plain[i] = static_cast<std::uint8_t>(block * 7 + i);
+            workload.setInput(sim.state().mem, plain);
+            sim.restart();
+            sim.runToHalt();
+        }
+    };
+}
+
+TEST(SuperblockDetailed, AesBitIdenticalAcrossTierAndThreshold)
+{
+    const AesWorkload workload = detailedAes();
+    const FullRecord on = expectDetailedTierIdentical(
+        workload.program, nullptr, aesBlocks(workload, 20));
+    // Straight-line AES runs almost entirely on the stream.
+    EXPECT_GT(on.fp.uopsRetired, 10 * on.fp.blockUops);
+}
+
+TEST(SuperblockDetailed, RsaStealthWatchdog100BitIdentical)
+{
+    const RsaWorkload workload = RsaWorkload::build(
+        {0x12345678u, 0x9abcdef0u}, {0xfffffff1u, 0xdeadbeefu},
+        0xb1e5, 16);
+    expectDetailedTierIdentical(
+        workload.program,
+        [&](MsrFile &msrs, TaintTracker &taint, ContextSensitiveDecoder &) {
+            taint.addTaintSource(workload.exponentRange);
+            msrs.setWatchdogPeriod(100);
+            msrs.setDecoyIRange(0, workload.multiplyRange);
+            msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+        },
+        [](Simulation &sim) {
+            for (int i = 0; i < 2; ++i) {
+                sim.restart();
+                sim.runToHalt();
+            }
+        });
+}
+
+TEST(SuperblockDetailed, TriggerTogglingBitIdentical)
+{
+    std::array<std::uint8_t, 16> key{};
+    for (unsigned i = 0; i < 16; ++i)
+        key[i] = static_cast<std::uint8_t>(0x40 + i);
+    const AesWorkload workload = AesWorkload::build(key);
+    MsrFile *msrs_seen = nullptr;
+    ContextSensitiveDecoder *csd_seen = nullptr;
+    const FullRecord on = expectDetailedTierIdentical(
+        workload.program,
+        [&](MsrFile &msrs, TaintTracker &taint,
+            ContextSensitiveDecoder &csd) {
+            taint.addTaintSource(workload.keyRange);
+            msrs.setWatchdogPeriod(700);
+            msrs.setDecoyDRange(0, workload.tTableRange);
+            msrs_seen = &msrs;
+            csd_seen = &csd;
+        },
+        [&](Simulation &sim) {
+            // Phases: native, stealth, devectorizing, timing noise —
+            // each entry an epoch bump that must drop compiled blocks.
+            for (int block = 0; block < 24; ++block) {
+                if (block % 3 == 0) {
+                    switch ((block / 3) % 4) {
+                      case 0:
+                        msrs_seen->setControl(0);
+                        csd_seen->setDevectorize(false);
+                        break;
+                      case 1:
+                        msrs_seen->setControl(ctrlStealthEnable |
+                                              ctrlDiftTrigger);
+                        break;
+                      case 2:
+                        msrs_seen->setControl(0);
+                        csd_seen->setDevectorize(true);
+                        break;
+                      case 3:
+                        csd_seen->seedNoise(0x5eed);
+                        msrs_seen->setControl(ctrlTimingNoise);
+                        break;
+                    }
+                }
+                AesReference::Block plain{};
+                for (unsigned i = 0; i < 16; ++i)
+                    plain[i] = static_cast<std::uint8_t>(block * 3 + i);
+                workload.setInput(sim.state().mem, plain);
+                sim.restart();
+                sim.runToHalt();
+            }
+        });
+    EXPECT_GT(on.fp.invalidated, 0u);
+}
+
+// --- resume protocol --------------------------------------------------------
+
+/**
+ * After an Unstable exit the interpreter retires only the vetoed macro
+ * and the tier continues the same block at the next one: once the
+ * blocks are compiled, every vetoed op of an AES invocation (none of
+ * which ends its block here) is followed by a resume, in both
+ * fidelities, and the invocation stays bit-identical to the
+ * interpreter's.
+ */
+TEST(SuperblockResume, UnstableExitContinuesAtNextMacro)
+{
+    const AesWorkload workload = detailedAes();
+    const CsdSetup setup = [&](MsrFile &msrs, TaintTracker &taint,
+                               ContextSensitiveDecoder &) {
+        taint.addTaintSource(workload.keyRange);
+        msrs.setWatchdogPeriod(300);
+        msrs.setDecoyDRange(0, workload.tTableRange);
+        msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+    };
+    const auto unstable = [](const FastPath::Counters &c) {
+        return c.exits[static_cast<unsigned>(SbExit::Unstable)];
+    };
+    for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
+        FastPath::Counters warm;
+        const Invoke invoke = [&](Simulation &sim) {
+            aesBlocks(workload, 4)(sim);  // fill the flow cache, compile
+            warm = sim.fastPath().counters();
+            aesBlocks(workload, 2)(sim);
+        };
+        const FullRecord on =
+            runFull(workload.program, {mode, true, true, 1}, setup, invoke);
+        const FullRecord off =
+            runFull(workload.program, {mode, true, false, 1}, setup, invoke);
+        const char *label =
+            mode == SimMode::Detailed ? "detailed" : "cache-only";
+        EXPECT_EQ(on.dump, off.dump) << label;
+        const std::uint64_t vetoed = unstable(on.fp) - unstable(warm);
+        EXPECT_GT(vetoed, 0u) << label;
+        EXPECT_EQ(on.fp.resumes - warm.resumes, vetoed) << label;
+    }
+}
+
+/**
+ * run(n) slices end in Budget exits mid-block; the next slice resumes
+ * the block where the last one stopped instead of compiling an
+ * overlapping block at the slice boundary, and the sliced run is
+ * bit-identical to one uninterrupted run.
+ */
+TEST(SuperblockResume, BudgetSlicesResumeTheBlock)
+{
+    const AesWorkload workload = detailedAes();
+    for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
+        const HostConfig host{mode, true, true, 1};
+        const FullRecord whole =
+            runFull(workload.program, host, nullptr, aesBlocks(workload, 4));
+        const FullRecord sliced = runFull(
+            workload.program, host, nullptr, [&](Simulation &sim) {
+                for (int block = 0; block < 4; ++block) {
+                    AesReference::Block plain{};
+                    for (unsigned i = 0; i < 16; ++i)
+                        plain[i] = static_cast<std::uint8_t>(block * 7 + i);
+                    workload.setInput(sim.state().mem, plain);
+                    sim.restart();
+                    while (!sim.halted())
+                        sim.run(37);
+                }
+            });
+        const char *label =
+            mode == SimMode::Detailed ? "detailed" : "cache-only";
+        EXPECT_EQ(sliced.dump, whole.dump) << label;
+        EXPECT_GT(sliced.fp.exits[static_cast<unsigned>(SbExit::Budget)],
+                  0u)
+            << label;
+        EXPECT_GT(sliced.fp.resumes, 0u) << label;
+        EXPECT_EQ(sliced.fp.built, whole.fp.built) << label;
+        EXPECT_EQ(sliced.fp.macrosRetired, whole.fp.macrosRetired) << label;
+    }
+}
+
+// --- DIFT counters ----------------------------------------------------------
+
+/**
+ * The decoder's taint query is pure: host-side stability probes (flow
+ * cache, superblock guards) must not bump dift.tainted_loads /
+ * tainted_branches, which count decode-time tainted uses only. The
+ * counters therefore agree across flow cache on/off x tier on/off.
+ */
+TEST(SuperblockDift, TaintCountersIndependentOfHostSwitches)
+{
+    const AesWorkload workload = detailedAes();
+    const CsdSetup setup = [&](MsrFile &msrs, TaintTracker &taint,
+                               ContextSensitiveDecoder &) {
+        taint.addTaintSource(workload.keyRange);
+        msrs.setWatchdogPeriod(100);
+        msrs.setDecoyDRange(0, workload.tTableRange);
+        msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+    };
+    for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
+        std::string reference;
+        for (const bool flow_cache : {false, true}) {
+            for (const bool tier : {false, true}) {
+                const FullRecord rec = runFull(
+                    workload.program, {mode, flow_cache, tier, 2}, setup,
+                    aesBlocks(workload, 4));
+                EXPECT_EQ(rec.dift.find("\"tainted_loads\": 0,"),
+                          std::string::npos)
+                    << rec.dift;
+                if (reference.empty())
+                    reference = rec.dift;
+                EXPECT_EQ(rec.dift, reference)
+                    << "flow_cache=" << flow_cache << " tier=" << tier;
+            }
+        }
+    }
+}
+
+// --- randomized differential ------------------------------------------------
+
+/**
+ * Generated programs (the robustness fuzzer's generator), run bare and
+ * under stealth with DIFT sourcing part of the data buffer and a short
+ * watchdog, in both fidelities: the tier (threshold 1) and the
+ * interpreter must both match the flow-cache-off reference byte for
+ * byte.
+ */
+class SuperblockFuzz : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(SuperblockFuzz, TierMatchesInterpreter)
+{
+    Random rng(GetParam() ^ 0x5b);
+    const Program prog = testsupport::randomProgram(rng, 90);
+    const AddrRange buf = prog.symbol("buf");
+    const CsdSetup stealth = [&](MsrFile &msrs, TaintTracker &taint,
+                                 ContextSensitiveDecoder &) {
+        taint.addTaintSource(AddrRange(buf.start, buf.start + 256));
+        msrs.setWatchdogPeriod(150);
+        msrs.setDecoyDRange(
+            0, AddrRange(buf.start + 4096, buf.start + 4096 + 512));
+        msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+    };
+    const Invoke invoke = [](Simulation &sim) {
+        for (int i = 0; i < 2; ++i) {
+            sim.restart();
+            sim.runToHalt();
+        }
+    };
+    for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
+        for (const CsdSetup &setup : {CsdSetup{}, stealth}) {
+            const FullRecord ref =
+                runFull(prog, {mode, false, false, 1}, setup, invoke);
+            const FullRecord interp =
+                runFull(prog, {mode, true, false, 1}, setup, invoke);
+            const FullRecord tier =
+                runFull(prog, {mode, true, true, 1}, setup, invoke);
+            const char *label =
+                mode == SimMode::Detailed ? "detailed" : "cache-only";
+            EXPECT_EQ(interp.dump, ref.dump) << label;
+            EXPECT_EQ(tier.dump, ref.dump) << label;
+            EXPECT_GT(tier.fp.entries, 0u) << label;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SuperblockFuzz,
+                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
+                                           34u));
 
 } // namespace
 } // namespace csd
