@@ -9,6 +9,11 @@
  * hands out a shared immutable flow instead of rebuilding (and
  * re-running the decode-time fusion passes over) an identical one.
  *
+ * Each entry also holds its uops' timing records (UopTimingRec,
+ * cpu/backend.hh), resolved once at insertion: the detailed timing
+ * consumer reads them per dynamic instance, whether the interpreter
+ * serves the flow from here or a superblock streams it.
+ *
  * The table is a flat vector with one slot per static instruction of
  * the program (the simulator indexes it by the macro-op's position in
  * Program::code()), so a lookup is an array access plus an epoch
@@ -35,13 +40,16 @@
 #include <utility>
 #include <vector>
 
+#include "common/small_vector.hh"
 #include "common/types.hh"
+#include "cpu/backend.hh"
 #include "uop/flow.hh"
 
 namespace csd
 {
 
-/** Memoization table: instruction slot -> (epoch, context, flow). */
+/** Memoization table: instruction slot -> (epoch, context, flow,
+ *  timing records). */
 class FlowCache
 {
   public:
@@ -52,6 +60,10 @@ class FlowCache
         std::uint32_t heat = 0;   //!< region-entry count (superblock tier)
         bool valid = false;
         UopFlow flow;             //!< shared immutable predecoded flow
+        /** timingRecordFor(flow.uops[i]), parallel to flow.uops (with
+         *  the same inline capacity, so a flow that fits inline does
+         *  not allocate for its records either). */
+        SmallVector<UopTimingRec, UopVec::inlineCapacity()> timing;
     };
 
     /** Size the table for a program's static instruction count. */
@@ -126,10 +138,11 @@ class FlowCache
 
     /**
      * Record @p flow in @p slot under @p epoch, overwriting any stale
-     * entry. Returns the cached copy; the reference stays valid until
-     * clear()/reset() (the slot vector never reallocates in between).
+     * entry, and resolve its uops' timing records. Returns the cached
+     * entry; the reference stays valid until clear()/reset() (the slot
+     * vector never reallocates in between).
      */
-    const UopFlow &
+    const Entry &
     insert(std::size_t slot, std::uint64_t epoch, unsigned ctx,
            UopFlow flow)
     {
@@ -139,7 +152,14 @@ class FlowCache
         entry.epoch = epoch;
         entry.ctx = ctx;
         entry.flow = std::move(flow);
-        return entry.flow;
+        // Reuse the slot's record buffer: a slot re-translated after
+        // every devectorization toggle alternates between two flows,
+        // and a fresh allocation per insertion would churn the heap.
+        entry.timing.clear();
+        entry.timing.reserve(entry.flow.uops.size());
+        for (const Uop &uop : entry.flow.uops)
+            entry.timing.push_back(timingRecordFor(uop));
+        return entry;
     }
 
     /** Drop every cached flow; keeps the sizing and the counters. */
@@ -149,6 +169,7 @@ class FlowCache
         for (Entry &entry : entries_) {
             entry.valid = false;
             entry.flow = UopFlow{};
+            entry.timing = {};
         }
         count_ = 0;
     }

@@ -97,10 +97,13 @@ class EnergyModel
     const EnergyParams &params() const { return params_; }
 
     /** Dynamic energy of one executed micro-op (nJ). */
+    double uopEnergy(const Uop &uop) const { return fuEnergy(fuClass(uop)); }
+
+    /** Dynamic energy of one micro-op executed on @p fu (nJ). */
     double
-    uopEnergy(const Uop &uop) const
+    fuEnergy(FuClass fu) const
     {
-        return energyByFu_[static_cast<std::size_t>(fuClass(uop))];
+        return energyByFu_[static_cast<std::size_t>(fu)];
     }
 
     /**

@@ -18,15 +18,6 @@ aluUop(Gpr dst, Gpr src1, Gpr src2)
     return uop;
 }
 
-DynUop
-dynOf(const Uop &uop, Addr addr = invalidAddr)
-{
-    DynUop dyn;
-    dyn.uop = &uop;
-    dyn.effAddr = addr;
-    return dyn;
-}
-
 TEST(BackEnd, DependentChainSerializes)
 {
     BackEnd backend{BackEndParams{}, nullptr};
@@ -34,7 +25,7 @@ TEST(BackEnd, DependentChainSerializes)
     const Uop uop = aluUop(Gpr::Rax, Gpr::Rax, Gpr::Rbx);
     Tick prev_complete = 0;
     for (int i = 0; i < 3; ++i) {
-        const auto t = backend.process(uop, dynOf(uop), 0);
+        const auto t = backend.process(timingRecordFor(uop), invalidAddr, 0);
         EXPECT_GE(t.issue, prev_complete);
         prev_complete = t.complete;
     }
@@ -47,8 +38,8 @@ TEST(BackEnd, IndependentOpsOverlap)
     BackEnd backend{BackEndParams{}, nullptr};
     const Uop a = aluUop(Gpr::Rax, Gpr::Rbx, Gpr::Rcx);
     const Uop b = aluUop(Gpr::Rdx, Gpr::Rsi, Gpr::Rdi);
-    const auto ta = backend.process(a, dynOf(a), 0);
-    const auto tb = backend.process(b, dynOf(b), 0);
+    const auto ta = backend.process(timingRecordFor(a), invalidAddr, 0);
+    const auto tb = backend.process(timingRecordFor(b), invalidAddr, 0);
     // Different ALU ports: same issue cycle.
     EXPECT_EQ(ta.issue, tb.issue);
 }
@@ -60,8 +51,8 @@ TEST(BackEnd, PortContentionSerializesSameClass)
     mul.op = MicroOpcode::Mul;  // single port (p1)
     Uop mul2 = aluUop(Gpr::Rdx, Gpr::Rsi, Gpr::Rdi);
     mul2.op = MicroOpcode::Mul;
-    const auto t1 = backend.process(mul, dynOf(mul), 0);
-    const auto t2 = backend.process(mul2, dynOf(mul2), 0);
+    const auto t1 = backend.process(timingRecordFor(mul), invalidAddr, 0);
+    const auto t2 = backend.process(timingRecordFor(mul2), invalidAddr, 0);
     EXPECT_GT(t2.issue, t1.issue);  // pipelined: next cycle at best
     EXPECT_GT(backend.stats().counterValue("port_conflict_cycles"), 0u);
 }
@@ -74,8 +65,8 @@ TEST(BackEnd, LoadLatencyFromMemory)
     load.op = MicroOpcode::Load;
     load.dst = intReg(Gpr::Rax);
     load.memSize = 8;
-    const auto cold = backend.process(load, dynOf(load, 0x1000), 0);
-    const auto warm = backend.process(load, dynOf(load, 0x1000), 0);
+    const auto cold = backend.process(timingRecordFor(load), 0x1000, 0);
+    const auto warm = backend.process(timingRecordFor(load), 0x1000, 0);
     // Cold miss goes to DRAM; warm hit is an L1 access.
     EXPECT_GT(cold.complete - cold.issue, 100u);
     EXPECT_LE(warm.complete - warm.issue,
@@ -90,7 +81,8 @@ TEST(BackEnd, EliminatedUopsCostNothing)
     rsp_update.imm = 8;
     rsp_update.eliminated = true;
     const auto before = backend.uopsExecuted();
-    const auto t = backend.process(rsp_update, dynOf(rsp_update), 5);
+    const auto t =
+        backend.process(timingRecordFor(rsp_update), invalidAddr, 5);
     EXPECT_EQ(backend.uopsExecuted(), before);
     EXPECT_EQ(t.issue, 5u);
 }
@@ -106,8 +98,8 @@ TEST(BackEnd, FlagsCarryDependences)
     br.op = MicroOpcode::Br;
     br.cond = Cond::Ne;
     br.readsFlags = true;
-    const auto t_cmp = backend.process(cmp, dynOf(cmp), 0);
-    const auto t_br = backend.process(br, dynOf(br), 0);
+    const auto t_cmp = backend.process(timingRecordFor(cmp), invalidAddr, 0);
+    const auto t_br = backend.process(timingRecordFor(br), invalidAddr, 0);
     EXPECT_GE(t_br.issue, t_cmp.complete);
 }
 
@@ -120,11 +112,13 @@ TEST(BackEnd, RobLimitsInFlightUops)
     // the 9th uop cannot dispatch until the 1st commits.
     Uop div = aluUop(Gpr::Rax, Gpr::Rbx, Gpr::Rcx);
     div.op = MicroOpcode::FDivS;  // 14 cycles
-    const auto t0 = backend.process(div, dynOf(div), 0);
+    const auto t0 = backend.process(timingRecordFor(div), invalidAddr, 0);
     Tick last_dispatch = 0;
     for (int i = 0; i < 8; ++i) {
         const Uop indep = aluUop(Gpr::Rdx, Gpr::Rsi, Gpr::Rdi);
-        last_dispatch = backend.process(indep, dynOf(indep), 0).dispatch;
+        last_dispatch =
+            backend.process(timingRecordFor(indep), invalidAddr, 0)
+                .dispatch;
     }
     EXPECT_GE(last_dispatch, t0.commit);
 }
@@ -135,8 +129,8 @@ TEST(BackEnd, CommitIsInOrder)
     Uop slow = aluUop(Gpr::Rax, Gpr::Rbx, Gpr::Rcx);
     slow.op = MicroOpcode::FDivS;
     Uop fast = aluUop(Gpr::Rdx, Gpr::Rsi, Gpr::Rdi);
-    const auto t_slow = backend.process(slow, dynOf(slow), 0);
-    const auto t_fast = backend.process(fast, dynOf(fast), 0);
+    const auto t_slow = backend.process(timingRecordFor(slow), invalidAddr, 0);
+    const auto t_fast = backend.process(timingRecordFor(fast), invalidAddr, 0);
     // fast completes early but must commit at or after slow.
     EXPECT_LT(t_fast.complete, t_slow.complete);
     EXPECT_GE(t_fast.commit, t_slow.commit);
@@ -153,7 +147,8 @@ TEST(BackEnd, CommitWidthBounded)
     for (int i = 0; i < 6; ++i) {
         const Uop u = aluUop(static_cast<Gpr>(8 + i % 4),
                              static_cast<Gpr>(i % 2), Gpr::Rcx);
-        commits.push_back(backend.process(u, dynOf(u), 0).commit);
+        commits.push_back(
+            backend.process(timingRecordFor(u), invalidAddr, 0).commit);
     }
     EXPECT_GE(commits.back() - commits.front(), 2u);
 }
@@ -166,7 +161,7 @@ TEST(BackEnd, StoresWriteMemoryAtIssue)
     store.op = MicroOpcode::Store;
     store.src3 = intReg(Gpr::Rax);
     store.memSize = 8;
-    backend.process(store, dynOf(store, 0x2000), 0);
+    backend.process(timingRecordFor(store), 0x2000, 0);
     EXPECT_TRUE(mem.l1d().contains(0x2000));
     EXPECT_EQ(backend.stats().counterValue("stores"), 1u);
 }
@@ -179,7 +174,7 @@ TEST(BackEnd, VpuUopsCounted)
     vadd.dst = vecReg(Xmm::Xmm0);
     vadd.src1 = vecReg(Xmm::Xmm0);
     vadd.src2 = vecReg(Xmm::Xmm1);
-    backend.process(vadd, dynOf(vadd), 0);
+    backend.process(timingRecordFor(vadd), invalidAddr, 0);
     EXPECT_EQ(backend.stats().counterValue("vpu_uops"), 1u);
 }
 

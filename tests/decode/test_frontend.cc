@@ -18,7 +18,8 @@ feedProgram(FrontEnd &fe, const Program &prog, unsigned ctx = 0)
         if (op.opcode == MacroOpcode::Halt)
             break;
         const UopFlow flow = translateNative(op);
-        fe.beginMacroOp(op, flow, ctx, false, op.nextPc());
+        fe.beginMacroOp(op, flow, deliveredSlots(flow), ctx, false,
+                        op.nextPc());
         for (std::uint64_t s = 0; s < deliveredSlots(flow); ++s)
             last = fe.nextSlotCycle();
     }
@@ -183,7 +184,7 @@ TEST(FrontEnd, LsdTakesOverSmallLoops)
         for (const MacroOp &op : prog.code()) {
             const UopFlow flow = translateNative(op);
             const bool taken = op.opcode == MacroOpcode::Jcc;
-            fe.beginMacroOp(op, flow, 0, taken,
+            fe.beginMacroOp(op, flow, deliveredSlots(flow), 0, taken,
                             taken ? op.target : op.nextPc());
             for (std::uint64_t s = 0; s < deliveredSlots(flow); ++s)
                 fe.nextSlotCycle();

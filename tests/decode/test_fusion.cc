@@ -131,9 +131,9 @@ TEST(Fusion, UopCacheEligibility)
     UopFlow simple = translateNative(prog.code()[0]);
     UopFlow msrom = translateNative(prog.code()[1]);
     UopFlow looped = translateNative(prog.code()[2]);
-    EXPECT_TRUE(uopCacheEligible(simple, params));
-    EXPECT_FALSE(uopCacheEligible(msrom, params));
-    EXPECT_FALSE(uopCacheEligible(looped, params));
+    EXPECT_TRUE(uopCacheEligible(simple, params, deliveredSlots(simple)));
+    EXPECT_FALSE(uopCacheEligible(msrom, params, deliveredSlots(msrom)));
+    EXPECT_FALSE(uopCacheEligible(looped, params, deliveredSlots(looped)));
 }
 
 } // namespace

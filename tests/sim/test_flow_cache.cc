@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -303,6 +304,55 @@ TEST(FlowCache, LookupRejectsOtherContextsEntry)
     EXPECT_NE(cache.peek(1, 7, ctxDevect), nullptr);
     EXPECT_EQ(cache.peek(1, 7, ctxNative), nullptr);
     EXPECT_EQ(cache.hits, hits);
+}
+
+TEST(FlowCache, InsertResolvesTimingRecords)
+{
+    // Every cached uop carries its timing record, resolved once at
+    // insertion: the detailed consumer reads it per dynamic instance,
+    // from the interpreter and the superblock tier alike. A flow that
+    // spills out of the inline storage (here six, then seven uops)
+    // must get all of its records, and a re-insertion must replace
+    // them.
+    const auto same = [](const UopTimingRec &a, const UopTimingRec &b) {
+        return std::memcmp(&a, &b, sizeof(UopTimingRec)) == 0;
+    };
+    FlowCache cache;
+    cache.reset(2);
+
+    UopFlow flow;
+    for (unsigned i = 0; i < 6; ++i) {
+        Uop uop;
+        uop.op = i % 2 ? MicroOpcode::Load : MicroOpcode::Add;
+        uop.dst = intReg(Gpr::Rax);
+        uop.src1 = RegId(RegClass::Int, static_cast<std::uint8_t>(
+                                            numGprs + i % numIntTemps));
+        uop.eliminated = i == 5;
+        flow.uops.push_back(uop);
+    }
+    const FlowCache::Entry &entry = cache.insert(0, 3, ctxNative, flow);
+    ASSERT_EQ(entry.timing.size(), flow.uops.size());
+    for (std::size_t i = 0; i < flow.uops.size(); ++i) {
+        EXPECT_TRUE(same(entry.timing[i], timingRecordFor(flow.uops[i])))
+            << "uop " << i;
+        EXPECT_TRUE(entry.timing[i].has(UopTimingRec::devectExpansion));
+    }
+    EXPECT_EQ(entry.timing[1].mem, UopMemKind::Load);
+    EXPECT_TRUE(entry.timing[5].has(UopTimingRec::eliminated));
+
+    UopFlow shorter;
+    shorter.uops.push_back(flow.uops[1]);
+    const FlowCache::Entry &again = cache.insert(0, 4, ctxNative, shorter);
+    ASSERT_EQ(again.timing.size(), 1u);
+    EXPECT_TRUE(same(again.timing[0], timingRecordFor(shorter.uops[0])));
+
+    flow.uops.push_back(flow.uops[0]);
+    cache.insert(0, 5, ctxNative, flow);
+    ASSERT_EQ(again.timing.size(), flow.uops.size());
+    EXPECT_TRUE(same(again.timing[6], timingRecordFor(flow.uops[6])));
+
+    cache.clear();
+    EXPECT_TRUE(again.timing.empty());
 }
 
 TEST(FlowCache, DevectorizationTogglesUseCtxPath)
