@@ -14,6 +14,7 @@
 
 #include "bench/common/bench_util.hh"
 #include "bench/common/parallel.hh"
+#include "common/env.hh"
 #include "sec/aes_attack.hh"
 #include "sec/observation_ledger.hh"
 #include "verify/channel_crosscheck.hh"
@@ -63,8 +64,10 @@ runOnce(bool defended)
     // attack is fully deterministic, so a case-derived file name keeps
     // the files byte-identical at any --jobs (the determinism gate
     // covers them).
-    if (const char *dir = std::getenv("CSD_CHANNEL_HEATMAP_DIR")) {
-        monitor.exportFiles(std::string(dir) + "/fig7a_" +
+    if (const std::string &dir = Knobs::process().text(
+            Knob::ChannelHeatmapDir);
+        !dir.empty()) {
+        monitor.exportFiles(dir + "/fig7a_" +
                             (defended ? "defended" : "undefended"));
     }
     return result;

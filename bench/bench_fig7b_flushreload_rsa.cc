@@ -15,6 +15,7 @@
 
 #include "bench/common/bench_util.hh"
 #include "bench/common/parallel.hh"
+#include "common/env.hh"
 #include "sec/observation_ledger.hh"
 #include "sec/rsa_attack.hh"
 #include "verify/channel_crosscheck.hh"
@@ -221,10 +222,11 @@ main(int argc, char **argv)
             result.attack = runRsaAttack(victim, workload, config);
             result.sites = ledger.siteMeasures();
             result.probes = ledger.totalObservations();
-            if (const char *dir = std::getenv("CSD_CHANNEL_HEATMAP_DIR");
-                dir && flush_reload) {
+            if (const std::string &dir = Knobs::process().text(
+                    Knob::ChannelHeatmapDir);
+                !dir.empty() && flush_reload) {
                 monitor.exportFiles(
-                    std::string(dir) + "/fig7b_" +
+                    dir + "/fig7b_" +
                     (defended ? "defended" : "undefended"));
             }
             return result;

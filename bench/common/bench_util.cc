@@ -9,9 +9,9 @@
 #include <utility>
 
 #include "bench/common/parallel.hh"
+#include "common/context.hh"
 #include "common/env.hh"
 #include "common/stats.hh"
-#include "obs/context.hh"
 #include "obs/manifest.hh"
 
 namespace csd::bench
@@ -70,18 +70,6 @@ sidecarMutex()
     return m;
 }
 
-
-void
-armSidecar(std::string path)
-{
-    Sidecar &s = sidecar();
-    s.path = std::move(path);
-    if (!s.path.empty() && !s.atexitArmed) {
-        std::atexit(benchWriteJson);
-        s.atexitArmed = true;
-    }
-}
-
 /** Does the whole cell parse as a number (allowing a trailing '%')? */
 bool
 numericCell(const std::string &cell)
@@ -110,7 +98,8 @@ void
 benchInit(int argc, char **argv)
 {
     std::lock_guard<std::mutex> lock(sidecarMutex());
-    std::string path;
+    Sidecar &s = sidecar();
+    std::string path = Knobs::process().text(Knob::BenchJson);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json" && i + 1 < argc)
@@ -122,13 +111,13 @@ benchInit(int argc, char **argv)
         else if (arg.rfind("--jobs=", 0) == 0)
             benchSetJobs(parseNonNegativeSetting("--jobs", arg.c_str() + 7));
         else
-            sidecar().hashedArgs.push_back(arg);
+            s.hashedArgs.push_back(arg);
     }
-    if (path.empty()) {
-        if (const char *env = std::getenv("CSD_BENCH_JSON"))
-            path = env;
+    s.path = std::move(path);
+    if (!s.path.empty() && !s.atexitArmed) {
+        std::atexit(benchWriteJson);
+        s.atexitArmed = true;
     }
-    armSidecar(std::move(path));
 }
 
 void
@@ -140,11 +129,6 @@ benchHeader(const std::string &artifact, const std::string &title,
         Sidecar &s = sidecar();
         s.artifact = artifact;
         s.title = title;
-        // benchInit() may have been skipped; honor the environment anyway.
-        if (s.path.empty()) {
-            if (const char *env = std::getenv("CSD_BENCH_JSON"))
-                armSidecar(env);
-        }
     }
 
     std::printf("================================================================\n");
@@ -218,20 +202,18 @@ benchWriteJson()
         return;
     }
 
-    // Hash the run's *inputs*: what was benchmarked and under which
-    // knobs — never --jobs, output paths, or wall time — so a parallel
-    // run's sidecar hashes (and serializes) identically to a serial
-    // run's.
+    // Hash the run's *inputs*: what was benchmarked and the effective
+    // values of the output-shaping knobs — never host-only knobs,
+    // --jobs, output paths, or wall time — so a parallel run's sidecar
+    // hashes (and serializes) identically to a serial run's.
     obs::ConfigHasher hasher;
     hasher.add("artifact", s.artifact);
     hasher.add("title", s.title);
     for (const std::string &arg : s.hashedArgs)
         hasher.add("arg", arg);
-    for (const char *name :
-         {"CSD_FLOW_CACHE", "CSD_STATS_DETAIL", "CSD_CPI_STACK"}) {
-        const char *env = std::getenv(name);
-        hasher.add(name, env ? std::string_view(env) : "<unset>");
-    }
+    for (const KnobSpec &spec : knobTable)
+        if (spec.cls == KnobClass::OutputShaping)
+            hasher.add(spec.name, Knobs::process().rendered(spec.knob));
     for (const auto &[key, rendered] : s.manifest.extras)
         hasher.add(key, rendered);
     s.manifest.configHash = hasher.hex();

@@ -12,9 +12,10 @@
  * tracked by tooling instead of scraping stdout. Every sidecar also
  * carries a "manifest" member (obs/manifest.hh): config hash over the
  * artifact, result-relevant arguments (--jobs/--json excluded, so
- * parallel and serial runs hash identically), and environment, plus
- * build/host provenance and wall-time phases. Diff two sidecars with
- * the csd-report tool.
+ * parallel and serial runs hash identically), and the effective values
+ * of the output-shaping knobs (common/env.hh), plus build/host
+ * provenance and wall-time phases. Diff two sidecars with the
+ * csd-report tool.
  */
 
 #ifndef CSD_BENCH_COMMON_BENCH_UTIL_HH
@@ -29,9 +30,8 @@ namespace csd::bench
 {
 
 /**
- * Parse harness arguments (--json <path>) and arm the JSON sidecar.
- * Call before benchHeader(). Safe to omit: without it the sidecar is
- * driven by CSD_BENCH_JSON alone, armed when benchHeader() runs.
+ * Parse harness arguments (--json <path>, --jobs N) and arm the JSON
+ * sidecar (--json, else CSD_BENCH_JSON). Call before benchHeader().
  */
 void benchInit(int argc, char **argv);
 

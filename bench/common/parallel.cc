@@ -1,7 +1,6 @@
 #include "bench/common/parallel.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 
 #include "common/env.hh"
@@ -12,33 +11,24 @@ namespace csd::bench
 namespace
 {
 
-/** --jobs request; 0 = auto (hardware threads), unset = 1 via env. */
+/** --jobs request; 0 = auto (hardware threads), unset = CSD_BENCH_JOBS. */
 unsigned requestedJobs = 0;
 bool jobsRequested = false;
-
-unsigned
-resolveJobs()
-{
-    unsigned jobs = 1;
-    if (jobsRequested) {
-        jobs = requestedJobs;
-    } else if (const char *env = std::getenv("CSD_BENCH_JOBS")) {
-        jobs = parseNonNegativeSetting("CSD_BENCH_JOBS", env);
-    }
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    return jobs;
-}
 
 } // namespace
 
 unsigned
 benchJobs()
 {
-    return resolveJobs();
+    unsigned jobs = requestedJobs;
+    if (!jobsRequested)
+        jobs = static_cast<unsigned>(Knobs::process().number(Knob::BenchJobs));
+    if (jobs == 0) {
+        jobs = std::thread::hardware_concurrency();
+        if (jobs == 0)
+            jobs = 1;
+    }
+    return jobs;
 }
 
 void

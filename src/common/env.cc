@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/trace.hh"
 
 namespace csd
 {
@@ -22,6 +23,8 @@ parseLongLong(const char *value, long long &out)
     out = std::strtoll(value, &end, 10);
     return errno != ERANGE && end && !*end;
 }
+
+using enum KnobType;
 
 } // namespace
 
@@ -55,11 +58,46 @@ parseBoolSetting(std::string_view name, const char *value)
     return false;  // unreachable; csd_fatal throws
 }
 
-bool
-envBoolSetting(const char *name, bool fallback)
+Knobs::Knobs(const KnobLookup &lookup)
 {
-    const char *value = std::getenv(name);
-    return value ? parseBoolSetting(name, value) : fallback;
+    for (const KnobSpec &spec : knobTable) {
+        const auto i = static_cast<std::size_t>(spec.knob);
+        const char *set = lookup(spec.name);
+        const char *value = set ? set : spec.defaultValue;
+        switch (spec.type) {
+          case Bool:
+            numbers_[i] = parseBoolSetting(spec.name, value);
+            break;
+          case Count:
+            numbers_[i] = parsePositiveSetting(spec.name, value);
+            break;
+          case Jobs:
+            numbers_[i] = parseNonNegativeSetting(spec.name, value);
+            break;
+          case Text:
+            texts_[i] = value;
+            break;
+          case TraceFlags:
+            numbers_[i] = parseTraceFlags(spec.name, value);
+            break;
+        }
+    }
+}
+
+const Knobs &
+Knobs::process()
+{
+    static const Knobs knobs(
+        [](const char *name) { return std::getenv(name); });
+    return knobs;
+}
+
+std::string
+Knobs::rendered(Knob knob) const
+{
+    return knobTable[static_cast<std::size_t>(knob)].type == Text
+               ? text(knob)
+               : std::to_string(number(knob));
 }
 
 } // namespace csd

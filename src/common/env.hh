@@ -1,18 +1,23 @@
 /**
  * @file
- * Strict parsing for integer and boolean environment/CLI settings.
+ * The CSD_* knob table and the strict setting parsers behind it.
  *
- * Every numeric knob (CSD_TRACE_CAPACITY, CSD_LIFECYCLE_CAPACITY,
- * CSD_BENCH_JOBS, --jobs) goes through these helpers so a typo'd
- * value fails loudly — csd_fatal, which throws std::runtime_error —
- * instead of silently falling back to a default and producing a run
- * that looks configured but isn't.
+ * Every CSD_* environment knob is one row of CSD_KNOB_TABLE, parsed
+ * once per process by Knobs::process(); readers take effective values
+ * from there, never from the environment. A malformed value of any
+ * knob is fatal (csd_fatal throws std::runtime_error) and names the
+ * knob, so a typo'd CSD_SUPERBLOCK=ture fails loudly instead of
+ * producing a run that looks configured but isn't.
  */
 
 #ifndef CSD_COMMON_ENV_HH
 #define CSD_COMMON_ENV_HH
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <string>
 #include <string_view>
 
 namespace csd
@@ -34,19 +39,146 @@ unsigned parseNonNegativeSetting(std::string_view name, const char *value);
 
 /**
  * Parse @p value as a boolean toggle: exactly "0" or "1". Fatal
- * (throws) on anything else ("true", "yes", "01", trailing junk),
- * so a typo'd CSD_SUPERBLOCK=ture fails loudly instead of silently
- * enabling the default.
+ * (throws) on anything else ("true", "yes", "01", trailing junk).
  */
 bool parseBoolSetting(std::string_view name, const char *value);
 
 /**
- * The boolean environment knob @p name: @p fallback when unset, else
- * its value through parseBoolSetting (exactly "0" or "1"; anything
- * else — "false", "yes", an empty string — is fatal and names the
- * knob). Every CSD_* on/off switch reads through this.
+ * The knob table: X(id, name, type, default, class, doc), one row per
+ * knob. The default is spelled as it would be in the environment.
  */
-bool envBoolSetting(const char *name, bool fallback);
+#define CSD_KNOB_TABLE(X)                                                    \
+    X(Verify, "CSD_VERIFY", Bool, "1", HostOnly,                             \
+      "run the structural program verifier in ProgramBuilder::build()")      \
+    X(FlowCache, "CSD_FLOW_CACHE", Bool, "1", HostOnly,                      \
+      "memoize stable translations per static instruction; 0 also turns "    \
+      "the superblock tier off")                                             \
+    X(Superblock, "CSD_SUPERBLOCK", Bool, "1", HostOnly,                     \
+      "run hot straight-line regions of cached flows as threaded-code "      \
+      "superblocks (off under tracing or a power controller)")               \
+    X(StatsDetail, "CSD_STATS_DETAIL", Bool, "0", OutputShaping,             \
+      "record the hot-path histograms (flow lengths, read latencies)")       \
+    X(CpiStack, "CSD_CPI_STACK", Bool, "0", OutputShaping,                   \
+      "arm the CPI stack in every detailed simulation")                      \
+    X(HostProfile, "CSD_HOST_PROFILE", Bool, "0", HostOnly,                  \
+      "attribute host wall time to phases in manifests")                     \
+    X(Trace, "CSD_TRACE", TraceFlags, "", HostOnly,                          \
+      "enable event-trace flags (CSV of flag names, or all)")                \
+    X(TraceFile, "CSD_TRACE_FILE", Text, "", HostOnly,                       \
+      "write each context's Chrome trace here (%c = context id)")            \
+    X(TraceCapacity, "CSD_TRACE_CAPACITY", Count, "65536", HostOnly,         \
+      "event ring size per context; oldest events drop first")               \
+    X(Lifecycle, "CSD_LIFECYCLE", Bool, "0", HostOnly,                       \
+      "record per-uop lifecycles in detailed simulations")                   \
+    X(LifecycleFile, "CSD_LIFECYCLE_FILE", Text, "", HostOnly,               \
+      "export lifecycles here (implies CSD_LIFECYCLE=1; %c = context id)")   \
+    X(LifecycleCapacity, "CSD_LIFECYCLE_CAPACITY", Count, "65536", HostOnly, \
+      "lifecycle ring size")                                                 \
+    X(ChannelMonitor, "CSD_CHANNEL_MONITOR", Bool, "0", HostOnly,            \
+      "arm the per-set channel monitor in every simulation")                 \
+    X(ChannelMonitorInterval, "CSD_CHANNEL_MONITOR_INTERVAL", Count, "4096", \
+      HostOnly, "channel heatmap interval in cycles")                        \
+    X(ChannelHeatmap, "CSD_CHANNEL_HEATMAP", Text, "", HostOnly,             \
+      "export channel heatmaps here (implies CSD_CHANNEL_MONITOR=1; "        \
+      "%c = context id)")                                                    \
+    X(ChannelHeatmapDir, "CSD_CHANNEL_HEATMAP_DIR", Text, "", HostOnly,      \
+      "directory for the Fig. 7a/7b attack heatmaps")                        \
+    X(BenchJson, "CSD_BENCH_JSON", Text, "", HostOnly,                       \
+      "bench JSON sidecar path (like --json)")                               \
+    X(BenchJobs, "CSD_BENCH_JOBS", Jobs, "1", HostOnly,                      \
+      "bench worker threads (like --jobs; 0 = one per hardware thread)")
+
+/** Every CSD_* knob; indexes the table and Knobs. */
+enum class Knob : unsigned
+{
+#define CSD_KNOB_ID(id, ...) id,
+    CSD_KNOB_TABLE(CSD_KNOB_ID)
+#undef CSD_KNOB_ID
+    NumKnobs,
+};
+
+inline constexpr std::size_t numKnobs =
+    static_cast<std::size_t>(Knob::NumKnobs);
+
+/** How a knob's value is spelled and parsed. */
+enum class KnobType
+{
+    Bool,        //!< exactly "0" or "1"
+    Count,       //!< a strictly positive integer
+    Jobs,        //!< a non-negative integer, 0 = one per hardware thread
+    Text,        //!< free text (a path); empty = unset
+    TraceFlags,  //!< CSV of trace flag names, or "all"
+};
+
+/** Whether a knob's effective value is part of a run's config hash. */
+enum class KnobClass
+{
+    OutputShaping,  //!< changes stats dumps / sidecars; hashed
+    HostOnly,       //!< changes speed or side files only; not hashed
+};
+
+/** One table entry. */
+struct KnobSpec
+{
+    Knob knob;
+    const char *name;
+    KnobType type;
+    const char *defaultValue;
+    KnobClass cls;
+    const char *doc;
+};
+
+/** The knob table as data, in Knob order. */
+inline constexpr std::array<KnobSpec, numKnobs> knobTable = {{
+#define CSD_KNOB_SPEC(id, name, type, value, cls, doc)                       \
+    {Knob::id, name, KnobType::type, value, KnobClass::cls, doc},
+    CSD_KNOB_TABLE(CSD_KNOB_SPEC)
+#undef CSD_KNOB_SPEC
+}};
+
+/** Looks a knob up by name; null = unset. */
+using KnobLookup = std::function<const char *(const char *name)>;
+
+/** The effective value of every knob, parsed strictly from a lookup. */
+class Knobs
+{
+  public:
+    /**
+     * Parse every table entry through @p lookup (its default when
+     * unset). Fatal (throws) on the first malformed value, naming the
+     * knob.
+     */
+    explicit Knobs(const KnobLookup &lookup);
+
+    /** The process environment's knobs, parsed on first use. */
+    static const Knobs &process();
+
+    /** A Bool knob's value. */
+    bool flag(Knob knob) const { return number(knob) != 0; }
+
+    /** A Count or Jobs knob's value, or a TraceFlags knob's mask. */
+    std::uint64_t number(Knob knob) const
+    {
+        return numbers_[static_cast<std::size_t>(knob)];
+    }
+
+    /** A Text knob's value (empty when unset). */
+    const std::string &text(Knob knob) const
+    {
+        return texts_[static_cast<std::size_t>(knob)];
+    }
+
+    /**
+     * The effective value as one string ("0"/"1", a decimal, the text):
+     * what a config hash covers, so an unset knob and its default
+     * spelled out render the same.
+     */
+    std::string rendered(Knob knob) const;
+
+  private:
+    std::array<std::uint64_t, numKnobs> numbers_{};
+    std::array<std::string, numKnobs> texts_;
+};
 
 } // namespace csd
 

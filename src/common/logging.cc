@@ -3,41 +3,12 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "common/context.hh"
+
 namespace csd
 {
 namespace logging_detail
 {
-
-namespace
-{
-bool verboseFlag = true;
-
-thread_local LogSink *tlsSink = nullptr;
-} // namespace
-
-void
-bindThreadSink(LogSink *sink)
-{
-    tlsSink = sink;
-}
-
-LogSink *
-threadSink()
-{
-    return tlsSink;
-}
-
-void
-setVerbose(bool verbose)
-{
-    verboseFlag = verbose;
-}
-
-bool
-verbose()
-{
-    return verboseFlag;
-}
 
 void
 panicImpl(const char *file, int line, const std::string &msg)
@@ -58,37 +29,14 @@ fatalImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-warnImpl(const std::string &msg)
+logImpl(const char *kind, const std::string &msg)
 {
-    if (LogSink *sink = tlsSink) {
-        ++sink->warnings;
-        if (sink->quiet || !verboseFlag)
-            return;
-        if (!sink->label.empty()) {
-            std::fprintf(stderr, "warn: [%s] %s\n", sink->label.c_str(),
-                         msg.c_str());
-            return;
-        }
-    }
-    if (verboseFlag)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (LogSink *sink = tlsSink) {
-        ++sink->informs;
-        if (sink->quiet || !verboseFlag)
-            return;
-        if (!sink->label.empty()) {
-            std::fprintf(stderr, "info: [%s] %s\n", sink->label.c_str(),
-                         msg.c_str());
-            return;
-        }
-    }
-    if (verboseFlag)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    const LogSink &sink = ObservabilityContext::current().logSink();
+    if (sink.label.empty())
+        std::fprintf(stderr, "%s: %s\n", kind, msg.c_str());
+    else
+        std::fprintf(stderr, "%s: [%s] %s\n", kind, sink.label.c_str(),
+                     msg.c_str());
 }
 
 } // namespace logging_detail

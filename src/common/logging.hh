@@ -25,26 +25,16 @@ namespace logging_detail
 {
 
 /**
- * A per-context log sink. An ObservabilityContext (obs/context.hh)
- * installs its sink on the thread it is bound to; warn()/inform()
- * then count messages per context, prefix them with the context label
- * so interleaved multi-simulation output stays attributable, and can
- * be silenced per context without touching the process-wide verbose
- * flag. A null thread sink means legacy process-wide behavior.
+ * A per-context log sink. Every ObservabilityContext (common/context.hh)
+ * owns one, and warn()/inform() write through the sink of the context
+ * bound to the calling thread (the process-default context if none is
+ * bound), prefixing messages with its label so interleaved
+ * multi-simulation output stays attributable.
  */
 struct LogSink
 {
-    std::string label;           //!< prefix, e.g. "ctx3" (empty = none)
-    bool quiet = false;          //!< drop warn/inform entirely
-    std::uint64_t warnings = 0;  //!< messages seen (even when quiet)
-    std::uint64_t informs = 0;
+    std::string label;  //!< prefix, e.g. "victim" (empty = none)
 };
-
-/** Install @p sink for this thread (nullptr restores legacy output). */
-void bindThreadSink(LogSink *sink);
-
-/** The sink bound to this thread, or nullptr. */
-LogSink *threadSink();
 
 /** Build a message from streamable parts. */
 template <typename... Args>
@@ -88,12 +78,9 @@ fatalFmt(const char *file, int line, Args &&...args)
 {
     fatalImpl(file, line, format(std::forward<Args>(args)...));
 }
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
-/** Enable/disable inform()/warn() output (tests silence them). */
-void setVerbose(bool verbose);
-bool verbose();
+/** Print "@p kind: msg" through the bound context's log sink. */
+void logImpl(const char *kind, const std::string &msg);
 
 } // namespace logging_detail
 
@@ -110,8 +97,8 @@ template <typename... Args>
 void
 warn(Args &&...args)
 {
-    logging_detail::warnImpl(
-        logging_detail::format(std::forward<Args>(args)...));
+    logging_detail::logImpl(
+        "warn", logging_detail::format(std::forward<Args>(args)...));
 }
 
 /** Report a normal status message. */
@@ -119,8 +106,8 @@ template <typename... Args>
 void
 inform(Args &&...args)
 {
-    logging_detail::informImpl(
-        logging_detail::format(std::forward<Args>(args)...));
+    logging_detail::logImpl(
+        "info", logging_detail::format(std::forward<Args>(args)...));
 }
 
 } // namespace csd

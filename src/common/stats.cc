@@ -4,25 +4,16 @@
 #include <iomanip>
 #include <sstream>
 
-#include "common/env.hh"
+#include "common/context.hh"
 #include "common/logging.hh"
 
 namespace csd
 {
 
-namespace stats_detail
-{
-
-bool processDefault = envBoolSetting("CSD_STATS_DETAIL", false);
-
-constinit thread_local bool *enabled = &processDefault;
-
-} // namespace stats_detail
-
 void
 setStatsDetail(bool on)
 {
-    *stats_detail::enabled = on;
+    ObservabilityContext::current().setStatsDetail(on);
 }
 
 // --- Distribution ----------------------------------------------------------

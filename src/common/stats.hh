@@ -31,38 +31,25 @@
 #include <string>
 #include <vector>
 
+#include "common/binding.hh"
+
 namespace csd
 {
 
 class StatGroup;
 
-namespace stats_detail
-{
-/**
- * The flag lives in whichever ObservabilityContext is bound to this
- * thread (obs/context.hh); unbound threads point at a process-wide
- * default initialized from CSD_STATS_DETAIL. A pointer (rather than a
- * plain thread-local bool) so setStatsDetail() writes through to the
- * owning context and survives rebinds.
- */
-extern bool processDefault;
-// constinit: without it every cross-TU read goes through the TLS
-// dynamic-init guard (__tls_init via PLT), which is measurable on the
-// per-uop simulation paths that poll statsDetailEnabled().
-extern constinit thread_local bool *enabled;
-} // namespace stats_detail
-
 /**
  * Gate for statistics on per-macro-op / per-load paths (histogram
- * samples). One thread-local load and a dereference when off; enable
- * via CSD_STATS_DETAIL=1 or setStatsDetail(). Counters and formulas
- * are always live — only call sites hot enough to show up in wall
- * time hide behind this.
+ * samples): the stats-detail flag of the context bound to this thread
+ * (common/binding.hh), one thread-local load when off. Enable via
+ * CSD_STATS_DETAIL=1 or setStatsDetail(). Counters and formulas are
+ * always live — only call sites hot enough to show up in wall time
+ * hide behind this.
  */
 inline bool
 statsDetailEnabled()
 {
-    return *stats_detail::enabled;
+    return binding_detail::binding.statsDetail;
 }
 
 /** Set the flag of the context bound to this thread. */

@@ -1,21 +1,14 @@
 #include "common/trace.hh"
 
+#include <bit>
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 
 namespace csd
 {
-
-namespace trace_detail
-{
-thread_local std::uint32_t mask = 0;
-thread_local TraceManager *current = nullptr;
-} // namespace trace_detail
 
 namespace
 {
@@ -25,23 +18,49 @@ const char *const flagNames[static_cast<unsigned>(TraceFlag::NumFlags)] = {
 };
 
 std::string
-lower(const std::string &s)
+lower(std::string_view s)
 {
-    std::string out = s;
+    std::string out(s);
     for (char &c : out)
         c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     return out;
 }
 
-void
-atexitExport()
-{
-    const char *path = std::getenv("CSD_TRACE_FILE");
-    if (path && *path && TraceManager::instance().size() > 0)
-        TraceManager::instance().exportChromeTrace(path);
-}
-
 } // namespace
+
+std::uint32_t
+parseTraceFlags(std::string_view setting, std::string_view csv)
+{
+    std::uint32_t mask = 0;
+    std::size_t pos = 0;
+    while (pos <= csv.size()) {
+        std::size_t comma = csv.find(',', pos);
+        if (comma == std::string_view::npos)
+            comma = csv.size();
+        std::string_view token = csv.substr(pos, comma - pos);
+        pos = comma + 1;
+        while (!token.empty() &&
+               std::isspace(static_cast<unsigned char>(token.front())))
+            token.remove_prefix(1);
+        while (!token.empty() &&
+               std::isspace(static_cast<unsigned char>(token.back())))
+            token.remove_suffix(1);
+        if (token.empty())
+            continue;
+        if (lower(token) == "all") {
+            mask |= (1u << static_cast<unsigned>(TraceFlag::NumFlags)) - 1;
+        } else if (auto flag = TraceManager::parseFlag(std::string(token))) {
+            mask |= 1u << static_cast<unsigned>(*flag);
+        } else {
+            std::string known;
+            for (const char *name : flagNames)
+                known += std::string(name) + ", ";
+            csd_fatal(setting, ": unknown trace flag '", token,
+                      "' (known: ", known, "all)");
+        }
+    }
+    return mask;
+}
 
 const char *
 TraceManager::flagName(TraceFlag flag)
@@ -68,87 +87,19 @@ TraceManager::TraceManager(std::size_t capacity) : capacity_(capacity)
         csd_panic("TraceManager: capacity must be positive");
 }
 
-TraceManager &
-TraceManager::instance()
-{
-    // Heap-allocated and leaked on purpose: the tracer must outlive
-    // every static-destruction-order dependency and the atexit export.
-    static TraceManager *manager = [] {
-        auto *m = new TraceManager();
-        m->initFromEnv();
-        return m;
-    }();
-    if (!trace_detail::current)
-        manager->bindToThread();
-    return *manager;
-}
-
-void
-TraceManager::bindToThread()
-{
-    trace_detail::current = this;
-    trace_detail::mask = mask_;
-}
-
-void
-TraceManager::initFromEnv()
-{
-    if (const char *cap = std::getenv("CSD_TRACE_CAPACITY"))
-        setCapacity(parsePositiveSetting("CSD_TRACE_CAPACITY", cap));
-    if (const char *flags = std::getenv("CSD_TRACE"))
-        configure(flags);
-    if (std::getenv("CSD_TRACE_FILE"))
-        std::atexit(atexitExport);
-}
-
 unsigned
 TraceManager::configure(const std::string &csv)
 {
-    unsigned enabled_count = 0;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        std::string token = csv.substr(pos, comma - pos);
-        pos = comma + 1;
-        // Trim surrounding whitespace.
-        while (!token.empty() && std::isspace(
-                   static_cast<unsigned char>(token.front())))
-            token.erase(token.begin());
-        while (!token.empty() &&
-               std::isspace(static_cast<unsigned char>(token.back())))
-            token.pop_back();
-        if (token.empty())
-            continue;
-        if (lower(token) == "all") {
-            for (unsigned i = 0;
-                 i < static_cast<unsigned>(TraceFlag::NumFlags); ++i) {
-                enable(static_cast<TraceFlag>(i));
-                ++enabled_count;
-            }
-        } else if (auto flag = parseFlag(token)) {
-            enable(*flag);
-            ++enabled_count;
-        } else {
-            std::string known;
-            for (unsigned i = 0;
-                 i < static_cast<unsigned>(TraceFlag::NumFlags); ++i) {
-                if (!known.empty())
-                    known += ", ";
-                known += flagNames[i];
-            }
-            warn("unknown trace flag '", token, "' (known: ", known, ")");
-        }
-    }
-    return enabled_count;
+    const std::uint32_t named = parseTraceFlags("trace flags", csv);
+    setMask(mask_ | named);
+    return static_cast<unsigned>(std::popcount(named));
 }
 
 void
 TraceManager::syncThreadMask()
 {
-    if (trace_detail::current == this)
-        trace_detail::mask = mask_;
+    if (binding_detail::binding.tracer == this)
+        binding_detail::binding.traceMask = mask_;
 }
 
 void

@@ -9,22 +9,24 @@
  * cache hits vs legacy decode, decoy injections, and VPU gate/ungate
  * transitions appear on a cycle timeline, one track per flag.
  *
- * Runtime control:
- *  - CSD_TRACE=UopCache,Gating   enable flags at startup (CSV of names)
+ * Runtime control (parsed once, through the knob table in
+ * common/env.hh):
+ *  - CSD_TRACE=UopCache,Gating   enable flags at startup (CSV of names;
+ *                                an unknown name is fatal)
  *  - CSD_TRACE_FILE=out.json     write the Chrome trace at exit; a "%c"
  *                                in the path expands to the owning
  *                                observability-context id so parallel
  *                                simulations write distinct files
  *  - CSD_TRACE_CAPACITY=N        ring-buffer size (default 65536 events)
  *
- * TraceManager is instantiable: each ObservabilityContext
- * (obs/context.hh) owns one, and binding a context to a thread points
- * the thread-local fast path (trace_detail::mask / ::current) at that
- * context's tracer. Trace points therefore record into whichever
- * simulation is executing on the current thread, which is what lets N
- * simulations trace concurrently without sharing a ring. A single
- * tracer must not be driven from two threads at once; distinct tracers
- * on distinct threads are independent.
+ * Each ObservabilityContext (common/context.hh) owns one TraceManager,
+ * and binding a context to a thread points the thread's CSD_TRACE fast
+ * path (common/binding.hh) at that context's tracer. Trace points
+ * therefore record into whichever simulation is executing on the
+ * current thread, which is what lets N simulations trace concurrently
+ * without sharing a ring. A single tracer must not be driven from two
+ * threads at once; distinct tracers on distinct threads are
+ * independent.
  */
 
 #ifndef CSD_COMMON_TRACE_HH
@@ -34,8 +36,10 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/binding.hh"
 #include "common/types.hh"
 
 namespace csd
@@ -54,36 +58,19 @@ enum class TraceFlag : unsigned
     NumFlags,
 };
 
-class TraceManager;
-
-namespace trace_detail
-{
-/**
- * Cached copy of the bound tracer's flag mask so the fast path stays
- * one thread-local load; kept in sync by enable/disable/bindToThread.
- */
-extern thread_local std::uint32_t mask;
-
-/**
- * The tracer bound to this thread. Null until a TraceManager (usually
- * via an ObservabilityContext) is bound; `mask` is 0 whenever this is
- * null, so CSD_TRACE never dereferences a null tracer.
- */
-extern thread_local TraceManager *current;
-} // namespace trace_detail
-
 /** Fast-path check compiled into every trace point. */
 inline bool
 traceEnabled(TraceFlag flag)
 {
-    return trace_detail::mask & (1u << static_cast<unsigned>(flag));
+    return binding_detail::binding.traceMask &
+           (1u << static_cast<unsigned>(flag));
 }
 
 /** True iff any flag is enabled on the tracer bound to this thread. */
 inline bool
 traceAnyEnabled()
 {
-    return trace_detail::mask != 0;
+    return binding_detail::binding.traceMask != 0;
 }
 
 /** One recorded event. Names must be string literals (not copied). */
@@ -98,9 +85,14 @@ struct TraceEvent
 };
 
 /**
- * A bounded-ring event tracer. The process-wide default lives behind
- * instance(); per-simulation tracers are owned by ObservabilityContext.
+ * The trace-flag mask named by @p csv ("UopCache, Gating"): names are
+ * case-insensitive and whitespace-trimmed, "all" names every flag.
+ * Fatal (throws) on an unknown name; the error names @p setting, the
+ * flag, and the known flags.
  */
+std::uint32_t parseTraceFlags(std::string_view setting, std::string_view csv);
+
+/** A bounded-ring event tracer, owned by an ObservabilityContext. */
 class TraceManager
 {
   public:
@@ -117,31 +109,12 @@ class TraceManager
     TraceManager(const TraceManager &) = delete;
     TraceManager &operator=(const TraceManager &) = delete;
 
-    /**
-     * The process-default tracer (never destroyed; first call reads
-     * CSD_TRACE*). Binds itself to the calling thread if no tracer is
-     * bound yet, preserving the historical global-tracer behavior for
-     * code that predates observability contexts.
-     */
-    static TraceManager &instance();
-
-    // --- thread binding ---------------------------------------------------
-
-    /**
-     * Make this tracer the recording target of CSD_TRACE on the
-     * calling thread (installs the mask cache and current pointer).
-     */
-    void bindToThread();
-
-    /** The tracer bound to the calling thread, or null. */
-    static TraceManager *boundToThread() { return trace_detail::current; }
-
     // --- configuration ----------------------------------------------------
 
     /**
-     * Enable the flags named in a comma-separated list ("UopCache,
-     * Gating"); names are case-insensitive, "all" enables every flag,
-     * and unknown names warn. Returns the number of flags enabled.
+     * Enable the flags named in a comma-separated list, parsed as
+     * parseTraceFlags() does (an unknown name is fatal). Returns the
+     * number of flags named.
      */
     unsigned configure(const std::string &csv);
 
@@ -211,8 +184,6 @@ class TraceManager
     static std::optional<TraceFlag> parseFlag(const std::string &name);
 
   private:
-    void initFromEnv();
-
     /** Push mask_ into the thread-local cache iff bound to this thread. */
     void syncThreadMask();
 
@@ -233,7 +204,7 @@ class TraceManager
 #define CSD_TRACE(flag, ...)                                                 \
     do {                                                                     \
         if (::csd::traceEnabled(::csd::TraceFlag::flag))                     \
-            ::csd::trace_detail::current->record(                            \
+            ::csd::binding_detail::binding.tracer->record(                   \
                 ::csd::TraceFlag::flag, __VA_ARGS__);                        \
     } while (0)
 
@@ -241,7 +212,7 @@ class TraceManager
 #define CSD_TRACE_NOW(flag, ...)                                             \
     do {                                                                     \
         if (::csd::traceEnabled(::csd::TraceFlag::flag))                     \
-            ::csd::trace_detail::current->recordNow(                         \
+            ::csd::binding_detail::binding.tracer->recordNow(                \
                 ::csd::TraceFlag::flag, __VA_ARGS__);                        \
     } while (0)
 

@@ -271,8 +271,8 @@ ContextSensitiveDecoder::traceContextSwitch()
     };
     const char *name = lastCtx_ < std::size(names) ? names[lastCtx_]
                                                    : "ctx_?";
-    trace_detail::current->record(TraceFlag::Csd, name, now_, 'i', "from",
-                                  static_cast<double>(tracedCtx_));
+    CSD_TRACE(Csd, name, now_, 'i', "from",
+              static_cast<double>(tracedCtx_));
     tracedCtx_ = lastCtx_;
 }
 

@@ -529,8 +529,8 @@ ProgramBuilder::verifyStructure(const Program &prog) const
     // setVerify(false) per builder or CSD_VERIFY=0 globally so
     // deliberately broken programs (verifier self-tests) can still be
     // assembled.
-    static const bool envEnabled = envBoolSetting("CSD_VERIFY", true);
-    if (!verify_ || !envEnabled || prog.code_.empty())
+    if (!verify_ || !Knobs::process().flag(Knob::Verify) ||
+        prog.code_.empty())
         return;
 
     // Unified with the csd-verify diagnostic path: structural errors

@@ -11,7 +11,7 @@
  * (sec/observation_ledger.hh).
  *
  * Arming is per ObservabilityContext (CSD_CHANNEL_MONITOR=1 /
- * CSD_CHANNEL_HEATMAP=path, see obs/context.hh) or explicit
+ * CSD_CHANNEL_HEATMAP=path, see common/context.hh) or explicit
  * (MemHierarchy::armSetMonitor()). Disarmed — the default — the only
  * cost in the cache hot paths is one null-pointer test behind an
  * [[unlikely]] branch, the same pattern the host profiler uses;
@@ -192,7 +192,7 @@ class CacheSetMonitor
     /**
      * Write `<base>.<structure>.csv` per attached structure plus
      * `<base>.json`. Returns the paths written ("%c" expansion is the
-     * caller's job — obs/context.hh expandContextPath()).
+     * caller's job — common/context.hh expandContextPath()).
      */
     std::vector<std::string> exportFiles(const std::string &base) const;
 

@@ -11,7 +11,7 @@
 
 #include "common/stats.hh"
 #include "obs/build_info.hh"
-#include "obs/host_profiler.hh"
+#include "common/host_profiler.hh"
 
 namespace csd
 {

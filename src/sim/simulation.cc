@@ -1,6 +1,5 @@
 #include "sim/simulation.hh"
 
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 
@@ -59,17 +58,14 @@ Simulation::Simulation(const Program &prog, const SimParams &params,
     // Predecoded-flow cache: on unless CSD_FLOW_CACHE=0 (host-side
     // only; simulated timing/stats are identical either way). One
     // slot per static instruction, indexed by position in code().
+    const Knobs &knobs = Knobs::process();
     flowCache_.reset(prog.code().size());
-    flowCacheEnabled_ = envBoolSetting("CSD_FLOW_CACHE", true);
+    flowCacheEnabled_ = knobs.flag(Knob::FlowCache);
 
     // Superblock tier (host-side; both fidelities, see run()).
     fastpath_ = std::make_unique<FastPath>(*this);
     fastpath_->reset(prog.code().size());
-    superblockEnabled_ = envBoolSetting("CSD_SUPERBLOCK", true);
-    if (const char *st = std::getenv("CSD_SUPERBLOCK_THRESHOLD")) {
-        fastpath_->setThreshold(static_cast<std::uint32_t>(
-            parsePositiveSetting("CSD_SUPERBLOCK_THRESHOLD", st)));
-    }
+    superblockEnabled_ = knobs.flag(Knob::Superblock);
 
     stats_.addCounter("instructions", &instructions_,
                       "macro-ops committed");
@@ -116,10 +112,10 @@ Simulation::Simulation(const Program &prog, const SimParams &params,
     stats_.addChild(&mem_->stats());
 
     // Instruction-grain observability, armed through the context
-    // (which parsed CSD_LIFECYCLE* strictly) so existing harnesses
-    // grow traces without code changes.
+    // (configured from CSD_CPI_STACK and CSD_LIFECYCLE*) so existing
+    // harnesses grow traces without code changes.
     if (params_.mode == SimMode::Detailed) {
-        if (envBoolSetting("CSD_CPI_STACK", false))
+        if (obs_->cpiStack())
             enableCpiStack();
         const ObservabilityContext::LifecycleConfig &lc =
             obs_->lifecycleConfig();

@@ -34,7 +34,7 @@
 #include "dift/taint.hh"
 #include "isa/program.hh"
 #include "memory/hierarchy.hh"
-#include "obs/context.hh"
+#include "common/context.hh"
 #include "obs/manifest.hh"
 #include "power/energy.hh"
 #include "power/gating.hh"
@@ -140,7 +140,7 @@ class Simulation
 
     /**
      * Region-entry count at which a hot head is compiled (>= 1; default
-     * 16). Also set by CSD_SUPERBLOCK_THRESHOLD in the environment.
+     * 16).
      */
     void setSuperblockThreshold(std::uint32_t threshold);
 

@@ -1,18 +1,23 @@
 /**
  * @file
- * Strict setting parser tests (common/env.hh): every numeric and
- * boolean env/CLI knob must reject malformed values loudly rather than
- * fall back to a default.
+ * Knob table tests (common/env.hh): every CSD_* knob and CLI setting
+ * must reject malformed values loudly rather than fall back to a
+ * default, and README.md must document the table as it is. Knobs parse
+ * from an injected lookup, so no test touches the process environment.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/env.hh"
+#include "common/trace.hh"
 
 namespace csd
 {
@@ -55,34 +60,6 @@ TEST(EnvParse, ErrorMessageNamesTheSetting)
     }
 }
 
-/** Set an environment variable for one scope, restoring it after. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name))
-            old_ = old;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (old_)
-            ::setenv(name_, old_->c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-    ScopedEnv(const ScopedEnv &) = delete;
-    ScopedEnv &operator=(const ScopedEnv &) = delete;
-
-  private:
-    const char *name_;
-    std::optional<std::string> old_;
-};
-
 TEST(EnvParse, BoolSettingAcceptsOnlyZeroOrOne)
 {
     EXPECT_TRUE(parseBoolSetting("B", "1"));
@@ -91,38 +68,161 @@ TEST(EnvParse, BoolSettingAcceptsOnlyZeroOrOne)
         EXPECT_THROW(parseBoolSetting("B", bad), std::runtime_error) << bad;
 }
 
+/** A knob lookup that sets only @p name to @p value. */
+KnobLookup
+onlyKnob(std::string name, const char *value)
+{
+    return [name = std::move(name), value](const char *knob) {
+        return name == knob ? value : nullptr;
+    };
+}
+
+/** Expect parsing @p name=@p value to fail, naming the knob and value. */
+void
+expectRejected(const char *name, const char *value)
+{
+    try {
+        const Knobs knobs(onlyKnob(name, value));
+        ADD_FAILURE() << name << "='" << value << "' was accepted";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(name), std::string::npos) << msg;
+        EXPECT_NE(msg.find(std::string("'") + value + "'"),
+                  std::string::npos)
+            << msg;
+    }
+}
+
 /**
- * Every on/off CSD_* switch reads through envBoolSetting, so
- * "=false" can no longer switch one on (the old `*v != '0'` parse)
- * and "=yes" is not silently ignored: both fail, naming the knob.
+ * Every on/off CSD_* knob parses strictly, so "=false" can no longer
+ * switch one on (the old `*v != '0'` parse) and "=yes" is not silently
+ * ignored: both fail, naming the knob.
  */
 TEST(EnvParse, BoolKnobsRejectFalseAndYes)
 {
-    for (const char *knob :
-         {"CSD_CPI_STACK", "CSD_LIFECYCLE", "CSD_HOST_PROFILE",
-          "CSD_CHANNEL_MONITOR", "CSD_STATS_DETAIL", "CSD_VERIFY"}) {
-        for (const char *bad : {"false", "yes"}) {
-            const ScopedEnv env(knob, bad);
-            try {
-                envBoolSetting(knob, false);
-                ADD_FAILURE() << knob << "=" << bad << " was accepted";
-            } catch (const std::runtime_error &e) {
-                const std::string msg = e.what();
-                EXPECT_NE(msg.find(knob), std::string::npos) << msg;
-                EXPECT_NE(msg.find(bad), std::string::npos) << msg;
-            }
+    const Knobs defaults(onlyKnob("", nullptr));
+    for (const KnobSpec &spec : knobTable) {
+        if (spec.type != KnobType::Bool)
+            continue;
+        for (const char *bad : {"false", "yes", ""})
+            expectRejected(spec.name, bad);
+        EXPECT_TRUE(Knobs(onlyKnob(spec.name, "1")).flag(spec.knob))
+            << spec.name;
+        EXPECT_FALSE(Knobs(onlyKnob(spec.name, "0")).flag(spec.knob))
+            << spec.name;
+        EXPECT_EQ(defaults.flag(spec.knob),
+                  std::string(spec.defaultValue) == "1")
+            << spec.name;
+    }
+}
+
+TEST(EnvParse, CountKnobsRejectZeroAndJunk)
+{
+    const Knobs defaults(onlyKnob("", nullptr));
+    for (const KnobSpec &spec : knobTable) {
+        if (spec.type != KnobType::Count)
+            continue;
+        for (const char *bad : {"0", "-1", "abc", "12abc", ""})
+            expectRejected(spec.name, bad);
+        EXPECT_EQ(Knobs(onlyKnob(spec.name, "7")).number(spec.knob), 7u)
+            << spec.name;
+        EXPECT_EQ(std::to_string(defaults.number(spec.knob)),
+                  spec.defaultValue)
+            << spec.name;
+    }
+}
+
+TEST(EnvParse, JobsKnobAllowsZeroAuto)
+{
+    expectRejected("CSD_BENCH_JOBS", "-1");
+    expectRejected("CSD_BENCH_JOBS", "two");
+    EXPECT_EQ(Knobs(onlyKnob("CSD_BENCH_JOBS", "0")).number(Knob::BenchJobs),
+              0u);
+    EXPECT_EQ(Knobs(onlyKnob("", nullptr)).number(Knob::BenchJobs), 1u);
+}
+
+TEST(EnvParse, TraceKnobRejectsUnknownFlags)
+{
+    try {
+        const Knobs knobs(onlyKnob("CSD_TRACE", "UopCache,bogus"));
+        ADD_FAILURE() << "CSD_TRACE=UopCache,bogus was accepted";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("CSD_TRACE"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("'bogus'"), std::string::npos) << msg;
+        for (unsigned f = 0; f < static_cast<unsigned>(TraceFlag::NumFlags);
+             ++f)
+            EXPECT_NE(msg.find(TraceManager::flagName(
+                          static_cast<TraceFlag>(f))),
+                      std::string::npos)
+                << msg;
+    }
+    EXPECT_EQ(Knobs(onlyKnob("CSD_TRACE", " gating , UOPCACHE "))
+                  .number(Knob::Trace),
+              (1u << static_cast<unsigned>(TraceFlag::Gating)) |
+                  (1u << static_cast<unsigned>(TraceFlag::UopCache)));
+    EXPECT_EQ(Knobs(onlyKnob("CSD_TRACE", "all")).number(Knob::Trace),
+              (1u << static_cast<unsigned>(TraceFlag::NumFlags)) - 1);
+    EXPECT_EQ(Knobs(onlyKnob("", nullptr)).number(Knob::Trace), 0u);
+}
+
+/**
+ * The config hash covers rendered values, so an unset knob and its
+ * default spelled out must render the same.
+ */
+TEST(EnvParse, UnsetKnobRendersAsItsDefault)
+{
+    const Knobs unset(onlyKnob("", nullptr));
+    for (const KnobSpec &spec : knobTable) {
+        const Knobs spelled(onlyKnob(spec.name, spec.defaultValue));
+        EXPECT_EQ(unset.rendered(spec.knob), spelled.rendered(spec.knob))
+            << spec.name;
+    }
+    EXPECT_EQ(Knobs(onlyKnob("CSD_TRACE_FILE", "t_%c.json"))
+                  .text(Knob::TraceFile),
+              "t_%c.json");
+}
+
+/** README.md's knob table lists exactly the table's knobs and defaults. */
+TEST(KnobTable, ReadmeTableMatches)
+{
+    std::ifstream readme(std::string(CSD_SOURCE_DIR) + "/README.md");
+    ASSERT_TRUE(readme.good());
+    std::map<std::string, std::pair<std::string, std::string>> documented;
+    std::string line;
+    while (std::getline(readme, line)) {
+        if (line.rfind("| `CSD_", 0) != 0)
+            continue;
+        std::vector<std::string> cells;
+        std::stringstream row(line.substr(1));
+        std::string cell;
+        while (std::getline(row, cell, '|')) {
+            const auto first = cell.find_first_not_of(" `");
+            const auto last = cell.find_last_not_of(" `");
+            cells.push_back(first == std::string::npos
+                                ? ""
+                                : cell.substr(first, last - first + 1));
         }
-        {
-            const ScopedEnv env(knob, "1");
-            EXPECT_TRUE(envBoolSetting(knob, false)) << knob;
+        ASSERT_GE(cells.size(), 4u) << line;
+        EXPECT_TRUE(documented
+                        .emplace(cells[0], std::make_pair(cells[1], cells[2]))
+                        .second)
+            << "listed twice: " << cells[0];
+    }
+    EXPECT_EQ(documented.size(), knobTable.size());
+    for (const KnobSpec &spec : knobTable) {
+        const auto it = documented.find(spec.name);
+        if (it == documented.end()) {
+            ADD_FAILURE() << spec.name << " is missing from README.md";
+            continue;
         }
-        {
-            const ScopedEnv env(knob, "0");
-            EXPECT_FALSE(envBoolSetting(knob, true)) << knob;
-        }
-        const ScopedEnv unset(knob, nullptr);
-        EXPECT_TRUE(envBoolSetting(knob, true)) << knob;
-        EXPECT_FALSE(envBoolSetting(knob, false)) << knob;
+        const std::string want_default =
+            *spec.defaultValue ? spec.defaultValue : "unset";
+        EXPECT_EQ(it->second.first, want_default) << spec.name;
+        EXPECT_EQ(it->second.second,
+                  spec.cls == KnobClass::OutputShaping ? "hashed"
+                                                       : "host-only")
+            << spec.name;
     }
 }
 

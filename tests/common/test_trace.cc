@@ -2,8 +2,10 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "common/context.hh"
 #include "common/trace.hh"
 #include "tests/support/mini_json.hh"
 
@@ -13,27 +15,20 @@ namespace
 {
 
 /**
- * The tracer is a process-wide singleton; every test starts from a
- * clean slate and leaves it disabled so sibling suites see no events.
+ * Every test traces into a fresh context bound to the test thread;
+ * destroying it rebinds the process-default context.
  */
 class TraceTest : public ::testing::Test
 {
   protected:
     void SetUp() override
     {
-        auto &tm = TraceManager::instance();
-        tm.disableAll();
-        tm.clear();
-        tm.setCapacity(1024);
-        tm.setTimeHint(0);
+        ctx_.bindToThread();
+        ctx_.tracer().disableAll();
+        ctx_.tracer().setCapacity(1024);
     }
 
-    void TearDown() override
-    {
-        auto &tm = TraceManager::instance();
-        tm.disableAll();
-        tm.clear();
-    }
+    ObservabilityContext ctx_;
 };
 
 TEST_F(TraceTest, DisabledByDefault)
@@ -43,12 +38,12 @@ TEST_F(TraceTest, DisabledByDefault)
         EXPECT_FALSE(traceEnabled(static_cast<TraceFlag>(f)));
     // A macro trace point on a disabled flag records nothing.
     CSD_TRACE(UopCache, "ignored", 1);
-    EXPECT_EQ(TraceManager::instance().size(), 0u);
+    EXPECT_EQ(ctx_.tracer().size(), 0u);
 }
 
 TEST_F(TraceTest, EnableDisable)
 {
-    auto &tm = TraceManager::instance();
+    auto &tm = ctx_.tracer();
     tm.enable(TraceFlag::Gating);
     EXPECT_TRUE(traceEnabled(TraceFlag::Gating));
     EXPECT_FALSE(traceEnabled(TraceFlag::UopCache));
@@ -59,17 +54,31 @@ TEST_F(TraceTest, EnableDisable)
 
 TEST_F(TraceTest, ConfigureParsesCsv)
 {
-    auto &tm = TraceManager::instance();
+    auto &tm = ctx_.tracer();
     EXPECT_EQ(tm.configure("UopCache,Gating"), 2u);
     EXPECT_TRUE(traceEnabled(TraceFlag::UopCache));
     EXPECT_TRUE(traceEnabled(TraceFlag::Gating));
     EXPECT_FALSE(traceEnabled(TraceFlag::Decoy));
 
     tm.disableAll();
-    // Case-insensitive, tolerates spaces, skips unknown names.
-    EXPECT_EQ(tm.configure(" uopcache , NOSUCH , dift "), 2u);
+    // Case-insensitive, tolerates spaces.
+    EXPECT_EQ(tm.configure(" uopcache , dift "), 2u);
     EXPECT_TRUE(traceEnabled(TraceFlag::UopCache));
     EXPECT_TRUE(traceEnabled(TraceFlag::Dift));
+
+    // An unknown name is fatal, names the flag and the known ones, and
+    // enables nothing.
+    tm.disableAll();
+    try {
+        tm.configure(" uopcache , NOSUCH , dift ");
+        ADD_FAILURE() << "an unknown trace flag was accepted";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("NOSUCH"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("UopCache"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("all"), std::string::npos) << msg;
+    }
+    EXPECT_FALSE(traceAnyEnabled());
 }
 
 TEST_F(TraceTest, FlagNamesRoundTrip)
@@ -88,7 +97,7 @@ TEST_F(TraceTest, FlagNamesRoundTrip)
 
 TEST_F(TraceTest, RecordsEventsInOrder)
 {
-    auto &tm = TraceManager::instance();
+    auto &tm = ctx_.tracer();
     tm.enable(TraceFlag::Csd);
     tm.record(TraceFlag::Csd, "first", 10);
     tm.record(TraceFlag::Csd, "second", 20, 'B', "arg", 3.5);
@@ -105,7 +114,7 @@ TEST_F(TraceTest, RecordsEventsInOrder)
 
 TEST_F(TraceTest, MacroRecordsWhenEnabled)
 {
-    auto &tm = TraceManager::instance();
+    auto &tm = ctx_.tracer();
     tm.enable(TraceFlag::Decoy);
     CSD_TRACE(Decoy, "inject", 5, 'i', "uops", 4.0);
     CSD_TRACE(UopCache, "not_enabled", 6);
@@ -119,7 +128,7 @@ TEST_F(TraceTest, MacroRecordsWhenEnabled)
 
 TEST_F(TraceTest, RingBoundAndDropCount)
 {
-    auto &tm = TraceManager::instance();
+    auto &tm = ctx_.tracer();
     tm.setCapacity(4);
     tm.enable(TraceFlag::Frontend);
     for (Tick t = 0; t < 10; ++t)
@@ -138,7 +147,7 @@ TEST_F(TraceTest, RingBoundAndDropCount)
 
 TEST_F(TraceTest, ChromeExportIsValidJson)
 {
-    auto &tm = TraceManager::instance();
+    auto &tm = ctx_.tracer();
     tm.enable(TraceFlag::UopCache);
     tm.enable(TraceFlag::Gating);
     tm.record(TraceFlag::UopCache, "window_hit", 100, 'i', "pc", 4096.0);
@@ -176,7 +185,7 @@ TEST_F(TraceTest, ChromeExportIsValidJson)
 
 TEST_F(TraceTest, ExportToFile)
 {
-    auto &tm = TraceManager::instance();
+    auto &tm = ctx_.tracer();
     tm.enable(TraceFlag::Cache);
     tm.record(TraceFlag::Cache, "dram_access", 7);
     const std::string path =

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,7 +19,7 @@
 
 #include "common/env.hh"
 #include "common/stats.hh"
-#include "obs/context.hh"
+#include "common/context.hh"
 #include "tests/support/mini_json.hh"
 
 namespace csd
@@ -46,7 +47,107 @@ TEST_F(ObsContextTest, ProcessContextIsSingletonWithIdZero)
     EXPECT_EQ(&p, &ObservabilityContext::process());
     EXPECT_EQ(p.id(), 0u);
     EXPECT_EQ(p.name(), "process");
-    EXPECT_EQ(&p.tracer(), &TraceManager::instance());
+    // It owns its tracer like any context; the thread binding reaches it.
+    p.tracer().enable(TraceFlag::Csd);
+    CSD_TRACE(Csd, "ev", 1);
+    EXPECT_EQ(p.tracer().size(), 1u);
+    // It is configured from the process knob table.
+    EXPECT_EQ(p.traceExportPath(), Knobs::process().text(Knob::TraceFile));
+    EXPECT_EQ(p.cpiStack(), Knobs::process().flag(Knob::CpiStack));
+}
+
+/** A knob lookup over a fixed name -> value map. */
+KnobLookup
+lookupIn(std::map<std::string, std::string> values)
+{
+    return [values = std::move(values)](const char *name) -> const char * {
+        const auto it = values.find(name);
+        return it == values.end() ? nullptr : it->second.c_str();
+    };
+}
+
+TEST_F(ObsContextTest, RootAndChildFromOneTableAgree)
+{
+    const Knobs knobs(lookupIn({
+        {"CSD_TRACE", "Csd,Gating"},
+        {"CSD_TRACE_FILE", "unused_%c.json"},
+        {"CSD_TRACE_CAPACITY", "123"},
+        {"CSD_STATS_DETAIL", "1"},
+        {"CSD_CPI_STACK", "1"},
+        {"CSD_HOST_PROFILE", "1"},
+        {"CSD_LIFECYCLE_FILE", "unused.kanata"},
+        {"CSD_LIFECYCLE_CAPACITY", "77"},
+        {"CSD_CHANNEL_MONITOR_INTERVAL", "64"},
+        {"CSD_CHANNEL_HEATMAP", "unused_%c"},
+    }));
+    ObservabilityContext root(knobs);
+    EXPECT_EQ(root.tracer().mask(),
+              (1u << static_cast<unsigned>(TraceFlag::Csd)) |
+                  (1u << static_cast<unsigned>(TraceFlag::Gating)));
+    EXPECT_EQ(root.tracer().capacity(), 123u);
+    EXPECT_EQ(root.traceExportPath(), "unused_%c.json");
+    EXPECT_TRUE(root.statsDetail());
+    EXPECT_TRUE(root.cpiStack());
+    EXPECT_TRUE(root.profiler().enabled());
+    // A file name arms its recorder without the on/off knob.
+    EXPECT_TRUE(root.lifecycleConfig().enabled);
+    EXPECT_EQ(root.lifecycleConfig().capacity, 77u);
+    EXPECT_EQ(root.lifecycleConfig().exportPath, "unused.kanata");
+    EXPECT_TRUE(root.channelMonitorConfig().enabled);
+    EXPECT_EQ(root.channelMonitorConfig().heatmapInterval, 64u);
+    EXPECT_EQ(root.channelMonitorConfig().exportPath, "unused_%c");
+
+    root.bindToThread();
+    EXPECT_TRUE(statsDetailEnabled());
+    EXPECT_TRUE(traceEnabled(TraceFlag::Gating));
+    ObservabilityContext child;
+    EXPECT_EQ(child.tracer().mask(), root.tracer().mask());
+    EXPECT_EQ(child.tracer().capacity(), root.tracer().capacity());
+    EXPECT_EQ(child.traceExportPath(), root.traceExportPath());
+    EXPECT_EQ(child.statsDetail(), root.statsDetail());
+    EXPECT_EQ(child.cpiStack(), root.cpiStack());
+    EXPECT_EQ(child.profiler().enabled(), root.profiler().enabled());
+    EXPECT_EQ(child.lifecycleConfig().enabled,
+              root.lifecycleConfig().enabled);
+    EXPECT_EQ(child.lifecycleConfig().capacity,
+              root.lifecycleConfig().capacity);
+    EXPECT_EQ(child.lifecycleConfig().exportPath,
+              root.lifecycleConfig().exportPath);
+    EXPECT_EQ(child.channelMonitorConfig().enabled,
+              root.channelMonitorConfig().enabled);
+    EXPECT_EQ(child.channelMonitorConfig().heatmapInterval,
+              root.channelMonitorConfig().heatmapInterval);
+    EXPECT_EQ(child.channelMonitorConfig().exportPath,
+              root.channelMonitorConfig().exportPath);
+}
+
+/**
+ * CSD_TRACE_FILE arms a root context's export, and the registry flush
+ * (std::atexit, SIGINT/SIGTERM) writes it while the context is alive —
+ * the path the process-default context's trace takes at exit.
+ */
+TEST_F(ObsContextTest, RegistryFlushExportsTableArmedTrace)
+{
+    const std::string path =
+        ::testing::TempDir() + "/obs_ctx_registry_%c.json";
+    ObservabilityContext root(
+        Knobs(lookupIn({{"CSD_TRACE", "Gating"}, {"CSD_TRACE_FILE", path}})));
+    const std::string resolved = root.resolvedTraceExportPath();
+    std::remove(resolved.c_str());
+    root.bindToThread();
+    CSD_TRACE(Gating, "gate", 7);
+    ObservabilityContext::process().bindToThread();
+
+    ObservabilityContext::flushAllContexts();
+    std::ifstream in(resolved);
+    ASSERT_TRUE(in.good()) << resolved;
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const auto doc = testsupport::parseJson(buf.str());
+    EXPECT_EQ(doc->at("traceEvents").size(),
+              static_cast<std::size_t>(TraceFlag::NumFlags) + 1);
+    root.setTraceExportPath("");
+    std::remove(resolved.c_str());
 }
 
 TEST_F(ObsContextTest, CurrentBindsProcessWhenUnbound)
@@ -255,6 +356,28 @@ TEST_F(ObsContextTest, TwoContextsTraceConcurrently)
     EXPECT_EQ(sizes[0], static_cast<std::size_t>(kEvents));
     EXPECT_EQ(sizes[1], static_cast<std::size_t>(kEvents));
     EXPECT_EQ(ObservabilityContext::process().tracer().size(), 0u);
+}
+
+/**
+ * Parallel workers tear their contexts down concurrently; each folds
+ * its host profile into the process context under a lock (the TSan
+ * case), and none is lost.
+ */
+TEST_F(ObsContextTest, ConcurrentTeardownFoldsEveryProfile)
+{
+    const HostProfiler &process = ObservabilityContext::process().profiler();
+    const double before = process.seconds(HostPhase::Other);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 4; ++t) {
+        workers.emplace_back([] {
+            ObservabilityContext ctx;
+            ctx.profiler().setEnabled(true);
+            ctx.profiler().add(HostPhase::Other, 1.0);
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+    EXPECT_DOUBLE_EQ(process.seconds(HostPhase::Other), before + 4.0);
 }
 
 TEST_F(ObsContextTest, MalformedSettingsAreFatalNotSilent)

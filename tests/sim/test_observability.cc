@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "csd/csd.hh"
-#include "obs/context.hh"
+#include "common/context.hh"
 #include "sim/simulation.hh"
 #include "tests/support/mini_json.hh"
 
@@ -71,7 +71,7 @@ class ObservabilityTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        auto &tm = TraceManager::instance();
+        auto &tm = ObservabilityContext::current().tracer();
         tm.disableAll();
         tm.clear();
         tm.setCapacity(1 << 16);
@@ -82,7 +82,7 @@ class ObservabilityTest : public ::testing::Test
 
     void TearDown() override
     {
-        auto &tm = TraceManager::instance();
+        auto &tm = ObservabilityContext::current().tracer();
         tm.disableAll();
         tm.clear();
         setStatsDetail(false);
@@ -98,7 +98,7 @@ class ObservabilityTest : public ::testing::Test
  */
 TEST_F(ObservabilityTest, DetailedRunProducesChromeTrace)
 {
-    auto &tm = TraceManager::instance();
+    auto &tm = ObservabilityContext::current().tracer();
     ASSERT_EQ(tm.configure("UopCache,Gating"), 2u);
 
     Program prog = vectorLoopProgram(3000);
@@ -354,38 +354,68 @@ TEST_F(ObservabilityTest, TwoContextChannelMonitorExportsArePerContext)
         std::remove(path.c_str());
 }
 
+/** A knob lookup that sets only @p name to @p value. */
+KnobLookup
+onlyKnob(const char *name, const char *value)
+{
+    return [name, value](const char *knob) {
+        return std::string(knob) == name ? value : nullptr;
+    };
+}
+
 TEST(Observability, CpiStackKnobIsStrict)
 {
     // CSD_CPI_STACK=false used to *arm* the CPI stack (`*v != '0'`).
     const Program prog = loopProgram(10);
     SimParams params;
     params.mode = SimMode::Detailed;
-    const char *old = std::getenv("CSD_CPI_STACK");
-    const std::string saved = old ? old : "";
     for (const char *bad : {"false", "yes"}) {
-        ::setenv("CSD_CPI_STACK", bad, 1);
         try {
-            Simulation sim(prog, params);
+            const Knobs knobs(onlyKnob("CSD_CPI_STACK", bad));
             ADD_FAILURE() << "CSD_CPI_STACK=" << bad << " was accepted";
         } catch (const std::runtime_error &e) {
             EXPECT_NE(std::string(e.what()).find("CSD_CPI_STACK"),
                       std::string::npos);
         }
     }
-    ::setenv("CSD_CPI_STACK", "0", 1);
     {
+        ObservabilityContext ctx(Knobs(onlyKnob("CSD_CPI_STACK", "0")));
+        params.obs = &ctx;
         Simulation sim(prog, params);
         EXPECT_EQ(sim.cpiStack(), nullptr);
     }
-    ::setenv("CSD_CPI_STACK", "1", 1);
     {
+        ObservabilityContext ctx(Knobs(onlyKnob("CSD_CPI_STACK", "1")));
+        params.obs = &ctx;
         Simulation sim(prog, params);
         EXPECT_NE(sim.cpiStack(), nullptr);
     }
-    if (old)
-        ::setenv("CSD_CPI_STACK", saved.c_str(), 1);
-    else
-        ::unsetenv("CSD_CPI_STACK");
+}
+
+/**
+ * Each Simulation profiles into its own context; destroying it folds
+ * the phases into the process context, which is what bench sidecars
+ * report.
+ */
+TEST(Observability, HostProfileFoldsIntoProcessContext)
+{
+    HostProfiler &process = ObservabilityContext::process().profiler();
+    const bool was_enabled = process.enabled();
+    const double execute = process.seconds(HostPhase::Execute);
+    const double pipeline = process.seconds(HostPhase::Pipeline);
+    process.setEnabled(true);
+    ObservabilityContext::process().bindToThread();
+    {
+        const Program prog = loopProgram(2000);
+        SimParams params;
+        params.mode = SimMode::Detailed;
+        Simulation sim(prog, params);
+        sim.runToHalt();
+        EXPECT_GT(sim.obs().profiler().seconds(HostPhase::Execute), 0.0);
+    }
+    process.setEnabled(was_enabled);
+    EXPECT_GT(process.seconds(HostPhase::Execute), execute);
+    EXPECT_GT(process.seconds(HostPhase::Pipeline), pipeline);
 }
 
 } // namespace
