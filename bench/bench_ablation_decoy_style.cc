@@ -16,7 +16,6 @@
 #include "bench/common/bench_util.hh"
 #include "bench/common/crypto_cases.hh"
 #include "bench/common/parallel.hh"
-#include "csd/csd.hh"
 
 using namespace csd;
 using namespace csd::bench;
@@ -34,31 +33,11 @@ struct StyleResult
 StyleResult
 runWithStyle(const CryptoCase &c, DecoyStyle style)
 {
-    SimParams params;
-    params.mem.extraL2Latency = 4;
-    Simulation sim(c.program, params);
-
-    MsrFile msrs;
-    TaintTracker taint;
-    ContextSensitiveDecoder csd(msrs, &taint);
-    csd.decoyStyle = style;
-    for (const AddrRange &source : c.taintSources)
-        taint.addTaintSource(source);
-    msrs.setWatchdogPeriod(1000);
-    if (c.decoyDRange.valid())
-        msrs.setDecoyDRange(0, c.decoyDRange);
-    if (c.decoyIRange.valid())
-        msrs.setDecoyIRange(0, c.decoyIRange);
-    msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
-    sim.setTaintTracker(&taint);
-    sim.setCsd(&csd);
-
+    Victim victim(c.program, c.defense, SimParams{});
+    victim.csd()->decoyStyle = style;
     Random rng(0xdeca1);
-    for (unsigned run = 0; run < c.invocationsPerRun; ++run) {
-        c.newInput(sim.state().mem, rng);
-        sim.restart();
-        sim.runToHalt();
-    }
+    c.run(victim, rng);
+    Simulation &sim = victim.sim();
     return {sim.cycles(), sim.uopsExecuted(),
             sim.frontend().uopCache().hitRate()};
 }

@@ -39,14 +39,9 @@ struct VariantResult
 };
 
 VariantResult
-runOnce(bool defended)
+runOnce(const AesWorkload &workload, const DefenseConfig &defense)
 {
-    const AesWorkload workload = AesWorkload::build(key);
-    DefenseConfig defense;
-    defense.enabled = defended;
-    defense.decoyDRange = workload.tTableRange;
-    defense.taintSources = {workload.keyRange};
-    defense.watchdogPeriod = 1000;
+    const bool defended = defense.enabled;
     Victim victim(workload.program, defense);
     CacheSetMonitor &monitor = victim.armChannelMonitor();
     ObservationLedger ledger(monitor);
@@ -112,16 +107,11 @@ report(const char *label, const AesAttackResult &result)
  * residual bound (must be 0 bits / all-closed) under the defense.
  */
 LeakProof
-reportStaticBound()
+reportStaticBound(const AesWorkload &workload, const DefenseConfig &defense)
 {
-    const AesWorkload workload = AesWorkload::build(key);
     VerifyOptions options;
     options.taintSources = {workload.keyRange};
-    DefenseModel model;
-    model.enabled = true;
-    model.decoyDRange = workload.tTableRange;
-    model.taintSources = {workload.keyRange};
-    LeakProof proof = proveLeaks(workload.program, options, model, {});
+    LeakProof proof = proveLeaks(workload.program, options, defense, {});
 
     std::printf("\nstatic model: %zu leak site(s), %.1f bits/run "
                 "undefended, %.1f bits/run defended (%s)\n",
@@ -205,10 +195,16 @@ main(int argc, char **argv)
                 "PRIME+PROBE attack on OpenSSL-style T-table AES",
                 "Chosen plaintexts; D-cache side channel; scaled sample"
                 " counts (see DESIGN.md).");
-    const LeakProof proof = reportStaticBound();
+    const AesWorkload workload = AesWorkload::build(key);
+    const DefenseConfig defense = workload.defense();
+    const LeakProof proof = reportStaticBound(workload, defense);
 
-    const std::vector<VariantResult> runs = parallelMap<VariantResult>(
-        2, [](std::size_t idx) { return runOnce(idx == 1); });
+    const std::vector<VariantResult> runs =
+        parallelMap<VariantResult>(2, [&](std::size_t idx) {
+            DefenseConfig variant = defense;
+            variant.enabled = idx == 1;
+            return runOnce(workload, variant);
+        });
     const AesAttackResult &undefended = runs[0].attack;
     const AesAttackResult &defended = runs[1].attack;
     const std::size_t disagreements =

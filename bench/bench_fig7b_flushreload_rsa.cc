@@ -52,18 +52,6 @@ findSite(const std::vector<SiteMeasure> &sites, const std::string &name)
     return nullptr;
 }
 
-DefenseConfig
-makeDefense(const RsaWorkload &workload, bool enabled)
-{
-    DefenseConfig defense;
-    defense.enabled = enabled;
-    defense.decoyIRange = workload.multiplyRange;
-    defense.taintSources = {workload.exponentRange,
-                            workload.resultRange};
-    defense.watchdogPeriod = 300;
-    return defense;
-}
-
 void
 report(const char *label, const RsaWorkload &,
        const RsaAttackResult &result)
@@ -94,18 +82,14 @@ report(const char *label, const RsaWorkload &,
  * undefended, 0 bits (closed) under the decoy configuration.
  */
 LeakProof
-reportStaticBound(const RsaWorkload &workload)
+reportStaticBound(const RsaWorkload &workload, const DefenseConfig &defense)
 {
     VerifyOptions options;
     options.taintSources = {workload.exponentRange};
-    DefenseModel model;
-    model.enabled = true;
-    model.decoyIRange = workload.multiplyRange;
-    model.taintSources = {workload.exponentRange, workload.resultRange};
     ProveOptions prove;
     prove.keyLoopIterations = workload.expBits;
     const LeakProof proof =
-        proveLeaks(workload.program, options, model, prove);
+        proveLeaks(workload.program, options, defense, prove);
 
     std::printf("static model: %zu leak site(s), %.1f bits/run "
                 "undefended, %.1f bits/run defended (%s)\n",
@@ -195,7 +179,9 @@ main(int argc, char **argv)
                 "16-bit exponent (scaled, per-bit leak).");
 
     const RsaWorkload workload = makeVictim();
-    const LeakProof proof = reportStaticBound(workload);
+    DefenseConfig defense = workload.defense();
+    defense.watchdogPeriod = 300;
+    const LeakProof proof = reportStaticBound(workload, defense);
     std::printf("exponent (truth): ");
     for (unsigned i = workload.expBits; i-- > 0;)
         std::printf("%d",
@@ -213,8 +199,9 @@ main(int argc, char **argv)
             const bool flush_reload = idx < 2;
             RsaAttackConfig config;
             config.flushReload = flush_reload;
-            Victim victim(workload.program,
-                          makeDefense(workload, defended));
+            DefenseConfig variant = defense;
+            variant.enabled = defended;
+            Victim victim(workload.program, variant);
             CacheSetMonitor &monitor = victim.armChannelMonitor();
             ObservationLedger ledger(monitor);
             config.ledger = &ledger;

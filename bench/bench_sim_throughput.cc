@@ -80,10 +80,7 @@ class Rig
         if (arm_monitor)
             sim_->mem().armSetMonitor();
         if (stealth) {
-            taint_.addTaintSource(workload_.keyRange);
-            msrs_.setWatchdogPeriod(1000);
-            msrs_.setDecoyDRange(0, workload_.tTableRange);
-            msrs_.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+            csd_.arm(workload_.defense());
             sim_->setTaintTracker(&taint_);
             sim_->setCsd(&csd_);
         }

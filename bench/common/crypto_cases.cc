@@ -1,6 +1,5 @@
 #include "bench/common/crypto_cases.hh"
 
-#include "csd/csd.hh"
 #include "workloads/aes.hh"
 #include "workloads/blowfish.hh"
 #include "workloads/rijndael.hh"
@@ -26,8 +25,7 @@ makeAesCase(bool decrypt)
     CryptoCase c;
     c.name = decrypt ? "aes.dec" : "aes.enc";
     c.program = workload.program;
-    c.decoyDRange = workload.tTableRange;
-    c.taintSources = {workload.keyRange};
+    c.defense = workload.defense();
     const Addr pt = workload.ptAddr;
     c.newInput = [pt](SparseMemory &mem, Random &rng) {
         for (unsigned i = 0; i < 16; ++i)
@@ -44,8 +42,7 @@ makeRijndaelCase(bool decrypt)
     CryptoCase c;
     c.name = decrypt ? "rijndael.dec" : "rijndael.enc";
     c.program = workload.program;
-    c.decoyDRange = workload.tTableRange;
-    c.taintSources = {workload.keyRange};
+    c.defense = workload.defense();
     const Addr pt = workload.ptAddr;
     c.newInput = [pt](SparseMemory &mem, Random &rng) {
         for (unsigned i = 0; i < 16; ++i)
@@ -64,8 +61,7 @@ makeBlowfishCase(bool decrypt)
     CryptoCase c;
     c.name = decrypt ? "blowfish.dec" : "blowfish.enc";
     c.program = workload.program;
-    c.decoyDRange = workload.sboxRange;
-    c.taintSources = {workload.keyRange};
+    c.defense = workload.defense();
     const Addr in = workload.inAddr;
     c.newInput = [in](SparseMemory &mem, Random &rng) {
         mem.write(in, 4, rng.next32());
@@ -89,8 +85,7 @@ makeRsaCase(bool decrypt)
     CryptoCase c;
     c.name = decrypt ? "rsa.dec" : "rsa.enc";
     c.program = workload.program;
-    c.decoyIRange = workload.multiplyRange;
-    c.taintSources = {workload.exponentRange, workload.resultRange};
+    c.defense = workload.defense();
     c.newInput = [](SparseMemory &, Random &) {};
     c.invocationsPerRun = 2;
     return c;
@@ -113,6 +108,15 @@ cryptoSuite()
     return cases;
 }
 
+void
+CryptoCase::run(Victim &victim, Random &rng) const
+{
+    for (unsigned i = 0; i < invocationsPerRun; ++i) {
+        newInput(victim.sim().state().mem, rng);
+        victim.invoke();
+    }
+}
+
 CryptoRunStats
 runCryptoCase(const CryptoCase &c, bool stealth,
               const FrontEndParams &frontend, Cycles watchdog_period)
@@ -120,34 +124,15 @@ runCryptoCase(const CryptoCase &c, bool stealth,
     SimParams params;
     params.mode = SimMode::Detailed;
     params.frontend = frontend;
-    if (stealth)
-        params.mem.extraL2Latency = 4;  // hardware DIFT tag check
-
-    Simulation sim(c.program, params);
+    DefenseConfig defense = c.defense;
+    defense.enabled = stealth;
+    defense.watchdogPeriod = watchdog_period;
+    Victim victim(c.program, defense, params);
+    Simulation &sim = victim.sim();
     sim.enableCpiStack();
 
-    MsrFile msrs;
-    TaintTracker taint;
-    ContextSensitiveDecoder csd(msrs, &taint);
-    if (stealth) {
-        for (const AddrRange &source : c.taintSources)
-            taint.addTaintSource(source);
-        msrs.setWatchdogPeriod(watchdog_period);
-        if (c.decoyDRange.valid())
-            msrs.setDecoyDRange(0, c.decoyDRange);
-        if (c.decoyIRange.valid())
-            msrs.setDecoyIRange(0, c.decoyIRange);
-        msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
-        sim.setTaintTracker(&taint);
-        sim.setCsd(&csd);
-    }
-
     Random rng(0xbe7c4 + stealth);
-    for (unsigned run = 0; run < c.invocationsPerRun; ++run) {
-        c.newInput(sim.state().mem, rng);
-        sim.restart();
-        sim.runToHalt();
-    }
+    c.run(victim, rng);
 
     CryptoRunStats stats;
     stats.cycles = sim.cycles();

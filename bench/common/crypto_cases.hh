@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/random.hh"
+#include "sec/victim.hh"
 #include "sim/simulation.hh"
 
 namespace csd::bench
@@ -24,11 +25,13 @@ struct CryptoCase
 {
     std::string name;
     Program program;
-    AddrRange decoyDRange;
-    AddrRange decoyIRange;
-    std::vector<AddrRange> taintSources;
+    DefenseConfig defense;  //!< the workload's canonical defense
     std::function<void(SparseMemory &, Random &)> newInput;
     unsigned invocationsPerRun = 300;
+
+    /** Invoke @p victim invocationsPerRun times, each on a fresh
+     *  input drawn from @p rng. */
+    void run(Victim &victim, Random &rng) const;
 };
 
 /** Build all 8 datapoints. */

@@ -44,11 +44,9 @@ runScenario(bool defended)
     TaintTracker taint;
     ContextSensitiveDecoder csd(msrs, &taint);
     if (defended) {
-        taint.addTaintSource(victim.exponentRange);
-        taint.addTaintSource(victim.resultRange);
-        msrs.setWatchdogPeriod(500);
-        msrs.setDecoyIRange(0, victim.multiplyRange);
-        msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+        DefenseConfig defense = victim.defense();
+        defense.watchdogPeriod = 500;
+        csd.arm(defense);
         duo.first().setTaintTracker(&taint);
         duo.first().setCsd(&csd);
     }

@@ -53,12 +53,16 @@ main()
     TaintTracker taint;
     ContextSensitiveDecoder csd(msrs, &taint);
 
-    taint.addTaintSource(AddrRange(secret, secret + 4));
-    msrs.setDecoyDRange(0, AddrRange(table, table + 4 * 64));
-    msrs.setWatchdogPeriod(500);
-    // One MSR write and the decoder switches context (register
-    // tracking, paper SIII-B) -- no recompilation, no binary rewrite.
-    msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+    // The defense: taint the secret, cover the table with decoys. Arming
+    // ends in one control MSR write, and the decoder switches context
+    // (register tracking, paper SIII-B) -- no recompilation, no binary
+    // rewrite.
+    DefenseConfig defense;
+    defense.enabled = true;
+    defense.decoyDRange = AddrRange(table, table + 4 * 64);
+    defense.taintSources = {AddrRange(secret, secret + 4)};
+    defense.watchdogPeriod = 500;
+    csd.arm(defense);
 
     Simulation sim(prog);
     sim.setTaintTracker(&taint);

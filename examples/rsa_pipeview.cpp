@@ -46,11 +46,7 @@ main(int argc, char **argv)
     MsrFile msrs;
     TaintTracker taint;
     ContextSensitiveDecoder csd(msrs, &taint);
-    taint.addTaintSource(workload.exponentRange);
-    taint.addTaintSource(workload.resultRange);
-    msrs.setWatchdogPeriod(1000);
-    msrs.setDecoyIRange(0, workload.multiplyRange);
-    msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+    csd.arm(workload.defense());
     sim.setTaintTracker(&taint);
     sim.setCsd(&csd);
 

@@ -55,8 +55,7 @@ main()
 
     // --- undefended machine ---------------------------------------------
     {
-        DefenseConfig defense;  // disabled
-        Victim victim(workload.program, defense);
+        Victim victim(workload.program, DefenseConfig{});
         const auto result = runAesAttack(victim, workload, key, config);
         std::printf("[undefended] %llu encryptions observed\n",
                     static_cast<unsigned long long>(result.encryptions));
@@ -70,12 +69,7 @@ main()
 
     // --- stealth mode on ---------------------------------------------------
     {
-        DefenseConfig defense;
-        defense.enabled = true;
-        defense.decoyDRange = workload.tTableRange;
-        defense.taintSources = {workload.keyRange};
-        defense.watchdogPeriod = 1000;
-        Victim victim(workload.program, defense);
+        Victim victim(workload.program, workload.defense());
         AesAttackConfig defended_cfg = config;
         defended_cfg.maxSamplesPerCandidate = 40;
         const auto result =

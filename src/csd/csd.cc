@@ -47,6 +47,23 @@ ContextSensitiveDecoder::ContextSensitiveDecoder(MsrFile &msrs,
     stats_.addChild(&mcu_.stats());
 }
 
+void
+ContextSensitiveDecoder::arm(const DefenseConfig &defense)
+{
+    if (!defense.enabled)
+        return;
+    if (taint_) {
+        for (const AddrRange &source : defense.taintSources)
+            if (source.valid())
+                taint_->addTaintSource(source);
+    }
+    msrs_.setWatchdogPeriod(defense.watchdogPeriod);
+    if (defense.decoyDRange.valid())
+        msrs_.setDecoyDRange(0, defense.decoyDRange);
+    if (defense.decoyIRange.valid())
+        msrs_.setDecoyIRange(0, defense.decoyIRange);
+    msrs_.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+}
 
 void
 ContextSensitiveDecoder::onMsrWrite(MsrAddr addr, std::uint64_t value)

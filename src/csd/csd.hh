@@ -21,6 +21,7 @@
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "csd/decoy.hh"
+#include "csd/defense.hh"
 #include "csd/devect.hh"
 #include "csd/mcu.hh"
 #include "csd/msr.hh"
@@ -98,6 +99,17 @@ class ContextSensitiveDecoder final : public Translator
     /** Replay translate()'s accounting for a flow served from cache. */
     void noteCachedTranslation(const MacroOp &op, const UopFlow &flow,
                                unsigned ctx) override;
+
+    // --- Stealth-mode arming ----------------------------------------------
+
+    /**
+     * Program @p defense: its DIFT sources into the taint tracker (if
+     * the decoder has one), then the watchdog period, the decoy data
+     * and instruction ranges (slot 0), and last the control write that
+     * enables DIFT-triggered stealth translation. A disabled defense
+     * leaves the decoder untouched.
+     */
+    void arm(const DefenseConfig &defense);
 
     // --- Devectorization control (unit-criticality predictor) -----------
 

@@ -1,9 +1,9 @@
 #include "isa/finding.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <ostream>
 #include <sstream>
+
+#include "common/stats.hh"
 
 namespace csd
 {
@@ -112,29 +112,6 @@ VerifyReport::text() const
     return os.str();
 }
 
-void
-jsonEscape(std::ostream &os, const std::string &str)
-{
-    os << '"';
-    for (char c : str) {
-        switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
 std::string
 VerifyReport::json(const std::string &extra_members) const
 {
@@ -163,21 +140,17 @@ VerifyReport::json(const std::string &extra_members) const
     os << ",\n  \"findings\": [";
     bool first = true;
     for (const Finding *finding : ordered) {
-        os << (first ? "\n" : ",\n") << "    {\"check\": ";
-        jsonEscape(os, finding->checkId);
-        os << ", \"severity\": \"" << severityName(finding->severity)
-           << "\", \"pc\": ";
+        os << (first ? "\n" : ",\n") << "    {\"check\": \""
+           << jsonEscape(finding->checkId) << "\", \"severity\": \""
+           << severityName(finding->severity) << "\", \"pc\": ";
         if (finding->pc == invalidAddr)
             os << "null";
         else
             os << finding->pc;
-        os << ", \"symbol\": ";
-        jsonEscape(os, finding->symbol);
-        os << ", \"location\": ";
-        jsonEscape(os, finding->location());
-        os << ", \"message\": ";
-        jsonEscape(os, finding->message);
-        os << "}";
+        os << ", \"symbol\": \"" << jsonEscape(finding->symbol)
+           << "\", \"location\": \"" << jsonEscape(finding->location())
+           << "\", \"message\": \"" << jsonEscape(finding->message)
+           << "\"}";
         first = false;
     }
     os << (first ? "]" : "\n  ]") << "\n}\n";

@@ -121,9 +121,6 @@ class VerifyReport
     std::size_t warnings_ = 0;
 };
 
-/** Escape and quote @p str as a JSON string into @p os. */
-void jsonEscape(std::ostream &os, const std::string &str);
-
 } // namespace csd
 
 #endif // CSD_ISA_FINDING_HH

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/stats.hh"
+
 namespace csd
 {
 namespace obs
@@ -208,48 +210,15 @@ writeReport(std::ostream &os, const std::vector<DiffRow> &rows,
     }
 }
 
-namespace
-{
-
-void
-writeEscaped(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (const char c : s) {
-        switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
-
 void
 writeReportJson(std::ostream &os, const std::string &old_path,
                 const std::string &new_path,
                 const std::vector<DiffRow> &rows, const std::string &kind)
 {
-    os << "{\"schema_version\": 1, \"old\": ";
-    writeEscaped(os, old_path);
-    os << ", \"new\": ";
-    writeEscaped(os, new_path);
-    if (!kind.empty()) {
-        os << ", \"kind\": ";
-        writeEscaped(os, kind);
-    }
+    os << "{\"schema_version\": 1, \"old\": \"" << jsonEscape(old_path)
+       << "\", \"new\": \"" << jsonEscape(new_path) << '"';
+    if (!kind.empty())
+        os << ", \"kind\": \"" << jsonEscape(kind) << '"';
 
     std::size_t matched = 0;
     for (const DiffRow &row : rows)
@@ -260,9 +229,8 @@ writeReportJson(std::ostream &os, const std::string &old_path,
     for (const DiffRow &row : rows) {
         if (!kind.empty() && row.kind != kind)
             continue;
-        os << (first ? "" : ", ") << "{\"key\": ";
-        writeEscaped(os, row.key);
-        os << ", \"kind\": \"" << row.kind << "\", \"old\": "
+        os << (first ? "" : ", ") << "{\"key\": \"" << jsonEscape(row.key)
+           << "\", \"kind\": \"" << row.kind << "\", \"old\": "
            << row.oldValue << ", \"new\": " << row.newValue
            << ", \"delta\": " << row.delta << ", \"pct\": " << row.pct
            << ", \"status\": \""

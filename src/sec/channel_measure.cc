@@ -53,13 +53,8 @@ measureRsaChannels(const ChannelMeasureOptions &options)
     out.target = "rsa";
 
     for (const bool defended : {false, true}) {
-        DefenseConfig defense;
-        if (defended) {
-            defense.enabled = true;
-            defense.decoyIRange = workload.multiplyRange;
-            defense.taintSources = {workload.exponentRange,
-                                    workload.resultRange};
-        }
+        DefenseConfig defense = workload.defense();
+        defense.enabled = defended;
         Victim victim(workload.program, defense);
         CacheSetMonitor &monitor = victim.armChannelMonitor();
         ObservationLedger ledger(monitor);
@@ -94,12 +89,8 @@ measureAesChannels(const ChannelMeasureOptions &options)
     out.target = "aes";
 
     for (const bool defended : {false, true}) {
-        DefenseConfig defense;
-        if (defended) {
-            defense.enabled = true;
-            defense.decoyDRange = workload.tTableRange;
-            defense.taintSources = {workload.keyRange};
-        }
+        DefenseConfig defense = workload.defense();
+        defense.enabled = defended;
         Victim victim(workload.program, defense);
         CacheSetMonitor &monitor = victim.armChannelMonitor();
         ObservationLedger ledger(monitor);

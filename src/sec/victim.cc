@@ -3,33 +3,42 @@
 namespace csd
 {
 
+namespace
+{
+
+SimParams
+cacheOnlyParams()
+{
+    SimParams params;
+    params.mode = SimMode::CacheOnly;
+    return params;
+}
+
+} // namespace
+
 Victim::Victim(const Program &prog, const DefenseConfig &defense,
-               SimMode mode)
+               const SimParams &params)
     : defense_(defense)
 {
-    params_.mode = mode;
+    SimParams defended = params;
     if (defense_.enabled)
-        params_.mem.extraL2Latency = defense_.diftL2Penalty;
-    sim_ = std::make_unique<Simulation>(prog, params_);
+        defended.mem.extraL2Latency = defense_.diftL2Penalty;
+    sim_ = std::make_unique<Simulation>(prog, defended);
 
     if (defense_.enabled) {
         msrs_ = std::make_unique<MsrFile>();
         taint_ = std::make_unique<TaintTracker>();
         csd_ = std::make_unique<ContextSensitiveDecoder>(*msrs_,
                                                          taint_.get());
-        for (const AddrRange &source : defense_.taintSources)
-            if (source.valid())
-                taint_->addTaintSource(source);
-        msrs_->setWatchdogPeriod(defense_.watchdogPeriod);
-        if (defense_.decoyDRange.valid())
-            msrs_->setDecoyDRange(0, defense_.decoyDRange);
-        if (defense_.decoyIRange.valid())
-            msrs_->setDecoyIRange(0, defense_.decoyIRange);
-        msrs_->setControl(ctrlStealthEnable | ctrlDiftTrigger);
-
+        csd_->arm(defense_);
         sim_->setTaintTracker(taint_.get());
         sim_->setCsd(csd_.get());
     }
+}
+
+Victim::Victim(const Program &prog, const DefenseConfig &defense)
+    : Victim(prog, defense, cacheOnlyParams())
+{
 }
 
 CacheSetMonitor &

@@ -2,7 +2,8 @@
  * @file
  * Victim environment bundle: a Simulation wired with (optionally) the
  * full stealth-mode defense stack — MSR file, context-sensitive
- * decoder, DIFT taint tracker, decoy address ranges, and watchdog.
+ * decoder and DIFT taint tracker, armed from one DefenseConfig
+ * (csd/defense.hh).
  */
 
 #ifndef CSD_SEC_VICTIM_HH
@@ -11,29 +12,26 @@
 #include <memory>
 
 #include "csd/csd.hh"
+#include "csd/defense.hh"
 #include "sim/simulation.hh"
 
 namespace csd
 {
 
-/** Defense configuration for a victim run. */
-struct DefenseConfig
-{
-    bool enabled = false;
-    AddrRange decoyDRange;      //!< sensitive data (e.g. T-tables)
-    AddrRange decoyIRange;      //!< sensitive code (e.g. multiply)
-    /** Key material / secret intermediates (DIFT sources). */
-    std::vector<AddrRange> taintSources;
-    Cycles watchdogPeriod = 1000;
-    Cycles diftL2Penalty = 4;   //!< hardware DIFT tag-access cost
-};
-
 /** A victim simulation, optionally defended by stealth mode. */
 class Victim
 {
   public:
+    /**
+     * Simulate @p prog under @p params. An enabled @p defense adds its
+     * DIFT tag-access cost to the L2 latency and arms a context-
+     * sensitive decoder with it (ContextSensitiveDecoder::arm).
+     */
     Victim(const Program &prog, const DefenseConfig &defense,
-           SimMode mode = SimMode::CacheOnly);
+           const SimParams &params);
+
+    /** A cache-only victim (the Fig. 7 attack setting). */
+    Victim(const Program &prog, const DefenseConfig &defense);
 
     Simulation &sim() { return *sim_; }
     MemHierarchy &mem() { return sim_->mem(); }
@@ -63,7 +61,6 @@ class Victim
 
   private:
     DefenseConfig defense_;
-    SimParams params_;
     std::unique_ptr<MsrFile> msrs_;
     std::unique_ptr<TaintTracker> taint_;
     std::unique_ptr<ContextSensitiveDecoder> csd_;

@@ -43,9 +43,8 @@ FastPath::run(std::uint64_t budget, bool at_head)
     };
     if (tr == &sim_.nativeTranslator_)
         return go(sim_.nativeTranslator_);
-    if (ContextSensitiveDecoder *csd = resolvedCsd_)
-        return go(*csd);
-    return go(*tr);
+    // Simulation::tierEngaged() admits no other translator.
+    return go(*resolvedCsd_);
 }
 
 template <class Tr, bool Taint, bool Detailed>

@@ -203,9 +203,9 @@ class FastPath
     };
 
     // Templated on the concrete translator type: NativeTranslator's
-    // protocol hooks fold to nothing, the CSD's inline bodies
-    // (csd/csd.hh) are absorbed into the macro loop, and any other
-    // Translator subclass falls back to virtual dispatch.
+    // protocol hooks fold to nothing and the CSD's inline bodies
+    // (csd/csd.hh) are absorbed into the macro loop. Any other
+    // Translator runs on the interpreter (Simulation::tierEngaged).
     template <class Tr, bool Taint, bool Detailed>
     std::uint64_t runImpl(Tr &tr, std::uint64_t budget, bool at_head);
 

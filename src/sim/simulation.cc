@@ -513,8 +513,12 @@ bool
 Simulation::tierEngaged() const
 {
     // Tracing stays on the interpreter so per-step trace output is
-    // unchanged; a power controller needs its per-macro hook.
+    // unchanged; a power controller needs its per-macro hook. The tier
+    // is compiled for the native translator and the CSD only: any
+    // other Translator (e.g. a DecoderProfiler wrapping one) runs on
+    // the interpreter.
     return superblockEnabled_ && flowCacheEnabled_ && !power_ &&
+           (translator_ == &nativeTranslator_ || translator_ == csd_) &&
            !traceAnyEnabled();
 }
 

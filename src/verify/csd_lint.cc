@@ -59,8 +59,9 @@ struct LintTarget
 {
     std::string name;
     /** Builds the program, the lint options, and (for victims) the
-     *  canonical defense model + prover knobs for --channels. */
-    std::function<Program(VerifyOptions &, DefenseModel &, ProveOptions &)>
+     *  canonical defense + prover knobs for --channels. */
+    std::function<Program(VerifyOptions &, DefenseConfig &,
+                          ProveOptions &)>
         build;
 };
 
@@ -71,34 +72,27 @@ targets()
 {
     std::vector<LintTarget> list;
 
-    list.push_back({"rsa", [](VerifyOptions &opt, DefenseModel &defense,
+    list.push_back({"rsa", [](VerifyOptions &opt, DefenseConfig &defense,
                               ProveOptions &prove) {
         const RsaWorkload w = RsaWorkload::build(
             {0x12345678u, 0x9abcdef0u}, {0xfffffff1u, 0xdeadbeefu},
             0xb1e55ed, rsaExponentBits);
         opt.taintSources = {w.exponentRange};
         opt.expectLeak = true;
-        // Canonical Fig. 7b defense: decoy fetches over rsa_multiply,
-        // DIFT sources on the exponent and the running result.
-        defense.enabled = true;
-        defense.decoyIRange = w.multiplyRange;
-        defense.taintSources = {w.exponentRange, w.resultRange};
+        defense = w.defense();
         prove.keyLoopIterations = rsaExponentBits;
         return w.program;
     }});
 
     const auto aesTarget = [](bool decrypt) {
-        return [decrypt](VerifyOptions &opt, DefenseModel &defense,
+        return [decrypt](VerifyOptions &opt, DefenseConfig &defense,
                          ProveOptions &) {
             const AesWorkload w = AesWorkload::build(
                 {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab,
                  0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c}, decrypt);
             opt.taintSources = {w.keyRange};
             opt.expectLeak = true;
-            // Canonical Fig. 7a defense: decoy loads over the T-tables.
-            defense.enabled = true;
-            defense.decoyDRange = w.tTableRange;
-            defense.taintSources = {w.keyRange};
+            defense = w.defense();
             return w.program;
         };
     };
@@ -106,33 +100,29 @@ targets()
     list.push_back({"aes-dec", aesTarget(/*decrypt=*/true)});
 
     list.push_back({"blowfish", [](VerifyOptions &opt,
-                                   DefenseModel &defense, ProveOptions &) {
+                                   DefenseConfig &defense, ProveOptions &) {
         const BlowfishWorkload w = BlowfishWorkload::build(
             {0x13, 0x37, 0xc0, 0xde, 0xfa, 0xce, 0xb0, 0x0c});
         opt.taintSources = {w.keyRange};
         opt.expectLeak = true;
-        defense.enabled = true;
-        defense.decoyDRange = w.sboxRange;
-        defense.taintSources = {w.keyRange};
+        defense = w.defense();
         return w.program;
     }});
 
     list.push_back({"rijndael", [](VerifyOptions &opt,
-                                   DefenseModel &defense, ProveOptions &) {
+                                   DefenseConfig &defense, ProveOptions &) {
         const RijndaelWorkload w = RijndaelWorkload::build(
             {0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09,
              0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f});
         opt.taintSources = {w.keyRange};
         opt.expectLeak = true;
-        defense.enabled = true;
-        defense.decoyDRange = w.tTableRange;
-        defense.taintSources = {w.keyRange};
+        defense = w.defense();
         return w.program;
     }});
 
     for (const SpecPreset &preset : specPresets()) {
         list.push_back({"spec-" + preset.name,
-                        [preset](VerifyOptions &, DefenseModel &,
+                        [preset](VerifyOptions &, DefenseConfig &,
                                  ProveOptions &) {
             return SpecWorkload::build(preset, /*phase_pairs=*/2).program;
         }});
@@ -279,29 +269,20 @@ mcuView(const std::string &defect)
 
 /**
  * Victim context the MCU channel non-regression check scores against:
- * the aes target's canonical workload, lint options, and Fig. 7a
+ * the aes target's program, lint options, and canonical (Fig. 7a)
  * defense — the same configuration the --channels pass proves closed.
  */
 struct McuLintContext
 {
-    AesWorkload workload;
+    McuChannelContext channel;  // before program: build() fills it
     Program program;
-    McuChannelContext channel;
 
-    McuLintContext()
-        : workload(AesWorkload::build(
-              {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab,
-               0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c},
-              /*decrypt=*/false)),
-          program(workload.program)
+    explicit McuLintContext(const LintTarget &aes)
+        : program(aes.build(channel.options, channel.defense,
+                            channel.prove))
     {
         channel.program = &program;
-        channel.options.taintSources = {workload.keyRange};
-        channel.options.expectLeak = true;
-        channel.defense.enabled = true;
-        channel.defense.decoyDRange = workload.tTableRange;
-        channel.defense.taintSources = {workload.keyRange};
-        channel.name = "aes";
+        channel.name = aes.name;
     }
 };
 
@@ -457,7 +438,7 @@ main(int argc, char **argv)
                 continue;
 
             VerifyOptions options;
-            DefenseModel defense;
+            DefenseConfig defense;
             ProveOptions prove;
             const Program program = target.build(options, defense, prove);
             VerifyReport report = verifyProgram(program, options);
@@ -564,15 +545,7 @@ main(int argc, char **argv)
                 MsrFile msrs;
                 TaintTracker taint;
                 ContextSensitiveDecoder csd(msrs, &taint);
-                for (const AddrRange &src : defense.taintSources)
-                    taint.addTaintSource(src);
-                if (defense.enabled) {
-                    if (defense.decoyIRange.valid())
-                        msrs.setDecoyIRange(0, defense.decoyIRange);
-                    if (defense.decoyDRange.valid())
-                        msrs.setDecoyDRange(0, defense.decoyDRange);
-                    msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
-                }
+                csd.arm(defense);
                 sweep("csd", csd);
 
                 MsrFile devectMsrs;
@@ -601,7 +574,9 @@ main(int argc, char **argv)
     // defense blob (plus any --mcu-blob file) must be admitted by the
     // static prover under the aes victim context.
     if (mcu) {
-        const McuLintContext ctx;
+        const McuLintContext ctx(*std::find_if(
+            all.begin(), all.end(),
+            [](const LintTarget &t) { return t.name == "aes"; }));
         McuProveOptions mopts;
         mopts.view = mcuView(mcuDefect);
         mopts.channel = &ctx.channel;
@@ -611,7 +586,7 @@ main(int argc, char **argv)
                            mcuLoadInstrumentationPreset());
         blobs.emplace_back(
             "ct-sweep-aes",
-            mcuConstantTimeSweepPreset(ctx.workload.tTableRange));
+            mcuConstantTimeSweepPreset(ctx.channel.defense.decoyDRange));
         if (!mcuBlobPath.empty()) {
             std::ifstream in(mcuBlobPath);
             if (!in) {

@@ -6,6 +6,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/stats.hh"
+
 namespace csd
 {
 
@@ -164,7 +166,7 @@ rangeLines(const AddrRange &range, unsigned block_bytes)
 /** True iff every analysis taint source is visible to the defense's
  *  DIFT configuration (taint-gated decode fires for it). */
 bool
-taintGateCovers(const VerifyOptions &options, const DefenseModel &defense)
+taintGateCovers(const VerifyOptions &options, const DefenseConfig &defense)
 {
     for (const AddrRange &src : options.taintSources) {
         bool covered = false;
@@ -185,7 +187,7 @@ taintGateCovers(const VerifyOptions &options, const DefenseModel &defense)
  */
 void
 judgeDefense(SiteProof &proof, const VerifyOptions &options,
-             const DefenseModel &defense, const ProveOptions &prove,
+             const DefenseConfig &defense, const ProveOptions &prove,
              const std::set<Addr> &extra_covered)
 {
     if (proof.bitsPerObservation == 0.0) {
@@ -280,7 +282,7 @@ verdictName(LeakVerdict verdict)
 
 LeakProof
 proveLeaks(const Program &prog, const VerifyOptions &options,
-           const DefenseModel &defense, const ProveOptions &prove)
+           const DefenseConfig &defense, const ProveOptions &prove)
 {
     LeakProof proof;
 
@@ -371,7 +373,7 @@ proveLeaks(const Program &prog, const VerifyOptions &options,
 
 LeakProof
 rejudgeLeaks(const LeakProof &baseline, const VerifyOptions &options,
-             const DefenseModel &defense, const ProveOptions &prove,
+             const DefenseConfig &defense, const ProveOptions &prove,
              const std::function<std::set<Addr>(const SiteProof &)>
                  &extra_covered_for)
 {
@@ -430,15 +432,12 @@ std::string
 LeakProof::json(const std::string &target) const
 {
     std::ostringstream os;
-    os << "{\"target\": ";
-    jsonEscape(os, target);
-    os << ", \"sites\": [";
+    os << "{\"target\": \"" << jsonEscape(target) << "\", \"sites\": [";
     bool first_site = true;
     for (const SiteProof &sp : sites) {
         os << (first_site ? "" : ", ") << "{\"pc\": " << sp.site.pc
-           << ", \"symbol\": ";
-        jsonEscape(os, sp.site.symbol);
-        os << ", \"kind\": \"" << leakKindName(sp.site.kind)
+           << ", \"symbol\": \"" << jsonEscape(sp.site.symbol)
+           << "\", \"kind\": \"" << leakKindName(sp.site.kind)
            << "\", \"channel\": \"" << channelName(sp.footprint.channel)
            << "\", \"lines\": " << sp.footprint.lines.size()
            << ", \"sets\": [";
@@ -456,9 +455,7 @@ LeakProof::json(const std::string &target) const
            << "\", \"residual_bits_per_observation\": "
            << sp.residualBitsPerObservation
            << ", \"residual_lines\": " << sp.residualLines
-           << ", \"note\": ";
-        jsonEscape(os, sp.note);
-        os << "}";
+           << ", \"note\": \"" << jsonEscape(sp.note) << "\"}";
         first_site = false;
     }
     os << "], \"total_bits\": " << totalBits

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/addr_range.hh"
+#include "csd/defense.hh"
 #include "verify/channel_model.hh"
 #include "verify/options.hh"
 #include "verify/program_verifier.hh"
@@ -55,19 +56,8 @@ enum class LeakVerdict : std::uint8_t
 /** Printable verdict ("open"/"narrowed"/"closed"). */
 const char *verdictName(LeakVerdict verdict);
 
-/**
- * Static mirror of the dynamic sec::DefenseConfig: what stealth mode
- * is programmed to cover. Kept dependency-free of sec/ so the verify
- * layer stays below the simulator; harnesses copy the fields over.
- */
-struct DefenseModel
-{
-    bool enabled = false;
-    AddrRange decoyIRange;  //!< decoy fetch coverage (code)
-    AddrRange decoyDRange;  //!< decoy load coverage (data)
-    /** DIFT sources the taint-gated decode triggers on. */
-    std::vector<AddrRange> taintSources;
-};
+/** The benchmark driver's name for DefenseConfig (perfbench/driver.cc). */
+using DefenseModel = DefenseConfig;
 
 /** Prover knobs. */
 struct ProveOptions
@@ -124,11 +114,12 @@ struct LeakProof
 
 /**
  * Run the dataflow leak lint over @p prog and prove a bound for every
- * site under @p defense. @p options must carry the taint sources (the
+ * site under @p defense (its watchdog period and DIFT penalty play no
+ * part in the proof). @p options must carry the taint sources (the
  * same ones the lint runs with).
  */
 LeakProof proveLeaks(const Program &prog, const VerifyOptions &options,
-                     const DefenseModel &defense,
+                     const DefenseConfig &defense,
                      const ProveOptions &prove = {});
 
 /**
@@ -145,7 +136,7 @@ LeakProof proveLeaks(const Program &prog, const VerifyOptions &options,
  */
 LeakProof rejudgeLeaks(
     const LeakProof &baseline, const VerifyOptions &options,
-    const DefenseModel &defense, const ProveOptions &prove,
+    const DefenseConfig &defense, const ProveOptions &prove,
     const std::function<std::set<Addr>(const SiteProof &)>
         &extra_covered_for = {});
 

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/stats.hh"
 #include "csd/csd.hh"
 #include "csd/msr.hh"
 #include "uop/translate.hh"
@@ -454,7 +455,7 @@ proveMcuAdmission(const McuBlob &blob, VerifyReport &report,
         const LeakProof baseline = proveLeaks(
             *ctx.program, ctx.options, ctx.defense, ctx.prove);
 
-        DefenseModel patched_defense = ctx.defense;
+        DefenseConfig patched_defense = ctx.defense;
         patched_defense.decoyIRange =
             view.decoyCoverageOf(ctx.defense.decoyIRange);
         patched_defense.decoyDRange =
@@ -507,14 +508,13 @@ std::string
 McuAudit::json(const std::string &blob_name) const
 {
     std::ostringstream os;
-    os << "{\"blob\": ";
-    jsonEscape(os, blob_name);
-    os << ", \"entries\": [";
+    os << "{\"blob\": \"" << jsonEscape(blob_name)
+       << "\", \"entries\": [";
     bool first = true;
     for (const McuEntryAudit &ea : entries) {
-        os << (first ? "" : ", ") << "{\"target\": ";
-        jsonEscape(os, mnemonic(ea.target));
-        os << ", \"placement\": \"" << placementName(ea.placement)
+        os << (first ? "" : ", ") << "{\"target\": \""
+           << jsonEscape(mnemonic(ea.target)) << "\", \"placement\": \""
+           << placementName(ea.placement)
            << "\", \"native_ops\": " << ea.nativeOps
            << ", \"installed_uops\": " << ea.installedUops
            << ", \"energy_delta_nj\": " << ea.energyDeltaNj

@@ -97,7 +97,7 @@ struct McuChannelContext
 {
     const Program *program = nullptr;
     VerifyOptions options;
-    DefenseModel defense;
+    DefenseConfig defense;
     ProveOptions prove;
     std::string name;  //!< target label for messages/JSON
 };

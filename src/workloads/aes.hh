@@ -19,6 +19,7 @@
 
 #include "common/addr_range.hh"
 #include "cpu/arch_state.hh"
+#include "csd/defense.hh"
 #include "isa/program.hh"
 
 namespace csd
@@ -75,6 +76,18 @@ struct AesWorkload
 
     /** Read the output block from simulated memory. */
     AesReference::Block output(const SparseMemory &mem) const;
+
+    /** The canonical (Fig. 7a) defense: decoy loads over the
+     *  T-tables, the round keys as the DIFT source. */
+    DefenseConfig
+    defense() const
+    {
+        DefenseConfig defense;
+        defense.enabled = true;
+        defense.decoyDRange = tTableRange;
+        defense.taintSources = {keyRange};
+        return defense;
+    }
 };
 
 } // namespace csd

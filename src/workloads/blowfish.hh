@@ -23,6 +23,7 @@
 
 #include "common/addr_range.hh"
 #include "cpu/arch_state.hh"
+#include "csd/defense.hh"
 #include "isa/program.hh"
 
 namespace csd
@@ -70,6 +71,18 @@ struct BlowfishWorkload
                   std::uint32_t right) const;
     std::pair<std::uint32_t, std::uint32_t>
     output(const SparseMemory &mem) const;
+
+    /** The canonical defense: decoy loads over the S-boxes, the
+     *  P-array as the DIFT source. */
+    DefenseConfig
+    defense() const
+    {
+        DefenseConfig defense;
+        defense.enabled = true;
+        defense.decoyDRange = sboxRange;
+        defense.taintSources = {keyRange};
+        return defense;
+    }
 };
 
 } // namespace csd

@@ -35,6 +35,18 @@ struct RijndaelWorkload
     void setInput(SparseMemory &mem,
                   const AesReference::Block &block) const;
     AesReference::Block output(const SparseMemory &mem) const;
+
+    /** The canonical defense: decoy loads over the T-table and the
+     *  last-round table, the round keys as the DIFT source. */
+    DefenseConfig
+    defense() const
+    {
+        DefenseConfig defense;
+        defense.enabled = true;
+        defense.decoyDRange = tTableRange;
+        defense.taintSources = {keyRange};
+        return defense;
+    }
 };
 
 } // namespace csd

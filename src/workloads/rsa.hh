@@ -23,6 +23,7 @@
 
 #include "common/addr_range.hh"
 #include "cpu/arch_state.hh"
+#include "csd/defense.hh"
 #include "isa/program.hh"
 
 namespace csd
@@ -73,6 +74,19 @@ struct RsaWorkload
 
     /** Read the result bignum out of simulated memory. */
     RsaReference::Num result(const SparseMemory &mem) const;
+
+    /** The canonical (Fig. 7b) defense: decoy fetches over
+     *  rsa_multiply, the exponent and the running result as the DIFT
+     *  sources. */
+    DefenseConfig
+    defense() const
+    {
+        DefenseConfig defense;
+        defense.enabled = true;
+        defense.decoyIRange = multiplyRange;
+        defense.taintSources = {exponentRange, resultRange};
+        return defense;
+    }
 };
 
 } // namespace csd

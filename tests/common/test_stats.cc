@@ -294,6 +294,7 @@ TEST(Stats, JsonEscape)
     EXPECT_EQ(jsonEscape("plain"), "plain");
     EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
     EXPECT_EQ(jsonEscape("line\nbreak\ttab"), "line\\nbreak\\ttab");
+    EXPECT_EQ(jsonEscape("cr\rbell\x07"), "cr\\rbell\\u0007");
 }
 
 } // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "csd/csd.hh"
 #include "csd/profiler.hh"
 #include "isa/program.hh"
+#include "sim/fastpath.hh"
 #include "sim/simulation.hh"
 
 namespace csd
@@ -59,6 +62,49 @@ TEST(Profiler, EndToEndCountsMatchExecution)
     EXPECT_EQ(profiler.count(ProfileEvent::Stores), 10u);
     EXPECT_EQ(profiler.count(ProfileEvent::VectorOps), 10u);
     EXPECT_EQ(profiler.count(ProfileEvent::Branches), 10u);
+}
+
+TEST(Profiler, WrappedRunStaysOnTheInterpreter)
+{
+    // The superblock tier is compiled for the native translator and
+    // the CSD only: with the tier enabled, a profiler-wrapped run
+    // still takes the interpreter, and counts exactly what the
+    // tier-off run counts.
+    const Program prog = mixedProgram();
+    struct Outcome
+    {
+        std::vector<std::uint64_t> counts;
+        std::string stats;
+        std::uint64_t entries = 0;
+    };
+    const auto run = [&](bool tier) {
+        NativeTranslator native;
+        DecoderProfiler profiler(native);
+        Simulation sim(prog);
+        sim.setSuperblockEnabled(tier);
+        sim.setSuperblockThreshold(1);
+        sim.setTranslator(&profiler);
+        for (int i = 0; i < 3; ++i) {
+            sim.restart();
+            sim.runToHalt();
+        }
+        Outcome out;
+        for (unsigned e = 0;
+             e < static_cast<unsigned>(ProfileEvent::NumEvents); ++e)
+            out.counts.push_back(
+                profiler.count(static_cast<ProfileEvent>(e)));
+        std::ostringstream os;
+        sim.stats().dumpJson(os);
+        out.stats = os.str();
+        out.entries = sim.fastPath().counters().entries;
+        return out;
+    };
+    const Outcome on = run(true);
+    const Outcome off = run(false);
+    EXPECT_EQ(on.entries, 0u);
+    EXPECT_EQ(on.counts, off.counts);
+    EXPECT_EQ(on.stats, off.stats);
+    EXPECT_GT(on.counts.front(), 0u);
 }
 
 TEST(Profiler, HotnessProfileFindsTheLoop)

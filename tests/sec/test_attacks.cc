@@ -15,11 +15,8 @@ const std::array<std::uint8_t, 16> aesKey = {
 DefenseConfig
 aesDefense(const AesWorkload &workload, bool enabled)
 {
-    DefenseConfig defense;
+    DefenseConfig defense = workload.defense();
     defense.enabled = enabled;
-    defense.decoyDRange = workload.tTableRange;
-    defense.taintSources = {workload.keyRange};
-    defense.watchdogPeriod = 1000;
     return defense;
 }
 
@@ -78,10 +75,8 @@ rsaVictim(std::uint64_t exponent, unsigned bits)
 DefenseConfig
 rsaDefense(const RsaWorkload &workload, bool enabled)
 {
-    DefenseConfig defense;
+    DefenseConfig defense = workload.defense();
     defense.enabled = enabled;
-    defense.decoyIRange = workload.multiplyRange;
-    defense.taintSources = {workload.exponentRange, workload.resultRange};
     defense.watchdogPeriod = 300;
     return defense;
 }

@@ -75,10 +75,7 @@ TEST(BlowfishAttack, StealthModeRemovesTheDistinguisher)
     const auto sched = BlowfishReference::expandKey(key);
     const Addr monitored = workload.sboxRange.start + 8 * cacheBlockSize;
 
-    DefenseConfig defense;
-    defense.enabled = true;
-    defense.decoyDRange = workload.sboxRange;
-    defense.taintSources = {workload.keyRange};
+    DefenseConfig defense = workload.defense();
     defense.watchdogPeriod = 500;
     Victim victim(workload.program, defense);
 

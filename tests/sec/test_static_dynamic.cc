@@ -7,7 +7,8 @@
  * model names (static says-leaks ⊇ dynamic observes-leaks).
  * Completeness direction: when the static model proves every site
  * `closed` under a defense configuration, the dynamic attacker running
- * against that same configuration recovers nothing.
+ * against that same configuration recovers nothing. Each setup holds
+ * one DefenseConfig that both the prover and the Victim take.
  */
 
 #include <gtest/gtest.h>
@@ -35,8 +36,7 @@ struct RsaSetup
 {
     RsaWorkload workload;
     VerifyOptions options;
-    DefenseModel model;
-    DefenseConfig config;
+    DefenseConfig defense;
     ProveOptions prove;
 };
 
@@ -46,17 +46,12 @@ rsaSetup(std::uint64_t exponent, unsigned bits, bool defended)
     RsaSetup s{RsaWorkload::build({0x90abcdefu, 0x12345678u},
                                   {0xc0000001u, 0xd0000001u}, exponent,
                                   bits),
-               {}, {}, {}, {}};
+               {}, {}, {}};
     s.options.taintSources = {s.workload.exponentRange};
     s.options.expectLeak = true;
-    s.model.enabled = defended;
-    s.model.decoyIRange = s.workload.multiplyRange;
-    s.model.taintSources = {s.workload.exponentRange,
-                            s.workload.resultRange};
-    s.config.enabled = defended;
-    s.config.decoyIRange = s.model.decoyIRange;
-    s.config.taintSources = s.model.taintSources;
-    s.config.watchdogPeriod = 300;
+    s.defense = s.workload.defense();
+    s.defense.enabled = defended;
+    s.defense.watchdogPeriod = 300;
     s.prove.keyLoopIterations = bits;
     return s;
 }
@@ -65,7 +60,7 @@ TEST(StaticDynamic, RsaStaticSetsCoverTheMonitoredInstructionLine)
 {
     const RsaSetup s = rsaSetup(0xb72d, 16, /*defended=*/false);
     const LeakProof proof =
-        proveLeaks(s.workload.program, s.options, s.model, s.prove);
+        proveLeaks(s.workload.program, s.options, s.defense, s.prove);
     ASSERT_EQ(proof.sites.size(), 1u);
     const ChannelFootprint &fp = proof.sites.front().footprint;
     ASSERT_EQ(fp.channel, Channel::L1IFetch);
@@ -79,7 +74,7 @@ TEST(StaticDynamic, RsaStaticSetsCoverTheMonitoredInstructionLine)
               fp.sets.end());
     // ...and the attack actually succeeds through that line, so the
     // static claim is about a channel that demonstrably carries bits.
-    Victim victim(s.workload.program, s.config);
+    Victim victim(s.workload.program, s.defense);
     const RsaAttackResult result = runRsaAttack(victim, s.workload);
     EXPECT_EQ(result.accuracy, 1.0);
 
@@ -95,10 +90,10 @@ TEST(StaticDynamic, RsaStaticClosedImpliesDynamicDefeat)
 {
     const RsaSetup s = rsaSetup(0xb72d, 16, /*defended=*/true);
     const LeakProof proof =
-        proveLeaks(s.workload.program, s.options, s.model, s.prove);
+        proveLeaks(s.workload.program, s.options, s.defense, s.prove);
     ASSERT_TRUE(proof.allClosed()) << proof.text();
 
-    Victim victim(s.workload.program, s.config);
+    Victim victim(s.workload.program, s.defense);
     const RsaAttackResult result = runRsaAttack(victim, s.workload);
     EXPECT_LT(result.accuracy, 0.75)
         << "static model said closed but the attacker recovered "
@@ -113,22 +108,17 @@ struct AesSetup
 {
     AesWorkload workload;
     VerifyOptions options;
-    DefenseModel model;
-    DefenseConfig config;
+    DefenseConfig defense;
 };
 
 AesSetup
 aesSetup(bool defended)
 {
-    AesSetup s{AesWorkload::build(aesKey), {}, {}, {}};
+    AesSetup s{AesWorkload::build(aesKey), {}, {}};
     s.options.taintSources = {s.workload.keyRange};
     s.options.expectLeak = true;
-    s.model.enabled = defended;
-    s.model.decoyDRange = s.workload.tTableRange;
-    s.model.taintSources = {s.workload.keyRange};
-    s.config.enabled = defended;
-    s.config.decoyDRange = s.model.decoyDRange;
-    s.config.taintSources = s.model.taintSources;
+    s.defense = s.workload.defense();
+    s.defense.enabled = defended;
     return s;
 }
 
@@ -136,7 +126,7 @@ TEST(StaticDynamic, AesStaticSetsCoverEveryMonitoredTableLine)
 {
     const AesSetup s = aesSetup(/*defended=*/false);
     const LeakProof proof =
-        proveLeaks(s.workload.program, s.options, s.model, {});
+        proveLeaks(s.workload.program, s.options, s.defense, {});
     ASSERT_EQ(proof.sites.size(), 160u);
 
     std::set<unsigned> static_sets;
@@ -161,7 +151,7 @@ TEST(StaticDynamic, AesStaticSetsCoverEveryMonitoredTableLine)
     }
 
     // And the attack through those lines really recovers the key.
-    Victim victim(s.workload.program, s.config);
+    Victim victim(s.workload.program, s.defense);
     const AesAttackResult result =
         runAesAttack(victim, s.workload, aesKey, config);
     EXPECT_EQ(result.keyBitsRecovered, 64u);
@@ -171,10 +161,10 @@ TEST(StaticDynamic, AesStaticClosedImpliesDynamicDefeat)
 {
     const AesSetup s = aesSetup(/*defended=*/true);
     const LeakProof proof =
-        proveLeaks(s.workload.program, s.options, s.model, {});
+        proveLeaks(s.workload.program, s.options, s.defense, {});
     ASSERT_TRUE(proof.allClosed()) << proof.text();
 
-    Victim victim(s.workload.program, s.config);
+    Victim victim(s.workload.program, s.defense);
     AesAttackConfig config;
     config.maxSamplesPerCandidate = 40;
     const AesAttackResult result =
@@ -192,10 +182,8 @@ TEST(StaticDynamic, StaticProverFlagsDecoyCoverageHole)
     const AesWorkload w = AesWorkload::build(aesKey, /*decrypt=*/true);
     VerifyOptions options;
     options.taintSources = {w.keyRange};
-    DefenseModel holed;
-    holed.enabled = true;
-    holed.taintSources = {w.keyRange};
     // Td4 is the trailing 1 KiB of the (fixed) tTableRange.
+    DefenseConfig holed = w.defense();
     holed.decoyDRange = AddrRange(w.tTableRange.start,
                                   w.tTableRange.end - 1024);
 
@@ -204,10 +192,8 @@ TEST(StaticDynamic, StaticProverFlagsDecoyCoverageHole)
     EXPECT_EQ(proof.openSites, 16u);  // the 16 last-round Td4 lookups
     EXPECT_EQ(proof.closedSites, 144u);
 
-    // The shipped range closes them all.
-    DefenseModel full = holed;
-    full.decoyDRange = w.tTableRange;
-    EXPECT_TRUE(proveLeaks(w.program, options, full, {}).allClosed());
+    // The shipped defense closes them all.
+    EXPECT_TRUE(proveLeaks(w.program, options, w.defense(), {}).allClosed());
 }
 
 } // namespace

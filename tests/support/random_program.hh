@@ -1,8 +1,9 @@
 /**
  * @file
  * Random well-formed test programs: a loop over a random body of ALU,
- * memory, vector, stack, branch-over and serializing instructions
- * that indexes one 64 KiB buffer. Shared by the robustness fuzzer
+ * memory, vector, stack, branch-over, serializing, call/return,
+ * indirect-jump, cache-flush and cycle-counter instructions that
+ * indexes one 64 KiB buffer. Shared by the robustness fuzzer
  * (tests/sim/test_fuzz.cc) and the host-tier differential
  * (tests/sim/test_superblock.cc).
  */
@@ -28,6 +29,11 @@ randomProgram(Random &rng, unsigned body_instrs)
         static_cast<std::int64_t>((randomProgramBufBytes - 1) & ~63ull);
 
     auto outer = b.newLabel();
+    // Subroutines, emitted after the halt when the body calls them.
+    auto sub_ret = b.newLabel();
+    auto sub_ind = b.newLabel();
+    bool uses_ret = false;
+    bool uses_ind = false;
     b.movri(Gpr::Rbx, static_cast<std::int64_t>(buf));
     b.movri(Gpr::R12, 0);
     b.movri(Gpr::Rbp, 8);  // outer trip count
@@ -36,7 +42,7 @@ randomProgram(Random &rng, unsigned body_instrs)
     for (unsigned i = 0; i < body_instrs; ++i) {
         const Gpr dst = static_cast<Gpr>(8 + rng.below(4));
         const Gpr src = static_cast<Gpr>(8 + rng.below(4));
-        switch (rng.below(12)) {
+        switch (rng.below(16)) {
           case 0:
             b.load(dst, memIdx(Gpr::Rbx, Gpr::R12, 1, 0, MemSize::B8));
             break;
@@ -81,6 +87,27 @@ randomProgram(Random &rng, unsigned body_instrs)
           case 10:
             b.cpuid();
             break;
+          case 11:
+            b.call(sub_ret);
+            uses_ret = true;
+            break;
+          case 12:
+            b.call(sub_ind);
+            uses_ind = true;
+            break;
+          case 13:
+            b.clflush(memIdx(Gpr::Rbx, Gpr::R12, 1, 0, MemSize::B8));
+            break;
+          case 14:
+            // The cycle counter picks the line to flush, so a tier that
+            // read a stale count shows in the cache statistics; the
+            // value is then dropped so registers stay independent of
+            // timing (CSD modes must preserve them exactly).
+            b.rdtsc();
+            b.andi(Gpr::Rax, mask);
+            b.clflush(memIdx(Gpr::Rbx, Gpr::Rax, 1, 0, MemSize::B8));
+            b.movri(Gpr::Rax, 0);
+            break;
           default:
             b.add(dst, src);
             break;
@@ -89,6 +116,19 @@ randomProgram(Random &rng, unsigned body_instrs)
     b.subi(Gpr::Rbp, 1);
     b.jcc(Cond::Ne, outer);
     b.halt();
+    if (uses_ret) {
+        b.bind(sub_ret);
+        b.xori(Gpr::R11, 0x3c);
+        b.ret();
+    }
+    if (uses_ind) {
+        // Return through the stack by hand: pop the return address and
+        // jump to it.
+        b.bind(sub_ind);
+        b.addi(Gpr::R10, 7);
+        b.pop(Gpr::R13);
+        b.jmpInd(Gpr::R13);
+    }
     return b.build();
 }
 

@@ -27,13 +27,11 @@ rsaProof(bool defended)
     VerifyOptions options;
     options.taintSources = {w.exponentRange};
     options.expectLeak = true;
-    DefenseModel model;
-    model.enabled = defended;
-    model.decoyIRange = w.multiplyRange;
-    model.taintSources = {w.exponentRange, w.resultRange};
+    DefenseConfig defense = w.defense();
+    defense.enabled = defended;
     ProveOptions prove;
     prove.keyLoopIterations = 16;
-    return proveLeaks(w.program, options, model, prove);
+    return proveLeaks(w.program, options, defense, prove);
 }
 
 MeasuredChannel

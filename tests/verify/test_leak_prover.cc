@@ -26,7 +26,7 @@ struct ProverCase
     std::string name;
     Program program;
     VerifyOptions options;
-    DefenseModel defense;
+    DefenseConfig defense;
     ProveOptions prove;
     std::size_t expectedSites;
 };
@@ -46,9 +46,7 @@ canonicalCases()
         c.program = w.program;
         c.options.taintSources = {w.exponentRange};
         c.options.expectLeak = true;
-        c.defense.enabled = true;
-        c.defense.decoyIRange = w.multiplyRange;
-        c.defense.taintSources = {w.exponentRange, w.resultRange};
+        c.defense = w.defense();
         c.prove.keyLoopIterations = rsaBits;
         c.expectedSites = 1;
         cases.push_back(std::move(c));
@@ -60,9 +58,7 @@ canonicalCases()
         c.program = w.program;
         c.options.taintSources = {w.keyRange};
         c.options.expectLeak = true;
-        c.defense.enabled = true;
-        c.defense.decoyDRange = w.tTableRange;
-        c.defense.taintSources = {w.keyRange};
+        c.defense = w.defense();
         c.expectedSites = 160;
         cases.push_back(std::move(c));
     }
@@ -74,9 +70,7 @@ canonicalCases()
         c.program = w.program;
         c.options.taintSources = {w.keyRange};
         c.options.expectLeak = true;
-        c.defense.enabled = true;
-        c.defense.decoyDRange = w.sboxRange;
-        c.defense.taintSources = {w.keyRange};
+        c.defense = w.defense();
         c.expectedSites = 64;
         cases.push_back(std::move(c));
     }
@@ -89,9 +83,7 @@ canonicalCases()
         c.program = w.program;
         c.options.taintSources = {w.keyRange};
         c.options.expectLeak = true;
-        c.defense.enabled = true;
-        c.defense.decoyDRange = w.tTableRange;
-        c.defense.taintSources = {w.keyRange};
+        c.defense = w.defense();
         c.expectedSites = 160;
         cases.push_back(std::move(c));
     }
@@ -150,7 +142,7 @@ TEST(LeakProver, AllSitesClosedUnderCanonicalDefense)
 TEST(LeakProver, DisabledDefenseLeavesEverySiteOpen)
 {
     for (const ProverCase &c : canonicalCases()) {
-        DefenseModel off;
+        DefenseConfig off;
         const LeakProof proof =
             proveLeaks(c.program, c.options, off, c.prove);
         EXPECT_EQ(proof.openSites, c.expectedSites) << c.name;
@@ -165,7 +157,7 @@ TEST(LeakProver, TaintBlindDefenseStaysOpen)
     // DIFT sources don't include the secret: the taint-gated decoder
     // never triggers.
     for (const ProverCase &c : canonicalCases()) {
-        DefenseModel blind = c.defense;
+        DefenseConfig blind = c.defense;
         blind.taintSources = {AddrRange(0x70000000, 0x70000010)};
         const LeakProof proof =
             proveLeaks(c.program, c.options, blind, c.prove);
@@ -180,7 +172,7 @@ TEST(LeakProver, RsaBranchFootprintIsTheMultiplyCode)
         0xb1e55ed, rsaBits);
     VerifyOptions options;
     options.taintSources = {w.exponentRange};
-    DefenseModel defense;
+    DefenseConfig defense;
     defense.enabled = true;
     defense.decoyIRange = w.multiplyRange;
     defense.taintSources = {w.exponentRange};
@@ -210,7 +202,7 @@ TEST(LeakProver, PartialDecoyNarrowsIndexLeaks)
     const AesWorkload w = AesWorkload::build(aesKey);
     VerifyOptions options;
     options.taintSources = {w.keyRange};
-    DefenseModel defense;
+    DefenseConfig defense;
     defense.enabled = true;
     defense.taintSources = {w.keyRange};
     // Cover the first three tables fully and half of Te3: Te0..Te2
@@ -267,7 +259,7 @@ TEST(LeakProver, ExpectedMissFiresOnStubbedVictim)
         const std::size_t hits =
             resolveExpectedLeaks(report, options, "mini");
         const LeakProof proof =
-            proveLeaks(prog, options, DefenseModel{}, {});
+            proveLeaks(prog, options, DefenseConfig{}, {});
         if (stubbed) {
             EXPECT_EQ(hits, 0u);
             EXPECT_TRUE(report.hasCheck("leak.expected-miss"));
