@@ -294,8 +294,8 @@ class BackEnd
     Counter portConflictCycles_;
 };
 
-// Forced inline: both producers of the detailed uop stream call it once
-// per uop from their consumer loop (sim/detailed.hh).
+// Forced inline: the detailed timing consumer (sim/retire.cc) calls it
+// once per uop.
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((always_inline))
 #endif

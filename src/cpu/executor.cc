@@ -1,9 +1,8 @@
 #include "cpu/executor.hh"
 
 // The per-uop bodies (agen, execScalarAlu, execScalarFp, execVector,
-// execUop) are inline in executor.hh so the superblock fast path's
-// threaded-code handlers can absorb them; only the flow-level loop
-// lives here.
+// execUop) are inline in executor.hh so the simulator's retire routine
+// (sim/retire.cc) can absorb them; only the flow-level loop lives here.
 
 namespace csd
 {

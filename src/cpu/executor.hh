@@ -2,12 +2,17 @@
  * @file
  * Functional micro-op executor.
  *
- * Executes one translated flow against the architectural state and
- * returns per-uop dynamic annotations (effective addresses, branch
- * outcomes) that the cache-level and pipeline-level timing models
- * consume. The same executor runs native, stealth-mode, and
- * devectorized translations, which is what lets the test suite prove
- * custom translations preserve architectural semantics.
+ * Defines every micro-op's architectural semantics, in two layers.
+ * The per-category handlers (agen, execScalarAlu, execScalarFp,
+ * execVector) are what the simulator runs: its one retire routine
+ * (sim/retire.cc) dispatches each resolved uop straight to them.
+ * execUop() and the flow-level execute()/executeInto() wrap the same
+ * handlers in an opcode switch and return per-uop dynamic annotations
+ * (effective addresses, branch outcomes). They are the reference
+ * semantics that the tests, the superblock tier-equivalence prover
+ * and bench_frontend_micro compare against, and what lets the test
+ * suite prove that native, stealth-mode and devectorized translations
+ * preserve architectural state.
  */
 
 #ifndef CSD_CPU_EXECUTOR_HH
@@ -62,29 +67,27 @@ class FunctionalExecutor
     FlowResult execute(const MacroOp &macro, const UopFlow &flow);
 
     /**
-     * Same, but reuse @p result's dynUops storage across calls (the
-     * simulator's hot loop executes millions of flows; recycling the
-     * heap buffer of a once-spilled DynUopVec avoids reallocating it
-     * every macro-op).
+     * Same, but reuse @p result's dynUops storage across calls
+     * (recycling the heap buffer of a once-spilled DynUopVec avoids
+     * reallocating it every macro-op).
      */
     void executeInto(const MacroOp &macro, const UopFlow &flow,
                      FlowResult &result);
 
     // --- uop-grain entry points ------------------------------------------
     //
-    // The superblock fast path (sim/fastpath.cc) executes pre-resolved
-    // threaded-code streams and calls straight into the per-category
-    // handlers below, bypassing execUop()'s opcode dispatch. They are
-    // the same functions the interpreter uses, so both tiers share one
-    // definition of every uop's semantics. The bodies live in this
-    // header (below the class) so the fast path's dispatch loop can
-    // inline them; the semantics are defined exactly once either way.
+    // The simulator's retire routine (sim/retire.cc) walks resolved
+    // uop streams and calls straight into the per-category handlers
+    // below, bypassing execUop()'s opcode dispatch; execUop() calls
+    // the same functions, so there is one definition of every uop's
+    // semantics. The bodies live in this header (below the class) so
+    // both dispatch loops can inline them.
 
 // The per-category handlers are forced inline: each sits behind one
 // call site per dispatch loop, but the loops (execUop's switch, the
-// fast path's threaded code) are big enough that the inliner's growth
-// budget would otherwise leave a per-uop call on the hottest edge in
-// cache-only simulation.
+// retire routine's threaded code) are big enough that the inliner's
+// growth budget would otherwise leave a per-uop call on the hottest
+// edge in cache-only simulation.
 #if defined(__GNUC__) || defined(__clang__)
 #define CSD_EXEC_INLINE __attribute__((always_inline)) inline
 #else

@@ -10,9 +10,12 @@
  * re-running the decode-time fusion passes over) an identical one.
  *
  * Each entry also holds its uops' timing records (UopTimingRec,
- * cpu/backend.hh), resolved once at insertion: the detailed timing
- * consumer reads them per dynamic instance, whether the interpreter
- * serves the flow from here or a superblock streams it.
+ * cpu/backend.hh), resolved once at insertion. Both drivers of the
+ * simulator's one retire routine resolve a macro from the entry
+ * (resolveMacro, decode/superblock.hh) with SbOps pointing at the
+ * entry's uops and records: the interpreter afresh per step, the
+ * superblock tier once per compiled region. Nothing else keeps a
+ * resolved copy.
  *
  * The table is a flat vector with one slot per static instruction of
  * the program (the simulator indexes it by the macro-op's position in

@@ -1,9 +1,5 @@
 #include "decode/superblock.hh"
 
-#include <algorithm>
-
-#include "decode/fusion.hh"
-
 namespace csd
 {
 
@@ -39,6 +35,7 @@ sbHandlerFor(MicroOpcode op)
       case MicroOpcode::FAddSd: case MicroOpcode::FSubSd:
       case MicroOpcode::FMulSd:
         return SbHandler::ScalarFp;
+      case MicroOpcode::Halt:        return SbHandler::Halt;
       default:
         return SbHandler::ScalarAlu;
     }
@@ -65,7 +62,73 @@ endsRegion(MacroOpcode op)
            op == MacroOpcode::Call || op == MacroOpcode::Ret;
 }
 
+/**
+ * Append uops [@p lo, @p hi) of @p flow to @p uops, counting delivered
+ * uops and front-end slots. Forced inline: resolveMacro runs once per
+ * interpreted macro.
+ */
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((always_inline))
+#endif
+inline void
+emitUops(const UopFlow &flow, const UopTimingRec *timing,
+         const EnergyModel &energy, std::size_t lo, std::size_t hi,
+         std::vector<SbOp> &uops, std::uint32_t &delivered,
+         std::uint32_t &slots)
+{
+    for (std::size_t i = lo; i < hi; ++i) {
+        const Uop &uop = flow.uops[i];
+        const UopTimingRec &rec = timing[i];
+        uops.push_back({&uop, &rec, energy.fuEnergy(rec.fu), rec.bits,
+                        sbHandlerFor(uop.op)});
+        if (!uop.eliminated) {
+            ++delivered;
+            slots += uop.fusedFollower ? 0 : 1;
+        }
+    }
+}
+
 } // namespace
+
+SbMacro
+resolveMacro(const MacroOp &op, const UopFlow &flow,
+             const UopTimingRec *timing, unsigned ctx,
+             const EnergyModel &energy, std::vector<SbOp> &uops)
+{
+    const auto begin = static_cast<std::uint32_t>(uops.size());
+    std::uint32_t delivered = 0;
+    std::uint32_t slots = 0;
+    // The expansion: prologue, body x tripCount, epilogue.
+    if (!flow.loop) {
+        emitUops(flow, timing, energy, 0, flow.uops.size(), uops, delivered,
+                 slots);
+    } else {
+        const MicroLoop &loop = *flow.loop;
+        emitUops(flow, timing, energy, 0, loop.bodyStart, uops, delivered,
+                 slots);
+        for (std::uint32_t trip = 0; trip < loop.tripCount; ++trip)
+            emitUops(flow, timing, energy, loop.bodyStart, loop.bodyEnd,
+                     uops, delivered, slots);
+        emitUops(flow, timing, energy, loop.bodyEnd, flow.uops.size(), uops,
+                 delivered, slots);
+    }
+    const auto end = static_cast<std::uint32_t>(uops.size());
+    return {.op = &op,
+            .flow = &flow,
+            .fallThrough = op.nextPc(),
+            .fetchFirst = blockAlign(op.pc),
+            .fetchLast = blockAlign(op.pc + op.length - 1),
+            .uopBegin = begin,
+            .uopEnd = end,
+            .dynCount = end - begin,
+            .delivered = delivered,
+            .frontEndSlots = slots,
+            .ctx = static_cast<std::uint16_t>(ctx),
+            // Build provenance: the tier performs the full guard
+            // sequence before every macro (sim/fastpath.cc); the
+            // prover audits these bits against the uop range's effects.
+            .guards = sbGuardAll};
+}
 
 const char *
 sbExitName(SbExit exit)
@@ -132,8 +195,8 @@ SuperblockBuilder::build(Addr entry_pc) const
         if (!picks.empty() && blocks_.live(slot, epoch))
             break;
         // An op that is unstable right now still joins the block if
-        // its stable translation is cached: the dispatch loop re-runs
-        // the stability probe before every macro and hands a vetoed
+        // its stable translation is cached: the tier re-runs the
+        // stability probe before every macro and hands a vetoed
         // one to the interpreter (Unstable exit, resume at the next).
         const FlowCache::Entry *entry =
             fc.peek(slot, epoch, translator.stableContext(*op));
@@ -165,67 +228,11 @@ SuperblockBuilder::build(Addr entry_pc) const
     block->epoch = epoch;
     block->macros.reserve(picks.size());
     block->uops.reserve(uop_count);
-
-    // Emit uop @p i of the entry's flow (one of its dynamic expansion)
-    // into the stream, folding in the per-macro accounting deltas
-    // stepCacheOnly derives at run time.
-    const auto emit = [&](const FlowCache::Entry &entry, std::size_t i,
-                          SbMacro &macro) {
-        const Uop &uop = entry.flow.uops[i];
-        SbOp sbop;
-        sbop.uop = &uop;
-        sbop.timing = &entry.timing[i];
-        sbop.bits = sbop.timing->bits;
-        sbop.energy = energy.uopEnergy(uop);
-        sbop.handler = sbHandlerFor(uop.op);
-        block->uops.push_back(sbop);
-        ++macro.dynCount;
-        if (!uop.eliminated) {
-            ++macro.delivered;
-            if (uop.decoy)
-                ++macro.decoyDelta;
-        }
-    };
-
     for (const Pick &pick : picks) {
-        const MacroOp *op = pick.op;
         const FlowCache::Entry &entry = *pick.entry;
-        const UopFlow &flow = entry.flow;
-        SbMacro macro;
-        macro.op = op;
-        macro.flow = &flow;
-        macro.ctx = static_cast<std::uint16_t>(entry.ctx);
-        macro.fallThrough = op->nextPc();
-        macro.frontEndSlots =
-            static_cast<std::uint32_t>(deliveredSlots(flow));
-        macro.fetchFirst = blockAlign(op->pc);
-        macro.fetchLast = blockAlign(op->pc + op->length - 1);
-        macro.uopBegin = static_cast<std::uint32_t>(block->uops.size());
-        // Build provenance: the dispatch loop performs the full guard
-        // sequence before every macro (sim/fastpath.cc); the prover
-        // audits these bits against the effects in the uop range.
-        macro.guards = sbGuardAll;
-
-        // Mirror FunctionalExecutor::executeInto's expansion order:
-        // prologue, body x tripCount, epilogue.
-        if (flow.loop) {
-            const MicroLoop &loop = *flow.loop;
-            macro.unrollTrips = loop.tripCount;
-            for (std::size_t i = 0; i < loop.bodyStart; ++i)
-                emit(entry, i, macro);
-            for (std::uint32_t trip = 0; trip < loop.tripCount; ++trip)
-                for (std::size_t i = loop.bodyStart; i < loop.bodyEnd; ++i)
-                    emit(entry, i, macro);
-            for (std::size_t i = loop.bodyEnd; i < flow.uops.size(); ++i)
-                emit(entry, i, macro);
-        } else {
-            for (std::size_t i = 0; i < flow.uops.size(); ++i)
-                emit(entry, i, macro);
-        }
-        macro.uopEnd = static_cast<std::uint32_t>(block->uops.size());
-        block->maxMacroUops =
-            std::max(block->maxMacroUops, macro.uopEnd - macro.uopBegin);
-        block->macros.push_back(macro);
+        block->macros.push_back(resolveMacro(*pick.op, entry.flow,
+                                             entry.timing.data(), entry.ctx,
+                                             energy, block->uops));
     }
     return block;
 }

@@ -1,21 +1,25 @@
 /**
  * @file
- * Superblocks: flat, pre-resolved threaded-code streams for the
- * superblock tier (sim/fastpath.hh), which serves both fidelities.
+ * Resolved uop streams: the form in which the simulator retires every
+ * macro-op, and the superblocks the superblock tier (sim/fastpath.hh)
+ * compiles from them.
  *
- * A superblock stitches a straight-line run of *cached* flows —
+ * resolveMacro() turns one macro-op's flow and its timing records
+ * into an SbMacro plus a span of SbOps in the reference executor's
+ * expansion order. Everything the retire routine (sim/retire.cc)
+ * would otherwise re-derive per uop is resolved there: the handler
+ * each uop dispatches to, its dynamic energy, and the per-macro
+ * accounting deltas (delivered uops, front-end slots, dynamic uop
+ * count). Micro-loops are unrolled into the span, so retiring a macro
+ * is a single linear walk with one indirect jump per uop. Stream
+ * entries point at the flow's uops and at their timing records (flat
+ * register indices, FU class, port set and latency, memory kind,
+ * slot-taking, decoy, devectorization-expansion and VPU bits; see
+ * UopTimingRec in cpu/backend.hh) rather than copying either. The
+ * interpreter resolves the one macro it retires into a reused scratch
+ * span; a superblock stitches a straight-line run of *cached* flows —
  * entries of the predecoded-flow cache (flow_cache.hh) that are valid
- * under the current translator epoch — into one contiguous uop stream.
- * Everything the interpreter re-derives per macro-op is resolved once
- * at build time: the handler each uop dispatches to, its dynamic
- * energy, and the per-macro accounting deltas (delivered slots, decoy
- * uops, dynamic uop count). Micro-loops are unrolled into the stream,
- * so execution is a single linear walk with one indirect jump per uop.
- * Stream entries point at the flow-cache entry's uops and at the
- * timing records the flow cache resolved next to them (flat register
- * indices, FU class, port set and latency, memory kind, slot-taking,
- * decoy, devectorization-expansion and VPU bits; see UopTimingRec in
- * cpu/backend.hh) rather than copying either.
+ * under the current translator epoch — into one contiguous stream.
  *
  * Invalidation reuses the translator-epoch protocol verbatim: a
  * superblock records the epoch it was built under, and the fast path
@@ -24,11 +28,11 @@
  * drops the block back to the interpreter, exactly as a stale flow
  * cache entry drops to the translator.
  *
- * Like the flow cache, this is purely a host optimization: it models
- * no hardware and must never change simulated timing or statistics
- * (tests/sim/test_superblock.cc pins bit-identical stat dumps with the
- * tier on and off, in both fidelities). All counters are host-side
- * plain integers outside the stat tree.
+ * Like the flow cache, superblocks are purely a host optimization:
+ * they model no hardware and must never change simulated timing or
+ * statistics (tests/sim/test_superblock.cc pins bit-identical stat
+ * dumps with the tier on and off, in both fidelities). All counters
+ * are host-side plain integers outside the stat tree.
  */
 
 #ifndef CSD_DECODE_SUPERBLOCK_HH
@@ -50,10 +54,9 @@ namespace csd
 {
 
 /**
- * Per-uop handler, resolved from the opcode at build time so the
- * execution loop dispatches through a label table (or a dense switch
- * on compilers without computed goto) instead of re-classifying the
- * opcode per dynamic instance.
+ * Per-uop handler, resolved from the opcode by resolveMacro() so the
+ * retire routine dispatches through a computed-goto label table
+ * instead of re-classifying the opcode per dynamic instance.
  */
 enum class SbHandler : std::uint8_t
 {
@@ -71,6 +74,7 @@ enum class SbHandler : std::uint8_t
     VExtract,    //!< vector lane -> integer register
     ScalarFp,    //!< scalar FP unit (FunctionalExecutor entry)
     ScalarAlu,   //!< everything else (FunctionalExecutor entry)
+    Halt,        //!< program end: ends the macro (never in a superblock)
     NumHandlers,
 };
 
@@ -106,7 +110,7 @@ const char *sbExitName(SbExit exit);
  */
 SbHandler sbHandlerFor(MicroOpcode op);
 
-// Per-macro protocol guards. The threaded-code loop (sim/fastpath.cc)
+// Per-macro protocol guards. The tier's block loop (sim/fastpath.cc)
 // performs all three before every macro's uops, in this order: tick
 // fires any due watchdog, the epoch compare detects a translation
 // change, and the stability probe vetoes ops whose translation depends
@@ -125,11 +129,12 @@ constexpr std::uint8_t sbGuardAll =
 /** One pre-resolved uop of the threaded stream. */
 struct SbOp
 {
-    /** The flow-cache entry's uop (a micro-loop body repeats it) and
-     *  its timing record there (FlowCache::Entry::timing). Valid while
-     *  the block's epoch is current: an entry is only rewritten after
-     *  an epoch change, which bars entering the block, and clearing
-     *  the flow cache clears the blocks too. */
+    /** The flow's uop (a micro-loop body repeats it) and its timing
+     *  record. In a superblock both live in a flow-cache entry
+     *  (FlowCache::Entry::timing) and stay valid while the block's
+     *  epoch is current: an entry is only rewritten after an epoch
+     *  change, which bars entering the block, and clearing the flow
+     *  cache clears the blocks too. */
     const Uop *uop = nullptr;
     const UopTimingRec *timing = nullptr;
     double energy = 0;       //!< EnergyModel::uopEnergy, precomputed
@@ -144,22 +149,20 @@ struct SbOp
     bool counted() const { return !(bits & UopTimingRec::eliminated); }
 };
 
-/** Per-macro-op metadata of a superblock. */
+/** Per-macro-op metadata of a resolved stream. */
 struct SbMacro
 {
     const MacroOp *op = nullptr;   //!< points into Program::code()
-    const UopFlow *flow = nullptr; //!< the flow-cache entry's flow
+    const UopFlow *flow = nullptr; //!< the resolved flow
     Addr fallThrough = invalidAddr;  //!< nextPc() when no branch taken
     Addr fetchFirst = 0;           //!< first I-fetch cache block
     Addr fetchLast = 0;            //!< last I-fetch cache block
-    std::uint32_t uopBegin = 0;    //!< range in Superblock::uops
+    std::uint32_t uopBegin = 0;    //!< range in the span's SbOp vector
     std::uint32_t uopEnd = 0;
     std::uint32_t dynCount = 0;    //!< dynamic uops incl. eliminated
     std::uint32_t delivered = 0;   //!< dynamic uops excl. eliminated
     std::uint32_t frontEndSlots = 0;  //!< deliveredSlots(*flow)
-    std::uint32_t decoyDelta = 0;  //!< delivered decoy uops
-    std::uint32_t unrollTrips = 0; //!< micro-loop trips unrolled (0: none)
-    std::uint16_t ctx = 0;         //!< context the flow was cached under
+    std::uint16_t ctx = 0;         //!< context the flow was translated in
     std::uint8_t guards = 0;       //!< sbGuard* bits compiled against
 };
 
@@ -168,10 +171,21 @@ struct Superblock
 {
     Addr entryPc = invalidAddr;
     std::uint64_t epoch = 0;       //!< translator epoch at build time
-    std::uint32_t maxMacroUops = 0;  //!< longest macro's uop span
     std::vector<SbMacro> macros;
     std::vector<SbOp> uops;        //!< flat threaded-code stream
 };
+
+/**
+ * Resolve @p op's @p flow, with its timing records @p timing (parallel
+ * to flow.uops) and decode context @p ctx, into an SbMacro whose span
+ * is appended to @p uops: prologue, body x tripCount, epilogue — the
+ * order FunctionalExecutor::executeInto expands it in. The macro's
+ * uopBegin/uopEnd index @p uops. Each SbOp points at @p flow's uop and
+ * at its record, so both must outlive the span.
+ */
+SbMacro resolveMacro(const MacroOp &op, const UopFlow &flow,
+                     const UopTimingRec *timing, unsigned ctx,
+                     const EnergyModel &energy, std::vector<SbOp> &uops);
 
 /** Build caps (defense against pathological straight-line programs). */
 struct SuperblockLimits

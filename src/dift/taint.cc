@@ -160,14 +160,6 @@ TaintTracker::uopSourceTaint(const Uop &uop, Addr eff_addr) const
 }
 
 void
-TaintTracker::propagate(const UopFlow &flow, const FlowResult &result)
-{
-    (void)flow;
-    for (const DynUop &dyn : result.dynUops)
-        propagateUop(*dyn.uop, dyn.effAddr);
-}
-
-void
 TaintTracker::propagateDataflow(const Uop &uop, Addr eff_addr)
 {
     if (uop.isStore()) {

@@ -19,7 +19,6 @@
 
 #include "common/addr_range.hh"
 #include "common/stats.hh"
-#include "cpu/executor.hh"
 #include "uop/flow.hh"
 
 namespace csd
@@ -72,15 +71,10 @@ class TaintTracker
     void noteTaintedUse(const MacroOp &op);
 
     /**
-     * Propagate taint through an executed flow. Decoy micro-ops are
-     * skipped: they exist outside the program's dataflow.
-     */
-    void propagate(const UopFlow &flow, const FlowResult &result);
-
-    /**
-     * Propagate taint through one executed uop (program order; @p
-     * eff_addr is its effective address for memory uops). propagate()
-     * is this, applied to every uop of a flow.
+     * Propagate taint through one executed uop, in program order; @p
+     * eff_addr is its effective address for memory uops. Decoy
+     * micro-ops are skipped: they exist outside the program's
+     * dataflow.
      */
     void
     propagateUop(const Uop &uop, Addr eff_addr)

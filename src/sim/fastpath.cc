@@ -1,17 +1,7 @@
 #include "sim/fastpath.hh"
 
-#include "common/stats.hh"
 #include "csd/csd.hh"
-#include "sim/detailed.hh"
 #include "sim/simulation.hh"
-
-// Computed-goto (labels-as-values) dispatch where available; the
-// portable build falls back to a dense switch over SbHandler.
-#if defined(__GNUC__) || defined(__clang__)
-#define CSD_SB_COMPUTED_GOTO 1
-#else
-#define CSD_SB_COMPUTED_GOTO 0
-#endif
 
 namespace csd
 {
@@ -177,321 +167,52 @@ SbExit
 FastPath::execBlock(Tr &tr, const Superblock &block, std::size_t &macro,
                     std::uint64_t budget, std::uint64_t &executed)
 {
-    ArchState &state = sim_.state_;
-    MemHierarchy &mem = *sim_.mem_;
-    FunctionalExecutor &exec = sim_.executor_;
-
-    // The per-macro bookkeeping accumulates in locals (registers) and
-    // flushes to the simulation members at every exit, so the loop
-    // carries no read-modify-write of member counters per macro. The
-    // final member values are identical to per-macro updates — these
-    // are all integer sums. Energy scalars are NOT localized: double
-    // addition is order-sensitive and must stay per-uop. Detailed mode
-    // keeps the clock in the simulation: its timing consumer owns it.
-    const bool detail = statsDetailEnabled();
-    const bool sampling = sim_.sampleInterval_ != 0;
-    Tick cycles = sim_.cycles_;
-    Addr last_fetch = sim_.lastFetchBlock_;
-    std::uint64_t d_instr = 0;
-    std::uint64_t d_uops = 0;
-    std::uint64_t d_hits = 0;
-    std::uint64_t d_slots = 0;
-    std::uint64_t d_decoys = 0;
-
-    Addr *effs = nullptr;
-    if constexpr (Detailed) {
-        if (effs_.size() < block.maxMacroUops)
-            effs_.resize(block.maxMacroUops);
-        effs = effs_.data();
-    }
-
-    const auto flush = [&] {
-        if constexpr (!Detailed) {
-            sim_.cycles_ = cycles;
-            sim_.lastFetchBlock_ = last_fetch;
-            sim_.slotsDelivered_ += d_slots;
-            sim_.decoyUopsExecuted_ += d_decoys;
-        }
-        sim_.instructions_ += d_instr;
-        sim_.uopsSimulated_ += d_uops;
-        sim_.flowCache_.hits += d_hits;
-        counters_.uopsRetired += d_uops;
-        counters_.macrosRetired += d_instr;
-        d_instr = d_uops = d_hits = d_slots = d_decoys = 0;
+    // The retire routine accumulates the simulation's per-macro
+    // counters (and the cache-only clock) in a tally local to the
+    // block, flushed at every exit, so the loop carries no
+    // read-modify-write of member counters per macro. The final member
+    // values are identical to per-macro updates — these are all integer
+    // sums. The tier's own counts ride along the same way.
+    Simulation::RetireTally tally{sim_.cycles_, sim_.lastFetchBlock_};
+    std::uint64_t retired = 0;
+    std::uint64_t retired_uops = 0;
+    const auto leave = [&](SbExit exit) {
+        sim_.flushTally(tally);
+        // Each retired macro is a flow-cache hit the interpreted step
+        // would have probed.
+        sim_.flowCache_.hits += retired;
+        counters_.macrosRetired += retired;
+        counters_.uopsRetired += retired_uops;
+        return exit;
     };
 
     const std::size_t macros = block.macros.size();
     for (; macro < macros; ++macro) {
         const SbMacro &m = block.macros[macro];
-        if (executed >= budget) {
-            flush();
-            return SbExit::Budget;
-        }
+        if (executed >= budget)
+            return leave(SbExit::Budget);
 
         // The interpreter's per-step translator protocol, in order:
         // tick (watchdog), epoch currency, per-op stability. Any
         // mid-block trigger change surfaces here at the macro boundary
         // and hands the macro to the interpreter. For the native
         // translator every check folds to a constant.
-        if constexpr (Detailed)
-            cycles = sim_.cycles_;
-        tr.tick(cycles);
-        if (tr.translationEpoch() != block.epoch) {
-            flush();
-            return SbExit::EpochBump;
-        }
-        if (!tr.translationStable(*m.op)) {
-            flush();
-            return SbExit::Unstable;
-        }
-
-        state.cycleHint = cycles;
-        // The interpreted step would probe the flow cache and hit.
-        ++d_hits;
+        tr.tick(Detailed ? sim_.cycles_ : tally.cycles);
+        if (tr.translationEpoch() != block.epoch)
+            return leave(SbExit::EpochBump);
+        if (!tr.translationStable(*m.op))
+            return leave(SbExit::Unstable);
         tr.noteCachedTranslation(*m.op, *m.flow, m.ctx);
-        sim_.curCtx_ = m.ctx;
 
-        // Cache-only instruction fetch: touch the I-cache once per
-        // block, with the same cross-macro dedup the interpreter keeps.
-        // (Detailed mode fetches in the front-end model.)
-        Cycles latency = 0;
-        if constexpr (!Detailed) {
-            for (Addr fetch = m.fetchFirst; fetch <= m.fetchLast;
-                 fetch += cacheBlockSize) {
-                if (fetch != last_fetch) {
-                    latency += mem.fetchInstr(fetch).latency;
-                    last_fetch = fetch;
-                }
-            }
-        }
-
-        Addr next_pc = m.fallThrough;
-        bool took_branch = false;
-
-        const SbOp *const first = &block.uops[m.uopBegin];
-        const SbOp *s = first;
-        const SbOp *const end = s + (m.uopEnd - m.uopBegin);
-        Addr eff = invalidAddr;
-
-// Per-uop retire. Cache-only: the accounting stepCacheOnly keeps for
-// delivered (non-eliminated) uops — energy adds stay per-uop in
-// expansion order, since double addition is not associative and the
-// equivalence tests compare energy bit-exactly. Detailed: record the
-// effective address for the timing consumer. Both: inline DIFT.
-#define CSD_SB_RETIRE()                                                   \
-    do {                                                                  \
-        if constexpr (Detailed) {                                         \
-            effs[s - first] = eff;                                        \
-        } else if (s->counted()) {                                        \
-            ++d_slots;                                                    \
-            if (s->decoy())                                               \
-                ++d_decoys;                                               \
-            if (s->vpu())                                                 \
-                sim_.vpuDynamic_ += s->energy;                            \
-            else                                                          \
-                sim_.coreDynamic_ += s->energy;                           \
-        }                                                                 \
-        if constexpr (Taint)                                              \
-            sim_.taint_->propagateUop(*s->uop, eff);                      \
-    } while (0)
-
-// The cache-only consumer's memory probe, fused into the handler.
-#define CSD_SB_PROBE(...)                                                 \
-    do {                                                                  \
-        if constexpr (!Detailed) {                                        \
-            if (s->counted()) {                                           \
-                __VA_ARGS__;                                              \
-            }                                                             \
-        }                                                                 \
-    } while (0)
-
-#if CSD_SB_COMPUTED_GOTO
-        static const void *const dispatch[] = {
-            &&h_Load, &&h_Store, &&h_StoreImm, &&h_LoadVec, &&h_StoreVec,
-            &&h_Br, &&h_BrInd, &&h_CacheFlush, &&h_ReadCycles, &&h_Nop,
-            &&h_Vector, &&h_VExtract, &&h_ScalarFp, &&h_ScalarAlu,
-        };
-        static_assert(sizeof(dispatch) / sizeof(dispatch[0]) ==
-                      static_cast<std::size_t>(SbHandler::NumHandlers));
-
-#define CSD_SB_NEXT()                                                     \
-    do {                                                                  \
-        CSD_SB_RETIRE();                                                  \
-        if (++s == end)                                                   \
-            goto uops_done;                                               \
-        eff = invalidAddr;                                                \
-        goto *dispatch[static_cast<unsigned>(s->handler)];                \
-    } while (0)
-#define CSD_SB_HANDLER(name) h_##name
-#else
-#define CSD_SB_NEXT() break
-#define CSD_SB_HANDLER(name) case SbHandler::name
-#endif
-
-#if CSD_SB_COMPUTED_GOTO
-        if (s == end)
-            goto uops_done;
-        goto *dispatch[static_cast<unsigned>(s->handler)];
-#else
-        for (; s != end; ++s, eff = invalidAddr) {
-            switch (s->handler) {
-#endif
-// Handler bodies are shared between both dispatch skeletons. Each body
-// mirrors one case group of FunctionalExecutor::execUop, fused (in
-// cache-only mode) with the timing probe stepCacheOnly takes for that
-// uop category.
-CSD_SB_HANDLER(Load):
-{
-    const Uop &u = *s->uop;
-    eff = exec.agen(u);
-    const std::uint64_t val = state.mem.read(eff, u.memSize);
-    if (u.dst.valid())
-        state.writeInt(u.dst, val);
-    CSD_SB_PROBE(latency += (u.instrFetch ? mem.fetchInstr(eff)
-                                          : mem.readData(eff))
-                                .latency);
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(Store):
-{
-    const Uop &u = *s->uop;
-    eff = exec.agen(u);
-    state.mem.write(eff, u.memSize, state.readInt(u.src3));
-    CSD_SB_PROBE(mem.writeData(eff));
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(StoreImm):
-{
-    const Uop &u = *s->uop;
-    eff = exec.agen(u);
-    state.mem.write(eff, u.memSize, static_cast<std::uint64_t>(u.imm));
-    CSD_SB_PROBE(mem.writeData(eff));
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(LoadVec):
-{
-    const Uop &u = *s->uop;
-    eff = exec.agen(u);
-    state.writeVecReg(u.dst, state.mem.readVec(eff));
-    CSD_SB_PROBE(latency += (u.instrFetch ? mem.fetchInstr(eff)
-                                          : mem.readData(eff))
-                                .latency);
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(StoreVec):
-{
-    const Uop &u = *s->uop;
-    eff = exec.agen(u);
-    state.mem.writeVec(eff, state.readVecReg(u.src3));
-    CSD_SB_PROBE(mem.writeData(eff));
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(Br):
-{
-    const Uop &u = *s->uop;
-    if (evalCond(u.cond, state.flags)) {
-        next_pc = u.target;
-        took_branch = true;
-    }
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(BrInd):
-{
-    next_pc = state.readInt(s->uop->src1);
-    took_branch = true;
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(CacheFlush):
-{
-    eff = exec.agen(*s->uop);
-    CSD_SB_PROBE(mem.flush(eff); latency += 40);
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(ReadCycles):
-{
-    state.writeInt(s->uop->dst, state.cycleHint);
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(Nop):
-{
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(Vector):
-{
-    exec.execVector(*s->uop);
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(VExtract):
-{
-    const Uop &u = *s->uop;
-    state.writeInt(u.dst, state.readVecReg(u.src1).lane(
-                              8, static_cast<unsigned>(u.imm) & 1));
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(ScalarFp):
-{
-    exec.execScalarFp(*s->uop);
-}
-    CSD_SB_NEXT();
-CSD_SB_HANDLER(ScalarAlu):
-{
-    exec.execScalarAlu(*s->uop);
-}
-    CSD_SB_NEXT();
-#if CSD_SB_COMPUTED_GOTO
-uops_done:;
-#else
-              default:
-                break;
-            }
-            CSD_SB_RETIRE();
-        }
-#endif
-
-#undef CSD_SB_HANDLER
-#undef CSD_SB_NEXT
-#undef CSD_SB_PROBE
-#undef CSD_SB_RETIRE
-
-        state.pc = next_pc;
-        if constexpr (Detailed) {
-            // The macro's timing, through the consumer the interpreter
-            // feeds too, with the flow cache's timing records.
-            Simulation::DetailedMacro mc = sim_.detailedBegin(
-                *m.op, *m.flow, m.frontEndSlots, took_branch, next_pc);
-            for (const SbOp *t = first; t != end; ++t) {
-                sim_.detailedUop(*m.op, *t->uop, *t->timing,
-                                 effs[t - first], mc);
-            }
-            sim_.detailedEnd(*m.op, mc, took_branch, next_pc);
-        } else {
-            // stepCacheOnly's pseudo-cycle advance, with the delta
-            // resolved at build time.
-            cycles += m.delivered + latency / 4;
-        }
-
-        // step()'s commit bookkeeping.
-        ++d_instr;
-        d_uops += m.dynCount;
-        if (detail)
-            sim_.flowLen_.sample(static_cast<double>(m.dynCount));
-        sim_.prevMacro_ = m.op;
+        sim_.retireMacro<Taint, Detailed>(m, &block.uops[m.uopBegin], tally,
+                                          nullptr);
+        ++retired;
+        retired_uops += m.dynCount;
         ++executed;
-        if (sampling) {
-            // The interval sampler reads the member counters, so they
-            // must be current at every potential sample point.
-            flush();
-            if (sim_.cycles_ >= sim_.nextSampleAt_)
-                sim_.maybeSample();
-        }
-
-        if (next_pc != m.fallThrough) {
-            flush();
-            return SbExit::Branch;
-        }
+        if (sim_.state_.pc != m.fallThrough)
+            return leave(SbExit::Branch);
     }
-    flush();
-    return SbExit::End;
+    return leave(SbExit::End);
 }
 
 } // namespace csd

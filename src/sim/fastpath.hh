@@ -1,28 +1,21 @@
 /**
  * @file
- * Superblock fast path: the threaded-code execution tier, the one
- * producer of the dynamic uop stream for compiled regions in both
- * fidelities.
+ * Superblock fast path: the tier that feeds the simulator's retire
+ * routine whole compiled regions instead of one interpreted macro-op
+ * at a time.
  *
  * The interpreter (Simulation::step) pays per macro-op for work that is
  * invariant across the billions of dynamic instances a simulation
- * executes: translator stability checks, flow-cache probes, executor
- * dispatch, and per-uop classification for the timing model. This
- * tier detects hot region heads via execution counters hung off the
- * flow-cache slots, compiles straight-line runs of cached flows into
- * superblocks (decode/superblock.hh), and executes them as flat
- * threaded-code streams — computed-goto dispatch where the compiler
- * supports it, a dense switch otherwise.
- *
- * Two consumers sit behind the producer. In cache-only mode the
- * handlers fuse the memory-hierarchy probe and the slot/energy
- * accounting inline. In detailed mode each macro's uops execute
- * functionally first (recording effective addresses and the branch
- * outcome), then feed the detailed timing consumer (sim/detailed.hh)
- * with the timing records the flow cache resolved next to each cached
- * uop — the same consumer, reading the same records, as the
- * interpreter, so there is one timing model. DIFT taint is
- * propagated inline per retired uop in both.
+ * executes: translation or a flow-cache probe, and resolving the flow
+ * into a uop stream. This tier detects hot region heads via execution
+ * counters hung off the flow-cache slots, compiles straight-line runs
+ * of cached flows into superblocks (decode/superblock.hh) once, and
+ * hands their macros to the same retire routine the interpreter uses
+ * (Simulation::retireMacro, sim/retire.cc): the same handlers, timing
+ * consumers, DIFT and commit bookkeeping. What stays here is the
+ * translator protocol the interpreter runs per step (tick, epoch,
+ * stability, the cached-translation replay), the flow-cache hit count,
+ * and the exit protocol below.
  *
  * Exit protocol: a superblock is entered only while the translator
  * epoch it was built under is current, and execution leaves it on the
@@ -43,9 +36,7 @@
 #define CSD_SIM_FASTPATH_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "cpu/executor.hh"
 #include "decode/superblock.hh"
 
 namespace csd
@@ -219,7 +210,6 @@ class FastPath
     std::uint32_t threshold_ = 16;
     Counters counters_;
     Resume resume_;
-    std::vector<Addr> effs_;  //!< detailed: one macro's effective addrs
 
     // Memoized translator-kind resolution (run() is hot; see run()).
     Translator *resolvedFor_ = nullptr;

@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "csd/csd.hh"
 #include "csd/devect.hh"
-#include "sim/detailed.hh"
 #include "sim/fastpath.hh"
 
 namespace csd
@@ -239,15 +238,10 @@ Simulation::setSuperblockThreshold(std::uint32_t threshold)
     fastpath_->setThreshold(threshold);
 }
 
-/**
- * Translate @p op, serving the flow from the predecoded-flow cache
- * when the translator vouches that memoization is faithful. Returns a
- * reference valid until the next step (cached entries are stable
- * across steps; uncached flows live in scratchFlow_).
- */
-const UopFlow &
+SbMacro
 Simulation::translatedFlow(const MacroOp &op)
 {
+    scratchOps_.clear();
     // Cache slot = the op's position in the program's instruction
     // stream (step() always fetches through Program::at, which hands
     // out pointers into code()).
@@ -256,45 +250,48 @@ Simulation::translatedFlow(const MacroOp &op)
     if (flowCacheEnabled_ && slot < flowCache_.slots() &&
         translator_->translationStable(op)) {
         const std::uint64_t epoch = translator_->translationEpoch();
-        const UopFlow *cached =
-            profiled(HostPhase::FlowCache, [&]() -> const UopFlow * {
+        const FlowCache::Entry *entry =
+            profiled(HostPhase::FlowCache, [&] {
                 const FlowCache::Entry *hit = flowCache_.lookup(
                     slot, epoch, translator_->stableContext(op));
-                if (!hit)
-                    return nullptr;
-                translator_->noteCachedTranslation(op, hit->flow,
-                                                   hit->ctx);
-                curCtx_ = hit->ctx;
-                curTiming_ = hit->timing.data();
-                return &hit->flow;
+                if (hit)
+                    translator_->noteCachedTranslation(op, hit->flow,
+                                                       hit->ctx);
+                return hit;
             });
-        if (cached)
-            return *cached;
-        return profiled(HostPhase::Translate, [&]() -> const UopFlow & {
-            UopFlow flow = translator_->translate(op);
-            applyFusionConfig(flow, params_.frontend);
-            applySpTracking(flow, params_.frontend);
-            curCtx_ = translator_->contextId();
-            if (flow.cacheable) {
-                const FlowCache::Entry &entry = flowCache_.insert(
-                    slot, epoch, curCtx_, std::move(flow));
-                curTiming_ = entry.timing.data();
-                return entry.flow;
-            }
-            curTiming_ = nullptr;
-            scratchFlow_ = std::move(flow);
-            return scratchFlow_;
+        if (!entry) {
+            entry = profiled(HostPhase::Translate,
+                             [&]() -> const FlowCache::Entry * {
+                UopFlow flow = translator_->translate(op);
+                applyFusionConfig(flow, params_.frontend);
+                applySpTracking(flow, params_.frontend);
+                if (!flow.cacheable) {
+                    scratchFlow_ = std::move(flow);
+                    return nullptr;
+                }
+                return &flowCache_.insert(slot, epoch,
+                                          translator_->contextId(),
+                                          std::move(flow));
+            });
+        }
+        if (entry) {
+            return resolveMacro(op, entry->flow, entry->timing.data(),
+                                entry->ctx, energyModel_, scratchOps_);
+        }
+    } else {
+        ++flowCache_.bypasses;
+        profiled(HostPhase::Translate, [&] {
+            scratchFlow_ = translator_->translate(op);
+            applyFusionConfig(scratchFlow_, params_.frontend);
+            applySpTracking(scratchFlow_, params_.frontend);
         });
     }
-    ++flowCache_.bypasses;
-    curTiming_ = nullptr;
-    return profiled(HostPhase::Translate, [&]() -> const UopFlow & {
-        scratchFlow_ = translator_->translate(op);
-        applyFusionConfig(scratchFlow_, params_.frontend);
-        applySpTracking(scratchFlow_, params_.frontend);
-        curCtx_ = translator_->contextId();
-        return scratchFlow_;
-    });
+    // An uncached flow: derive its timing records on the fly.
+    scratchTiming_.clear();
+    for (const Uop &uop : scratchFlow_.uops)
+        scratchTiming_.push_back(timingRecordFor(uop));
+    return resolveMacro(op, scratchFlow_, scratchTiming_.data(),
+                        translator_->contextId(), energyModel_, scratchOps_);
 }
 
 void
@@ -363,37 +360,24 @@ Simulation::step()
     }
 
     // Decode (context-sensitive translation), with decode-time passes,
-    // memoized per PC when architecturally faithful (translatedFlow).
-    state_.cycleHint = cycles_;
+    // memoized per PC when architecturally faithful (translatedFlow),
+    // then the one retire routine.
     translator_->tick(cycles_);
-    const UopFlow &flow = translatedFlow(*op);
-
-    // Functional execution with per-uop annotations (into a reused
-    // buffer: the DynUop vector's heap spill survives across steps).
-    profiled(HostPhase::Execute,
-             [&] { executor_.executeInto(*op, flow, scratchResult_); });
-    const FlowResult &result = scratchResult_;
-
-    // DIFT propagation (program order, as the hardware would).
-    if (taint_)
-        taint_->propagate(flow, result);
-
-    if (params_.mode == SimMode::Detailed)
-        profiled(HostPhase::Pipeline,
-                 [&] { stepDetailed(*op, flow, result); });
-    else
-        profiled(HostPhase::Memory,
-                 [&] { stepCacheOnly(*op, flow, result); });
-
-    ++instructions_;
-    uopsSimulated_ += result.dynUops.size();
-    if (statsDetailEnabled())
-        flowLen_.sample(static_cast<double>(result.dynUops.size()));
-    prevMacro_ = op;  // points into prog_.code(); stable for our lifetime
-
-    if (sampleInterval_ != 0 && cycles_ >= nextSampleAt_)
-        maybeSample();
-
+    const SbMacro m = translatedFlow(*op);
+    HostProfiler *prof =
+        obs_->profiler().enabled() ? &obs_->profiler() : nullptr;
+    RetireTally tally{cycles_, lastFetchBlock_};
+    const SbOp *const uops = scratchOps_.data();
+    if (params_.mode == SimMode::Detailed) {
+        tookBranch_ = taint_
+            ? retireMacro<true, true>(m, uops, tally, prof)
+            : retireMacro<false, true>(m, uops, tally, prof);
+    } else {
+        tookBranch_ = taint_
+            ? retireMacro<true, false>(m, uops, tally, prof)
+            : retireMacro<false, false>(m, uops, tally, prof);
+    }
+    flushTally(tally);
     return !state_.halted;
 }
 
@@ -441,74 +425,6 @@ Simulation::writeSamplesCsv(std::ostream &os) const
     }
 }
 
-void
-Simulation::stepDetailed(const MacroOp &op, const UopFlow &flow,
-                         const FlowResult &result)
-{
-    // The interpreter's producer side: feed the shared consumer
-    // (sim/detailed.hh) each uop's timing record — the flow cache's,
-    // resolved when the flow was cached, or derived on the fly for an
-    // uncached flow.
-    DetailedMacro mc = detailedBegin(op, flow, deliveredSlots(flow),
-                                     result.tookBranch, result.nextPc);
-    if (const UopTimingRec *timing = curTiming_) {
-        const Uop *const base = flow.uops.data();
-        for (const DynUop &dyn : result.dynUops)
-            detailedUop(op, *dyn.uop, timing[dyn.uop - base], dyn.effAddr,
-                        mc);
-    } else {
-        for (const DynUop &dyn : result.dynUops)
-            detailedUop(op, *dyn.uop, timingRecordFor(*dyn.uop),
-                        dyn.effAddr, mc);
-    }
-    detailedEnd(op, mc, result.tookBranch, result.nextPc);
-}
-
-void
-Simulation::stepCacheOnly(const MacroOp &op, const UopFlow &flow,
-                          const FlowResult &result)
-{
-    // Instruction fetch: touch the I-cache once per block.
-    const Addr first = blockAlign(op.pc);
-    const Addr last = blockAlign(op.pc + op.length - 1);
-    Cycles latency = 0;
-    for (Addr block = first; block <= last; block += cacheBlockSize) {
-        if (block != lastFetchBlock_) {
-            latency += mem_->fetchInstr(block).latency;
-            lastFetchBlock_ = block;
-        }
-    }
-
-    for (const DynUop &dyn : result.dynUops) {
-        const Uop &uop = *dyn.uop;
-        if (uop.eliminated)
-            continue;
-        ++slotsDelivered_;
-        if (uop.decoy)
-            ++decoyUopsExecuted_;
-        if (uop.isLoad()) {
-            latency += (uop.instrFetch ? mem_->fetchInstr(dyn.effAddr)
-                                       : mem_->readData(dyn.effAddr))
-                           .latency;
-        } else if (uop.isStore()) {
-            mem_->writeData(dyn.effAddr);
-        } else if (uop.op == MicroOpcode::CacheFlush) {
-            mem_->flush(dyn.effAddr);
-            latency += 40;
-        }
-        const double energy = energyModel_.uopEnergy(uop);
-        if (onVpu(uop))
-            vpuDynamic_ += energy;
-        else
-            coreDynamic_ += energy;
-    }
-
-    // Pseudo-cycles: one per uop plus a fraction of memory latency
-    // (enough to drive the watchdog at a realistic rate).
-    cycles_ += deliveredUops(flow) + latency / 4;
-    (void)result;
-}
-
 bool
 Simulation::tierEngaged() const
 {
@@ -551,7 +467,7 @@ Simulation::run(std::uint64_t max_instructions)
             if (executed >= max_instructions || !step())
                 return executed;
             ++executed;
-            at_head = scratchResult_.tookBranch;
+            at_head = tookBranch_;
         }
     }
 

@@ -11,6 +11,16 @@
  *  - cache-only: functional execution with cache residency/timing only
  *    (security experiments, Fig. 7 — attack success depends on cache
  *    state, not pipeline cycles)
+ *
+ * One engine retires every macro-op, in either fidelity: the retire
+ * routine (retireMacro, sim/retire.cc) walks the macro's resolved uop
+ * stream (decode/superblock.hh) through the functional handlers, the
+ * fidelity's timing consumer, DIFT and the commit bookkeeping. Two
+ * drivers feed it. The interpreter (step()) translates one macro —
+ * from the predecoded-flow cache when it can — and resolves it into a
+ * scratch stream; the superblock tier (sim/fastpath.hh) walks the
+ * streams it compiled for hot regions. They differ only in how they
+ * obtain a macro's stream and in the translator protocol around it.
  */
 
 #ifndef CSD_SIM_SIMULATION_HH
@@ -30,6 +40,7 @@
 #include "cpu/lifecycle.hh"
 #include "decode/flow_cache.hh"
 #include "decode/frontend.hh"
+#include "decode/superblock.hh"
 #include "decode/translator.hh"
 #include "dift/taint.hh"
 #include "isa/program.hh"
@@ -124,10 +135,10 @@ class Simulation
     const FlowCache &flowCache() const { return flowCache_; }
 
     /**
-     * Toggle the superblock threaded-code tier (sim/fastpath.hh): in
-     * either fidelity, hot straight-line regions of cached flows are
-     * compiled into flat pre-resolved uop streams and executed without
-     * the per-macro interpreter overhead. On by default;
+     * Toggle the superblock tier (sim/fastpath.hh): in either
+     * fidelity, hot straight-line regions of cached flows are compiled
+     * into flat pre-resolved uop streams and retired without the
+     * per-macro interpreter overhead. On by default;
      * CSD_SUPERBLOCK=0 in the environment disables it. Purely a host
      * optimization: simulated timing and statistics are bit-identical
      * either way (tests/sim/test_superblock.cc). The tier engages only
@@ -280,21 +291,69 @@ class Simulation
     }
 
     void maybeSample();
-    const UopFlow &translatedFlow(const MacroOp &op);
-    void stepDetailed(const MacroOp &op, const UopFlow &flow,
-                      const FlowResult &result);
-    void stepCacheOnly(const MacroOp &op, const UopFlow &flow,
-                       const FlowResult &result);
 
-    // --- the detailed-mode timing consumer (sim/detailed.hh) -------------
-    //
-    // One macro-op's timing: detailedBegin() once, detailedUop() per
-    // dynamic uop in expansion order, detailedEnd() once. Both
-    // producers feed it — the interpreter (stepDetailed) and the
-    // superblock tier — with the timing records the flow cache
-    // resolved when it cached each flow (the interpreter derives them
-    // on the fly for an uncached flow), so there is one definition of
-    // the front-end/back-end/CPI/lifecycle/energy accounting.
+    /**
+     * Translate @p op — from the predecoded-flow cache when the
+     * translator vouches that memoization is faithful — and resolve
+     * it into scratchOps_. The span stays valid until the next step.
+     */
+    SbMacro translatedFlow(const MacroOp &op);
+
+    // --- the retire routine (sim/retire.cc) --------------------------------
+
+    /**
+     * The accounting retireMacro() accumulates instead of updating the
+     * members per macro; flushTally() applies it. The tier keeps one
+     * tally across a block, step() one per macro. cycles and lastFetch
+     * are the cache-only clock and I-fetch dedup (detailed mode's
+     * timing consumer keeps the clock in cycles_).
+     */
+    struct RetireTally
+    {
+        Tick cycles = 0;
+        Addr lastFetch = invalidAddr;
+        std::uint64_t instructions = 0;
+        std::uint64_t uops = 0;
+        std::uint64_t slots = 0;
+        std::uint64_t decoys = 0;
+    };
+
+    /**
+     * Retire macro @p m, whose resolved uops start at @p first: run
+     * each uop's functional handler, fused in cache-only mode with the
+     * memory probe and the slot/decoy/energy accounting, propagate
+     * DIFT taint per uop (Taint), then — detailed mode — feed the
+     * timing consumer below, and commit (instruction and uop counts,
+     * flow-length sample, macro-fusion pairing, interval sampling).
+     * A Halt uop ends the macro, as the reference executor's flow loop
+     * does. @p prof, when non-null, is charged the functional and
+     * timing halves separately (step() passes its enabled profiler;
+     * the tier charges whole blocks to HostPhase::Superblock). Returns
+     * whether control left the fall-through path.
+     */
+    template <bool Taint, bool Detailed>
+    bool retireMacro(const SbMacro &m, const SbOp *first, RetireTally &t,
+                     HostProfiler *prof);
+
+    /** Apply @p t's deltas (and cache-only clock) to the members. */
+    void
+    flushTally(RetireTally &t)
+    {
+        if (params_.mode == SimMode::CacheOnly) {
+            cycles_ = t.cycles;
+            lastFetchBlock_ = t.lastFetch;
+        }
+        instructions_ += t.instructions;
+        uopsSimulated_ += t.uops;
+        slotsDelivered_ += t.slots;
+        decoyUopsExecuted_ += t.decoys;
+        t.instructions = t.uops = t.slots = t.decoys = 0;
+    }
+
+    // The detailed-mode timing consumer: detailedBegin() once,
+    // detailedUop() per dynamic uop in expansion order, detailedEnd()
+    // once — the front-end/back-end/CPI/lifecycle/energy accounting,
+    // fed with each uop's timing record and effective address.
 
     /** Per-macro state of the timing consumer. */
     struct DetailedMacro
@@ -344,9 +403,6 @@ class Simulation
     Tick cycles_ = 0;
     Addr lastFetchBlock_ = invalidAddr;
     unsigned curCtx_ = 0;
-    /** Timing records of the flow translatedFlow() last returned:
-     *  its flow-cache entry's, or null for an uncached flow. */
-    const UopTimingRec *curTiming_ = nullptr;
     std::uint64_t uopsSimulated_ = 0;
 
     // Predecoded-flow cache (host optimization, see translatedFlow()).
@@ -354,13 +410,20 @@ class Simulation
     bool flowCacheEnabled_ = true;
 
     // Superblock tier (host optimization, see run()). FastPath is a
-    // friend: it produces the uop stream and drives step()'s commit
-    // bookkeeping and the timing consumers in place.
+    // friend: it runs the translator protocol and hands each macro of
+    // its blocks to retireMacro().
     friend class FastPath;
     std::unique_ptr<FastPath> fastpath_;
     bool superblockEnabled_ = true;
-    UopFlow scratchFlow_;  //!< holds the flow on the uncached path
-    FlowResult scratchResult_;  //!< reused across steps (executeInto)
+
+    // The interpreter's scratch (reused across steps, so their heap
+    // buffers survive): the flow and timing records on the uncached
+    // path, and the resolved stream of the macro being retired.
+    UopFlow scratchFlow_;
+    std::vector<UopTimingRec> scratchTiming_;
+    std::vector<SbOp> scratchOps_;
+    bool tookBranch_ = false;  //!< step()'s macro left the fall-through
+    std::vector<Addr> effs_;   //!< detailed: one macro's effective addrs
 
     // Macro-fusion pairing state (previous committed macro-op; points
     // into prog_.code(), null right after restart()).

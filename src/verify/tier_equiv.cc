@@ -67,6 +67,7 @@ referenceHandler(MicroOpcode op)
       case MicroOpcode::FAddSd: case MicroOpcode::FSubSd:
       case MicroOpcode::FMulSd:
         return SbHandler::ScalarFp;
+      case MicroOpcode::Halt:        return SbHandler::Halt;
       default:
         return SbHandler::ScalarAlu;
     }
@@ -90,6 +91,7 @@ sbHandlerName(SbHandler handler)
       case SbHandler::VExtract:    return "VExtract";
       case SbHandler::ScalarFp:    return "ScalarFp";
       case SbHandler::ScalarAlu:   return "ScalarAlu";
+      case SbHandler::Halt:        return "Halt";
       case SbHandler::NumHandlers: break;
     }
     return "?";
@@ -457,14 +459,10 @@ checkSuperblock(const Superblock &block, const Program &prog,
 
         std::uint64_t dyn_exp = 0;
         std::uint64_t deliv_exp = 0;
-        std::uint64_t decoy_exp = 0;
         expandFlow(flow, [&](const Uop &uop) {
             ++dyn_exp;
-            if (!uop.eliminated) {
+            if (!uop.eliminated)
                 ++deliv_exp;
-                if (uop.decoy)
-                    ++decoy_exp;
-            }
         });
 
         if (m.dynCount != flow.expandedCount() || dyn_exp != m.dynCount) {
@@ -480,22 +478,6 @@ checkSuperblock(const Superblock &block, const Program &prog,
                            std::to_string(m.delivered) +
                            " != interpreter's deliveredUops " +
                            std::to_string(deliveredUops(flow)));
-        }
-        if (m.decoyDelta != decoy_exp) {
-            addFinding(report, prog, "tier.accounting-skew", mpc,
-                       tag + ": decoy delta " +
-                           std::to_string(m.decoyDelta) + " != " +
-                           std::to_string(decoy_exp) +
-                           " delivered decoy uop(s) in the flow");
-        }
-        const std::uint32_t trips_exp =
-            flow.loop ? flow.loop->tripCount : 0;
-        if (m.unrollTrips != trips_exp) {
-            addFinding(report, prog, "tier.unroll-mismatch", mpc,
-                       tag + ": recorded unroll trips " +
-                           std::to_string(m.unrollTrips) + " != " +
-                           std::to_string(trips_exp) +
-                           " micro-loop trip(s) in the flow");
         }
         if (m.fetchFirst != blockAlign(mpc) ||
             m.fetchLast != blockAlign(mpc + m.op->length - 1)) {

@@ -10,7 +10,7 @@ namespace csd
 namespace
 {
 
-/** Runs a program propagating taint after every instruction. */
+/** Runs a program propagating taint through every executed uop. */
 struct TaintRig
 {
     ArchState state;
@@ -26,7 +26,8 @@ struct TaintRig
             ASSERT_NE(op, nullptr);
             const UopFlow flow = translateNative(*op);
             const FlowResult result = exec.execute(*op, flow);
-            taint.propagate(flow, result);
+            for (const DynUop &dyn : result.dynUops)
+                taint.propagateUop(*dyn.uop, dyn.effAddr);
         }
     }
 };
@@ -134,20 +135,13 @@ TEST(Taint, DecoysDoNotPropagate)
     TaintTracker taint;
     taint.addTaintSource(AddrRange(0x1000, 0x1008));
 
-    UopFlow flow;
     Uop decoy_load;
     decoy_load.op = MicroOpcode::Load;
     decoy_load.dst = intTemp(7);
     decoy_load.decoy = true;
     decoy_load.memSize = 8;
-    flow.uops.push_back(decoy_load);
-
-    FlowResult result;
-    DynUop dyn;
-    dyn.uop = &flow.uops[0];
-    dyn.effAddr = 0x1000;  // loads tainted data, but as a decoy
-    result.dynUops.push_back(dyn);
-    taint.propagate(flow, result);
+    // Loads tainted data, but as a decoy.
+    taint.propagateUop(decoy_load, 0x1000);
     EXPECT_FALSE(taint.regTainted(intTemp(7)));
 }
 

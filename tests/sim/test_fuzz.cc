@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
+#include "cpu/executor.hh"
 #include "csd/csd.hh"
+#include "sim/fastpath.hh"
 #include "sim/simulation.hh"
 #include "tests/support/random_program.hh"
+#include "uop/translate.hh"
 
 namespace csd
 {
@@ -93,6 +96,63 @@ TEST_P(SimFuzz, DeterministicAcrossRuns)
     EXPECT_EQ(a.cycles(), b.cycles());
     EXPECT_EQ(a.uopsExecuted(), b.uopsExecuted());
     EXPECT_EQ(a.state().gpr(Gpr::R8), b.state().gpr(Gpr::R8));
+}
+
+/**
+ * The simulator retires every macro through one engine (its resolved
+ * uop streams and threaded handlers); this pins that engine to the
+ * reference executor's semantics (FunctionalExecutor::execute over
+ * native flows) on random programs, in both fidelities, on the
+ * interpreter and on the superblock tier.
+ */
+TEST_P(SimFuzz, EngineMatchesReferenceExecutor)
+{
+    Random rng(GetParam() ^ 0x3e);
+    const Program prog = randomProgram(rng, 100);
+
+    ArchState ref;
+    ref.loadProgram(prog);
+    FunctionalExecutor exec(ref);
+    while (!ref.halted) {
+        const MacroOp *op = prog.at(ref.pc);
+        ASSERT_NE(op, nullptr);
+        exec.execute(*op, translateNative(*op));
+    }
+
+    const AddrRange buf = prog.symbol("buf");
+    for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
+        for (const bool tier : {false, true}) {
+            SimParams params;
+            params.mode = mode;
+            Simulation sim(prog, params);
+            sim.setSuperblockEnabled(tier);
+            sim.setSuperblockThreshold(1);
+            sim.runToHalt();
+            ASSERT_TRUE(sim.halted());
+            const std::string label =
+                std::string(mode == SimMode::Detailed ? "detailed"
+                                                      : "cache-only") +
+                (tier ? ", tier" : ", interpreter");
+            if (tier) {
+                EXPECT_GT(sim.fastPath().counters().entries, 0u) << label;
+            }
+
+            for (unsigned r = 0; r < numGprs; ++r) {
+                EXPECT_EQ(sim.state().gpr(static_cast<Gpr>(r)),
+                          ref.gpr(static_cast<Gpr>(r)))
+                    << label << " " << gprName(static_cast<Gpr>(r));
+            }
+            for (unsigned x = 0; x < numXmms; ++x) {
+                EXPECT_EQ(sim.state().xmm(static_cast<Xmm>(x)),
+                          ref.xmm(static_cast<Xmm>(x)))
+                    << label << " " << xmmName(static_cast<Xmm>(x));
+            }
+            for (Addr a = buf.start; a < buf.end; a += 8) {
+                ASSERT_EQ(sim.state().mem.read(a, 8), ref.mem.read(a, 8))
+                    << label << " buf+" << (a - buf.start);
+            }
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimFuzz,

@@ -25,6 +25,7 @@
 #include "cpu/arch_state.hh"
 #include "cpu/executor.hh"
 #include "decode/flow_cache.hh"
+#include "decode/fusion.hh"
 #include "decode/superblock.hh"
 #include "decode/translator.hh"
 #include "isa/program.hh"
@@ -147,7 +148,7 @@ TEST(TierEquiv, FixtureBlockProvesClean)
     EXPECT_LT(f.findUop(SbHandler::Store), f.block->uops.size());
     const bool has_unroll = std::any_of(
         f.block->macros.begin(), f.block->macros.end(),
-        [](const SbMacro &m) { return m.unrollTrips > 0; });
+        [](const SbMacro &m) { return m.flow->loop.has_value(); });
     EXPECT_TRUE(has_unroll) << "rep-stos micro-loop was not unrolled";
     const bool has_eliminated = std::any_of(
         f.block->uops.begin(), f.block->uops.end(),
@@ -477,22 +478,6 @@ TEST(TierEquiv, SkewedDeliveredDeltaIsAccountingSkew)
               skewed.macros.front().op->pc);
 }
 
-TEST(TierEquiv, SkewedUnrollTripsIsUnrollMismatch)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    Superblock skewed = *f.block;
-    const auto it = std::find_if(
-        skewed.macros.begin(), skewed.macros.end(),
-        [](const SbMacro &m) { return m.unrollTrips > 0; });
-    ASSERT_NE(it, skewed.macros.end());
-    it->unrollTrips += 1;
-
-    const VerifyReport report = f.check(skewed);
-    ASSERT_TRUE(report.hasCheck("tier.unroll-mismatch")) << report.text();
-    EXPECT_EQ(report.findings().front().pc, it->op->pc);
-}
-
 TEST(TierEquiv, ReorderedExpansionIsUnrollMismatch)
 {
     const TierFixture f;
@@ -749,7 +734,8 @@ TEST(TierEquivRandom, ProverAccountingEqualsInterpreterMeasurement)
 
         // And its symbolic per-macro deltas must equal what actually
         // executing each compiled flow measures — exact equality, per
-        // macro, for dynamic uops, delivered slots, and decoys.
+        // macro, for dynamic and delivered uops — and the front-end
+        // slots must be the flow's deliveredSlots.
         const SuperblockCache blocks;
         const SuperblockBuilder builder(prog, fc, translator, energy,
                                         blocks);
@@ -766,21 +752,15 @@ TEST(TierEquivRandom, ProverAccountingEqualsInterpreterMeasurement)
                 FlowResult result;
                 exec.executeInto(*m.op, *m.flow, result);
                 std::uint64_t delivered = 0;
-                std::uint64_t decoys = 0;
-                for (const DynUop &dyn : result.dynUops) {
-                    if (dyn.uop->eliminated)
-                        continue;
-                    ++delivered;
-                    if (dyn.uop->decoy)
-                        ++decoys;
-                }
+                for (const DynUop &dyn : result.dynUops)
+                    delivered += dyn.uop->eliminated ? 0 : 1;
                 ASSERT_EQ(m.dynCount, result.dynUops.size())
                     << "program " << pi << " macro @ 0x" << std::hex
                     << m.op->pc;
                 ASSERT_EQ(m.delivered, delivered)
                     << "program " << pi << " macro @ 0x" << std::hex
                     << m.op->pc;
-                ASSERT_EQ(m.decoyDelta, decoys)
+                ASSERT_EQ(m.frontEndSlots, deliveredSlots(*m.flow))
                     << "program " << pi << " macro @ 0x" << std::hex
                     << m.op->pc;
             }
