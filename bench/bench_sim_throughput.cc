@@ -18,6 +18,10 @@
  *  - cache-only under stealth (CSD decoys with a 1000-cycle watchdog,
  *                              several retriggers per AES block)
  *
+ * plus one SPEC preset (milc) in detailed mode under the CSD-devect
+ * power-gating policy, tier on and off: the Figs. 12-16 configuration,
+ * where the power controller toggles devectorization per macro.
+ *
  * The detailed interpreter / cache-off ratio is the measured speedup
  * of the predecoded-flow cache, and the tier-on / tier-off ratios in
  * each fidelity are the measured speedups of the superblock
@@ -26,7 +30,8 @@
  * configurations interleaved batch by batch, so they are robust to
  * host noise in a way the absolute kuops/s floors are not;
  * the superblock ratios are the primary CI guards for the tier
- * (check_throughput.py MIN_SB_SPEEDUP, MIN_DETAILED_SB_SPEEDUP). The
+ * (check_throughput.py MIN_SB_SPEEDUP, MIN_DETAILED_SB_SPEEDUP,
+ * MIN_GATED_SB_SPEEDUP). The
  * stealth row's flow-cache hit rate is the guard that watchdog
  * retriggers keep memoized flows (MIN_STEALTH_HIT_RATE); it is a pure
  * function of the simulated run, so host noise cannot move it.
@@ -42,6 +47,7 @@
 #include "sim/fastpath.hh"
 #include "sim/simulation.hh"
 #include "workloads/aes.hh"
+#include "workloads/spec.hh"
 
 using namespace csd;
 using namespace csd::bench;
@@ -58,40 +64,45 @@ struct ThroughputRun
     FastPath::Counters fp;  //!< superblock-tier host counters
 };
 
-/** One configuration of the AES workload and its timed work so far. */
+/** One configuration of a workload and its timed work so far. */
 class Rig
 {
   public:
+    /** The AES workload (20 blocks per batch). */
     Rig(SimMode mode, bool flow_cache_on, bool arm_monitor,
         bool superblock_on, bool stealth)
     {
         std::array<std::uint8_t, 16> key{};
         for (unsigned i = 0; i < 16; ++i)
             key[i] = static_cast<std::uint8_t>(i);
-        workload_ = AesWorkload::build(key);
-
-        SimParams params;
-        params.mode = mode;
-        sim_ = std::make_unique<Simulation>(workload_.program, params);
-        sim_->setFlowCacheEnabled(flow_cache_on);
-        // Explicit, so CSD_SUPERBLOCK in the environment cannot skew
-        // the gated numbers: both tier configurations are measured.
-        sim_->setSuperblockEnabled(superblock_on);
+        const AesWorkload workload = AesWorkload::build(key);
+        program_ = workload.program;
+        build(mode, flow_cache_on, superblock_on);
         if (arm_monitor)
             sim_->mem().armSetMonitor();
         if (stealth) {
-            csd_.arm(workload_.defense());
+            csd_.arm(workload.defense());
             sim_->setTaintTracker(&taint_);
             sim_->setCsd(&csd_);
         }
+        warm();
+    }
 
-        // Warm host caches, the branch predictor, and the flow cache
-        // so the timed region measures steady state.
-        for (int block = 0; block < 5; ++block) {
-            sim_->restart();
-            sim_->runToHalt();
-        }
-        uopsBefore_ = sim_->uopsSimulated();
+    /** A SPEC preset in detailed mode under the CSD-devect gating
+     *  policy, as the Figs. 12-16 harnesses run it (one program run
+     *  of 20 phase pairs per batch). */
+    Rig(const SpecPreset &preset, bool superblock_on)
+        : runsPerBatch_(1)
+    {
+        program_ = SpecWorkload::build(preset, 20).program;
+        build(SimMode::Detailed, true, superblock_on);
+        sim_->enableCpiStack();
+        GatingParams gating;
+        gating.policy = GatingPolicy::CsdDevect;
+        power_ = std::make_unique<PowerGateController>(gating, energy_);
+        sim_->setPowerController(power_.get());
+        sim_->setCsd(&csd_);
+        warm();
     }
 
     // The decoder's MSR hook holds the rig's own members.
@@ -104,7 +115,7 @@ class Rig
     {
         using Clock = std::chrono::steady_clock;
         const Clock::time_point start = Clock::now();
-        for (int block = 0; block < 20; ++block) {
+        for (int run = 0; run < runsPerBatch_; ++run) {
             sim_->restart();
             sim_->runToHalt();
         }
@@ -133,10 +144,37 @@ class Rig
     }
 
   private:
-    AesWorkload workload_;
+    void
+    build(SimMode mode, bool flow_cache_on, bool superblock_on)
+    {
+        SimParams params;
+        params.mode = mode;
+        sim_ = std::make_unique<Simulation>(program_, params);
+        sim_->setFlowCacheEnabled(flow_cache_on);
+        // Explicit, so CSD_SUPERBLOCK in the environment cannot skew
+        // the gated numbers: both tier configurations are measured.
+        sim_->setSuperblockEnabled(superblock_on);
+    }
+
+    /** Warm host caches, the branch predictor, and the flow cache so
+     *  the timed region measures steady state. */
+    void
+    warm()
+    {
+        for (int run = 0; run < 5; ++run) {
+            sim_->restart();
+            sim_->runToHalt();
+        }
+        uopsBefore_ = sim_->uopsSimulated();
+    }
+
+    Program program_;
+    int runsPerBatch_ = 20;
     MsrFile msrs_;
     TaintTracker taint_;
     ContextSensitiveDecoder csd_{msrs_, &taint_};
+    EnergyModel energy_;
+    std::unique_ptr<PowerGateController> power_;
     std::unique_ptr<Simulation> sim_;
     std::uint64_t uopsBefore_ = 0;
     double seconds_ = 0;
@@ -209,6 +247,13 @@ main(int argc, char **argv)
     const ThroughputRun stealth =
         measure(SimMode::CacheOnly, true, /*arm_monitor=*/false,
                 /*superblock_on=*/true, /*stealth=*/true);
+    // The power-gated tier: the controller's hook and the context
+    // guard run per macro, tier on or off.
+    Rig gated_on(specPreset("milc"), true);
+    Rig gated_off(specPreset("milc"), false);
+    measureInterleaved({&gated_on, &gated_off});
+    const ThroughputRun gated = gated_on.result();
+    const ThroughputRun gated_interp = gated_off.result();
 
     Table table({"configuration", "kuops/s", "uops", "host s",
                  "flow-cache hit"});
@@ -240,6 +285,14 @@ main(int argc, char **argv)
                   std::to_string(stealth.uops),
                   fmt(stealth.hostSeconds, 2),
                   pct(stealth.flowCacheHitRate)});
+    table.addRow({"detailed, milc csd-devect", fmt(gated.kuopsPerSec, 1),
+                  std::to_string(gated.uops), fmt(gated.hostSeconds, 2),
+                  pct(gated.flowCacheHitRate)});
+    table.addRow({"detailed, milc csd-devect, interpreter",
+                  fmt(gated_interp.kuopsPerSec, 1),
+                  std::to_string(gated_interp.uops),
+                  fmt(gated_interp.hostSeconds, 2),
+                  pct(gated_interp.flowCacheHitRate)});
     table.print();
 
     // The flow cache's own win, tier off on both sides.
@@ -251,6 +304,10 @@ main(int argc, char **argv)
     const double sb_speedup =
         interp.kuopsPerSec > 0
             ? cache_only.kuopsPerSec / interp.kuopsPerSec
+            : 0.0;
+    const double gated_sb_speedup =
+        gated_interp.kuopsPerSec > 0
+            ? gated.kuopsPerSec / gated_interp.kuopsPerSec
             : 0.0;
     const double monitor_overhead =
         cache_only.kuopsPerSec > 0
@@ -268,6 +325,7 @@ main(int argc, char **argv)
     benchStat("flow_cache_hit_rate", on.flowCacheHitRate);
     benchStat("superblock_speedup", sb_speedup);
     benchStat("detailed_superblock_speedup", detailed_sb_speedup);
+    benchStat("gated_superblock_speedup", gated_sb_speedup);
     benchStat("stealth_kuops_per_s", stealth.kuopsPerSec);
     benchStat("stealth_flow_cache_hit_rate", stealth.flowCacheHitRate);
 
@@ -297,10 +355,16 @@ main(int argc, char **argv)
               on.uops > 0 ? static_cast<double>(on.fp.uopsRetired) /
                                 static_cast<double>(on.uops)
                           : 0.0);
+    // The power-gated tier-on run's engagement.
+    benchStat("superblock.gated_uop_coverage",
+              gated.uops > 0 ? static_cast<double>(gated.fp.uopsRetired) /
+                                   static_cast<double>(gated.uops)
+                             : 0.0);
     // The tier-off runs must never have compiled or entered a block.
     benchStat("superblock.interp_entries",
               static_cast<double>(interp.fp.entries +
-                                  detailed_interp.fp.entries));
+                                  detailed_interp.fp.entries +
+                                  gated_interp.fp.entries));
     benchManifestNote("superblock", "on+off measured in-process");
 
     std::printf("\nflow-cache speedup on the detailed interpreter: %sx "
@@ -312,6 +376,9 @@ main(int argc, char **argv)
                 pct(on.uops > 0 ? static_cast<double>(on.fp.uopsRetired) /
                                       static_cast<double>(on.uops)
                                 : 0.0).c_str());
+    std::printf("superblock tier speedup on detailed milc under "
+                "csd-devect gating: %sx\n",
+                fmt(gated_sb_speedup, 2).c_str());
     std::printf("superblock tier speedup on cache-only: %sx "
                 "(%s of uops retired in compiled blocks)\n",
                 fmt(sb_speedup, 2).c_str(),

@@ -55,7 +55,8 @@ bool parseBoolSetting(std::string_view name, const char *value);
       "the superblock tier off")                                             \
     X(Superblock, "CSD_SUPERBLOCK", Bool, "1", HostOnly,                     \
       "run hot straight-line regions of cached flows as threaded-code "      \
-      "superblocks (off under tracing or a power controller)")               \
+      "superblocks, in detailed and cache-only mode, power controller or "   \
+      "not (off under tracing)")                                             \
     X(StatsDetail, "CSD_STATS_DETAIL", Bool, "0", OutputShaping,             \
       "record the hot-path histograms (flow lengths, read latencies)")       \
     X(CpiStack, "CSD_CPI_STACK", Bool, "0", OutputShaping,                   \

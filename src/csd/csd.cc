@@ -124,12 +124,9 @@ void
 ContextSensitiveDecoder::setDevectorize(bool on)
 {
     if (devect_ != on)
-        ++epoch_;
+        ++devectToggles_;
     devect_ = on;
 }
-
-
-
 
 ContextSensitiveDecoder::TaintTrigger
 ContextSensitiveDecoder::taintTrigger(const MacroOp &op) const

@@ -70,15 +70,17 @@ class ContextSensitiveDecoder final : public Translator
     void tick(Tick now) override;
 
     /** Bumped on every change that can alter a *stable* translation
-     *  (MSR write, devect/MCU mode switch): cached flows become stale.
-     *  A stealth retrigger does not bump it — see retriggerStealth(). */
+     *  (MSR write, MCU mode switch): cached flows become stale. A
+     *  stealth retrigger does not bump it (see retriggerStealth()),
+     *  nor does a devectorization toggle (see setDevectorize()). */
     std::uint64_t translationEpoch() const override { return epoch_; }
 
-    /** translationEpoch() plus every stealth retrigger so far. */
+    /** translationEpoch() plus every stealth retrigger and every
+     *  devectorization toggle so far. */
     std::uint64_t
     reportedEpoch() const override
     {
-        return epoch_ + retriggers_;
+        return epoch_ + retriggers_ + devectToggles_;
     }
 
     /**
@@ -113,7 +115,13 @@ class ContextSensitiveDecoder final : public Translator
 
     // --- Devectorization control (unit-criticality predictor) -----------
 
-    /** Enable/disable vector->scalar translation (VPU gated). */
+    /**
+     * Enable/disable vector->scalar translation (VPU gated). A toggle
+     * changes only stableContext() of devectorizable ops, and the flow
+     * cache keeps one entry per stable context, so memoized flows stay
+     * current and the epoch does not move; the toggle is counted in
+     * reportedEpoch().
+     */
     void setDevectorize(bool on);
     bool devectorizing() const { return devect_; }
 
@@ -202,6 +210,7 @@ class ContextSensitiveDecoder final : public Translator
     Tick now_ = 0;
     std::uint64_t epoch_ = 0;
     std::uint64_t retriggers_ = 0;  //!< retriggerStealth() calls
+    std::uint64_t devectToggles_ = 0;  //!< setDevectorize() changes
     std::uint64_t noiseLfsr_ = 0xace1ace1ace1ace1ull;
 
     StatGroup stats_;

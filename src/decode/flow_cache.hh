@@ -23,17 +23,26 @@
  * compare — no hashing on the hot path. The vector is sized once and
  * never reallocates, so flow references stay stable until clear().
  *
+ * Each slot holds one entry per stable decode context, side by side:
+ * the native translation, and — allocated on the first insertion of a
+ * non-native flow — the alternate one (the CSD's only other stable
+ * context is devectorization, csd/csd.hh). A devectorization toggle
+ * switches which side a lookup reads without bumping the epoch, so
+ * both flows stay live across toggles, and an insertion for one
+ * context never overwrites the other context's entry that compiled
+ * superblocks point into.
+ *
  * This is purely a host optimization — it models no hardware structure
  * and must never change simulated timing or statistics. Architectural
  * faithfulness is kept by the Translator's flow-cache protocol
  * (translator.hh): entries are tagged with the translator's epoch and
  * dropped when trigger state changes in a way that could alter a
- * stable translation (a stealth retrigger does not), ops whose
- * translation depends on mutable per-instance state bypass the cache
- * entirely, and hits replay the translator's accounting. The hit/miss
- * counters below are host-side plain integers, deliberately outside
- * the simulated stat tree, so a stat dump is byte-identical with the
- * cache on or off.
+ * stable translation (stealth retriggers and devectorization toggles
+ * do not), ops whose translation depends on mutable per-instance
+ * state bypass the cache entirely, and hits replay the translator's
+ * accounting. The hit/miss counters below are host-side plain
+ * integers, deliberately outside the simulated stat tree, so a stat
+ * dump is byte-identical with the cache on or off.
  */
 
 #ifndef CSD_DECODE_FLOW_CACHE_HH
@@ -51,8 +60,8 @@
 namespace csd
 {
 
-/** Memoization table: instruction slot -> (epoch, context, flow,
- *  timing records). */
+/** Memoization table: (instruction slot, stable context side) ->
+ *  (epoch, context, flow, timing records). */
 class FlowCache
 {
   public:
@@ -60,8 +69,11 @@ class FlowCache
     {
         std::uint64_t epoch = 0;  //!< translator epoch at insertion
         unsigned ctx = 0;         //!< contextId() of the translation
-        std::uint32_t heat = 0;   //!< region-entry count (superblock tier)
+        std::uint32_t heat = 0;   //!< region-entry count (native side only)
         bool valid = false;
+        /** Native side only: the slot's last lookup or insertion was
+         *  for a non-native context (see peekRecent()). */
+        bool recentAlternate = false;
         UopFlow flow;             //!< shared immutable predecoded flow
         /** timingRecordFor(flow.uops[i]), parallel to flow.uops (with
          *  the same inline capacity, so a flow that fits inline does
@@ -73,39 +85,43 @@ class FlowCache
     void
     reset(std::size_t slot_count)
     {
-        entries_.assign(slot_count, Entry{});
+        native_.assign(slot_count, Entry{});
+        alternate_ = {};
         count_ = 0;
     }
 
-    std::size_t slots() const { return entries_.size(); }
+    std::size_t slots() const { return native_.size(); }
 
     /**
      * The cached flow in @p slot if it was recorded under @p epoch by
-     * a translation in context @p expected_ctx, else nullptr. A stale
-     * entry (older epoch) counts as an invalidation; an entry filled
-     * from a different decode context counts as a ctx invalidation (a
-     * translator that changes context without bumping the epoch would
-     * otherwise be served another context's flow). Either way the
-     * caller re-translates and insert() overwrites.
+     * a translation in context @p expected_ctx, else nullptr. The
+     * context picks the side (native, or the alternate side for any
+     * other context). A stale entry (older epoch) counts as an
+     * invalidation; an alternate-side entry filled from a different
+     * non-native context counts as a ctx invalidation (a translator
+     * with more than one non-native stable context would otherwise be
+     * served another context's flow). Either way the caller
+     * re-translates and insert() overwrites.
      */
     const Entry *
     lookup(std::size_t slot, std::uint64_t epoch, unsigned expected_ctx)
     {
-        Entry &entry = entries_[slot];
-        if (!entry.valid) {
+        native_[slot].recentAlternate = expected_ctx != nativeCtx;
+        const Entry *entry = sideEntry(slot, expected_ctx);
+        if (!entry || !entry->valid) {
             ++misses;
             return nullptr;
         }
-        if (entry.epoch != epoch) {
+        if (entry->epoch != epoch) {
             ++invalidations;
             return nullptr;
         }
-        if (entry.ctx != expected_ctx) {
+        if (entry->ctx != expected_ctx) {
             ++ctx_invalidations;
             return nullptr;
         }
         ++hits;
-        return &entry;
+        return entry;
     }
 
     /**
@@ -116,11 +132,33 @@ class FlowCache
     const Entry *
     peek(std::size_t slot, std::uint64_t epoch, unsigned expected_ctx) const
     {
-        const Entry &entry = entries_[slot];
-        if (!entry.valid || entry.epoch != epoch ||
-            entry.ctx != expected_ctx)
+        const Entry *entry = sideEntry(slot, expected_ctx);
+        if (!entry || !entry->valid || entry->epoch != epoch ||
+            entry->ctx != expected_ctx)
             return nullptr;
-        return &entry;
+        return entry;
+    }
+
+    /**
+     * The current entry of the context @p slot was last looked up or
+     * inserted in, else the other context's, else nullptr; no
+     * accounting. The superblock builder compiles an op that follows
+     * the region head in its most recent context: a power controller
+     * toggles devectorization per macro, so the context the op will
+     * see is not known at build time, and the tier re-checks it per
+     * macro (sbGuardContext).
+     */
+    const Entry *
+    peekRecent(std::size_t slot, std::uint64_t epoch) const
+    {
+        const Entry *sides[2] = {
+            &native_[slot], alternate_.empty() ? nullptr : &alternate_[slot]};
+        if (native_[slot].recentAlternate)
+            std::swap(sides[0], sides[1]);
+        for (const Entry *entry : sides)
+            if (entry && entry->valid && entry->epoch == epoch)
+                return entry;
+        return nullptr;
     }
 
     /**
@@ -130,34 +168,36 @@ class FlowCache
     std::uint32_t
     bumpHeat(std::size_t slot)
     {
-        std::uint32_t &heat = entries_[slot].heat;
+        std::uint32_t &heat = native_[slot].heat;
         if (heat != ~0u)
             ++heat;
         return heat;
     }
 
     /** Reset @p slot's hotness after a failed superblock build. */
-    void coolSlot(std::size_t slot) { entries_[slot].heat = 0; }
+    void coolSlot(std::size_t slot) { native_[slot].heat = 0; }
 
     /**
-     * Record @p flow in @p slot under @p epoch, overwriting any stale
-     * entry, and resolve its uops' timing records. Returns the cached
-     * entry; the reference stays valid until clear()/reset() (the slot
-     * vector never reallocates in between).
+     * Record @p flow in @p slot's side for @p ctx under @p epoch,
+     * overwriting any stale entry there, and resolve its uops' timing
+     * records. Returns the cached entry; the reference stays valid
+     * until clear()/reset() (neither side reallocates in between).
      */
     const Entry &
     insert(std::size_t slot, std::uint64_t epoch, unsigned ctx,
            UopFlow flow)
     {
-        Entry &entry = entries_[slot];
+        if (ctx != nativeCtx && alternate_.empty())
+            alternate_.assign(native_.size(), Entry{});
+        native_[slot].recentAlternate = ctx != nativeCtx;
+        Entry &entry = (ctx == nativeCtx ? native_ : alternate_)[slot];
         count_ += entry.valid ? 0 : 1;
         entry.valid = true;
         entry.epoch = epoch;
         entry.ctx = ctx;
         entry.flow = std::move(flow);
-        // Reuse the slot's record buffer: a slot re-translated after
-        // every devectorization toggle alternates between two flows,
-        // and a fresh allocation per insertion would churn the heap.
+        // Reuse the entry's record buffer: an entry re-translated after
+        // every epoch bump would otherwise churn the heap.
         entry.timing.clear();
         entry.timing.reserve(entry.flow.uops.size());
         for (const Uop &uop : entry.flow.uops)
@@ -169,26 +209,43 @@ class FlowCache
     void
     clear()
     {
-        for (Entry &entry : entries_) {
+        for (Entry &entry : native_) {
             entry.valid = false;
+            entry.recentAlternate = false;
             entry.flow = UopFlow{};
             entry.timing = {};
         }
+        alternate_ = {};
         count_ = 0;
     }
 
-    /** Number of live entries. */
+    /** Number of live entries, both sides. */
     std::size_t size() const { return count_; }
 
     // Host-side accounting (see file comment: intentionally not Stats).
     std::uint64_t hits = 0;           //!< served from cache
-    std::uint64_t misses = 0;         //!< slot never filled
+    std::uint64_t misses = 0;         //!< entry never filled
     std::uint64_t invalidations = 0;  //!< entry stale (epoch changed)
     std::uint64_t ctx_invalidations = 0;  //!< entry from another context
     std::uint64_t bypasses = 0;       //!< translation unstable, not cached
 
   private:
-    std::vector<Entry> entries_;
+    /** The native context (Translator::contextId() of a plain
+     *  translation); every other context uses the alternate side. */
+    static constexpr unsigned nativeCtx = 0;
+
+    /** @p slot's entry on @p ctx's side; null while the alternate
+     *  side is unallocated. */
+    const Entry *
+    sideEntry(std::size_t slot, unsigned ctx) const
+    {
+        if (ctx == nativeCtx)
+            return &native_[slot];
+        return alternate_.empty() ? nullptr : &alternate_[slot];
+    }
+
+    std::vector<Entry> native_;
+    std::vector<Entry> alternate_;  //!< empty until a non-native insert
     std::size_t count_ = 0;
 };
 

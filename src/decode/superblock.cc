@@ -198,8 +198,14 @@ SuperblockBuilder::build(Addr entry_pc) const
         // its stable translation is cached: the tier re-runs the
         // stability probe before every macro and hands a vetoed
         // one to the interpreter (Unstable exit, resume at the next).
+        // The head's context is the live one; a later op's is
+        // predicted from its slot's most recent use (a power
+        // controller toggles devectorization per macro), and the
+        // tier's context guard vetoes a wrong prediction the same way.
         const FlowCache::Entry *entry =
-            fc.peek(slot, epoch, translator.stableContext(*op));
+            picks.empty()
+                ? fc.peek(slot, epoch, translator.stableContext(*op))
+                : fc.peekRecent(slot, epoch);
         if (!entry)
             break;
         const UopFlow &flow = entry->flow;

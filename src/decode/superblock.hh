@@ -26,7 +26,11 @@
  * compares that against the live epoch at entry (and, because the
  * watchdog can fire mid-block, before every macro-op). A mismatch
  * drops the block back to the interpreter, exactly as a stale flow
- * cache entry drops to the translator.
+ * cache entry drops to the translator. A devectorization toggle bumps
+ * no epoch; each macro records the context its flow was translated in
+ * (SbMacro::ctx), and the fast path hands a macro whose stable context
+ * moved to the interpreter, which reads the flow cache's entry for the
+ * new context.
  *
  * Like the flow cache, superblocks are purely a host optimization:
  * they model no hardware and must never change simulated timing or
@@ -83,8 +87,9 @@ enum class SbExit : std::uint8_t
 {
     End,        //!< ran off the end of the stream (fall-through)
     Branch,     //!< control left the straight-line path mid-block
-    EpochBump,  //!< translator epoch moved mid-block (e.g. watchdog)
+    EpochBump,  //!< translator epoch moved mid-block (e.g. MSR write)
     Unstable,   //!< translationStable() went false (taint/decoy state)
+                //!< or the stable context moved (devectorization)
     Budget,     //!< run()/maxInstructions budget exhausted mid-block
     NumExits,
 };
@@ -111,20 +116,24 @@ const char *sbExitName(SbExit exit);
 SbHandler sbHandlerFor(MicroOpcode op);
 
 // Per-macro protocol guards. The tier's block loop (sim/fastpath.cc)
-// performs all three before every macro's uops, in this order: tick
+// performs all four before every macro's uops, in this order: tick
 // fires any due watchdog, the epoch compare detects a translation
-// change, and the stability probe vetoes ops whose translation depends
-// on mutable per-instance state. The builder stamps the set it
-// compiled against into SbMacro::guards as build provenance; the
-// tier-equivalence prover requires the epoch+tick pair on every macro
-// with a memory or branch effect and the stability probe everywhere
+// change, the stability probe vetoes ops whose translation depends on
+// mutable per-instance state, and the context compare vetoes a macro
+// whose stable context moved since the block was compiled (a
+// devectorization toggle, which bumps no epoch). The builder stamps
+// the set it compiled against into SbMacro::guards as build
+// provenance; the tier-equivalence prover requires the epoch+tick pair
+// on every macro with a memory or branch effect, the stability probe
+// everywhere, and the context compare on every devectorizable macro
 // (tier.unguarded-epoch-window). A future native emitter must emit
 // the same guard sequence to satisfy the prover.
 constexpr std::uint8_t sbGuardTick = 1u << 0;
 constexpr std::uint8_t sbGuardEpoch = 1u << 1;
 constexpr std::uint8_t sbGuardStability = 1u << 2;
+constexpr std::uint8_t sbGuardContext = 1u << 3;
 constexpr std::uint8_t sbGuardAll =
-    sbGuardTick | sbGuardEpoch | sbGuardStability;
+    sbGuardTick | sbGuardEpoch | sbGuardStability | sbGuardContext;
 
 /** One pre-resolved uop of the threaded stream. */
 struct SbOp
@@ -133,8 +142,9 @@ struct SbOp
      *  record. In a superblock both live in a flow-cache entry
      *  (FlowCache::Entry::timing) and stay valid while the block's
      *  epoch is current: an entry is only rewritten after an epoch
-     *  change, which bars entering the block, and clearing the flow
-     *  cache clears the blocks too. */
+     *  change, which bars entering the block (a context change reads
+     *  the slot's other entry instead), and clearing the flow cache
+     *  clears the blocks too. */
     const Uop *uop = nullptr;
     const UopTimingRec *timing = nullptr;
     double energy = 0;       //!< EnergyModel::uopEnergy, precomputed
@@ -215,6 +225,11 @@ class SuperblockCache
     std::size_t slots() const { return blocks_.size(); }
 
     Superblock *at(std::size_t slot) { return blocks_[slot].get(); }
+    const Superblock *
+    at(std::size_t slot) const
+    {
+        return blocks_[slot].get();
+    }
 
     /** Does a block built under @p epoch start at @p slot? */
     bool

@@ -53,19 +53,23 @@ class Translator
 
     /**
      * Monotonic counter bumped whenever a state change could alter a
-     * *stable* translation (MSR writes, devectorization or MCU mode
+     * *stable* translation within one context (MSR writes, MCU mode
      * switches). Cached flows recorded under an older epoch must be
      * re-translated. State that only changes unstable translations
      * need not bump it: a CSD stealth retrigger refills the decoy
      * queue, which only affects tainted ops, and translationStable()
      * already sends those through translate() while ranges are pending.
+     * Nor need a change that only moves stableContext(): the flow cache
+     * keeps one entry per stable context, so a CSD devectorization
+     * toggle switches which entry is read instead of staling both.
      */
     virtual std::uint64_t translationEpoch() const { return 0; }
 
     /**
      * The count of every trigger-state change, the ones that leave
-     * memoized flows current included (stealth retriggers). Published
-     * as the manifest's `translator_epoch`; never a cache key.
+     * memoized flows current included (stealth retriggers,
+     * devectorization toggles). Published as the manifest's
+     * `translator_epoch`; never a cache key.
      */
     virtual std::uint64_t reportedEpoch() const
     {
@@ -86,12 +90,14 @@ class Translator
     }
 
     /**
-     * The contextId() a stable translation of @p op would report under
-     * the current epoch. The flow cache compares this against the
-     * context an entry was filled under, so a translator that switched
-     * contexts without bumping the epoch (a protocol violation) is
-     * caught instead of being served another context's flow. Only
-     * meaningful when translationStable(op) holds.
+     * The contextId() a stable translation of @p op would report right
+     * now. The flow cache reads the entry for this context and
+     * compares it against the context the entry was filled under, so a
+     * translator that switches contexts without bumping the epoch is
+     * served the flow of the context it switched to, never another
+     * context's; the superblock tier re-checks it per macro
+     * (sbGuardContext). Only meaningful when translationStable(op)
+     * holds.
      */
     virtual unsigned stableContext(const MacroOp &op) const
     {

@@ -88,6 +88,14 @@ FastPath::runImpl(Tr &tr, std::uint64_t budget, bool at_head)
             if (op->opcode == MacroOpcode::Halt)
                 break;  // Halt commits via the interpreter, uncounted
 
+            // The interpreter's order at a macro is power hook, tick,
+            // translate. The hook runs here once: the op retires next,
+            // in the block found below or else in step(), and the mark
+            // keeps either from observing it again.
+            if (sim_.power_) {
+                sim_.powerHook(*op);
+                sim_.hookedPc_ = op->pc;
+            }
             // Fire any due watchdog before consulting, exactly where
             // the interpreter would (step() ticks before translating).
             // The matching per-macro tick in execBlock at the same
@@ -192,16 +200,32 @@ FastPath::execBlock(Tr &tr, const Superblock &block, std::size_t &macro,
         if (executed >= budget)
             return leave(SbExit::Budget);
 
-        // The interpreter's per-step translator protocol, in order:
-        // tick (watchdog), epoch currency, per-op stability. Any
-        // mid-block trigger change surfaces here at the macro boundary
-        // and hands the macro to the interpreter. For the native
-        // translator every check folds to a constant.
+        // The interpreter's per-step protocol, in order: the power
+        // hook, then the translator's tick (watchdog), epoch currency,
+        // per-op stability, and the stable context the block's flow
+        // was cached under (a devectorization toggle moves it without
+        // an epoch bump). Any mid-block change surfaces here at the
+        // macro boundary and hands the macro to the interpreter, whose
+        // step() then skips the hook that already ran. For the native
+        // translator every translator check folds to a constant.
+        if (sim_.power_) {
+            // The hook reads and may advance the clock.
+            if constexpr (!Detailed)
+                sim_.flushTally(tally);
+            sim_.powerHook(*m.op);
+            if constexpr (!Detailed)
+                tally.cycles = sim_.cycles_;
+        }
+        const auto hand_back = [&](SbExit exit) {
+            if (sim_.power_)
+                sim_.hookedPc_ = m.op->pc;
+            return leave(exit);
+        };
         tr.tick(Detailed ? sim_.cycles_ : tally.cycles);
         if (tr.translationEpoch() != block.epoch)
-            return leave(SbExit::EpochBump);
-        if (!tr.translationStable(*m.op))
-            return leave(SbExit::Unstable);
+            return hand_back(SbExit::EpochBump);
+        if (!tr.translationStable(*m.op) || tr.stableContext(*m.op) != m.ctx)
+            return hand_back(SbExit::Unstable);
         tr.noteCachedTranslation(*m.op, *m.flow, m.ctx);
 
         sim_.retireMacro<Taint, Detailed>(m, &block.uops[m.uopBegin], tally,

@@ -14,19 +14,22 @@
  * (Simulation::retireMacro, sim/retire.cc): the same handlers, timing
  * consumers, DIFT and commit bookkeeping. What stays here is the
  * translator protocol the interpreter runs per step (tick, epoch,
- * stability, the cached-translation replay), the flow-cache hit count,
- * and the exit protocol below.
+ * stability, context, the cached-translation replay), the power
+ * controller's per-macro hook (Simulation::powerHook), the flow-cache
+ * hit count, and the exit protocol below.
  *
  * Exit protocol: a superblock is entered only while the translator
  * epoch it was built under is current, and execution leaves it on the
- * first taken branch, epoch bump (MSR write, devect/MCU toggle),
- * stability loss (a tainted op after a watchdog retrigger), or budget
- * exhaustion — with all architectural and accounting state exactly as
- * the interpreter would have left it after the retired prefix. After
- * an Unstable exit the interpreter retires only the vetoed macro and
- * the tier resumes the same block at the next one; after a Budget exit
- * the next run() resumes it where it stopped. Tier on or off, stats
- * dumps and sidecars are bit-identical (tests/sim/test_superblock.cc).
+ * first taken branch, epoch bump (MSR write, MCU toggle), stability
+ * loss (a tainted op after a watchdog retrigger) or context change (a
+ * devectorization toggle moved a vector op's stable context), or
+ * budget exhaustion — with all architectural and accounting state
+ * exactly as the interpreter would have left it after the retired
+ * prefix. After an Unstable exit the interpreter retires only the
+ * vetoed macro and the tier resumes the same block at the next one;
+ * after a Budget exit the next run() resumes it where it stopped. Tier
+ * on or off, stats dumps and sidecars are bit-identical
+ * (tests/sim/test_superblock.cc).
  *
  * All counters here are host-side plain integers outside the stat
  * tree, like the flow cache's, so they never perturb simulated output.
@@ -173,7 +176,7 @@ class FastPath
      * resume point at the current PC continues its block; otherwise,
      * only at a region head (@p at_head) is a block looked up or
      * compiled. The caller (Simulation::run) guarantees the flow cache
-     * is enabled and no power controller or tracing is armed.
+     * is enabled and tracing is off.
      */
     std::uint64_t run(std::uint64_t budget, bool at_head = true);
 

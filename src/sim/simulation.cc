@@ -250,10 +250,11 @@ Simulation::translatedFlow(const MacroOp &op)
     if (flowCacheEnabled_ && slot < flowCache_.slots() &&
         translator_->translationStable(op)) {
         const std::uint64_t epoch = translator_->translationEpoch();
+        const unsigned ctx = translator_->stableContext(op);
         const FlowCache::Entry *entry =
             profiled(HostPhase::FlowCache, [&] {
-                const FlowCache::Entry *hit = flowCache_.lookup(
-                    slot, epoch, translator_->stableContext(op));
+                const FlowCache::Entry *hit =
+                    flowCache_.lookup(slot, epoch, ctx);
                 if (hit)
                     translator_->noteCachedTranslation(op, hit->flow,
                                                        hit->ctx);
@@ -265,12 +266,14 @@ Simulation::translatedFlow(const MacroOp &op)
                 UopFlow flow = translator_->translate(op);
                 applyFusionConfig(flow, params_.frontend);
                 applySpTracking(flow, params_.frontend);
-                if (!flow.cacheable) {
+                // Only a flow of the context the lookup expected is
+                // cached: filed under another context, it could
+                // overwrite a live entry compiled blocks point into.
+                if (!flow.cacheable || translator_->contextId() != ctx) {
                     scratchFlow_ = std::move(flow);
                     return nullptr;
                 }
-                return &flowCache_.insert(slot, epoch,
-                                          translator_->contextId(),
+                return &flowCache_.insert(slot, epoch, ctx,
                                           std::move(flow));
             });
         }
@@ -319,6 +322,29 @@ Simulation::uopsExecuted() const
     return backend_->uopsExecuted();
 }
 
+void
+Simulation::powerHook(const MacroOp &op)
+{
+    // The tier ran the hook for this macro, then handed it over.
+    if (hookedPc_ == op.pc) {
+        hookedPc_ = invalidAddr;
+        return;
+    }
+    // Power-gating decision (unit-criticality predictor input).
+    const unsigned vec_uops = devectorizable(op.opcode) ? 1u : 0u;
+    const auto directive = power_->onMacroOp(op, cycles_, vec_uops);
+    if (csd_)
+        csd_->setDevectorize(directive.devectorize);
+    if (directive.stallCycles > 0) {
+        // Conventional PG: pipeline stalls for the demand wake.
+        cycles_ += directive.stallCycles;
+        vpuStalls_ += directive.stallCycles;
+        frontend_->redirect(cycles_);
+        if (cpiStack_)
+            cpiStack_->accountExternal(cycles_, CpiBucket::VpuWake);
+    }
+}
+
 bool
 Simulation::step()
 {
@@ -342,22 +368,8 @@ Simulation::step()
     if (traceAnyEnabled())
         obs_->tracer().setTimeHint(cycles_);
 
-    // Power-gating decision (unit-criticality predictor input).
-    if (power_) {
-        const unsigned vec_uops =
-            devectorizable(op->opcode) ? 1u : 0u;
-        const auto directive = power_->onMacroOp(*op, cycles_, vec_uops);
-        if (csd_)
-            csd_->setDevectorize(directive.devectorize);
-        if (directive.stallCycles > 0) {
-            // Conventional PG: pipeline stalls for the demand wake.
-            cycles_ += directive.stallCycles;
-            vpuStalls_ += directive.stallCycles;
-            frontend_->redirect(cycles_);
-            if (cpiStack_)
-                cpiStack_->accountExternal(cycles_, CpiBucket::VpuWake);
-        }
-    }
+    if (power_)
+        powerHook(*op);
 
     // Decode (context-sensitive translation), with decode-time passes,
     // memoized per PC when architecturally faithful (translatedFlow),
@@ -429,11 +441,10 @@ bool
 Simulation::tierEngaged() const
 {
     // Tracing stays on the interpreter so per-step trace output is
-    // unchanged; a power controller needs its per-macro hook. The tier
-    // is compiled for the native translator and the CSD only: any
-    // other Translator (e.g. a DecoderProfiler wrapping one) runs on
-    // the interpreter.
-    return superblockEnabled_ && flowCacheEnabled_ && !power_ &&
+    // unchanged. The tier is compiled for the native translator and
+    // the CSD only: any other Translator (e.g. a DecoderProfiler
+    // wrapping one) runs on the interpreter.
+    return superblockEnabled_ && flowCacheEnabled_ &&
            (translator_ == &nativeTranslator_ || translator_ == csd_) &&
            !traceAnyEnabled();
 }

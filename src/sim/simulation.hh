@@ -143,8 +143,9 @@ class Simulation
      * optimization: simulated timing and statistics are bit-identical
      * either way (tests/sim/test_superblock.cc). The tier engages only
      * when the flow cache is enabled (so disabling the flow cache also
-     * disables the tier), no power controller is attached, and tracing
-     * is off (run() re-checks per call).
+     * disables the tier) and tracing is off (run() re-checks per
+     * call); with a power controller attached, it runs the controller's
+     * per-macro hook itself.
      */
     void setSuperblockEnabled(bool on);
     bool superblockEnabled() const { return superblockEnabled_; }
@@ -374,6 +375,18 @@ class Simulation
     inline void detailedEnd(const MacroOp &op, const DetailedMacro &mc,
                             bool took_branch, Addr next_pc);
 
+    /**
+     * The power-gating controller's per-macro hook (unit-criticality
+     * predictor input): observe @p op, the next macro to retire, at
+     * the current cycle, switch CSD devectorization as directed, and
+     * charge a conventional demand-wake stall. Requires power_. Runs
+     * exactly once per retired macro, before its translation,
+     * whichever driver retires it: the tier, having run it for a macro
+     * it then hands to the interpreter, sets hookedPc_, and the next
+     * call, for the op at that pc, consumes the mark instead.
+     */
+    void powerHook(const MacroOp &op);
+
     /** May run() hand execution to the superblock tier right now? */
     bool tierEngaged() const;
 
@@ -398,6 +411,7 @@ class Simulation
     ContextSensitiveDecoder *csd_ = nullptr;
     TaintTracker *taint_ = nullptr;
     PowerGateController *power_ = nullptr;
+    Addr hookedPc_ = invalidAddr;  //!< hook ran, macro not yet retired
     EnergyModel energyModel_;
 
     Tick cycles_ = 0;

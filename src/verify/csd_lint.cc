@@ -199,6 +199,13 @@ tierView(const std::string &defect)
                 rec.mem = UopMemKind::None;
             return rec;
         };
+    } else if (defect == "context") {
+        // Drop the stable-context compare: a block compiled before a
+        // devectorization toggle would replay its vector ops' flows.
+        view.guardsOf = [](const SbMacro &macro) {
+            return static_cast<std::uint8_t>(macro.guards &
+                                             ~sbGuardContext);
+        };
     } else if (defect == "reentry") {
         // An epoch bump resumes the stale block at the next macro.
         view.exitMetaOf = [](SbExit exit) {
@@ -305,7 +312,7 @@ usage(const char *argv0, std::FILE *out)
                  "               configurations per target)\n"
                  "  --inject-tier-defect KIND\n"
                  "               splice a defect (handler|energy|guard|\n"
-                 "               timing|reentry)\n"
+                 "               context|timing|reentry)\n"
                  "               into the prover's SuperblockView so the\n"
                  "               matching tier.* check must fail\n"
                  "  --mcu        prove the shipped microcode-update\n"
@@ -362,11 +369,11 @@ main(int argc, char **argv)
         } else if (arg == "--inject-tier-defect" && i + 1 < argc) {
             tierDefect = argv[++i];
             if (tierDefect != "handler" && tierDefect != "energy" &&
-                tierDefect != "guard" && tierDefect != "timing" &&
-                tierDefect != "reentry") {
+                tierDefect != "guard" && tierDefect != "context" &&
+                tierDefect != "timing" && tierDefect != "reentry") {
                 std::fprintf(stderr, "csd-lint: unknown tier defect "
-                             "'%s' (handler|energy|guard|timing|"
-                             "reentry)\n",
+                             "'%s' (handler|energy|guard|context|"
+                             "timing|reentry)\n",
                              tierDefect.c_str());
                 return 2;
             }

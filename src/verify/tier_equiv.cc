@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string>
 
+#include "csd/devect.hh"
 #include "decode/fusion.hh"
 
 namespace csd
@@ -433,14 +434,14 @@ checkSuperblock(const Superblock &block, const Program &prog,
         }
 
         // --- (b) accounting equivalence: replay the flow the
-        // interpreter would fetch from the flow cache for this macro.
+        // interpreter would fetch from the flow cache for this macro
+        // whenever the context guard lets it retire here, i.e. in the
+        // context it was compiled under.
         const MacroOp *const code_base = prog.code().data();
         const auto slot = static_cast<std::size_t>(m.op - code_base);
         const FlowCache::Entry *entry =
-            slot < fc.slots()
-                ? fc.peek(slot, block.epoch,
-                          translator.stableContext(*m.op))
-                : nullptr;
+            slot < fc.slots() ? fc.peek(slot, block.epoch, m.ctx)
+                              : nullptr;
         if (!entry) {
             addFinding(report, prog, "tier.accounting-skew", mpc,
                        tag + ": macro " + std::to_string(mi) +
@@ -448,6 +449,19 @@ checkSuperblock(const Superblock &block, const Program &prog,
                            "epoch/context — the interpreter could not "
                            "reproduce this macro");
             continue;
+        }
+        // Only a devectorizable op's stable context moves without an
+        // epoch bump; any other macro must be compiled in the context
+        // the interpreter would look it up in.
+        if (!devectorizable(m.op->opcode) &&
+            m.ctx != translator.stableContext(*m.op)) {
+            addFinding(report, prog, "tier.accounting-skew", mpc,
+                       tag + ": macro " + std::to_string(mi) +
+                           " is compiled in context " +
+                           std::to_string(m.ctx) +
+                           " but translates in context " +
+                           std::to_string(translator.stableContext(*m.op)) +
+                           ", and no context guard can tell");
         }
         if (m.flow != &entry->flow || m.ctx != entry->ctx) {
             addFinding(report, prog, "tier.accounting-skew", mpc,
@@ -621,6 +635,16 @@ checkSuperblock(const Superblock &block, const Program &prog,
                        tag + ": macro " + std::to_string(mi) +
                            " retires without a translation-stability "
                            "probe");
+        }
+        // A devectorization toggle moves a vector op's stable context
+        // without an epoch bump: a devectorizable macro retired without
+        // the context compare would replay the other context's flow.
+        if (devectorizable(m.op->opcode) && !(guards & sbGuardContext)) {
+            addFinding(report, prog, "tier.unguarded-epoch-window", mpc,
+                       tag + ": devectorizable macro " +
+                           std::to_string(mi) +
+                           " retires without a stable-context compare "
+                           "(a devectorization toggle bumps no epoch)");
         }
         bool effect = false;
         for (std::uint32_t k = m.uopBegin; k < m.uopEnd && !effect; ++k)

@@ -27,8 +27,9 @@
  *      interpreter order, every re-entry point after an Unstable or
  *      Budget exit is a legal macro boundary (k+1 after the
  *      interpreter retired the vetoed macro k, k after a budget
- *      slice, never after an epoch bump), and every path from entry
- *      or re-entry to a memory or branch effect crosses an epoch guard
+ *      slice, never after an epoch bump), every path from entry
+ *      or re-entry to a memory or branch effect crosses an epoch guard,
+ *      and every devectorizable macro re-checks its stable context
  *      (tier.partial-flush, tier.unguarded-epoch-window);
  *  (d) timing-record soundness — every SbOp's timing record, the
  *      detailed consumer's per-uop input, agrees with a re-derivation

@@ -265,45 +265,78 @@ TEST(FlowCache, NativeRunsAreFullyCachedAfterWarmup)
 
 TEST(FlowCache, LookupRejectsOtherContextsEntry)
 {
-    // Regression: Entry::ctx used to be stored by insert() but never
-    // compared on lookup, so a translator that switched decode context
-    // without bumping the epoch (legal for context-only transitions)
-    // would be served another context's flow. lookup() must treat the
-    // mismatch as a distinct ctx invalidation and force re-translation.
+    // A slot keeps one entry per stable context side by side — the
+    // native flow and the alternate (devectorized) one — so a
+    // devectorization toggle, which bumps no epoch, reads the other
+    // entry instead of overwriting the one compiled superblocks point
+    // into. Entry::ctx is still compared on lookup: an alternate-side
+    // entry filled from another non-native context is rejected and
+    // counted as a ctx invalidation, never served.
     FlowCache cache;
     cache.reset(4);
+    UopFlow native_flow;
+    native_flow.uops.push_back(Uop{});
+    UopFlow devect_flow;
+    devect_flow.uops.resize(3);
 
-    cache.insert(/*slot=*/1, /*epoch=*/7, /*ctx=*/ctxNative, UopFlow{});
-    EXPECT_NE(cache.lookup(1, 7, ctxNative), nullptr);
+    const FlowCache::Entry &native =
+        cache.insert(/*slot=*/1, /*epoch=*/7, /*ctx=*/ctxNative, native_flow);
+    EXPECT_EQ(cache.lookup(1, 7, ctxNative), &native);
     EXPECT_EQ(cache.hits, 1u);
 
-    // Same slot, same epoch, different expected context: a miss that
-    // is counted as a ctx invalidation, not a plain miss or an epoch
-    // invalidation.
+    // Same slot and epoch, devectorized context: nothing cached for it
+    // yet is a plain miss, not an invalidation.
     EXPECT_EQ(cache.lookup(1, 7, ctxDevect), nullptr);
-    EXPECT_EQ(cache.ctx_invalidations, 1u);
-    EXPECT_EQ(cache.misses, 0u);
+    EXPECT_EQ(cache.misses, 1u);
+    EXPECT_EQ(cache.ctx_invalidations, 0u);
     EXPECT_EQ(cache.invalidations, 0u);
 
-    // The re-translation overwrites the entry under the new context;
-    // the old context then misses the same way.
-    cache.insert(1, 7, ctxDevect, UopFlow{});
-    EXPECT_NE(cache.lookup(1, 7, ctxDevect), nullptr);
-    EXPECT_EQ(cache.lookup(1, 7, ctxNative), nullptr);
-    EXPECT_EQ(cache.ctx_invalidations, 2u);
+    // The devectorized translation lands beside the native one: both
+    // hit, and the native entry (and its flow) is untouched.
+    const FlowCache::Entry &devect =
+        cache.insert(1, 7, ctxDevect, devect_flow);
+    EXPECT_NE(&devect, &native);
+    EXPECT_EQ(cache.lookup(1, 7, ctxDevect), &devect);
+    EXPECT_EQ(cache.lookup(1, 7, ctxNative), &native);
+    EXPECT_EQ(native.flow.uops.size(), 1u);
+    EXPECT_EQ(devect.flow.uops.size(), 3u);
+    EXPECT_EQ(cache.hits, 3u);
+    EXPECT_EQ(cache.size(), 2u);
+
+    // Any other context is rejected and counted as a ctx invalidation.
+    EXPECT_EQ(cache.lookup(1, 7, ctxMcu), nullptr);
+    EXPECT_EQ(cache.ctx_invalidations, 1u);
+    EXPECT_EQ(cache.misses, 1u);
+    EXPECT_EQ(cache.invalidations, 0u);
 
     // Epoch staleness still takes precedence in accounting: an entry
     // that is both stale and from another context counts as an epoch
     // invalidation (the epoch compare runs first).
-    EXPECT_EQ(cache.lookup(1, 8, ctxNative), nullptr);
+    EXPECT_EQ(cache.lookup(1, 8, ctxMcu), nullptr);
     EXPECT_EQ(cache.invalidations, 1u);
-    EXPECT_EQ(cache.ctx_invalidations, 2u);
+    EXPECT_EQ(cache.ctx_invalidations, 1u);
 
-    // peek() applies the same ctx filter without touching counters.
+    // peek() applies the same filters without touching counters.
     const std::uint64_t hits = cache.hits;
-    EXPECT_NE(cache.peek(1, 7, ctxDevect), nullptr);
-    EXPECT_EQ(cache.peek(1, 7, ctxNative), nullptr);
+    EXPECT_EQ(cache.peek(1, 7, ctxDevect), &devect);
+    EXPECT_EQ(cache.peek(1, 7, ctxNative), &native);
+    EXPECT_EQ(cache.peek(1, 7, ctxMcu), nullptr);
+    EXPECT_EQ(cache.peek(1, 8, ctxNative), nullptr);
     EXPECT_EQ(cache.hits, hits);
+
+    // Re-translating for the rejected context overwrites the alternate
+    // side only; the native entry survives.
+    cache.insert(1, 7, ctxMcu, UopFlow{});
+    EXPECT_NE(cache.lookup(1, 7, ctxMcu), nullptr);
+    EXPECT_EQ(cache.lookup(1, 7, ctxDevect), nullptr);
+    EXPECT_EQ(cache.ctx_invalidations, 2u);
+    EXPECT_EQ(cache.lookup(1, 7, ctxNative), &native);
+    EXPECT_EQ(cache.size(), 2u);
+
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.peek(1, 7, ctxNative), nullptr);
+    EXPECT_EQ(cache.peek(1, 7, ctxMcu), nullptr);
 }
 
 TEST(FlowCache, InsertResolvesTimingRecords)
@@ -358,11 +391,10 @@ TEST(FlowCache, InsertResolvesTimingRecords)
 TEST(FlowCache, DevectorizationTogglesUseCtxPath)
 {
     // End-to-end: toggling selective devectorization swaps the stable
-    // context of vector ops (ctxNative <-> ctxDevect). The simulation
-    // bumps the epoch on the toggle, so in the stock wiring the stale
-    // entries surface as epoch invalidations — but the equivalence
-    // guarantee (stats identical, cache on or off) must hold across
-    // the ctx swap regardless of which check catches it.
+    // context of vector ops (ctxNative <-> ctxDevect) without bumping
+    // the epoch, so each context reads its own entry of the slot. The
+    // equivalence guarantee (stats identical, cache on or off) must
+    // hold across the ctx swap.
     std::array<std::uint8_t, 16> key{};
     for (unsigned i = 0; i < 16; ++i)
         key[i] = static_cast<std::uint8_t>(0x11 * (i & 3) + i);
@@ -375,8 +407,8 @@ TEST(FlowCache, DevectorizationTogglesUseCtxPath)
         MsrFile msrs;
         ContextSensitiveDecoder csd(msrs, nullptr);
         sim.setCsd(&csd);
-        // Pairs of runs per setting: the toggle bumps the epoch, so
-        // only the second run of each pair can hit the cache.
+        // Pairs of runs per setting: a context's entries fill on the
+        // first run it translates under.
         for (int block = 0; block < 8; ++block) {
             csd.setDevectorize((block / 2) % 2 == 1);
             sim.restart();

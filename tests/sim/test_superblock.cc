@@ -2,6 +2,7 @@
 
 #include <array>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -540,9 +541,27 @@ struct FullRecord
     FastPath::Counters fp;
 };
 
+/**
+ * Gating parameters for short generated programs: a window and
+ * watermarks small enough that the controller gates, wakes and toggles
+ * devectorization within a few hundred instructions.
+ */
+GatingParams
+shortProgramGating(GatingPolicy policy)
+{
+    GatingParams gating;
+    gating.policy = policy;
+    gating.windowInstrs = 16;
+    gating.lowWatermark = 0;
+    gating.highWatermark = 2;
+    gating.idleGateThreshold = 1;  // clamped up to the break-even time
+    return gating;
+}
+
 FullRecord
 runFull(const Program &prog, const HostConfig &host, const CsdSetup &setup,
-        const Invoke &invoke)
+        const Invoke &invoke,
+        std::optional<GatingPolicy> policy = std::nullopt)
 {
     SimParams params;
     params.mode = host.mode;
@@ -562,11 +581,26 @@ runFull(const Program &prog, const HostConfig &host, const CsdSetup &setup,
         sim.setTaintTracker(&taint);
         sim.setCsd(&csd);
     }
+    const EnergyModel energy_model(params.energy);
+    std::optional<PowerGateController> power;
+    if (policy) {
+        power.emplace(shortProgramGating(*policy), energy_model);
+        sim.setPowerController(&*power);
+    }
     invoke(sim);
 
     FullRecord rec;
     std::ostringstream os;
     sim.dumpStatsJson(os);
+    if (power) {
+        // The controller's own tree and every energy term, bit-exact.
+        power->finalize(sim.cycles());
+        power->stats().dumpJson(os);
+        const EnergyBreakdown e = sim.energy();
+        os << std::hexfloat << e.coreDynamic << ' ' << e.coreStatic << ' '
+           << e.vpuDynamic << ' ' << e.vpuStatic << ' ' << e.headerStatic
+           << ' ' << e.gatingOverhead << ' ' << e.frontendDynamic << '\n';
+    }
     rec.dump = scrubPhases(os.str());
     std::ostringstream dift_os;
     taint.stats().dumpJson(dift_os);
@@ -804,6 +838,123 @@ TEST(SuperblockResume, BudgetSlicesResumeTheBlock)
     }
 }
 
+// --- devectorization toggles --------------------------------------------------
+
+/**
+ * A vector loop whose body is reachable from two heads, so the tier
+ * compiles overlapping blocks over the same flow-cache entries: the
+ * loop head's block runs through `mid`, and a backward branch on every
+ * fourth count enters a second block at `mid` itself.
+ */
+Program
+overlappingVectorLoop(Addr &loop_pc, Addr &mid_pc)
+{
+    ProgramBuilder b;
+    b.movri(Gpr::Rcx, 64);
+    auto loop = b.newLabel();
+    auto mid = b.newLabel();
+    auto done = b.newLabel();
+    b.bind(loop);
+    loop_pc = b.here();
+    b.addi(Gpr::R8, 3);
+    b.vecOp(MacroOpcode::Paddd, Xmm::Xmm0, Xmm::Xmm1);
+    b.vecOp(MacroOpcode::Mulps, Xmm::Xmm1, Xmm::Xmm2);
+    b.xor_(Gpr::R9, Gpr::R8);
+    b.bind(mid);
+    mid_pc = b.here();
+    b.vecOp(MacroOpcode::Pxor, Xmm::Xmm2, Xmm::Xmm0);
+    b.addi(Gpr::R9, 5);
+    b.vecOp(MacroOpcode::Paddw, Xmm::Xmm3, Xmm::Xmm1);
+    b.imul(Gpr::R8, Gpr::R9);
+    b.vecOp(MacroOpcode::Addps, Xmm::Xmm0, Xmm::Xmm3);
+    b.subi(Gpr::Rcx, 1);
+    b.jcc(Cond::Eq, done);
+    b.testi(Gpr::Rcx, 3);
+    b.jcc(Cond::Eq, mid);
+    b.jmp(loop);
+    b.bind(done);
+    b.halt();
+    return b.build();
+}
+
+/**
+ * Devectorization toggles every few macros, mid-block included, under
+ * live overlapping blocks: a toggle bumps no epoch, so no flow-cache
+ * entry or block goes stale; each slot keeps its native and its
+ * devectorized flow side by side, and the context guard hands a vector
+ * macro compiled under the other context to the interpreter. Output
+ * must match the interpreter and the flow-cache-off reference in both
+ * fidelities. An insertion that overwrote a flow live blocks point
+ * into would read freed memory here (the sanitizer build runs this).
+ */
+TEST(SuperblockContext, DevectTogglesKeepFlowsAndBlocks)
+{
+    Addr loop_pc = 0;
+    Addr mid_pc = 0;
+    const Program prog = overlappingVectorLoop(loop_pc, mid_pc);
+    const auto slot = [&](Addr pc) {
+        return static_cast<std::size_t>(prog.at(pc) - prog.code().data());
+    };
+    for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
+        const char *label =
+            mode == SimMode::Detailed ? "detailed" : "cache-only";
+        ContextSensitiveDecoder *csd_seen = nullptr;
+        const CsdSetup attach = [&](MsrFile &, TaintTracker &,
+                                    ContextSensitiveDecoder &csd) {
+            csd_seen = &csd;
+        };
+        std::uint64_t fc_invalidations = ~0ull;
+        std::uint64_t fc_ctx_invalidations = ~0ull;
+        bool overlapping = false;
+        const Invoke toggling = [&](Simulation &sim) {
+            // The first run compiles native-context blocks: the loop
+            // head's, through `mid`, before `mid` is first branched to.
+            sim.restart();
+            sim.runToHalt();
+            bool on = false;
+            unsigned stride = 3;
+            for (int run = 0; run < 4; ++run) {
+                sim.restart();
+                while (!sim.halted()) {
+                    csd_seen->setDevectorize(on = !on);
+                    sim.run(stride);
+                    stride = stride == 7 ? 3 : stride + 2;
+                }
+            }
+            fc_invalidations = sim.flowCache().invalidations;
+            fc_ctx_invalidations = sim.flowCache().ctx_invalidations;
+            const SuperblockCache &blocks = sim.fastPath().cache();
+            const Superblock *outer = blocks.at(slot(loop_pc));
+            const Superblock *inner = blocks.at(slot(mid_pc));
+            if (outer && inner) {
+                for (const SbMacro &m : outer->macros)
+                    overlapping = overlapping || m.op->pc == mid_pc;
+            }
+        };
+        const FullRecord ref =
+            runFull(prog, {mode, false, false, 1}, attach, toggling);
+        const FullRecord interp =
+            runFull(prog, {mode, true, false, 1}, attach, toggling);
+        EXPECT_EQ(interp.dump, ref.dump) << label;
+        EXPECT_EQ(fc_invalidations, 0u) << label;
+        const FullRecord tier =
+            runFull(prog, {mode, true, true, 1}, attach, toggling);
+        EXPECT_EQ(tier.dump, ref.dump) << label;
+        EXPECT_EQ(fc_invalidations, 0u) << label;
+        EXPECT_EQ(fc_ctx_invalidations, 0u) << label;
+        EXPECT_EQ(tier.fp.invalidated, 0u) << label;
+        EXPECT_TRUE(overlapping) << label;
+        EXPECT_GT(tier.fp.macrosRetired, 0u) << label;
+        // The context guard handed vector macros back.
+        EXPECT_GT(tier.fp.exits[static_cast<unsigned>(SbExit::Unstable)],
+                  0u)
+            << label;
+        EXPECT_EQ(tier.fp.exits[static_cast<unsigned>(SbExit::EpochBump)],
+                  0u)
+            << label;
+    }
+}
+
 // --- DIFT counters ----------------------------------------------------------
 
 /**
@@ -852,29 +1003,39 @@ TEST(SuperblockDift, TaintCountersIndependentOfHostSwitches)
  */
 class SuperblockFuzz : public ::testing::TestWithParam<std::uint64_t>
 {
+  protected:
+    /** Stealth over part of the generated program's buffer, with DIFT
+     *  sourcing its first 256 bytes and a 150-cycle watchdog. */
+    static CsdSetup
+    stealth(const Program &prog)
+    {
+        const AddrRange buf = prog.symbol("buf");
+        return [buf](MsrFile &msrs, TaintTracker &taint,
+                     ContextSensitiveDecoder &) {
+            taint.addTaintSource(AddrRange(buf.start, buf.start + 256));
+            msrs.setWatchdogPeriod(150);
+            msrs.setDecoyDRange(
+                0, AddrRange(buf.start + 4096, buf.start + 4096 + 512));
+            msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+        };
+    }
+
+    static void
+    invoke(Simulation &sim)
+    {
+        for (int i = 0; i < 2; ++i) {
+            sim.restart();
+            sim.runToHalt();
+        }
+    }
 };
 
 TEST_P(SuperblockFuzz, TierMatchesInterpreter)
 {
     Random rng(GetParam() ^ 0x5b);
     const Program prog = testsupport::randomProgram(rng, 90);
-    const AddrRange buf = prog.symbol("buf");
-    const CsdSetup stealth = [&](MsrFile &msrs, TaintTracker &taint,
-                                 ContextSensitiveDecoder &) {
-        taint.addTaintSource(AddrRange(buf.start, buf.start + 256));
-        msrs.setWatchdogPeriod(150);
-        msrs.setDecoyDRange(
-            0, AddrRange(buf.start + 4096, buf.start + 4096 + 512));
-        msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
-    };
-    const Invoke invoke = [](Simulation &sim) {
-        for (int i = 0; i < 2; ++i) {
-            sim.restart();
-            sim.runToHalt();
-        }
-    };
     for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
-        for (const CsdSetup &setup : {CsdSetup{}, stealth}) {
+        for (const CsdSetup &setup : {CsdSetup{}, stealth(prog)}) {
             const FullRecord ref =
                 runFull(prog, {mode, false, false, 1}, setup, invoke);
             const FullRecord interp =
@@ -886,6 +1047,56 @@ TEST_P(SuperblockFuzz, TierMatchesInterpreter)
             EXPECT_EQ(interp.dump, ref.dump) << label;
             EXPECT_EQ(tier.dump, ref.dump) << label;
             EXPECT_GT(tier.fp.entries, 0u) << label;
+        }
+    }
+}
+
+/**
+ * The same programs under each VPU gating policy (the CSD attached for
+ * CsdDevect, whose toggles move vector ops' stable context mid-block),
+ * plus conventional gating over CSD stealth so watchdog ticks meet
+ * demand-wake stalls, in both fidelities: the tier at thresholds 1 and
+ * 16 must publish exactly what the interpreter does — stats, the
+ * controller's tree and every energy term — which holds only if the
+ * power hook runs once per macro, in order, whichever driver retires
+ * it.
+ */
+TEST_P(SuperblockFuzz, PowerGatedTierMatchesInterpreter)
+{
+    Random rng(GetParam() ^ 0x5b);
+    const Program prog = testsupport::randomProgram(rng, 90);
+    const CsdSetup attach = [](MsrFile &, TaintTracker &,
+                               ContextSensitiveDecoder &) {};
+    const struct
+    {
+        const char *name;
+        GatingPolicy policy;
+        CsdSetup setup;
+    } variants[] = {
+        {"always-on", GatingPolicy::AlwaysOn, nullptr},
+        {"conv-pg", GatingPolicy::ConventionalPG, nullptr},
+        {"csd-devect", GatingPolicy::CsdDevect, attach},
+        {"conv-pg+stealth", GatingPolicy::ConventionalPG, stealth(prog)},
+    };
+    for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
+        for (const auto &v : variants) {
+            const std::string label =
+                std::string(mode == SimMode::Detailed ? "detailed "
+                                                      : "cache-only ") +
+                v.name;
+            const FullRecord off = runFull(prog, {mode, true, false, 1},
+                                           v.setup, invoke, v.policy);
+            EXPECT_EQ(off.fp.entries, 0u) << label;
+            for (const std::uint32_t threshold : {1u, 16u}) {
+                const FullRecord on =
+                    runFull(prog, {mode, true, true, threshold}, v.setup,
+                            invoke, v.policy);
+                EXPECT_EQ(on.dump, off.dump)
+                    << label << ", threshold " << threshold;
+                if (threshold == 1) {
+                    EXPECT_GT(on.fp.entries, 0u) << label;
+                }
+            }
         }
     }
 }

@@ -306,6 +306,34 @@ TEST(TierEquiv, DroppedStabilityProbePinsUnguardedWindow)
     expectAllPinned(report, "tier.unguarded-epoch-window", target->op->pc);
 }
 
+TEST(TierEquiv, DroppedContextGuardPinsUnguardedWindowOnVectorMacro)
+{
+    // A devectorization toggle moves a vector op's stable context
+    // without an epoch bump, so only devectorizable macros need the
+    // context compare: dropping it everywhere flags the vector macro
+    // alone.
+    ProgramBuilder b;
+    b.markEntry();
+    b.movri(Gpr::Rax, 5);
+    b.vecOp(MacroOpcode::Paddd, Xmm::Xmm0, Xmm::Xmm1);
+    b.addi(Gpr::Rax, 1);
+    b.halt();
+    const TierFixture f(b.build());
+    ASSERT_NE(f.block, nullptr);
+    ASSERT_TRUE(f.check().empty()) << f.check().text();
+    const SbMacro &vector = f.block->macros[1];
+    ASSERT_EQ(vector.op->opcode, MacroOpcode::Paddd);
+
+    SuperblockView view = SuperblockView::real();
+    view.guardsOf = [](const SbMacro &macro) {
+        return static_cast<std::uint8_t>(macro.guards & ~sbGuardContext);
+    };
+
+    const VerifyReport report = f.check(view);
+    expectAllPinned(report, "tier.unguarded-epoch-window", vector.op->pc);
+    EXPECT_EQ(report.findings().size(), 1u) << report.text();
+}
+
 TEST(TierEquiv, NonFlushingExitPinsPartialFlush)
 {
     const TierFixture f;
