@@ -15,11 +15,11 @@ With --env NAME=V1,V2 the two runs instead differ in one environment
 variable (same --jobs for both): NAME=V1 vs NAME=V2. This is how CI
 pins host-side performance switches to the simulated output — e.g.
 `--env CSD_SUPERBLOCK=0,1` demands the superblock threaded-code tier
-change nothing observable. Tracing is NOT forced in this mode: the
-tier (like any future fast path) legitimately disengages under
-tracing, so forcing CSD_TRACE=all would compare two interpreter runs
-and prove nothing. Heatmap export stays armed — channel observations
-derive from simulated state and must be identical too.
+change nothing observable. Tracing stays armed in this mode too, and
+the trace exports must then be byte-identical as well: the same
+number of per-context files with the same contents. Only the pairing
+of contents with file names is free, because context ids follow the
+order in which worker threads construct their simulations.
 
 Heatmap exports (memory/set_monitor.hh CSV/JSON files written under
 CSD_CHANNEL_HEATMAP_DIR) use case-derived file names, so the same set
@@ -35,6 +35,7 @@ Exit code 0 on success; nonzero with a diagnostic otherwise.
 
 import json
 import os
+from collections import Counter
 import subprocess
 import sys
 import tempfile
@@ -50,16 +51,12 @@ def run_once(bench, jobs, args, tmpdir, label=None, env_override=None):
     path = os.path.join(tmpdir, f"sidecar_{label}.json")
     heatmap_dir = os.path.join(tmpdir, f"heatmaps_{label}")
     os.makedirs(heatmap_dir, exist_ok=True)
+    trace_dir = os.path.join(tmpdir, f"traces_{label}")
+    os.makedirs(trace_dir, exist_ok=True)
     env = dict(os.environ)
-    if env_override is None:
-        env["CSD_TRACE"] = "all"
-        env["CSD_TRACE_FILE"] = os.path.join(
-            tmpdir, f"trace_{label}_%c.json"
-        )
-    else:
-        # --env mode: the variable under test is the only delta, and
-        # tracing stays off (it would disengage the very fast paths
-        # whose output-neutrality is being checked).
+    env["CSD_TRACE"] = "all"
+    env["CSD_TRACE_FILE"] = os.path.join(trace_dir, "trace_%c.json")
+    if env_override is not None:
         env.update(env_override)
     env["CSD_CHANNEL_HEATMAP_DIR"] = heatmap_dir
     proc = subprocess.run(
@@ -75,8 +72,9 @@ def run_once(bench, jobs, args, tmpdir, label=None, env_override=None):
     with open(path, "rb") as f:
         raw = f.read()
     # Per-context trace exports ("info: trace: wrote N events to
-    # trace_jobs8_3.json") legitimately depend on how work lands on
-    # worker contexts; the determinism contract covers everything else.
+    # traces_jobs8/trace_3.json") legitimately depend on how work lands
+    # on worker contexts; the determinism contract covers everything
+    # else.
     lines = [
         ln
         for ln in proc.stdout.splitlines()
@@ -86,7 +84,11 @@ def run_once(bench, jobs, args, tmpdir, label=None, env_override=None):
     for name in sorted(os.listdir(heatmap_dir)):
         with open(os.path.join(heatmap_dir, name), "rb") as f:
             heatmaps[name] = f.read()
-    return raw, "\n".join(lines), heatmaps
+    traces = []
+    for name in sorted(os.listdir(trace_dir)):
+        with open(os.path.join(trace_dir, name), "rb") as f:
+            traces.append(f.read())
+    return raw, "\n".join(lines), heatmaps, traces
 
 
 def normalize(raw, label):
@@ -137,19 +139,31 @@ def main():
     with tempfile.TemporaryDirectory(prefix="sidecar_det_") as tmpdir:
         if env_spec is None:
             label_a, label_b = "--jobs 1", f"--jobs {jobs}"
-            first, out1, maps1 = run_once(bench, 1, argv, tmpdir)
-            second, outn, mapsn = run_once(bench, jobs, argv, tmpdir)
+            first, out1, maps1, _ = run_once(bench, 1, argv, tmpdir)
+            second, outn, mapsn, _ = run_once(bench, jobs, argv, tmpdir)
         else:
             name, v1, v2 = env_spec
             label_a, label_b = f"{name}={v1}", f"{name}={v2}"
-            first, out1, maps1 = run_once(
+            first, out1, maps1, traces1 = run_once(
                 bench, jobs, argv, tmpdir,
                 label=f"{name}_{v1}", env_override={name: v1},
             )
-            second, outn, mapsn = run_once(
+            second, outn, mapsn, tracesn = run_once(
                 bench, jobs, argv, tmpdir,
                 label=f"{name}_{v2}", env_override={name: v2},
             )
+            if len(traces1) != len(tracesn):
+                fail(
+                    f"{len(traces1)} trace export(s) under {label_a}, "
+                    f"{len(tracesn)} under {label_b}"
+                )
+            differing = sum((Counter(traces1) - Counter(tracesn)).values())
+            if differing:
+                fail(
+                    f"{differing} of {len(traces1)} trace export(s) have "
+                    f"no byte-identical counterpart between {label_a} "
+                    f"and {label_b}"
+                )
 
         if sorted(maps1) != sorted(mapsn):
             fail(
@@ -188,6 +202,8 @@ def main():
         # reserialize both untouched docs and compare — this catches
         # formatting nondeterminism json.loads() would mask.
         heatmap_note = f", {len(maps1)} heatmap file(s) byte-identical"
+        if env_spec is not None:
+            heatmap_note += f", {len(traces1)} trace export(s) byte-identical"
         if json.dumps(json.loads(first)) == json.dumps(json.loads(second)):
             print(
                 "check_sidecar_determinism: OK: "

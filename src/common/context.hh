@@ -14,9 +14,9 @@
  * Binding: a context attaches to the *thread* running its simulation
  * (bindToThread(), the one writer of common/binding.hh); the CSD_TRACE
  * fast path, statsDetailEnabled(), and warn()/inform() then route
- * through the bound context. Simulation::step() re-binds lazily, so
- * moving a simulation between worker threads is safe as long as it
- * runs on one thread at a time.
+ * through the bound context. Simulation::run() re-binds lazily, once
+ * per call, so moving a simulation between worker threads between
+ * calls is safe as long as it runs on one thread at a time.
  *
  * Configuration: a root context is configured from a knob table
  * (common/env.hh); the process-default context is the root built from

@@ -55,8 +55,8 @@ bool parseBoolSetting(std::string_view name, const char *value);
       "the superblock tier off")                                             \
     X(Superblock, "CSD_SUPERBLOCK", Bool, "1", HostOnly,                     \
       "run hot straight-line regions of cached flows as threaded-code "      \
-      "superblocks, in detailed and cache-only mode, power controller or "   \
-      "not (off under tracing)")                                             \
+      "superblocks, in detailed and cache-only mode, traced or not, power "  \
+      "controller or not")                                                   \
     X(StatsDetail, "CSD_STATS_DETAIL", Bool, "0", OutputShaping,             \
       "record the hot-path histograms (flow lengths, read latencies)")       \
     X(CpiStack, "CSD_CPI_STACK", Bool, "0", OutputShaping,                   \

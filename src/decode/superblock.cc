@@ -125,7 +125,7 @@ resolveMacro(const MacroOp &op, const UopFlow &flow,
             .frontEndSlots = slots,
             .ctx = static_cast<std::uint16_t>(ctx),
             // Build provenance: the tier performs the full guard
-            // sequence before every macro (sim/fastpath.cc); the
+            // sequence before every macro (sim/retire.cc); the
             // prover audits these bits against the uop range's effects.
             .guards = sbGuardAll};
 }

@@ -28,9 +28,9 @@
  * drops the block back to the interpreter, exactly as a stale flow
  * cache entry drops to the translator. A devectorization toggle bumps
  * no epoch; each macro records the context its flow was translated in
- * (SbMacro::ctx), and the fast path hands a macro whose stable context
- * moved to the interpreter, which reads the flow cache's entry for the
- * new context.
+ * (SbMacro::ctx), and the fast path vetoes a macro whose stable context
+ * moved, which is then translated, reading the flow cache's entry for
+ * the new context.
  *
  * Like the flow cache, superblocks are purely a host optimization:
  * they model no hardware and must never change simulated timing or
@@ -115,19 +115,19 @@ const char *sbExitName(SbExit exit);
  */
 SbHandler sbHandlerFor(MicroOpcode op);
 
-// Per-macro protocol guards. The tier's block loop (sim/fastpath.cc)
-// performs all four before every macro's uops, in this order: tick
-// fires any due watchdog, the epoch compare detects a translation
-// change, the stability probe vetoes ops whose translation depends on
-// mutable per-instance state, and the context compare vetoes a macro
-// whose stable context moved since the block was compiled (a
-// devectorization toggle, which bumps no epoch). The builder stamps
-// the set it compiled against into SbMacro::guards as build
-// provenance; the tier-equivalence prover requires the epoch+tick pair
-// on every macro with a memory or branch effect, the stability probe
-// everywhere, and the context compare on every devectorizable macro
-// (tier.unguarded-epoch-window). A future native emitter must emit
-// the same guard sequence to satisfy the prover.
+// Per-macro protocol guards. The driver (sim/retire.cc) performs all
+// four before every compiled macro's uops, in this order: tick (part
+// of the per-macro protocol) fires any due watchdog, the epoch compare
+// detects a translation change, the stability probe vetoes ops whose
+// translation depends on mutable per-instance state, and the context
+// compare vetoes a macro whose stable context moved since the block
+// was compiled (a devectorization toggle, which bumps no epoch). The
+// builder stamps the set it compiled against into SbMacro::guards as
+// build provenance; the tier-equivalence prover requires the
+// epoch+tick pair on every macro with a memory or branch effect, the
+// stability probe everywhere, and the context compare on every
+// devectorizable macro (tier.unguarded-epoch-window). A future native
+// emitter must emit the same guard sequence to satisfy the prover.
 constexpr std::uint8_t sbGuardTick = 1u << 0;
 constexpr std::uint8_t sbGuardEpoch = 1u << 1;
 constexpr std::uint8_t sbGuardStability = 1u << 2;

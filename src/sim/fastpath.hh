@@ -1,35 +1,35 @@
 /**
  * @file
- * Superblock fast path: the tier that feeds the simulator's retire
- * routine whole compiled regions instead of one interpreted macro-op
- * at a time.
+ * Superblock tier: the block store that lets the driver loop
+ * (Simulation::run, sim/retire.cc) retire whole compiled regions per
+ * call instead of one translated macro-op at a time.
  *
- * The interpreter (Simulation::step) pays per macro-op for work that is
- * invariant across the billions of dynamic instances a simulation
- * executes: translation or a flow-cache probe, and resolving the flow
- * into a uop stream. This tier detects hot region heads via execution
- * counters hung off the flow-cache slots, compiles straight-line runs
- * of cached flows into superblocks (decode/superblock.hh) once, and
- * hands their macros to the same retire routine the interpreter uses
- * (Simulation::retireMacro, sim/retire.cc): the same handlers, timing
- * consumers, DIFT and commit bookkeeping. What stays here is the
- * translator protocol the interpreter runs per step (tick, epoch,
- * stability, context, the cached-translation replay), the power
- * controller's per-macro hook (Simulation::powerHook), the flow-cache
- * hit count, and the exit protocol below.
+ * Translating a macro pays per dynamic instance for work that is
+ * invariant across the billions of instances a simulation executes:
+ * a flow-cache probe (or translation) and resolving the flow into a
+ * uop stream. This tier detects hot region heads via execution
+ * counters hung off the flow-cache slots and compiles straight-line
+ * runs of cached flows into superblocks (decode/superblock.hh) once.
+ * Their macros retire through the same routine as translated ones
+ * (Simulation::retireRun): the same per-macro protocol, handlers,
+ * timing consumers, DIFT and commit bookkeeping, plus the guards
+ * (epoch, stability, context) and the cached-translation replay. What
+ * lives here is the block cache, the head consult that compiles hot
+ * heads (enter), the cursor that names the next compiled macro, and
+ * the counters and cursor placement at each exit (leave).
  *
  * Exit protocol: a superblock is entered only while the translator
- * epoch it was built under is current, and execution leaves it on the
+ * epoch it was built under is current, and a run leaves it on the
  * first taken branch, epoch bump (MSR write, MCU toggle), stability
  * loss (a tainted op after a watchdog retrigger) or context change (a
  * devectorization toggle moved a vector op's stable context), or
  * budget exhaustion — with all architectural and accounting state
- * exactly as the interpreter would have left it after the retired
- * prefix. After an Unstable exit the interpreter retires only the
- * vetoed macro and the tier resumes the same block at the next one;
- * after a Budget exit the next run() resumes it where it stopped. Tier
- * on or off, stats dumps and sidecars are bit-identical
- * (tests/sim/test_superblock.cc).
+ * exactly as retiring the prefix macro by macro would have left it. A
+ * vetoed macro is retired from its own translation in the same loop
+ * iteration; after an Unstable exit the cursor then points at the
+ * next macro of the block, after a Budget exit at the macro the slice
+ * stopped before. Tier on or off, stats dumps, sidecars and trace
+ * exports are bit-identical (tests/sim/test_superblock.cc).
  *
  * All counters here are host-side plain integers outside the stat
  * tree, like the flow cache's, so they never perturb simulated output.
@@ -45,19 +45,19 @@
 namespace csd
 {
 
-class ContextSensitiveDecoder;
 class Simulation;
 
 /**
- * Exit-protocol metadata: what the dispatch loop guarantees when it
+ * Exit-protocol metadata: what the driver loop guarantees when a run
  * leaves a superblock for a given reason. This is declarative, not
- * derived — it states the contract execBlock() implements and any
- * future execution tier must implement too. The static
- * tier-equivalence prover (verify/tier_equiv.hh) consumes it through
- * SuperblockView and rejects any exit reason that can fire mid-block
- * without flushing a clean whole-macro prefix in interpreter order
- * (tier.partial-flush), and any re-entry point that is not a legal
- * macro boundary under current translation state.
+ * derived — it states the contract Simulation::retireRun and
+ * FastPath::leave implement and any future execution tier must
+ * implement too. The static tier-equivalence prover
+ * (verify/tier_equiv.hh) consumes it through SuperblockView and
+ * rejects any exit reason that can fire mid-block without flushing a
+ * clean whole-macro prefix in interpreter order (tier.partial-flush),
+ * and any re-entry point that is not a legal macro boundary under
+ * current translation state.
  */
 struct SbExitMeta
 {
@@ -69,7 +69,8 @@ struct SbExitMeta
      * interpreter would have left them (no partially applied macro).
      */
     bool flushesPrefix = false;
-    /** The interpreter takes over at state.pc (no block chaining). */
+    /** The run ends without chaining: the budget is spent, or the
+     *  stopping macro is retired from its own translation. */
     bool resumesInterpreter = false;
     /**
      * The tier re-enters the same block after the interpreter retired
@@ -116,7 +117,13 @@ sbExitMeta(SbExit exit)
     return {};
 }
 
-/** Superblock build + threaded-code execution engine (one per sim). */
+/**
+ * The superblock tier's block store (one per simulation): the block
+ * cache, the region-head consult that compiles hot heads, the cursor
+ * that names the next compiled macro to retire, and the host-side
+ * counters. Simulation::run drives it; the blocks' macros retire in
+ * Simulation::retireRun.
+ */
 class FastPath
 {
   public:
@@ -135,6 +142,13 @@ class FastPath
         std::uint64_t exits[numSbExits] = {};  //!< by SbExit reason
     };
 
+    /** A compiled macro: @p macro of @p block (both null = none). */
+    struct Cursor
+    {
+        const Superblock *block = nullptr;
+        const SbMacro *macro = nullptr;
+    };
+
     explicit FastPath(Simulation &sim) : sim_(sim) {}
 
     /** Size the block cache for a program; drops compiled blocks. */
@@ -142,7 +156,7 @@ class FastPath
     reset(std::size_t slots)
     {
         cache_.reset(slots);
-        resume_ = {};
+        cursor_ = {};
     }
 
     /**
@@ -156,7 +170,7 @@ class FastPath
     clear()
     {
         cache_.clear();
-        resume_ = {};
+        cursor_ = {};
     }
 
     /** Region-entry count at which a head is compiled (>= 1). */
@@ -166,57 +180,35 @@ class FastPath
     const Counters &counters() const { return counters_; }
     const SuperblockCache &cache() const { return cache_; }
 
-    /** Did the last exit leave a point the tier can resume at? */
-    bool resumePending() const { return resume_.pc != invalidAddr; }
+    /**
+     * Where the tier retires @p op from, whose per-macro protocol has
+     * just run: the cursor, when it points at @p op (a resume), else —
+     * at a region head (@p head) — macro 0 of the block starting at
+     * @p op, after dropping a stale block (@p epoch), counting heat and
+     * compiling the head once it is hot. No block starts at a Halt or
+     * at an op that is not @p stable. An empty cursor leaves @p op to
+     * be translated. Clears the cursor either way; counts the entry.
+     */
+    Cursor enter(const MacroOp &op, bool head, std::uint64_t epoch,
+                 bool stable);
 
     /**
-     * Execute superblocks starting at the current PC until a region
-     * exit that the interpreter must handle, or until @p budget
-     * instructions committed. Returns the number committed. A pending
-     * resume point at the current PC continues its block; otherwise,
-     * only at a region head (@p at_head) is a block looked up or
-     * compiled. The caller (Simulation::run) guarantees the flow cache
-     * is enabled and tracing is off.
+     * Account a run of @p from's block that retired up to (not
+     * including) @p stop and left it for @p exit, with @p uops dynamic
+     * uops, and place the cursor at the block's sbExitMeta re-entry
+     * point: @p stop after a budget exit, the macro after it once a
+     * vetoed @p stop has been retired from its own translation.
      */
-    std::uint64_t run(std::uint64_t budget, bool at_head = true);
+    void leave(const Cursor &from, const SbMacro *stop, SbExit exit,
+               std::uint64_t uops);
 
   private:
-    /**
-     * Where the tier picks up again once control reaches @p pc (in
-     * the interpreter's next step, or the next run() call): macro
-     * @p macro of @p block (sbExitMeta re-entry), or — with no block —
-     * a region lookup as at a head. The latter covers a vetoed last
-     * macro (the block would have chained there) and an unstable op
-     * that stopped chaining (the block after it starts there).
-     */
-    struct Resume
-    {
-        Addr pc = invalidAddr;
-        const Superblock *block = nullptr;
-        std::size_t macro = 0;
-    };
-
-    // Templated on the concrete translator type: NativeTranslator's
-    // protocol hooks fold to nothing and the CSD's inline bodies
-    // (csd/csd.hh) are absorbed into the macro loop. Any other
-    // Translator runs on the interpreter (Simulation::tierEngaged).
-    template <class Tr, bool Taint, bool Detailed>
-    std::uint64_t runImpl(Tr &tr, std::uint64_t budget, bool at_head);
-
-    template <class Tr, bool Taint, bool Detailed>
-    SbExit execBlock(Tr &tr, const Superblock &block, std::size_t &macro,
-                     std::uint64_t budget, std::uint64_t &executed);
-
     Simulation &sim_;
     SuperblockCache cache_;
     SuperblockLimits limits_;
     std::uint32_t threshold_ = 16;
     Counters counters_;
-    Resume resume_;
-
-    // Memoized translator-kind resolution (run() is hot; see run()).
-    Translator *resolvedFor_ = nullptr;
-    ContextSensitiveDecoder *resolvedCsd_ = nullptr;
+    Cursor cursor_;
 };
 
 } // namespace csd

@@ -1,20 +1,29 @@
 /**
  * @file
- * The simulator's one retire path: Simulation::retireMacro and the
- * detailed-mode timing consumer it feeds.
+ * The simulator's one driver loop (Simulation::run), the per-macro
+ * protocol every macro passes (enterMacro), and the one retire routine
+ * (Simulation::retireRun) with the detailed-mode timing consumer it
+ * feeds.
  *
- * Both drivers hand it resolved macros (decode/superblock.hh): the
- * interpreter (Simulation::step) one at a time from its scratch span,
- * the superblock tier (sim/fastpath.cc) macro by macro from a compiled
- * block. The uop handlers dispatch through a computed-goto label table
- * (labels-as-values, a GNU extension the build already requires with
- * -Wall -Wextra and -fsanitize=), which GCC never inlines, so this is
- * one out-of-line call per macro for either driver.
+ * The loop fetches the macro at the pc and runs its protocol. The
+ * superblock tier (sim/fastpath.hh) then names the compiled macro to
+ * retire it from, if any: its cursor's, or at a region head the first
+ * of the block compiled there. retireRun walks that block's macros in
+ * one call, with each later macro's protocol and every macro's guards
+ * inlined between them. A macro a guard vetoes has passed its protocol
+ * already; the loop retires it in the same iteration from its own
+ * translation (translatedFlow), as it does every macro no block covers,
+ * and the cursor moves on past it. The uop handlers dispatch through a
+ * computed-goto label table (labels-as-values, a GNU extension the
+ * build already requires with -Wall -Wextra and -fsanitize=), which
+ * GCC never inlines, so this is one out-of-line call per run.
  */
 
 #include <chrono>
+#include <type_traits>
 
 #include "csd/csd.hh"
+#include "sim/fastpath.hh"
 #include "sim/simulation.hh"
 
 namespace csd
@@ -28,7 +37,7 @@ namespace
 
 /**
  * Charge the host time since @p mark to @p phase and restart @p mark,
- * when @p prof is set (step() with the profiler on).
+ * when @p prof is set (a translated macro with the profiler on).
  */
 inline void
 lap(HostProfiler *prof, HostProfiler::Clock::time_point &mark,
@@ -188,27 +197,69 @@ Simulation::detailedEnd(const MacroOp &op, const DetailedMacro &mc,
     cycles_ = std::max(cycles_, backend_->lastCommit());
 }
 
-template <bool Taint, bool Detailed>
-bool
-Simulation::retireMacro(const SbMacro &m, const SbOp *first,
-                        RetireTally &t, HostProfiler *prof)
+template <class Tr, bool Detailed>
+inline void
+Simulation::enterMacro(Tr &tr, const MacroOp &op, RetireTally &t)
 {
-    HostProfiler::Clock::time_point mark;
-    if (prof) [[unlikely]]
-        mark = HostProfiler::Clock::now();
+    if (traceAnyEnabled()) [[unlikely]]
+        obs_->tracer().setTimeHint(Detailed ? cycles_ : t.cycles);
+    if (power_) {
+        // The hook reads and may advance the clock.
+        if constexpr (!Detailed)
+            flushTally(t);
+        powerHook(op);
+        if constexpr (!Detailed)
+            t.cycles = cycles_;
+    }
+    tr.tick(Detailed ? cycles_ : t.cycles);
+}
 
+template <class Tr, bool Taint, bool Detailed>
+Simulation::RunStop
+Simulation::retireRun(Tr &tr, const SbMacro *m, const Superblock *block,
+                      const SbOp *ops, std::uint64_t room, RetireTally &t,
+                      HostProfiler *prof)
+{
+    const SbMacro *const last = block ? &block->macros.back() : m;
     ArchState &state = state_;
     MemHierarchy &mem = *mem_;
     FunctionalExecutor &exec = executor_;
+
+    static const void *const dispatch[] = {
+        &&h_Load, &&h_Store, &&h_StoreImm, &&h_LoadVec, &&h_StoreVec,
+        &&h_Br, &&h_BrInd, &&h_CacheFlush, &&h_ReadCycles, &&h_Nop,
+        &&h_Vector, &&h_VExtract, &&h_ScalarFp, &&h_ScalarAlu, &&h_Halt,
+    };
+    static_assert(sizeof(dispatch) / sizeof(dispatch[0]) ==
+                  static_cast<std::size_t>(SbHandler::NumHandlers));
+
+// Each pass retires *m, the macros of a run in order.
+next_macro:
+    if (block) {
+        // The guards, in order: epoch currency, per-op stability, and
+        // the stable context the block's flow was cached under (a
+        // devectorization toggle moves it without an epoch bump). For
+        // the native translator each folds to a constant.
+        if (tr.translationEpoch() != block->epoch)
+            return {m, SbExit::EpochBump, false};
+        if (!tr.translationStable(*m->op) ||
+            tr.stableContext(*m->op) != m->ctx)
+            return {m, SbExit::Unstable, false};
+        tr.noteCachedTranslation(*m->op, *m->flow, m->ctx);
+    }
+
+    HostProfiler::Clock::time_point mark;
+    if (prof) [[unlikely]]
+        mark = HostProfiler::Clock::now();
     state.cycleHint = Detailed ? cycles_ : t.cycles;
-    curCtx_ = m.ctx;
+    curCtx_ = m->ctx;
 
     // Cache-only instruction fetch: touch the I-cache once per block,
     // deduplicated across macros. (Detailed mode fetches in the
     // front-end model.)
     Cycles latency = 0;
     if constexpr (!Detailed) {
-        for (Addr fetch = m.fetchFirst; fetch <= m.fetchLast;
+        for (Addr fetch = m->fetchFirst; fetch <= m->fetchLast;
              fetch += cacheBlockSize) {
             if (fetch != t.lastFetch) {
                 latency += mem.fetchInstr(fetch).latency;
@@ -219,15 +270,16 @@ Simulation::retireMacro(const SbMacro &m, const SbOp *first,
 
     Addr *effs = nullptr;
     if constexpr (Detailed) {
-        if (effs_.size() < m.dynCount)
-            effs_.resize(m.dynCount);
+        if (effs_.size() < m->dynCount)
+            effs_.resize(m->dynCount);
         effs = effs_.data();
     }
 
-    Addr next_pc = m.fallThrough;
+    Addr next_pc = m->fallThrough;
     bool took_branch = false;
+    const SbOp *const first = ops + m->uopBegin;
     const SbOp *s = first;
-    const SbOp *end = first + m.dynCount;  // a Halt cuts it short
+    const SbOp *end = first + m->dynCount;  // a Halt cuts it short
     Addr eff = invalidAddr;
 
 // Per-uop retire. Cache-only: slot, decoy and energy accounting for
@@ -261,14 +313,6 @@ Simulation::retireMacro(const SbMacro &m, const SbOp *first,
             }                                                             \
         }                                                                 \
     } while (0)
-
-    static const void *const dispatch[] = {
-        &&h_Load, &&h_Store, &&h_StoreImm, &&h_LoadVec, &&h_StoreVec,
-        &&h_Br, &&h_BrInd, &&h_CacheFlush, &&h_ReadCycles, &&h_Nop,
-        &&h_Vector, &&h_VExtract, &&h_ScalarFp, &&h_ScalarAlu, &&h_Halt,
-    };
-    static_assert(sizeof(dispatch) / sizeof(dispatch[0]) ==
-                  static_cast<std::size_t>(SbHandler::NumHandlers));
 
 #define CSD_SB_NEXT()                                                     \
     do {                                                                  \
@@ -400,16 +444,16 @@ uops_done:;
     const auto retired = static_cast<std::uint64_t>(end - first);
     if constexpr (Detailed) {
         lap(prof, mark, HostPhase::Execute);
-        DetailedMacro mc = detailedBegin(*m.op, *m.flow, m.frontEndSlots,
+        DetailedMacro mc = detailedBegin(*m->op, *m->flow, m->frontEndSlots,
                                          took_branch, next_pc);
         for (const SbOp *u = first; u != end; ++u)
-            detailedUop(*m.op, *u->uop, *u->timing, effs[u - first], mc);
-        detailedEnd(*m.op, mc, took_branch, next_pc);
+            detailedUop(*m->op, *u->uop, *u->timing, effs[u - first], mc);
+        detailedEnd(*m->op, mc, took_branch, next_pc);
     } else {
         // Pseudo-cycles: one per delivered uop plus a fraction of the
         // memory latency (enough to drive the watchdog at a realistic
         // rate).
-        t.cycles += m.delivered + latency / 4;
+        t.cycles += m->delivered + latency / 4;
     }
 
     // Commit.
@@ -417,7 +461,7 @@ uops_done:;
     t.uops += retired;
     if (statsDetailEnabled())
         flowLen_.sample(static_cast<double>(retired));
-    prevMacro_ = m.op;  // points into prog_.code(); stable for our lifetime
+    prevMacro_ = m->op;  // points into prog_.code(); stable for our lifetime
     lap(prof, mark, Detailed ? HostPhase::Pipeline : HostPhase::Memory);
     if (sampleInterval_ != 0) {
         // The interval sampler reads the member counters.
@@ -425,24 +469,137 @@ uops_done:;
         if (cycles_ >= nextSampleAt_)
             maybeSample();
     }
-    return took_branch;
+
+    // Leave on a taken branch (next_pc compared, not took_branch: a
+    // branch to the fall-through stays on the straight line), at the
+    // run's end or when the budget is spent; else the next compiled
+    // macro passes its protocol here, and its guards at the top.
+    if (next_pc != m->fallThrough)
+        return {m + 1, SbExit::Branch, took_branch};
+    if (m == last)
+        return {m + 1, SbExit::End, took_branch};
+    ++m;
+    if (--room == 0)
+        return {m, SbExit::Budget, took_branch};
+    enterMacro<Tr, Detailed>(tr, *m->op, t);
+    goto next_macro;
 }
 
-template bool Simulation::retireMacro<false, false>(const SbMacro &,
-                                                    const SbOp *,
-                                                    RetireTally &,
-                                                    HostProfiler *);
-template bool Simulation::retireMacro<false, true>(const SbMacro &,
-                                                   const SbOp *,
-                                                   RetireTally &,
-                                                   HostProfiler *);
-template bool Simulation::retireMacro<true, false>(const SbMacro &,
-                                                   const SbOp *,
-                                                   RetireTally &,
-                                                   HostProfiler *);
-template bool Simulation::retireMacro<true, true>(const SbMacro &,
-                                                  const SbOp *,
-                                                  RetireTally &,
-                                                  HostProfiler *);
+template <class Tr, bool Taint, bool Detailed>
+std::uint64_t
+Simulation::runLoop(Tr &tr, std::uint64_t budget)
+{
+    const std::uint64_t done = instructions_.value();
+    if (done >= params_.maxInstructions)
+        return 0;
+    budget = std::min(budget, params_.maxInstructions - done);
+    const bool tier = !std::is_same_v<Tr, Translator> &&
+                      superblockEnabled_ && flowCacheEnabled_;
+    HostProfiler *const prof =
+        obs_->profiler().enabled() ? &obs_->profiler() : nullptr;
+
+    // Region heads are where superblocks anchor: program entry, every
+    // branch target, and where a block chains on. Consulting only
+    // there keeps the heat counters (and block count) bounded by the
+    // branch structure rather than by static code size. A consult that
+    // fails right after a block ran (the op is cold, not compilable,
+    // or must be translated now) makes the op after it a head too;
+    // failing again before any block ran does not, so an uncompilable
+    // stretch costs one probe per block exit, not one per translated
+    // op.
+    bool head = true;
+    bool progressed = false;  //!< a block ran since the last translation
+    std::uint64_t executed = 0;
+    while (executed < budget && !state_.halted) {
+        const MacroOp *op = prog_.at(state_.pc);
+        if (!op)
+            csd_fatal("Simulation: no instruction at pc 0x", std::hex,
+                      state_.pc);
+        RetireTally tally{cycles_, lastFetchBlock_};
+        enterMacro<Tr, Detailed>(tr, *op, tally);
+
+        bool head_after = false;  //!< consult after op, even unbranched
+        if (tier) {
+            const FastPath::Cursor at =
+                profiled(HostPhase::Superblock, [&] {
+                    return fastpath_->enter(
+                        *op, head, tr.translationEpoch(),
+                        head && tr.translationStable(*op));
+                });
+            if (!at.block) {
+                head_after = head && progressed;
+            } else {
+                progressed = true;
+                const std::uint64_t uops = uopsSimulated_ + tally.uops;
+                const RunStop stop = profiled(HostPhase::Superblock, [&] {
+                    return retireRun<Tr, Taint, Detailed>(
+                        tr, at.macro, at.block, at.block->uops.data(),
+                        budget - executed, tally, nullptr);
+                });
+                flushTally(tally);
+                fastpath_->leave(at, stop.at, stop.exit,
+                                 uopsSimulated_ - uops);
+                executed += static_cast<std::uint64_t>(stop.at - at.macro);
+                if (!sbExitMeta(stop.exit).resumesInterpreter) {
+                    head = true;  // chain into the next block
+                    continue;
+                }
+                if (stop.exit == SbExit::Budget)
+                    continue;
+                // A vetoed macro, its protocol run: translate it below.
+                // After an unstable exit the cursor waits at the next
+                // macro; should control go elsewhere, that is a head.
+                op = stop.at->op;
+                head_after = stop.exit == SbExit::Unstable;
+            }
+        }
+
+        const SbMacro m = translatedFlow(*op);
+        const RunStop stop = [&] {
+            // retireRun reads the translator only in compiled runs,
+            // which a translator outside the tier never has: it
+            // shares the native translator's instantiation.
+            if constexpr (std::is_same_v<Tr, Translator>) {
+                return retireRun<NativeTranslator, Taint, Detailed>(
+                    nativeTranslator_, &m, nullptr, scratchOps_.data(), 1,
+                    tally, prof);
+            } else {
+                return retireRun<Tr, Taint, Detailed>(
+                    tr, &m, nullptr, scratchOps_.data(), 1, tally, prof);
+            }
+        }();
+        flushTally(tally);
+        if (state_.halted)
+            break;  // the Halt is not counted
+        ++executed;
+        head = stop.tookBranch || head_after;
+        progressed = false;
+    }
+    return executed;
+}
+
+std::uint64_t
+Simulation::run(std::uint64_t max_instructions)
+{
+    // Route this thread's trace/stats/log fast paths through our
+    // context (cheap TLS compare; only rebinds when a worker pool
+    // moved us to another thread or ran a different simulation here).
+    if (ObservabilityContext::currentOrNull() != obs_)
+        obs_->bindToThread();
+    const bool detailed = params_.mode == SimMode::Detailed;
+    const auto go = [&]<class Tr>(Tr &tr) -> std::uint64_t {
+        if (detailed) {
+            return taint_ ? runLoop<Tr, true, true>(tr, max_instructions)
+                          : runLoop<Tr, false, true>(tr, max_instructions);
+        }
+        return taint_ ? runLoop<Tr, true, false>(tr, max_instructions)
+                      : runLoop<Tr, false, false>(tr, max_instructions);
+    };
+    if (translator_ == &nativeTranslator_)
+        return go(nativeTranslator_);
+    if (translator_ == csd_)
+        return go(*csd_);
+    return go(*translator_);
+}
 
 } // namespace csd

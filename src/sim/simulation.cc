@@ -243,7 +243,7 @@ Simulation::translatedFlow(const MacroOp &op)
 {
     scratchOps_.clear();
     // Cache slot = the op's position in the program's instruction
-    // stream (step() always fetches through Program::at, which hands
+    // stream (run() always fetches through Program::at, which hands
     // out pointers into code()).
     const std::size_t slot =
         static_cast<std::size_t>(&op - prog_.code().data());
@@ -325,11 +325,6 @@ Simulation::uopsExecuted() const
 void
 Simulation::powerHook(const MacroOp &op)
 {
-    // The tier ran the hook for this macro, then handed it over.
-    if (hookedPc_ == op.pc) {
-        hookedPc_ = invalidAddr;
-        return;
-    }
     // Power-gating decision (unit-criticality predictor input).
     const unsigned vec_uops = devectorizable(op.opcode) ? 1u : 0u;
     const auto directive = power_->onMacroOp(op, cycles_, vec_uops);
@@ -343,54 +338,6 @@ Simulation::powerHook(const MacroOp &op)
         if (cpiStack_)
             cpiStack_->accountExternal(cycles_, CpiBucket::VpuWake);
     }
-}
-
-bool
-Simulation::step()
-{
-    if (state_.halted)
-        return false;
-    if (instructions_.value() >= params_.maxInstructions)
-        return false;
-
-    const MacroOp *op = prog_.at(state_.pc);
-    if (!op)
-        csd_fatal("Simulation: no instruction at pc 0x", std::hex,
-                  state_.pc);
-
-    // Route this thread's trace/stats/log fast paths through our
-    // context (cheap TLS compare; only rebinds when a worker pool
-    // moved us to another thread or ran a different simulation here).
-    if (ObservabilityContext::currentOrNull() != obs_)
-        obs_->bindToThread();
-
-    // Keep clock-less components' trace events roughly on the timeline.
-    if (traceAnyEnabled())
-        obs_->tracer().setTimeHint(cycles_);
-
-    if (power_)
-        powerHook(*op);
-
-    // Decode (context-sensitive translation), with decode-time passes,
-    // memoized per PC when architecturally faithful (translatedFlow),
-    // then the one retire routine.
-    translator_->tick(cycles_);
-    const SbMacro m = translatedFlow(*op);
-    HostProfiler *prof =
-        obs_->profiler().enabled() ? &obs_->profiler() : nullptr;
-    RetireTally tally{cycles_, lastFetchBlock_};
-    const SbOp *const uops = scratchOps_.data();
-    if (params_.mode == SimMode::Detailed) {
-        tookBranch_ = taint_
-            ? retireMacro<true, true>(m, uops, tally, prof)
-            : retireMacro<false, true>(m, uops, tally, prof);
-    } else {
-        tookBranch_ = taint_
-            ? retireMacro<true, false>(m, uops, tally, prof)
-            : retireMacro<false, false>(m, uops, tally, prof);
-    }
-    flushTally(tally);
-    return !state_.halted;
 }
 
 void
@@ -435,56 +382,6 @@ Simulation::writeSamplesCsv(std::ostream &os) const
             os << "," << v;
         os << "\n";
     }
-}
-
-bool
-Simulation::tierEngaged() const
-{
-    // Tracing stays on the interpreter so per-step trace output is
-    // unchanged. The tier is compiled for the native translator and
-    // the CSD only: any other Translator (e.g. a DecoderProfiler
-    // wrapping one) runs on the interpreter.
-    return superblockEnabled_ && flowCacheEnabled_ &&
-           (translator_ == &nativeTranslator_ || translator_ == csd_) &&
-           !traceAnyEnabled();
-}
-
-std::uint64_t
-Simulation::run(std::uint64_t max_instructions)
-{
-    std::uint64_t executed = 0;
-
-    // Superblock fast path: compiled straight-line execution between
-    // region heads (sim/fastpath.hh), in either fidelity.
-    if (tierEngaged()) {
-        if (ObservabilityContext::currentOrNull() != obs_)
-            obs_->bindToThread();
-        // Region heads are where superblocks anchor: program entry and
-        // every branch target. Consulting only there keeps the heat
-        // counters (and block count) bounded by the branch structure
-        // rather than by static code size. Between heads the tier is
-        // re-entered only at the resume point its last exit left
-        // (FastPath::resumePending): the macro after one the
-        // interpreter had to retire, or where a budget slice stopped.
-        bool at_head = true;
-        for (;;) {
-            if ((at_head || fastpath_->resumePending()) &&
-                executed < max_instructions) {
-                executed += profiled(HostPhase::Superblock, [&] {
-                    return fastpath_->run(max_instructions - executed,
-                                          at_head);
-                });
-            }
-            if (executed >= max_instructions || !step())
-                return executed;
-            ++executed;
-            at_head = tookBranch_;
-        }
-    }
-
-    while (executed < max_instructions && step())
-        ++executed;
-    return executed;
 }
 
 void

@@ -12,15 +12,16 @@
  *    (security experiments, Fig. 7 — attack success depends on cache
  *    state, not pipeline cycles)
  *
- * One engine retires every macro-op, in either fidelity: the retire
- * routine (retireMacro, sim/retire.cc) walks the macro's resolved uop
- * stream (decode/superblock.hh) through the functional handlers, the
- * fidelity's timing consumer, DIFT and the commit bookkeeping. Two
- * drivers feed it. The interpreter (step()) translates one macro —
- * from the predecoded-flow cache when it can — and resolves it into a
- * scratch stream; the superblock tier (sim/fastpath.hh) walks the
- * streams it compiled for hot regions. They differ only in how they
- * obtain a macro's stream and in the translator protocol around it.
+ * One loop drives every macro-op, in either fidelity (run(),
+ * sim/retire.cc). Each macro first passes the per-macro protocol —
+ * trace time hint, power-gating hook, translator tick — and then
+ * retires through one routine (retireRun) that walks resolved uop
+ * streams (decode/superblock.hh) through the functional handlers, the
+ * fidelity's timing consumer, DIFT and the commit bookkeeping. The
+ * stream comes from a superblock the tier (sim/fastpath.hh) compiled
+ * for a hot region, whose later macros then pass the protocol inside
+ * the same call, or else from translating the one macro — from the
+ * predecoded-flow cache when it can — into a scratch stream.
  */
 
 #ifndef CSD_SIM_SIMULATION_HH
@@ -143,9 +144,9 @@ class Simulation
      * optimization: simulated timing and statistics are bit-identical
      * either way (tests/sim/test_superblock.cc). The tier engages only
      * when the flow cache is enabled (so disabling the flow cache also
-     * disables the tier) and tracing is off (run() re-checks per
-     * call); with a power controller attached, it runs the controller's
-     * per-macro hook itself.
+     * disables the tier) and the translator is the native one or the
+     * CSD installed by setCsd() (run() re-checks per call); tracing and
+     * a power controller run on it like any other macro.
      */
     void setSuperblockEnabled(bool on);
     bool superblockEnabled() const { return superblockEnabled_; }
@@ -211,9 +212,12 @@ class Simulation
     // --- execution ---------------------------------------------------------
 
     /** Execute one macro-op. Returns false once halted. */
-    bool step();
+    bool step() { return run(1) == 1; }
 
-    /** Execute up to @p max_instructions; returns number executed. */
+    /**
+     * Execute up to @p max_instructions; returns the number executed,
+     * not counting the Halt that ends the program.
+     */
     std::uint64_t run(std::uint64_t max_instructions);
 
     /** Run until the program halts. */
@@ -296,18 +300,18 @@ class Simulation
     /**
      * Translate @p op — from the predecoded-flow cache when the
      * translator vouches that memoization is faithful — and resolve
-     * it into scratchOps_. The span stays valid until the next step.
+     * it into scratchOps_. The span stays valid until the next call.
      */
     SbMacro translatedFlow(const MacroOp &op);
 
-    // --- the retire routine (sim/retire.cc) --------------------------------
+    // --- the driver loop and retire routine (sim/retire.cc) -----------------
 
     /**
-     * The accounting retireMacro() accumulates instead of updating the
-     * members per macro; flushTally() applies it. The tier keeps one
-     * tally across a block, step() one per macro. cycles and lastFetch
-     * are the cache-only clock and I-fetch dedup (detailed mode's
-     * timing consumer keeps the clock in cycles_).
+     * The accounting retireRun() accumulates instead of updating the
+     * members per macro; flushTally() applies it. The loop keeps one
+     * per iteration, across a whole run of compiled macros. cycles and
+     * lastFetch are the cache-only clock and I-fetch dedup (detailed
+     * mode's timing consumer keeps the clock in cycles_).
      */
     struct RetireTally
     {
@@ -319,22 +323,57 @@ class Simulation
         std::uint64_t decoys = 0;
     };
 
+    /** Where and why retireRun() stopped. */
+    struct RunStop
+    {
+        const SbMacro *at;  //!< the first macro it did not retire
+        SbExit exit;
+        bool tookBranch;    //!< the last retired macro took a branch
+    };
+
     /**
-     * Retire macro @p m, whose resolved uops start at @p first: run
-     * each uop's functional handler, fused in cache-only mode with the
-     * memory probe and the slot/decoy/energy accounting, propagate
-     * DIFT taint per uop (Taint), then — detailed mode — feed the
-     * timing consumer below, and commit (instruction and uop counts,
-     * flow-length sample, macro-fusion pairing, interval sampling).
-     * A Halt uop ends the macro, as the reference executor's flow loop
-     * does. @p prof, when non-null, is charged the functional and
-     * timing halves separately (step() passes its enabled profiler;
-     * the tier charges whole blocks to HostPhase::Superblock). Returns
-     * whether control left the fall-through path.
+     * run(), specialized on the translator's concrete type (the
+     * native translator's protocol hooks fold away and the CSD's
+     * inline ones devirtualize; any other Translator never runs
+     * compiled blocks), DIFT and the fidelity.
      */
-    template <bool Taint, bool Detailed>
-    bool retireMacro(const SbMacro &m, const SbOp *first, RetireTally &t,
-                     HostProfiler *prof);
+    template <class Tr, bool Taint, bool Detailed>
+    std::uint64_t runLoop(Tr &tr, std::uint64_t budget);
+
+    /**
+     * The per-macro protocol every macro passes once before it
+     * retires, whichever stream it retires from: keep clock-less trace
+     * events on the timeline, run the power hook, tick the translator
+     * (watchdog). Reads the cache-only clock from @p t.
+     */
+    template <class Tr, bool Detailed>
+    void enterMacro(Tr &tr, const MacroOp &op, RetireTally &t);
+
+    /**
+     * Retire a run of resolved macros starting at @p m, whose protocol
+     * has run, for the native translator or the CSD (@p tr is read
+     * only in compiled runs): with @p block null, @p m alone, with its
+     * uops at @p ops; otherwise @p m and the macros after it in
+     * @p block, whose uops are the block's. Per uop: the functional
+     * handler, fused in cache-only mode with the memory probe and the
+     * slot/decoy/energy accounting, DIFT propagation (Taint); per
+     * macro, in detailed mode, the timing consumer below; then the
+     * commit (instruction and uop counts, flow-length sample,
+     * macro-fusion pairing, interval sampling). A Halt uop ends its
+     * macro, as the reference executor's flow loop does. Each compiled
+     * macro first passes the guards — epoch, stability, stable context
+     * — and replays its cached translation; each after the first
+     * passes the protocol (enterMacro) too. The run stops on a taken
+     * branch, at the block's end, after @p room macros, or at a macro
+     * a guard vetoes, with its protocol run. @p prof, when non-null,
+     * is charged the functional and timing halves separately (a
+     * translated macro's run; block runs are charged to
+     * HostPhase::Superblock whole).
+     */
+    template <class Tr, bool Taint, bool Detailed>
+    RunStop retireRun(Tr &tr, const SbMacro *m, const Superblock *block,
+                      const SbOp *ops, std::uint64_t room, RetireTally &t,
+                      HostProfiler *prof);
 
     /** Apply @p t's deltas (and cache-only clock) to the members. */
     void
@@ -380,15 +419,9 @@ class Simulation
      * predictor input): observe @p op, the next macro to retire, at
      * the current cycle, switch CSD devectorization as directed, and
      * charge a conventional demand-wake stall. Requires power_. Runs
-     * exactly once per retired macro, before its translation,
-     * whichever driver retires it: the tier, having run it for a macro
-     * it then hands to the interpreter, sets hookedPc_, and the next
-     * call, for the op at that pc, consumes the mark instead.
+     * once per retired macro, in its protocol (enterMacro).
      */
     void powerHook(const MacroOp &op);
-
-    /** May run() hand execution to the superblock tier right now? */
-    bool tierEngaged() const;
 
     const Program &prog_;
     SimParams params_;
@@ -411,7 +444,6 @@ class Simulation
     ContextSensitiveDecoder *csd_ = nullptr;
     TaintTracker *taint_ = nullptr;
     PowerGateController *power_ = nullptr;
-    Addr hookedPc_ = invalidAddr;  //!< hook ran, macro not yet retired
     EnergyModel energyModel_;
 
     Tick cycles_ = 0;
@@ -424,20 +456,18 @@ class Simulation
     bool flowCacheEnabled_ = true;
 
     // Superblock tier (host optimization, see run()). FastPath is a
-    // friend: it runs the translator protocol and hands each macro of
-    // its blocks to retireMacro().
+    // friend: its head consult compiles from the flow cache.
     friend class FastPath;
     std::unique_ptr<FastPath> fastpath_;
     bool superblockEnabled_ = true;
 
-    // The interpreter's scratch (reused across steps, so their heap
+    // The translated path's scratch (reused across macros, so their heap
     // buffers survive): the flow and timing records on the uncached
     // path, and the resolved stream of the macro being retired.
     UopFlow scratchFlow_;
     std::vector<UopTimingRec> scratchTiming_;
     std::vector<SbOp> scratchOps_;
-    bool tookBranch_ = false;  //!< step()'s macro left the fall-through
-    std::vector<Addr> effs_;   //!< detailed: one macro's effective addrs
+    std::vector<Addr> effs_;  //!< detailed: one macro's effective addrs
 
     // Macro-fusion pairing state (previous committed macro-op; points
     // into prog_.code(), null right after restart()).

@@ -98,7 +98,7 @@ sbHandlerName(SbHandler handler)
     return "?";
 }
 
-/** Handlers that take a memory timing probe in execBlock. */
+/** Handlers that take a memory timing probe in the retire routine. */
 bool
 memoryHandler(SbHandler handler)
 {
@@ -593,7 +593,7 @@ checkSuperblock(const Superblock &block, const Program &prog,
             }
 
             // Exact (bitwise) double compare on purpose: the stream
-            // stores a copy of the model's scalar, and execBlock adds
+            // stores a copy of the model's scalar, and retireRun adds
             // it per-uop in expansion order precisely because double
             // addition is order-sensitive. Any representational drift
             // here breaks the tier's bit-identity guarantee.

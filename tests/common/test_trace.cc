@@ -174,8 +174,9 @@ TEST_F(TraceTest, ChromeExportIsValidJson)
             ++uop;
         if (e.at("cat").str == "Gating")
             ++gating;
-        if (e.at("name").str == "window_hit")
+        if (e.at("name").str == "window_hit") {
             EXPECT_DOUBLE_EQ(e.at("args").at("pc").number, 4096.0);
+        }
     }
     // One thread_name metadata record per flag, plus the real events.
     EXPECT_EQ(meta, static_cast<unsigned>(TraceFlag::NumFlags));

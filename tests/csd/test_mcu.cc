@@ -354,12 +354,15 @@ TEST(Mcu, VectorRegistersRemapToVecTemps)
     ASSERT_NE(xlat, nullptr);
     ASSERT_FALSE(xlat->uops.empty());
     for (const Uop &uop : xlat->uops) {
-        if (uop.dst.valid())
+        if (uop.dst.valid()) {
             EXPECT_TRUE(uop.dst.isVecTemp() || uop.dst.isIntTemp());
-        if (uop.src1.valid() && uop.src1.cls == RegClass::Vec)
+        }
+        if (uop.src1.valid() && uop.src1.cls == RegClass::Vec) {
             EXPECT_TRUE(uop.src1.isVecTemp());
-        if (uop.src2.valid() && uop.src2.cls == RegClass::Vec)
+        }
+        if (uop.src2.valid() && uop.src2.cls == RegClass::Vec) {
             EXPECT_TRUE(uop.src2.isVecTemp());
+        }
     }
 }
 

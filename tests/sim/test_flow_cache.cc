@@ -7,6 +7,7 @@
 
 #include "csd/csd.hh"
 #include "sim/simulation.hh"
+#include "tests/support/dump_diff.hh"
 #include "workloads/aes.hh"
 #include "workloads/rsa.hh"
 
@@ -48,8 +49,8 @@ expectIdentical(const RunRecord &on, const RunRecord &off)
     for (unsigned i = 0; i < numCpiBuckets; ++i)
         EXPECT_EQ(on.cpi[i], off.cpi[i])
             << "bucket " << cpiBucketName(static_cast<CpiBucket>(i));
-    EXPECT_EQ(on.simStats, off.simStats);
-    EXPECT_EQ(on.csdStats, off.csdStats);
+    EXPECT_PRED_FORMAT2(testsupport::sameDump, on.simStats, off.simStats);
+    EXPECT_PRED_FORMAT2(testsupport::sameDump, on.csdStats, off.csdStats);
     // The disabled run must have taken the uncached path throughout.
     EXPECT_EQ(off.fcHits, 0u);
     EXPECT_GT(off.fcBypasses, 0u);

@@ -10,9 +10,11 @@
 #include "csd/csd.hh"
 #include "sim/fastpath.hh"
 #include "sim/simulation.hh"
+#include "tests/support/dump_diff.hh"
 #include "tests/support/random_program.hh"
 #include "workloads/aes.hh"
 #include "workloads/rsa.hh"
+#include "workloads/spec.hh"
 
 namespace csd
 {
@@ -79,8 +81,8 @@ expectIdentical(const CacheOnlyRecord &on, const CacheOnlyRecord &off)
     EXPECT_EQ(on.cycles, off.cycles);
     EXPECT_EQ(on.uops, off.uops);
     EXPECT_EQ(on.instructions, off.instructions);
-    EXPECT_EQ(on.simStats, off.simStats);
-    EXPECT_EQ(on.csdStats, off.csdStats);
+    EXPECT_PRED_FORMAT2(testsupport::sameDump, on.simStats, off.simStats);
+    EXPECT_PRED_FORMAT2(testsupport::sameDump, on.csdStats, off.csdStats);
     // The tier-off run must never have entered a superblock.
     EXPECT_EQ(off.fp.entries, 0u);
     EXPECT_EQ(off.fp.built, 0u);
@@ -382,7 +384,7 @@ expectStealthDifferential(const Program &prog, Setup setup, Invoke invoke)
                 EXPECT_GT(csd.stats().counterValue("watchdog_fires"), 10u);
                 if (reference.empty())
                     reference = dump;
-                EXPECT_EQ(dump, reference)
+                EXPECT_PRED_FORMAT2(testsupport::sameDump, dump, reference)
                     << (mode == SimMode::Detailed ? "detailed" : "cache-only")
                     << " flow_cache=" << flow_cache << " tier=" << tier;
                 if (mode == SimMode::CacheOnly && flow_cache && tier) {
@@ -531,13 +533,15 @@ struct HostConfig
     bool flowCache = true;
     bool tier = true;
     std::uint32_t threshold = 16;
+    bool traced = false;  //!< every trace flag on, in a private context
 };
 
 /** Everything a run publishes, plus the host-side tier counters. */
 struct FullRecord
 {
-    std::string dump;  //!< stats + CSD + DIFT trees, CPI stack, lifecycle
-    std::string dift;  //!< the DIFT tree alone
+    std::string dump;   //!< stats + CSD + DIFT trees, CPI stack, lifecycle
+    std::string dift;   //!< the DIFT tree alone
+    std::string trace;  //!< the Chrome trace export (traced runs)
     FastPath::Counters fp;
 };
 
@@ -565,6 +569,13 @@ runFull(const Program &prog, const HostConfig &host, const CsdSetup &setup,
 {
     SimParams params;
     params.mode = host.mode;
+    std::optional<ObservabilityContext> obs;  // outlives the simulation
+    if (host.traced) {
+        obs.emplace();
+        obs->tracer().setCapacity(1 << 20);
+        obs->tracer().configure("all");
+        params.obs = &*obs;
+    }
     Simulation sim(prog, params);
     sim.setFlowCacheEnabled(host.flowCache);
     sim.setSuperblockEnabled(host.tier);
@@ -620,6 +631,11 @@ runFull(const Program &prog, const HostConfig &host, const CsdSetup &setup,
         lc->exportO3PipeView(lc_os);
         rec.dump += lc_os.str();
     }
+    if (obs) {
+        std::ostringstream trace_os;
+        obs->tracer().exportChromeTrace(trace_os);
+        rec.trace = trace_os.str();
+    }
     rec.fp = sim.fastPath().counters();
     return rec;
 }
@@ -641,7 +657,8 @@ expectDetailedTierIdentical(const Program &prog, const CsdSetup &setup,
     for (const std::uint32_t threshold : {1u, 16u}) {
         const FullRecord on = runFull(
             prog, {SimMode::Detailed, true, true, threshold}, setup, invoke);
-        EXPECT_EQ(on.dump, off.dump) << "threshold " << threshold;
+        EXPECT_PRED_FORMAT2(testsupport::sameDump, on.dump, off.dump)
+            << "threshold " << threshold;
         if (threshold == 1) {
             EXPECT_GT(on.fp.entries, 0u);
             engaged = on;
@@ -794,7 +811,8 @@ TEST(SuperblockResume, UnstableExitContinuesAtNextMacro)
             runFull(workload.program, {mode, true, false, 1}, setup, invoke);
         const char *label =
             mode == SimMode::Detailed ? "detailed" : "cache-only";
-        EXPECT_EQ(on.dump, off.dump) << label;
+        EXPECT_PRED_FORMAT2(testsupport::sameDump, on.dump, off.dump)
+            << label;
         const std::uint64_t vetoed = unstable(on.fp) - unstable(warm);
         EXPECT_GT(vetoed, 0u) << label;
         EXPECT_EQ(on.fp.resumes - warm.resumes, vetoed) << label;
@@ -828,7 +846,8 @@ TEST(SuperblockResume, BudgetSlicesResumeTheBlock)
             });
         const char *label =
             mode == SimMode::Detailed ? "detailed" : "cache-only";
-        EXPECT_EQ(sliced.dump, whole.dump) << label;
+        EXPECT_PRED_FORMAT2(testsupport::sameDump, sliced.dump, whole.dump)
+            << label;
         EXPECT_GT(sliced.fp.exits[static_cast<unsigned>(SbExit::Budget)],
                   0u)
             << label;
@@ -935,11 +954,13 @@ TEST(SuperblockContext, DevectTogglesKeepFlowsAndBlocks)
             runFull(prog, {mode, false, false, 1}, attach, toggling);
         const FullRecord interp =
             runFull(prog, {mode, true, false, 1}, attach, toggling);
-        EXPECT_EQ(interp.dump, ref.dump) << label;
+        EXPECT_PRED_FORMAT2(testsupport::sameDump, interp.dump, ref.dump)
+            << label;
         EXPECT_EQ(fc_invalidations, 0u) << label;
         const FullRecord tier =
             runFull(prog, {mode, true, true, 1}, attach, toggling);
-        EXPECT_EQ(tier.dump, ref.dump) << label;
+        EXPECT_PRED_FORMAT2(testsupport::sameDump, tier.dump, ref.dump)
+            << label;
         EXPECT_EQ(fc_invalidations, 0u) << label;
         EXPECT_EQ(fc_ctx_invalidations, 0u) << label;
         EXPECT_EQ(tier.fp.invalidated, 0u) << label;
@@ -992,6 +1013,73 @@ TEST(SuperblockDift, TaintCountersIndependentOfHostSwitches)
     }
 }
 
+// --- tracing ---------------------------------------------------------------
+
+/**
+ * Tracing runs on the tier: every macro passes the same protocol,
+ * which keeps clock-less components' events on the timeline, whichever
+ * stream it retires from. With every trace flag on, the tier
+ * (threshold 1) must engage and record exactly the events the
+ * interpreter does, at the same time stamps, next to identical dumps:
+ * AES under a 100-cycle stealth watchdog, and the namd preset under
+ * CSD-devectorization power gating, in both fidelities.
+ */
+TEST(SuperblockTrace, TracedTierMatchesInterpreter)
+{
+    const AesWorkload aes = detailedAes();
+    const SpecWorkload namd = SpecWorkload::build(specPreset("namd"), 20);
+    const CsdSetup stealth = [&](MsrFile &msrs, TaintTracker &taint,
+                                 ContextSensitiveDecoder &) {
+        taint.addTaintSource(aes.keyRange);
+        msrs.setWatchdogPeriod(100);
+        msrs.setDecoyDRange(0, aes.tTableRange);
+        msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
+    };
+    const CsdSetup attach = [](MsrFile &, TaintTracker &,
+                               ContextSensitiveDecoder &) {};
+    const Invoke twice = [](Simulation &sim) {
+        for (int i = 0; i < 2; ++i) {
+            sim.restart();
+            sim.runToHalt();
+        }
+    };
+    const struct
+    {
+        const char *name;
+        const Program &prog;
+        CsdSetup setup;
+        Invoke invoke;
+        std::optional<GatingPolicy> policy;
+    } cases[] = {
+        {"aes stealth", aes.program, stealth, aesBlocks(aes, 3),
+         std::nullopt},
+        {"namd csd-devect", namd.program, attach, twice,
+         GatingPolicy::CsdDevect},
+    };
+    for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
+        for (const auto &c : cases) {
+            const std::string label =
+                std::string(mode == SimMode::Detailed ? "detailed "
+                                                      : "cache-only ") +
+                c.name;
+            const FullRecord off =
+                runFull(c.prog, {mode, true, false, 1, true}, c.setup,
+                        c.invoke, c.policy);
+            const FullRecord on =
+                runFull(c.prog, {mode, true, true, 1, true}, c.setup,
+                        c.invoke, c.policy);
+            EXPECT_NE(off.trace.find("\"ts\""), std::string::npos)
+                << label;
+            EXPECT_PRED_FORMAT2(testsupport::sameDump, on.trace, off.trace)
+                << label;
+            EXPECT_PRED_FORMAT2(testsupport::sameDump, on.dump, off.dump)
+                << label;
+            EXPECT_EQ(off.fp.entries, 0u) << label;
+            EXPECT_GT(on.fp.entries, 0u) << label;
+        }
+    }
+}
+
 // --- randomized differential ------------------------------------------------
 
 /**
@@ -1040,13 +1128,72 @@ TEST_P(SuperblockFuzz, TierMatchesInterpreter)
                 runFull(prog, {mode, false, false, 1}, setup, invoke);
             const FullRecord interp =
                 runFull(prog, {mode, true, false, 1}, setup, invoke);
-            const FullRecord tier =
-                runFull(prog, {mode, true, true, 1}, setup, invoke);
-            const char *label =
-                mode == SimMode::Detailed ? "detailed" : "cache-only";
-            EXPECT_EQ(interp.dump, ref.dump) << label;
-            EXPECT_EQ(tier.dump, ref.dump) << label;
-            EXPECT_GT(tier.fp.entries, 0u) << label;
+            const std::string label = std::string(mode == SimMode::Detailed
+                                                      ? "detailed"
+                                                      : "cache-only") +
+                                      (setup ? " stealth" : " bare");
+            EXPECT_PRED_FORMAT2(testsupport::sameDump, interp.dump, ref.dump)
+                << label;
+            for (const std::uint32_t threshold : {1u, 16u}) {
+                const FullRecord tier = runFull(
+                    prog, {mode, true, true, threshold}, setup, invoke);
+                EXPECT_PRED_FORMAT2(testsupport::sameDump, tier.dump,
+                                    ref.dump)
+                    << label << ", threshold " << threshold;
+                if (threshold == 1) {
+                    EXPECT_GT(tier.fp.entries, 0u) << label;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The same programs, bare and under stealth, retired through run(n)
+ * slices of varying n, n = 1 as step(): a slice ends mid-block (the
+ * next one resumes at the cursor), after a vetoed macro, or anywhere
+ * on the interpreter. Every sliced run must publish exactly what one
+ * uninterrupted run does, tier on at thresholds 1 and 16 and off.
+ */
+TEST_P(SuperblockFuzz, SlicedRunsMatchWholeRuns)
+{
+    Random rng(GetParam() ^ 0x5b);
+    const Program prog = testsupport::randomProgram(rng, 90);
+    const Invoke sliced = [](Simulation &sim) {
+        static constexpr std::uint64_t slices[] = {1, 3, 1, 7, 2, 1, 31, 5};
+        std::size_t k = 0;
+        for (int i = 0; i < 2; ++i) {
+            sim.restart();
+            while (!sim.halted()) {
+                const std::uint64_t n = slices[k++ % std::size(slices)];
+                if (n == 1)
+                    sim.step();
+                else
+                    sim.run(n);
+            }
+        }
+    };
+    for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
+        for (const CsdSetup &setup : {CsdSetup{}, stealth(prog)}) {
+            const std::string label = std::string(mode == SimMode::Detailed
+                                                      ? "detailed"
+                                                      : "cache-only") +
+                                      (setup ? " stealth" : " bare");
+            const FullRecord whole =
+                runFull(prog, {mode, true, false, 1}, setup, invoke);
+            for (const HostConfig &host :
+                 {HostConfig{mode, true, false, 1},
+                  HostConfig{mode, true, true, 1},
+                  HostConfig{mode, true, true, 16}}) {
+                const FullRecord rec = runFull(prog, host, setup, sliced);
+                EXPECT_PRED_FORMAT2(testsupport::sameDump, rec.dump,
+                                    whole.dump)
+                    << label << ", tier " << host.tier << ", threshold "
+                    << host.threshold;
+                if (host.tier && host.threshold == 1) {
+                    EXPECT_GT(rec.fp.entries, 0u) << label;
+                }
+            }
         }
     }
 }
@@ -1091,7 +1238,7 @@ TEST_P(SuperblockFuzz, PowerGatedTierMatchesInterpreter)
                 const FullRecord on =
                     runFull(prog, {mode, true, true, threshold}, v.setup,
                             invoke, v.policy);
-                EXPECT_EQ(on.dump, off.dump)
+                EXPECT_PRED_FORMAT2(testsupport::sameDump, on.dump, off.dump)
                     << label << ", threshold " << threshold;
                 if (threshold == 1) {
                     EXPECT_GT(on.fp.entries, 0u) << label;
