@@ -11,15 +11,24 @@ byte. The JSON documents must match once the host-only manifest
 members are dropped (the key list of perfbench/analysis.py, the same
 one the benchmark drops before it hashes outputs).
 
---self-check proves the comparison can fail: bench_table1_config must
-compare equal against itself, and different when one side runs with
-CSD_STATS_DETAIL=1.
+Every program run writes its trace exports into a directory of its own
+(CSD_TRACE_FILE is set per run, overriding the environment's), so with
+CSD_TRACE set in the environment the two builds' exports are compared
+too: as a multiset of byte-identical files, the way
+check_sidecar_determinism.py --env compares them (context ids, and so
+file names, may differ).
 
-Exit status: 0 every output matches (self-check: both halves hold),
+--self-check proves the comparison can fail: bench_table1_config must
+compare equal against itself, different when one side runs with
+CSD_STATS_DETAIL=1, and different in its trace exports when both sides
+trace but one keeps a 1-event ring.
+
+Exit status: 0 every output matches (self-check: every part holds),
 1 some output differs, 2 usage error or a program that did not run.
 """
 
 import argparse
+import collections
 import concurrent.futures
 import glob
 import json
@@ -53,25 +62,32 @@ def programs():
 
 def execute(build, prog, workdir, env_extra=None):
     """Run one program in its own working directory; returns
-    (exit status, stdout bytes, parsed JSON document or None)."""
+    (exit status, stdout bytes, parsed JSON document or None, multiset
+    of trace-export contents)."""
     name, rel, args, writes_json = prog
     binary = os.path.join(os.path.abspath(build), rel)
     if not os.access(binary, os.X_OK):
         raise FileNotFoundError(f"{binary}: not built")
-    os.makedirs(workdir, exist_ok=True)
+    trace_dir = os.path.join(workdir, "traces")
+    os.makedirs(trace_dir, exist_ok=True)
     cmd = [binary] + args
     json_path = os.path.join(workdir, name + ".json")
     if writes_json:
         cmd += ["--json", json_path]
     env = dict(os.environ)
     env.update(env_extra or {})
+    env["CSD_TRACE_FILE"] = os.path.join(trace_dir, "trace_%c.json")
     proc = subprocess.run(cmd, cwd=workdir, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, check=False)
     doc = None
     if writes_json and os.path.exists(json_path):
         with open(json_path) as f:
             doc = analysis.scrub(json.load(f))
-    return proc.returncode, proc.stdout, doc
+    traces = collections.Counter()
+    for trace in os.listdir(trace_dir):
+        with open(os.path.join(trace_dir, trace), "rb") as f:
+            traces[f.read()] += 1
+    return proc.returncode, proc.stdout, doc, traces
 
 
 def first_difference(a, b):
@@ -83,7 +99,7 @@ def first_difference(a, b):
     return f"line count {len(la)} vs {len(lb)}"
 
 
-def compare(build_a, build_b, progs, env_b=None):
+def compare(build_a, build_b, progs, env_b=None, env_a=None):
     """Run every program in both builds; returns the list of
     differences (empty = identical)."""
     diffs = []
@@ -91,15 +107,15 @@ def compare(build_a, build_b, progs, env_b=None):
             concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
         jobs = {}
         for prog in progs:
-            for side, build, env in (("a", build_a, None),
+            for side, build, env in (("a", build_a, env_a),
                                      ("b", build_b, env_b)):
                 workdir = os.path.join(tmp, side, prog[0])
                 jobs[(prog[0], side)] = pool.submit(
                     execute, build, prog, workdir, env)
         for prog in progs:
             name = prog[0]
-            status_a, out_a, doc_a = jobs[(name, "a")].result()
-            status_b, out_b, doc_b = jobs[(name, "b")].result()
+            status_a, out_a, doc_a, traces_a = jobs[(name, "a")].result()
+            status_b, out_b, doc_b, traces_b = jobs[(name, "b")].result()
             found = []
             if status_a != status_b:
                 found.append(f"{name}: exit status {status_a} vs {status_b}")
@@ -108,7 +124,15 @@ def compare(build_a, build_b, progs, env_b=None):
                              + first_difference(out_a, out_b))
             if doc_a != doc_b:
                 found.append(f"{name}: JSON differs")
-            print(f"{name:30s} {'DIFFERENT' if found else 'same'}",
+            if traces_a != traces_b:
+                unmatched = sum((traces_a - traces_b).values())
+                found.append(
+                    f"{name}: trace exports differ ({traces_a.total()} vs "
+                    f"{traces_b.total()} file(s), {unmatched} without a "
+                    "byte-identical counterpart)")
+            traced = (f" ({traces_a.total()} trace export(s))"
+                      if traces_a or traces_b else "")
+            print(f"{name:30s} {'DIFFERENT' if found else 'same'}{traced}",
                   flush=True)
             diffs += found
     return diffs
@@ -125,6 +149,13 @@ def self_check(build):
     if not compare(build, build, prog, {"CSD_STATS_DETAIL": "1"}):
         print("compare_outputs: self-check FAIL: CSD_STATS_DETAIL=1 on "
               "one side went unnoticed", file=sys.stderr)
+        return 1
+    traced = {"CSD_TRACE": "all"}
+    diffs = compare(build, build, prog, {**traced, "CSD_TRACE_CAPACITY": "1"},
+                    env_a=traced)
+    if not any("trace exports differ" in d for d in diffs):
+        print("compare_outputs: self-check FAIL: a truncated trace export "
+              "on one side went unnoticed", file=sys.stderr)
         return 1
     print("compare_outputs: self-check ok")
     return 0

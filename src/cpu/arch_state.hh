@@ -7,6 +7,7 @@
 #ifndef CSD_CPU_ARCH_STATE_HH
 #define CSD_CPU_ARCH_STATE_HH
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -162,16 +163,45 @@ class SparseMemory
         page[addr & (pageSize - 1)] = val;
     }
 
-    /** Copy a byte buffer into memory. */
+    /** Copy a byte buffer into memory, one page-sized chunk at a time. */
     void
     writeBlob(Addr addr, const std::uint8_t *data, std::size_t len)
     {
-        for (std::size_t i = 0; i < len; ++i)
-            writeByte(addr + i, data[i]);
+        forEachPageRun(addr, len, [&](std::uint8_t *dst, std::size_t n) {
+            std::memcpy(dst, data, n);
+            data += n;
+        });
     }
+
+    /** Zero @p len bytes at @p addr, mapping every page they touch. */
+    void
+    fillZero(Addr addr, std::size_t len)
+    {
+        forEachPageRun(addr, len, [](std::uint8_t *dst, std::size_t n) {
+            std::memset(dst, 0, n);
+        });
+    }
+
+    /** Number of pages mapped so far. */
+    std::size_t mappedPages() const { return pages_.size(); }
 
   private:
     using Page = std::array<std::uint8_t, pageSize>;
+
+    /** Call @p fn(dst, n) for each within-page run of [addr, addr+len),
+     *  mapping its page first. */
+    template <typename Fn>
+    void
+    forEachPageRun(Addr addr, std::size_t len, Fn &&fn)
+    {
+        while (len > 0) {
+            const std::size_t off = addr & (pageSize - 1);
+            const std::size_t n = std::min(len, pageSize - off);
+            fn(getPage(addr).data() + off, n);
+            addr += n;
+            len -= n;
+        }
+    }
 
     // Direct-mapped page cache: the hot loops alternate between a
     // handful of pages (stack, state block, lookup tables) millions of
@@ -212,10 +242,8 @@ class SparseMemory
         if (cachedPageNo_[slot] == page_no)
             return *cachedPage_[slot];
         auto &map_slot = pages_[page_no];
-        if (!map_slot) {
-            map_slot = std::make_unique<Page>();
-            map_slot->fill(0);
-        }
+        if (!map_slot)
+            map_slot = std::make_unique<Page>();  // value-initialized: zero
         cachedPageNo_[slot] = page_no;
         cachedPage_[slot] = map_slot.get();
         return *map_slot;
@@ -254,12 +282,21 @@ class ArchState
         intRegs_[static_cast<unsigned>(Gpr::Rsp)] = 0x7ffff000;
     }
 
-    /** Load a program's data image and set the entry PC. */
+    /**
+     * Load a program's data image and set the entry PC. A zero span's
+     * pages are mapped (and zeroed) here, not left to the first access:
+     * the page cache never remembers an absent page, so an unmapped
+     * span would cost a hash lookup on every read of the run.
+     */
     void
     loadProgram(const Program &prog)
     {
-        for (const auto &[addr, bytes] : prog.data())
-            mem.writeBlob(addr, bytes.data(), bytes.size());
+        for (const DataChunk &chunk : prog.data()) {
+            if (chunk.zero())
+                mem.fillZero(chunk.addr, chunk.size);
+            else
+                mem.writeBlob(chunk.addr, chunk.bytes.data(), chunk.size);
+        }
         pc = prog.entry();
         halted = false;
     }

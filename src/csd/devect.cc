@@ -170,12 +170,6 @@ emitFloat32(UopVec &uops, MicroOpcode scalar_op, Addr pc)
 
 } // namespace
 
-bool
-devectorizable(MacroOpcode op)
-{
-    return isVectorArith(op) || op == MacroOpcode::MovdqaRR;
-}
-
 std::optional<UopFlow>
 devectorize(const MacroOp &op)
 {

@@ -35,7 +35,11 @@ namespace csd
 std::optional<UopFlow> devectorize(const MacroOp &op);
 
 /** True iff devectorize() produces a flow for this opcode. */
-bool devectorizable(MacroOpcode op);
+inline bool
+devectorizable(MacroOpcode op)
+{
+    return isVectorArith(op) || op == MacroOpcode::MovdqaRR;
+}
 
 } // namespace csd
 

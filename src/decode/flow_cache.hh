@@ -20,8 +20,12 @@
  * The table is a flat vector with one slot per static instruction of
  * the program (the simulator indexes it by the macro-op's position in
  * Program::code()), so a lookup is an array access plus an epoch
- * compare — no hashing on the hot path. The vector is sized once and
- * never reallocates, so flow references stay stable until clear().
+ * compare — no hashing on the hot path. reset() sizes the native side
+ * for the program, building each slot in place (a default Entry writes
+ * its header fields only, so set-up scales with the slot count, not
+ * with the entries' inline flow storage). Neither side reallocates
+ * between reset() and clear(), so flow references stay stable until
+ * then; a clear() with no live entry only resets the per-slot flags.
  *
  * Each slot holds one entry per stable decode context, side by side:
  * the native translation, and — allocated on the first insertion of a
@@ -67,6 +71,12 @@ class FlowCache
   public:
     struct Entry
     {
+        /** Writes the header fields and the containers' bookkeeping
+         *  only; their inline storage stays raw (a user-provided
+         *  constructor, so value-initializing a slot does not zero
+         *  the whole entry first). */
+        Entry() {}
+
         std::uint64_t epoch = 0;  //!< translator epoch at insertion
         unsigned ctx = 0;         //!< contextId() of the translation
         std::uint32_t heat = 0;   //!< region-entry count (native side only)
@@ -81,11 +91,12 @@ class FlowCache
         SmallVector<UopTimingRec, UopVec::inlineCapacity()> timing;
     };
 
-    /** Size the table for a program's static instruction count. */
+    /** Size the table for a program's static instruction count. Slots
+     *  are built in place, not copied from a prototype entry. */
     void
     reset(std::size_t slot_count)
     {
-        native_.assign(slot_count, Entry{});
+        native_ = std::vector<Entry>(slot_count);
         alternate_ = {};
         count_ = 0;
     }
@@ -153,12 +164,20 @@ class FlowCache
     {
         const Entry *sides[2] = {
             &native_[slot], alternate_.empty() ? nullptr : &alternate_[slot]};
-        if (native_[slot].recentAlternate)
+        if (recentAlternate(slot))
             std::swap(sides[0], sides[1]);
         for (const Entry *entry : sides)
             if (entry && entry->valid && entry->epoch == epoch)
                 return entry;
         return nullptr;
+    }
+
+    /** True iff @p slot's last lookup or insertion was for a
+     *  non-native context (peekRecent() reads that side first). */
+    bool
+    recentAlternate(std::size_t slot) const
+    {
+        return native_[slot].recentAlternate;
     }
 
     /**
@@ -188,7 +207,7 @@ class FlowCache
            UopFlow flow)
     {
         if (ctx != nativeCtx && alternate_.empty())
-            alternate_.assign(native_.size(), Entry{});
+            alternate_ = std::vector<Entry>(native_.size());
         native_[slot].recentAlternate = ctx != nativeCtx;
         Entry &entry = (ctx == nativeCtx ? native_ : alternate_)[slot];
         count_ += entry.valid ? 0 : 1;
@@ -205,10 +224,18 @@ class FlowCache
         return entry;
     }
 
-    /** Drop every cached flow; keeps the sizing and the counters. */
+    /** Drop every cached flow; keeps the sizing, the counters and each
+     *  slot's heat. */
     void
     clear()
     {
+        if (count_ == 0 && alternate_.empty()) {
+            // No slot holds a flow (only insert() fills one, and it
+            // counts it), so lookup()'s flag is all there is to reset.
+            for (Entry &entry : native_)
+                entry.recentAlternate = false;
+            return;
+        }
         for (Entry &entry : native_) {
             entry.valid = false;
             entry.recentAlternate = false;

@@ -8,125 +8,6 @@ namespace csd
 {
 
 bool
-isBranch(MacroOpcode op)
-{
-    switch (op) {
-      case MacroOpcode::Jmp:
-      case MacroOpcode::Jcc:
-      case MacroOpcode::JmpInd:
-      case MacroOpcode::Call:
-      case MacroOpcode::Ret:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isConditionalBranch(MacroOpcode op)
-{
-    return op == MacroOpcode::Jcc;
-}
-
-bool
-isDirectBranch(MacroOpcode op)
-{
-    return op == MacroOpcode::Jmp || op == MacroOpcode::Jcc ||
-           op == MacroOpcode::Call;
-}
-
-bool
-isCall(MacroOpcode op)
-{
-    return op == MacroOpcode::Call;
-}
-
-bool
-isReturn(MacroOpcode op)
-{
-    return op == MacroOpcode::Ret;
-}
-
-bool
-isMemRead(const MacroOp &op)
-{
-    switch (op.opcode) {
-      case MacroOpcode::Load:
-      case MacroOpcode::Pop:
-      case MacroOpcode::AddM:
-      case MacroOpcode::SubM:
-      case MacroOpcode::AndM:
-      case MacroOpcode::OrM:
-      case MacroOpcode::XorM:
-      case MacroOpcode::CmpM:
-      case MacroOpcode::ImulM:
-      case MacroOpcode::MovdqaLoad:
-      case MacroOpcode::Ret:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isMemWrite(const MacroOp &op)
-{
-    switch (op.opcode) {
-      case MacroOpcode::Store:
-      case MacroOpcode::StoreImm:
-      case MacroOpcode::Push:
-      case MacroOpcode::MovdqaStore:
-      case MacroOpcode::Call:
-      case MacroOpcode::RepStosI:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isVector(MacroOpcode op)
-{
-    switch (op) {
-      case MacroOpcode::MovdqaLoad:
-      case MacroOpcode::MovdqaStore:
-      case MacroOpcode::MovdqaRR:
-      case MacroOpcode::Paddb:
-      case MacroOpcode::Paddw:
-      case MacroOpcode::Paddd:
-      case MacroOpcode::Paddq:
-      case MacroOpcode::Psubb:
-      case MacroOpcode::Psubw:
-      case MacroOpcode::Psubd:
-      case MacroOpcode::Psubq:
-      case MacroOpcode::Pand:
-      case MacroOpcode::Por:
-      case MacroOpcode::Pxor:
-      case MacroOpcode::Pmullw:
-      case MacroOpcode::PslldI:
-      case MacroOpcode::PsrldI:
-      case MacroOpcode::Addps:
-      case MacroOpcode::Mulps:
-      case MacroOpcode::Subps:
-      case MacroOpcode::Addpd:
-      case MacroOpcode::Mulpd:
-      case MacroOpcode::Subpd:
-      case MacroOpcode::Divps:
-      case MacroOpcode::Sqrtps:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isVectorArith(MacroOpcode op)
-{
-    return isVector(op) && op != MacroOpcode::MovdqaLoad &&
-           op != MacroOpcode::MovdqaStore && op != MacroOpcode::MovdqaRR;
-}
-
-bool
 readsFlags(const MacroOp &op)
 {
     switch (op.opcode) {

@@ -13,7 +13,10 @@
 #ifndef CSD_ISA_MACROOP_HH
 #define CSD_ISA_MACROOP_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 #include "common/types.hh"
@@ -147,16 +150,90 @@ struct MacroOp
     Addr nextPc() const { return pc + length; }
 };
 
+/** Classification bits of an opcode (macroOpTraits). */
+enum MacroOpTrait : std::uint16_t
+{
+    opBranch = 1u << 0,         //!< any control transfer
+    opCondBranch = 1u << 1,
+    opDirectBranch = 1u << 2,
+    opCall = 1u << 3,
+    opReturn = 1u << 4,
+    opMemRead = 1u << 5,        //!< performs a load
+    opMemWrite = 1u << 6,       //!< performs a store
+    opVector = 1u << 7,         //!< executes on the VPU
+    opVectorArith = 1u << 8,    //!< VPU op other than a pure move
+};
+
+/**
+ * The trait bits of every opcode, indexed by opcode. The classification
+ * helpers below are inline reads of this one table: decode, the branch
+ * predictor, the LSD and the power controller ask them several times
+ * per retired macro-op.
+ */
+inline constexpr auto macroOpTraits = [] {
+    using enum MacroOpcode;
+    std::array<std::uint16_t, static_cast<std::size_t>(NumOpcodes)>
+        traits{};
+    const auto mark = [&traits](std::uint16_t bits,
+                                std::initializer_list<MacroOpcode> ops) {
+        for (const MacroOpcode op : ops)
+            traits[static_cast<std::size_t>(op)] |= bits;
+    };
+    mark(opBranch, {Jmp, Jcc, JmpInd, Call, Ret});
+    mark(opCondBranch, {Jcc});
+    mark(opDirectBranch, {Jmp, Jcc, Call});
+    mark(opCall, {Call});
+    mark(opReturn, {Ret});
+    mark(opMemRead, {Load, Pop, AddM, SubM, AndM, OrM, XorM, CmpM, ImulM,
+                     MovdqaLoad, Ret});
+    mark(opMemWrite,
+         {Store, StoreImm, Push, MovdqaStore, Call, RepStosI});
+    mark(opVector, {MovdqaLoad, MovdqaStore, MovdqaRR});
+    mark(opVector | opVectorArith,
+         {Paddb, Paddw, Paddd, Paddq, Psubb, Psubw, Psubd, Psubq, Pand, Por,
+          Pxor, Pmullw, PslldI, PsrldI, Addps, Mulps, Subps, Addpd, Mulpd,
+          Subpd, Divps, Sqrtps});
+    return traits;
+}();
+
+/** True iff @p op has trait @p trait. */
+inline bool
+hasOpTrait(MacroOpcode op, MacroOpTrait trait)
+{
+    return (macroOpTraits[static_cast<std::size_t>(op)] & trait) != 0;
+}
+
 /** Instruction classification helpers used by decode and CSD. */
-bool isBranch(MacroOpcode op);          //!< any control transfer
-bool isConditionalBranch(MacroOpcode op);
-bool isDirectBranch(MacroOpcode op);
-bool isCall(MacroOpcode op);
-bool isReturn(MacroOpcode op);
-bool isMemRead(const MacroOp &op);      //!< performs a load
-bool isMemWrite(const MacroOp &op);     //!< performs a store
-bool isVector(MacroOpcode op);          //!< executes on the VPU
-bool isVectorArith(MacroOpcode op);     //!< VPU op other than pure mov
+inline bool isBranch(MacroOpcode op) { return hasOpTrait(op, opBranch); }
+inline bool
+isConditionalBranch(MacroOpcode op)
+{
+    return hasOpTrait(op, opCondBranch);
+}
+inline bool
+isDirectBranch(MacroOpcode op)
+{
+    return hasOpTrait(op, opDirectBranch);
+}
+inline bool isCall(MacroOpcode op) { return hasOpTrait(op, opCall); }
+inline bool isReturn(MacroOpcode op) { return hasOpTrait(op, opReturn); }
+inline bool
+isMemRead(const MacroOp &op)
+{
+    return hasOpTrait(op.opcode, opMemRead);
+}
+inline bool
+isMemWrite(const MacroOp &op)
+{
+    return hasOpTrait(op.opcode, opMemWrite);
+}
+inline bool isVector(MacroOpcode op) { return hasOpTrait(op, opVector); }
+inline bool
+isVectorArith(MacroOpcode op)
+{
+    return hasOpTrait(op, opVectorArith);
+}
+
 bool readsFlags(const MacroOp &op);
 bool writesFlags(const MacroOp &op);
 

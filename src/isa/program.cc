@@ -162,11 +162,8 @@ ProgramBuilder::defineData(const std::string &name,
                            const std::vector<std::uint8_t> &bytes,
                            unsigned align)
 {
-    dataCursor_ = roundUp(dataCursor_, static_cast<Addr>(align));
-    const Addr addr = dataCursor_;
-    data_.emplace_back(addr, bytes);
-    dataCursor_ += bytes.size();
-    symbols_[name] = AddrRange(addr, addr + bytes.size());
+    const Addr addr = placeData(name, bytes.size(), align);
+    data_.back().bytes = bytes;
     return addr;
 }
 
@@ -190,7 +187,19 @@ Addr
 ProgramBuilder::reserveData(const std::string &name, std::size_t size,
                             unsigned align)
 {
-    return defineData(name, std::vector<std::uint8_t>(size, 0), align);
+    return placeData(name, size, align);
+}
+
+Addr
+ProgramBuilder::placeData(const std::string &name, std::size_t size,
+                          unsigned align)
+{
+    dataCursor_ = roundUp(dataCursor_, static_cast<Addr>(align));
+    const Addr addr = dataCursor_;
+    data_.push_back(DataChunk{addr, size, {}});
+    dataCursor_ += size;
+    symbols_[name] = AddrRange(addr, addr + size);
+    return addr;
 }
 
 void

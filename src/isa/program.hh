@@ -3,10 +3,10 @@
  * Program container and assembler-style builder for the mini-ISA.
  *
  * A Program is a fully linked unit: instructions with assigned PCs and
- * byte lengths, an initialized data image, and a symbol table giving the
- * address extents of functions and data objects (used, e.g., to program
- * the decoy address-range MSRs with the RSA `multiply` function or the
- * AES T-tables).
+ * byte lengths, a data image of initialized chunks and zero spans, and
+ * a symbol table giving the address extents of functions and data
+ * objects (used, e.g., to program the decoy address-range MSRs with the
+ * RSA `multiply` function or the AES T-tables).
  */
 
 #ifndef CSD_ISA_PROGRAM_HH
@@ -24,6 +24,24 @@
 
 namespace csd
 {
+
+/**
+ * One chunk of a program's data image: @p size initialized bytes at
+ * @p addr, or, with no bytes stored, @p size zero bytes (a reserved
+ * working set costs its extent, not a zero vector).
+ */
+struct DataChunk
+{
+    Addr addr = 0;
+    std::size_t size = 0;
+    std::vector<std::uint8_t> bytes;  //!< size bytes, or empty: all zero
+
+    /** True iff the chunk is a zero span (no stored bytes). */
+    bool zero() const { return bytes.empty(); }
+
+    /** The chunk's address extent. */
+    AddrRange range() const { return AddrRange(addr, addr + size); }
+};
 
 /** A fully assembled program. */
 class Program
@@ -51,12 +69,8 @@ class Program
         return atSparse(pc);
     }
 
-    /** Initialized data: (address, bytes) chunks. */
-    const std::vector<std::pair<Addr, std::vector<std::uint8_t>>> &
-    data() const
-    {
-        return data_;
-    }
+    /** The data image, in placement order. */
+    const std::vector<DataChunk> &data() const { return data_; }
 
     /** Address extent of a named symbol; fatal if unknown. */
     AddrRange symbol(const std::string &name) const;
@@ -91,7 +105,7 @@ class Program
     Addr codeBase_ = 0;
     std::vector<std::int32_t> denseIndex_;
     Addr entry_ = invalidAddr;
-    std::vector<std::pair<Addr, std::vector<std::uint8_t>>> data_;
+    std::vector<DataChunk> data_;
     std::map<std::string, AddrRange> symbols_;
 };
 
@@ -168,7 +182,7 @@ class ProgramBuilder
                          const std::vector<std::uint32_t> &words,
                          unsigned align = 64);
 
-    /** Reserve zero-initialized space. */
+    /** Reserve zero-initialized space (a zero span: no bytes stored). */
     Addr reserveData(const std::string &name, std::size_t size,
                      unsigned align = 64);
 
@@ -254,6 +268,10 @@ class ProgramBuilder
 
   private:
     void place(MacroOp &op);
+    /** Align the data cursor, open a bytes-less chunk of @p size there
+     *  and name it; returns its address. */
+    Addr placeData(const std::string &name, std::size_t size,
+                   unsigned align);
     void verifyStructure(const Program &prog) const;
 
     bool verify_ = true;
@@ -267,7 +285,7 @@ class ProgramBuilder
     std::vector<std::pair<std::size_t, Label>> fixups_;
     std::map<std::string, AddrRange> symbols_;
     std::map<std::string, Addr> openSymbols_;
-    std::vector<std::pair<Addr, std::vector<std::uint8_t>>> data_;
+    std::vector<DataChunk> data_;
 };
 
 } // namespace csd

@@ -53,8 +53,6 @@ Cache::contains(Addr addr) const
 void
 Cache::fill(Addr addr)
 {
-    if (findWay(addr) != invalidWay)
-        return;  // already resident (e.g. racing fill)
     const unsigned set = setIndex(addr);
     if (!setLive(set))
         makeSetLive(set);

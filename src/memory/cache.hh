@@ -48,7 +48,12 @@ class Cache
     /** Probe residency without disturbing replacement state or stats. */
     bool contains(Addr addr) const;
 
-    /** Install a block, evicting the LRU way of its set if needed. */
+    /**
+     * Install a block, evicting the LRU way of its set if needed.
+     * Precondition: the block is absent (the caller's access() just
+     * missed it). There is no residency scan, so a miss scans each set
+     * once; filling a resident block would leave it in two ways.
+     */
     void fill(Addr addr);
 
     /** Invalidate a block if present (clflush); returns prior presence. */

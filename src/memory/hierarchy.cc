@@ -58,9 +58,6 @@ MemHierarchy::missThrough(Cache &l1, Addr addr, bool is_write,
     return result;
 }
 
-
-
-
 void
 MemHierarchy::flush(Addr addr)
 {

@@ -137,11 +137,9 @@ AddrRange
 regionContaining(const Program &prog, const VerifyOptions &options,
                  Addr addr)
 {
-    for (const auto &[base, bytes] : prog.data()) {
-        const AddrRange range(base, base + bytes.size());
-        if (range.contains(addr))
-            return range;
-    }
+    for (const DataChunk &chunk : prog.data())
+        if (chunk.range().contains(addr))
+            return chunk.range();
     for (const AddrRange &range : options.extraRegions)
         if (range.contains(addr))
             return range;

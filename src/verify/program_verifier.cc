@@ -422,9 +422,9 @@ class Regions
   public:
     Regions(const Program &prog, const VerifyOptions &options)
     {
-        for (const auto &[addr, bytes] : prog.data())
-            if (!bytes.empty())
-                data_.emplace_back(addr, addr + bytes.size());
+        for (const DataChunk &chunk : prog.data())
+            if (chunk.size > 0)
+                data_.push_back(chunk.range());
         for (const AddrRange &range : options.extraRegions)
             data_.push_back(range);
         if (options.stackBytes > 0) {

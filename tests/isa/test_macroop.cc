@@ -57,6 +57,27 @@ TEST(MacroOp, VectorClassification)
     EXPECT_FALSE(isVectorArith(MacroOpcode::MovdqaRR));
 }
 
+TEST(MacroOp, TraitTableIsConsistent)
+{
+    // Every opcode's row of macroOpTraits: the finer branch classes
+    // imply isBranch, vector arithmetic implies isVector, and the VPU
+    // opcodes are exactly the SSE block of the enum.
+    for (unsigned i = 0; i < static_cast<unsigned>(MacroOpcode::NumOpcodes);
+         ++i) {
+        const auto op = static_cast<MacroOpcode>(i);
+        SCOPED_TRACE(mnemonic(op));
+        const bool finer = isConditionalBranch(op) || isDirectBranch(op) ||
+                           isCall(op) || isReturn(op);
+        EXPECT_TRUE(!finer || isBranch(op));
+        EXPECT_TRUE(!isCall(op) || isDirectBranch(op));
+        EXPECT_TRUE(!isVectorArith(op) || isVector(op));
+        EXPECT_EQ(isVector(op), op >= MacroOpcode::MovdqaLoad &&
+                                    op <= MacroOpcode::Sqrtps);
+        EXPECT_EQ(isVectorArith(op), op > MacroOpcode::MovdqaRR &&
+                                         op <= MacroOpcode::Sqrtps);
+    }
+}
+
 TEST(MacroOp, FlagUse)
 {
     MacroOp adc = makeOp(MacroOpcode::Adc);

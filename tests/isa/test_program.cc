@@ -95,7 +95,7 @@ TEST(ProgramBuilder, DataPlacementAndAlignment)
     Program prog = builder.build();
     EXPECT_EQ(prog.symbol("blob_a").size(), 3u);
     ASSERT_EQ(prog.data().size(), 2u);
-    EXPECT_EQ(prog.data()[0].second[1], 2);
+    EXPECT_EQ(prog.data()[0].bytes[1], 2);
 }
 
 TEST(ProgramBuilder, DataWordsLittleEndian)
@@ -104,7 +104,7 @@ TEST(ProgramBuilder, DataWordsLittleEndian)
     builder.halt();
     builder.defineDataWords("words", {0x11223344});
     Program prog = builder.build();
-    const auto &bytes = prog.data()[0].second;
+    const auto &bytes = prog.data()[0].bytes;
     ASSERT_EQ(bytes.size(), 4u);
     EXPECT_EQ(bytes[0], 0x44);
     EXPECT_EQ(bytes[3], 0x11);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "csd/csd.hh"
 #include "sim/simulation.hh"
@@ -387,6 +388,111 @@ TEST(FlowCache, InsertResolvesTimingRecords)
 
     cache.clear();
     EXPECT_TRUE(again.timing.empty());
+}
+
+TEST(FlowCache, EntryReferencesStableUntilClear)
+{
+    // Compiled superblocks point into cached entries, so neither side
+    // may move between reset() and clear(): not when the first
+    // non-native insert allocates the alternate side, and not when a
+    // slot is re-translated with a flow that spills its inline storage.
+    FlowCache cache;
+    cache.reset(64);
+    UopFlow one;
+    one.uops.push_back(Uop{});
+    UopFlow many;
+    many.uops.resize(9);
+
+    std::vector<const FlowCache::Entry *> native;
+    for (std::size_t slot = 0; slot < 64; ++slot)
+        native.push_back(&cache.insert(slot, 1, ctxNative, one));
+    const FlowCache::Entry *devect = &cache.insert(5, 1, ctxDevect, many);
+    for (std::size_t slot = 0; slot < 64; slot += 7) {
+        const FlowCache::Entry *entry = &cache.insert(slot, 2, ctxDevect, one);
+        EXPECT_EQ(cache.peek(slot, 2, ctxDevect), entry);
+    }
+    for (std::size_t slot = 0; slot < 64; ++slot) {
+        EXPECT_EQ(&cache.insert(slot, 2, ctxNative, many), native[slot]);
+        EXPECT_EQ(native[slot]->flow.uops.size(), 9u);
+        EXPECT_EQ(cache.lookup(slot, 2, ctxNative), native[slot]);
+    }
+    EXPECT_EQ(&cache.insert(5, 3, ctxDevect, one), devect);
+    EXPECT_EQ(cache.lookup(5, 3, ctxDevect), devect);
+    EXPECT_EQ(devect->flow.uops.size(), 1u);
+    EXPECT_EQ(cache.size(), 64u + 11u);  // alternates: slot 5 and 0, 7, .., 63
+
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    for (std::size_t slot = 0; slot < 64; ++slot)
+        EXPECT_EQ(cache.peek(slot, 2, ctxNative), nullptr);
+}
+
+TEST(FlowCache, ClearOfNeverFilledCache)
+{
+    // With no live entry clear() only resets the per-slot flags: a
+    // lookup's recentAlternate goes, the heat stays, and no counter
+    // moves.
+    FlowCache cache;
+    cache.reset(8);
+    EXPECT_EQ(cache.bumpHeat(3), 1u);
+    EXPECT_EQ(cache.bumpHeat(3), 2u);
+    EXPECT_EQ(cache.lookup(3, 1, ctxDevect), nullptr);
+    EXPECT_EQ(cache.lookup(6, 1, ctxNative), nullptr);
+    EXPECT_TRUE(cache.recentAlternate(3));
+    EXPECT_FALSE(cache.recentAlternate(6));
+    EXPECT_EQ(cache.misses, 2u);
+    EXPECT_EQ(cache.size(), 0u);
+
+    cache.clear();
+    for (std::size_t slot = 0; slot < cache.slots(); ++slot)
+        EXPECT_FALSE(cache.recentAlternate(slot)) << "slot " << slot;
+    EXPECT_EQ(cache.bumpHeat(3), 3u);
+    EXPECT_EQ(cache.slots(), 8u);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.hits, 0u);
+    EXPECT_EQ(cache.misses, 2u);
+    EXPECT_EQ(cache.invalidations, 0u);
+    EXPECT_EQ(cache.ctx_invalidations, 0u);
+    EXPECT_EQ(cache.bypasses, 0u);
+    EXPECT_EQ(cache.peekRecent(3, 1), nullptr);
+}
+
+TEST(FlowCache, ClearKeepsHeatAndCounters)
+{
+    // The full clear() (live entries on both sides) drops every flow
+    // but keeps each slot's heat and the host-side counters, and
+    // resets recentAlternate like the empty one.
+    FlowCache cache;
+    cache.reset(4);
+    UopFlow flow;
+    flow.uops.push_back(Uop{});
+    cache.bumpHeat(2);
+    cache.insert(2, 1, ctxNative, flow);
+    cache.insert(2, 1, ctxDevect, flow);
+    EXPECT_TRUE(cache.recentAlternate(2));
+    EXPECT_NE(cache.lookup(2, 1, ctxDevect), nullptr);
+    EXPECT_EQ(cache.lookup(1, 1, ctxNative), nullptr);
+    EXPECT_EQ(cache.lookup(2, 2, ctxNative), nullptr);
+    EXPECT_EQ(cache.lookup(2, 1, ctxMcu), nullptr);
+    const std::uint64_t hits = cache.hits;
+    const std::uint64_t misses = cache.misses;
+    const std::uint64_t invalidations = cache.invalidations;
+    const std::uint64_t ctx_invalidations = cache.ctx_invalidations;
+
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_FALSE(cache.recentAlternate(2));
+    EXPECT_EQ(cache.peekRecent(2, 1), nullptr);
+    EXPECT_EQ(cache.bumpHeat(2), 2u);
+    EXPECT_EQ(cache.hits, hits);
+    EXPECT_EQ(cache.misses, misses);
+    EXPECT_EQ(cache.invalidations, invalidations);
+    EXPECT_EQ(cache.ctx_invalidations, ctx_invalidations);
+
+    // After a full clear the alternate side is gone: a devectorized
+    // lookup is a plain miss until the next non-native insert.
+    EXPECT_EQ(cache.lookup(2, 1, ctxDevect), nullptr);
+    EXPECT_EQ(cache.misses, misses + 1);
 }
 
 TEST(FlowCache, DevectorizationTogglesUseCtxPath)
