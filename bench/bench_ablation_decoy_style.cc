@@ -15,34 +15,9 @@
 
 #include "bench/common/bench_util.hh"
 #include "bench/common/crypto_cases.hh"
-#include "bench/common/parallel.hh"
 
 using namespace csd;
 using namespace csd::bench;
-
-namespace
-{
-
-struct StyleResult
-{
-    Tick cycles;
-    std::uint64_t uops;
-    double uopCacheHitRate;
-};
-
-StyleResult
-runWithStyle(const CryptoCase &c, DecoyStyle style)
-{
-    Victim victim(c.program, c.defense, SimParams{});
-    victim.csd()->decoyStyle = style;
-    Random rng(0xdeca1);
-    c.run(victim, rng);
-    Simulation &sim = victim.sim();
-    return {sim.cycles(), sim.uopsExecuted(),
-            sim.frontend().uopCache().hitRate()};
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -54,21 +29,24 @@ main(int argc, char **argv)
     Table table({"benchmark", "loop cycles", "unrolled cycles",
                  "unrolled penalty", "loop uopc-hit", "unrolled uopc-hit"});
     std::vector<double> penalties;
+    // Per case: the paper's micro-loop, then unrolled decoys; both
+    // stealth, Opt front end, one input stream.
     const std::vector<CryptoCase> suite = cryptoSuite();
-    struct StylePair
-    {
-        StyleResult loop, unrolled;
-    };
-    const auto runs =
-        parallelMap<StylePair>(suite.size(), [&](std::size_t i) {
-            return StylePair{
-                runWithStyle(suite[i], DecoyStyle::MicroLoop),
-                runWithStyle(suite[i], DecoyStyle::Unrolled)};
-        });
+    std::vector<CryptoCell> cells;
+    for (const CryptoCase &c : suite) {
+        for (const DecoyStyle style :
+             {DecoyStyle::MicroLoop, DecoyStyle::Unrolled}) {
+            CryptoCell cell = figureCell(c.name, FrontEndParams{}, true);
+            cell.decoyStyle = style;
+            cell.inputSeed = 0xdeca1;
+            cells.push_back(cell);
+        }
+    }
+    const std::vector<CryptoRunStats> runs = runCryptoCells(suite, cells);
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const CryptoCase &c = suite[i];
-        const auto &loop = runs[i].loop;
-        const auto &unrolled = runs[i].unrolled;
+        const auto &loop = runs[2 * i];
+        const auto &unrolled = runs[2 * i + 1];
         const double penalty = static_cast<double>(unrolled.cycles) /
                                    static_cast<double>(loop.cycles) -
                                1.0;

@@ -12,7 +12,6 @@
 
 #include "bench/common/bench_util.hh"
 #include "bench/common/crypto_cases.hh"
-#include "bench/common/parallel.hh"
 
 using namespace csd;
 using namespace csd::bench;
@@ -29,20 +28,13 @@ main(int argc, char **argv)
     std::vector<double> base_vals, stealth_vals;
 
     const std::vector<CryptoCase> suite = cryptoSuite();
-    struct CaseRuns
-    {
-        CryptoRunStats base, stealth;
-    };
-    const auto runs =
-        parallelMap<CaseRuns>(suite.size(), [&](std::size_t i) {
-            return CaseRuns{runCryptoCase(suite[i], false, frontend),
-                            runCryptoCase(suite[i], true, frontend)};
-        });
+    const std::vector<CryptoRunStats> runs =
+        runCryptoCells(suite, stealthPairs(suite, {frontend}));
 
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const CryptoCase &c = suite[i];
-        const auto &base = runs[i].base;
-        const auto &stealth = runs[i].stealth;
+        const auto &base = runs[2 * i];
+        const auto &stealth = runs[2 * i + 1];
         base_vals.push_back(base.l1dMpki);
         stealth_vals.push_back(stealth.l1dMpki);
         table.addRow({c.name, fmt(base.l1dMpki, 3),

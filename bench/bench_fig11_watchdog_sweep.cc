@@ -13,7 +13,6 @@
 
 #include "bench/common/bench_util.hh"
 #include "bench/common/crypto_cases.hh"
-#include "bench/common/parallel.hh"
 
 using namespace csd;
 using namespace csd::bench;
@@ -31,36 +30,25 @@ main(int argc, char **argv)
 
     // The sweep uses the 4 most decoy-sensitive datapoints to keep the
     // runtime modest; the remaining datapoints track the same shape.
-    auto suite = cryptoSuite();
-    std::vector<CryptoCase> cases;
-    for (auto &c : suite)
-        if (c.name == "aes.enc" || c.name == "rsa.dec" ||
-            c.name == "blowfish.enc" || c.name == "rijndael.enc")
-            cases.push_back(std::move(c));
+    const std::vector<std::string> cases = {"aes.enc", "rsa.dec",
+                                            "blowfish.enc", "rijndael.enc"};
 
     std::vector<std::string> headers = {"watchdog (cycles)"};
-    for (const auto &c : cases)
-        headers.push_back(c.name);
+    headers.insert(headers.end(), cases.begin(), cases.end());
     headers.push_back("average");
     Table table(headers);
 
-    // Flatten the sweep: index 0..N-1 are the per-case baselines,
-    // N.. are (period x case) stealth runs. Workers only compute.
+    // The per-case baselines, then the (period x case) stealth runs.
     const std::size_t num_periods = std::size(periods);
     const std::size_t num_cases = cases.size();
-    const auto cycles_of = parallelMap<double>(
-        num_cases * (1 + num_periods), [&](std::size_t idx) {
-            const std::size_t case_idx = idx % num_cases;
-            if (idx < num_cases)
-                return static_cast<double>(
-                    runCryptoCase(cases[case_idx], false, frontend)
-                        .cycles);
-            const Cycles period = periods[idx / num_cases - 1];
-            return static_cast<double>(
-                runCryptoCase(cases[case_idx], true, frontend, period)
-                    .cycles);
-        });
-    const double *base_cycles = cycles_of.data();
+    std::vector<CryptoCell> cells;
+    for (const std::string &name : cases)
+        cells.push_back(figureCell(name, frontend, false));
+    for (const Cycles period : periods)
+        for (const std::string &name : cases)
+            cells.push_back(figureCell(name, frontend, true, period));
+    const std::vector<CryptoRunStats> runs =
+        runCryptoCells(cryptoSuite(), cells);
 
     double prev_avg = 0;
     bool monotone = true;
@@ -69,9 +57,9 @@ main(int argc, char **argv)
         std::vector<std::string> row = {std::to_string(period)};
         std::vector<double> ratios;
         for (std::size_t i = 0; i < num_cases; ++i) {
-            const double stealth_cycles =
-                cycles_of[(p + 1) * num_cases + i];
-            const double ratio = stealth_cycles / base_cycles[i];
+            const double ratio =
+                static_cast<double>(runs[(p + 1) * num_cases + i].cycles) /
+                static_cast<double>(runs[i].cycles);
             ratios.push_back(ratio);
             row.push_back(fmt(ratio));
         }

@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "bench/common/bench_util.hh"
-#include "bench/common/parallel.hh"
 #include "bench/common/spec_runner.hh"
 
 using namespace csd;
@@ -28,30 +27,20 @@ main(int argc, char **argv)
                 "Components: core dynamic / core static / VPU dynamic /"
                 " VPU static+header / gating overhead / front end.");
 
-    SpecRunConfig config;
     Table table({"benchmark", "conv total", "csd core-dyn",
                  "csd core-sta", "csd vpu-dyn", "csd vpu-sta",
                  "csd gate-ovh", "csd total", "savings"});
     std::vector<double> savings;
 
-    const std::vector<SpecPreset> presets = specPresets();
-    struct PresetRuns
-    {
-        SpecRunResult conv, devect;
-    };
-    const auto runs =
-        parallelMap<PresetRuns>(presets.size(), [&](std::size_t i) {
-            return PresetRuns{
-                runSpecPolicy(presets[i], GatingPolicy::ConventionalPG,
-                              config),
-                runSpecPolicy(presets[i], GatingPolicy::CsdDevect,
-                              config)};
-        });
+    const std::vector<SpecPreset> &presets = specPresets();
+    const std::vector<SpecRunResult> runs =
+        runSpecCells(presetCells(
+            {GatingPolicy::ConventionalPG, GatingPolicy::CsdDevect}));
 
     for (std::size_t i = 0; i < presets.size(); ++i) {
         const SpecPreset &preset = presets[i];
-        const auto &conv = runs[i].conv;
-        const auto &devect = runs[i].devect;
+        const auto &conv = runs[2 * i];
+        const auto &devect = runs[2 * i + 1];
 
         const double conv_total = conv.energy.total();
         const EnergyBreakdown &e = devect.energy;

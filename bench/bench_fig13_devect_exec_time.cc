@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "bench/common/bench_util.hh"
-#include "bench/common/parallel.hh"
 #include "bench/common/spec_runner.hh"
 
 using namespace csd;
@@ -27,7 +26,6 @@ main(int argc, char **argv)
                 "Policies: Always-On / CSD devectorization / "
                 "conventional power gating.");
 
-    SpecRunConfig config;
     Table table({"benchmark", "always-on", "csd", "conv PG",
                  "csd vs conv"});
     std::vector<double> csd_norm, conv_norm;
@@ -38,27 +36,17 @@ main(int argc, char **argv)
     std::array<double, numCpiBuckets> always_b{}, csd_b{}, conv_b{};
     double always_total = 0, csd_total = 0, conv_total = 0;
 
-    const std::vector<SpecPreset> presets = specPresets();
-    struct PresetRuns
-    {
-        SpecRunResult always, devect, conv;
-    };
-    const auto runs =
-        parallelMap<PresetRuns>(presets.size(), [&](std::size_t i) {
-            return PresetRuns{
-                runSpecPolicy(presets[i], GatingPolicy::AlwaysOn,
-                              config),
-                runSpecPolicy(presets[i], GatingPolicy::CsdDevect,
-                              config),
-                runSpecPolicy(presets[i], GatingPolicy::ConventionalPG,
-                              config)};
-        });
+    const std::vector<SpecPreset> &presets = specPresets();
+    const std::vector<SpecRunResult> runs =
+        runSpecCells(presetCells({GatingPolicy::AlwaysOn,
+                                  GatingPolicy::CsdDevect,
+                                  GatingPolicy::ConventionalPG}));
 
     for (std::size_t i2 = 0; i2 < presets.size(); ++i2) {
         const SpecPreset &preset = presets[i2];
-        const auto &always = runs[i2].always;
-        const auto &devect = runs[i2].devect;
-        const auto &conv = runs[i2].conv;
+        const auto &always = runs[3 * i2];
+        const auto &devect = runs[3 * i2 + 1];
+        const auto &conv = runs[3 * i2 + 2];
 
         const double base = static_cast<double>(always.cycles);
         const double csd_r = static_cast<double>(devect.cycles) / base;

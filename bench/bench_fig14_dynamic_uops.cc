@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "bench/common/bench_util.hh"
-#include "bench/common/parallel.hh"
 #include "bench/common/spec_runner.hh"
 
 using namespace csd;
@@ -24,34 +23,23 @@ main(int argc, char **argv)
     benchHeader("Figure 14",
                 "Dynamic micro-ops (normalized to Always-On)", "");
 
-    SpecRunConfig config;
     Table table({"benchmark", "always-on", "csd", "conv PG",
                  "csd expansion", "devect uop frac"});
     std::vector<double> expansions;
     double csd_uops_total = 0, devect_uops_total = 0;
     double devect_cycles_total = 0, csd_cycles_total = 0;
 
-    const std::vector<SpecPreset> presets = specPresets();
-    struct PresetRuns
-    {
-        SpecRunResult always, devect, conv;
-    };
-    const auto runs =
-        parallelMap<PresetRuns>(presets.size(), [&](std::size_t i) {
-            return PresetRuns{
-                runSpecPolicy(presets[i], GatingPolicy::AlwaysOn,
-                              config),
-                runSpecPolicy(presets[i], GatingPolicy::CsdDevect,
-                              config),
-                runSpecPolicy(presets[i], GatingPolicy::ConventionalPG,
-                              config)};
-        });
+    const std::vector<SpecPreset> &presets = specPresets();
+    const std::vector<SpecRunResult> runs =
+        runSpecCells(presetCells({GatingPolicy::AlwaysOn,
+                                  GatingPolicy::CsdDevect,
+                                  GatingPolicy::ConventionalPG}));
 
     for (std::size_t i = 0; i < presets.size(); ++i) {
         const SpecPreset &preset = presets[i];
-        const auto &always = runs[i].always;
-        const auto &devect = runs[i].devect;
-        const auto &conv = runs[i].conv;
+        const auto &always = runs[3 * i];
+        const auto &devect = runs[3 * i + 1];
+        const auto &conv = runs[3 * i + 2];
 
         const double base = static_cast<double>(always.uops);
         const double csd_r = static_cast<double>(devect.uops) / base;

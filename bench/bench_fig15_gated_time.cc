@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "bench/common/bench_util.hh"
-#include "bench/common/parallel.hh"
 #include "bench/common/spec_runner.hh"
 
 using namespace csd;
@@ -24,16 +23,12 @@ main(int argc, char **argv)
     benchInit(argc, argv);
     benchHeader("Figure 15", "VPU power-gated time (CSD policy)", "");
 
-    SpecRunConfig config;
     Table table({"benchmark", "gated", "waking", "on", "gate events"});
     std::vector<double> gated;
 
-    const std::vector<SpecPreset> presets = specPresets();
-    const auto results = parallelMap<SpecRunResult>(
-        presets.size(), [&](std::size_t i) {
-            return runSpecPolicy(presets[i], GatingPolicy::CsdDevect,
-                                 config);
-        });
+    const std::vector<SpecPreset> &presets = specPresets();
+    const std::vector<SpecRunResult> results =
+        runSpecCells(presetCells({GatingPolicy::CsdDevect}));
 
     for (std::size_t i = 0; i < presets.size(); ++i) {
         const SpecPreset &preset = presets[i];

@@ -16,7 +16,6 @@
 #include <iterator>
 
 #include "bench/common/bench_util.hh"
-#include "bench/common/parallel.hh"
 #include "bench/common/spec_runner.hh"
 
 using namespace csd;
@@ -51,36 +50,32 @@ main(int argc, char **argv)
                 "PoweredOn = ran on the VPU; PoweringOn = scalarized "
                 "during wake; PowerGated = scalarized while gated.");
 
-    SpecRunConfig config;
+    // One cell list: every preset under the default configuration,
+    // then the threshold ablation (DESIGN.md #4) -- namd with a longer
+    // activity window (a laxer criticality threshold) keeps the unit
+    // on through its inter-burst gaps, the paper's "more dynamic
+    // threshold or usage predictor would work better".
+    const std::vector<SpecPreset> &presets = specPresets();
+    const unsigned windows[] = {128u, 256u, 512u, 1024u, 2048u};
+    std::vector<SpecCell> cells = presetCells({GatingPolicy::CsdDevect});
+    for (const unsigned window : windows) {
+        SpecRunConfig config;
+        config.gating.windowInstrs = window;
+        cells.push_back({"namd", GatingPolicy::CsdDevect, config});
+    }
+    const std::vector<SpecRunResult> results = runSpecCells(cells);
+
     Table table({"benchmark", "powered-on", "powering-on",
                  "power-gated", "SSE instrs"});
-    const std::vector<SpecPreset> presets = specPresets();
-    const auto results = parallelMap<SpecRunResult>(
-        presets.size(), [&](std::size_t i) {
-            return runSpecPolicy(presets[i], GatingPolicy::CsdDevect,
-                                 config);
-        });
-    for (const SpecRunResult &result : results)
-        addBreakdownRow(table, result);
+    for (std::size_t i = 0; i < presets.size(); ++i)
+        addBreakdownRow(table, results[i]);
     table.print();
 
-    // Threshold ablation (DESIGN.md #4): namd with a longer activity
-    // window (a laxer criticality threshold) keeps the unit on through
-    // its inter-burst gaps -- the paper's "more dynamic threshold or
-    // usage predictor would work better".
     std::printf("\nAblation: namd activity-window sweep "
                 "(paper: the static threshold over-gates namd)\n");
     Table ablation({"window (instrs)", "gated time", "SSE power-gated"});
-    const unsigned windows[] = {128u, 256u, 512u, 1024u, 2048u};
-    const auto sweep = parallelMap<SpecRunResult>(
-        std::size(windows), [&](std::size_t i) {
-            SpecRunConfig cfg;
-            cfg.gating.windowInstrs = windows[i];
-            return runSpecPolicy(specPreset("namd"),
-                                 GatingPolicy::CsdDevect, cfg);
-        });
     for (std::size_t i = 0; i < std::size(windows); ++i) {
-        const auto &result = sweep[i];
+        const auto &result = results[presets.size() + i];
         const double total = static_cast<double>(
             result.sseOn + result.sseWaking + result.sseGated);
         ablation.addRow({std::to_string(windows[i]),

@@ -10,16 +10,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
 
 #include "bench/common/bench_util.hh"
-#include "bench/common/parallel.hh"
-#include "common/env.hh"
-#include "sec/observation_ledger.hh"
+#include "bench/common/crypto_cases.hh"
 #include "sec/rsa_attack.hh"
-#include "verify/channel_crosscheck.hh"
-#include "verify/leak_prover.hh"
 
 using namespace csd;
 using namespace csd::bench;
@@ -34,27 +28,8 @@ makeVictim()
                               {0xc0000001u, 0xd0000001u}, 0xb72d, 16);
 }
 
-/** Attack outcome plus the ledger's dynamic leakage measurement. */
-struct VariantResult
-{
-    RsaAttackResult attack;
-    std::vector<SiteMeasure> sites;
-    std::uint64_t probes = 0;
-};
-
-/** The ledger measure for one site, or null. */
-const SiteMeasure *
-findSite(const std::vector<SiteMeasure> &sites, const std::string &name)
-{
-    for (const SiteMeasure &sm : sites)
-        if (sm.site == name)
-            return &sm;
-    return nullptr;
-}
-
 void
-report(const char *label, const RsaWorkload &,
-       const RsaAttackResult &result)
+report(const char *label, const RsaAttackResult &result)
 {
     std::printf("\n--- %s ---\n", label);
     std::printf("probe intervals: %zu\n", result.timeline.size());
@@ -76,97 +51,6 @@ report(const char *label, const RsaWorkload &,
                 result.totalBits);
 }
 
-/**
- * Publish the static prover's claim for the same victim + defense:
- * one bit per exponent bit through the multiply I-cache lines
- * undefended, 0 bits (closed) under the decoy configuration.
- */
-LeakProof
-reportStaticBound(const RsaWorkload &workload, const DefenseConfig &defense)
-{
-    VerifyOptions options;
-    options.taintSources = {workload.exponentRange};
-    ProveOptions prove;
-    prove.keyLoopIterations = workload.expBits;
-    const LeakProof proof =
-        proveLeaks(workload.program, options, defense, prove);
-
-    std::printf("static model: %zu leak site(s), %.1f bits/run "
-                "undefended, %.1f bits/run defended (%s)\n",
-                proof.sites.size(), proof.totalBits,
-                proof.residualTotalBits,
-                proof.allClosed() ? "all closed" : "NOT closed");
-    benchStat("static_leak.sites", static_cast<double>(proof.sites.size()));
-    benchStat("static_leak.total_bits", proof.totalBits);
-    benchStat("static_leak.residual_bits_defended",
-              proof.residualTotalBits);
-    benchStat("static_leak.verdict",
-              proof.allClosed() ? "closed" : "open");
-    return proof;
-}
-
-/**
- * The dynamic half of the leakage story (ISSUE 7): ledger-measured
- * bits/observation on the FLUSH+RELOAD runs, published next to the
- * static bound and cross-checked against the proof. Only "multiply"
- * (invoked iff the exponent bit is 1) is secret-dependent and feeds
- * the cross-check; "square" runs for every bit, so its MI measures
- * observation fidelity, not leakage, and is published as-is.
- */
-std::size_t
-reportMeasuredLeak(const LeakProof &proof, const VariantResult &undefended,
-                   const VariantResult &defended)
-{
-    const SiteMeasure *mul_off = findSite(undefended.sites, "multiply");
-    const SiteMeasure *mul_on = findSite(defended.sites, "multiply");
-    const SiteMeasure *sq_off = findSite(undefended.sites, "square");
-
-    std::vector<MeasuredChannel> records;
-    for (const bool is_defended : {false, true}) {
-        const SiteMeasure *sm = is_defended ? mul_on : mul_off;
-        if (!sm)
-            continue;
-        MeasuredChannel mc;
-        mc.site = "multiply";
-        mc.channel = Channel::L1IFetch;
-        mc.defended = is_defended;
-        mc.setGranular = false;  // FLUSH+RELOAD
-        mc.bitsPerObservation = sm->miBits;
-        mc.observations = sm->tally.total();
-        records.push_back(std::move(mc));
-    }
-    const std::vector<Finding> findings =
-        crossCheckChannels("fig7b", proof, records);
-
-    std::printf("measured leak (FLUSH+RELOAD on multiply line): %.4f "
-                "bits/obs undefended, %.4f defended; static bound %s / "
-                "cross-check %s\n",
-                mul_off ? mul_off->miBits : 0.0,
-                mul_on ? mul_on->miBits : 0.0,
-                proof.allClosed() ? "closed" : "open",
-                findings.empty() ? "agrees" : "DISAGREES");
-    for (const Finding &f : findings)
-        std::printf("  %s: %s\n", f.checkId.c_str(), f.message.c_str());
-
-    benchStat("channel.multiply.measured_bits_per_obs",
-              mul_off ? mul_off->miBits : 0.0);
-    benchStat("channel.multiply.measured_bits_defended",
-              mul_on ? mul_on->miBits : 0.0);
-    benchStat("channel.multiply.observations",
-              static_cast<double>(mul_off ? mul_off->tally.total() : 0));
-    benchStat("channel.multiply.true_positives",
-              static_cast<double>(mul_off ? mul_off->tally.tp : 0));
-    benchStat("channel.multiply.false_positives",
-              static_cast<double>(mul_off ? mul_off->tally.fp : 0));
-    benchStat("channel.square.measured_bits_per_obs",
-              sq_off ? sq_off->miBits : 0.0);
-    benchStat("channel.crosscheck_findings",
-              static_cast<double>(findings.size()));
-    benchStat("channel.probes_total",
-              static_cast<double>(undefended.probes + defended.probes));
-    return findings.size();
-}
-
 } // namespace
 
 int
@@ -181,51 +65,47 @@ main(int argc, char **argv)
     const RsaWorkload workload = makeVictim();
     DefenseConfig defense = workload.defense();
     defense.watchdogPeriod = 300;
-    const LeakProof proof = reportStaticBound(workload, defense);
+    ProveOptions prove;
+    prove.keyLoopIterations = workload.expBits;
+    const LeakProof proof = reportStaticBound(
+        workload.program, {workload.exponentRange}, defense, prove);
     std::printf("exponent (truth): ");
     for (unsigned i = workload.expBits; i-- > 0;)
         std::printf("%d",
                     static_cast<int>((workload.exponent >> i) & 1));
     std::printf("\n");
 
-    // Four independent (attack, defense) runs; PRIME+PROBE is the
-    // paper's "also defeated" variant (§VII-A). Every run carries the
-    // channel monitor + observation ledger; the FLUSH+RELOAD pair also
-    // exports its per-set heatmaps (deterministic case-derived names,
-    // so the determinism gate covers them at any --jobs).
-    const std::vector<VariantResult> runs =
-        parallelMap<VariantResult>(4, [&](std::size_t idx) {
-            const bool defended = (idx & 1) != 0;
-            const bool flush_reload = idx < 2;
+    // Four (attack, defense) runs; PRIME+PROBE is the paper's "also
+    // defeated" variant (§VII-A). Every run carries the channel monitor
+    // + observation ledger; the FLUSH+RELOAD pair also exports its
+    // per-set heatmaps (deterministic case-derived names, so the
+    // determinism gate covers them at any --jobs).
+    DefenseConfig off = defense;
+    off.enabled = false;
+    std::vector<RsaAttackResult> attacks(4);
+    const std::vector<MonitoredRun> ledgers = runAttackVariants(
+        workload.program,
+        {{off, "fig7b_undefended"}, {defense, "fig7b_defended"},
+         {off, ""}, {defense, ""}},
+        [&](std::size_t i, Victim &victim, ObservationLedger &ledger) {
             RsaAttackConfig config;
-            config.flushReload = flush_reload;
-            DefenseConfig variant = defense;
-            variant.enabled = defended;
-            Victim victim(workload.program, variant);
-            CacheSetMonitor &monitor = victim.armChannelMonitor();
-            ObservationLedger ledger(monitor);
+            config.flushReload = i < 2;
             config.ledger = &ledger;
-            VariantResult result;
-            result.attack = runRsaAttack(victim, workload, config);
-            result.sites = ledger.siteMeasures();
-            result.probes = ledger.totalObservations();
-            if (const std::string &dir = Knobs::process().text(
-                    Knob::ChannelHeatmapDir);
-                !dir.empty() && flush_reload) {
-                monitor.exportFiles(
-                    dir + "/fig7b_" +
-                    (defended ? "defended" : "undefended"));
-            }
-            return result;
+            attacks[i] = runRsaAttack(victim, workload, config);
         });
-    const RsaAttackResult &attack_plain = runs[0].attack;
-    const RsaAttackResult &attack_defended = runs[1].attack;
-    const RsaAttackResult &pp_off = runs[2].attack;
-    const RsaAttackResult &pp_on = runs[3].attack;
-    const std::size_t disagreements =
-        reportMeasuredLeak(proof, runs[0], runs[1]);
-    report("stealth-mode OFF (FLUSH+RELOAD)", workload, attack_plain);
-    report("stealth-mode ON (FLUSH+RELOAD)", workload, attack_defended);
+    const RsaAttackResult &attack_plain = attacks[0];
+    const RsaAttackResult &attack_defended = attacks[1];
+    const RsaAttackResult &pp_off = attacks[2];
+    const RsaAttackResult &pp_on = attacks[3];
+    // Only "multiply" (invoked iff the exponent bit is 1) is
+    // secret-dependent and feeds the cross-check; "square" runs for
+    // every bit, so its MI measures observation fidelity, not leakage.
+    const std::size_t disagreements = reportMeasuredLeak(
+        {"fig7b", rsaMultiplySite, "FLUSH+RELOAD on multiply line",
+         {"square"}},
+        proof, ledgers[0], ledgers[1]);
+    report("stealth-mode OFF (FLUSH+RELOAD)", attack_plain);
+    report("stealth-mode ON (FLUSH+RELOAD)", attack_defended);
 
     Table table({"attack", "defense", "bit accuracy"});
     table.addRow({"FLUSH+RELOAD", "off", fmt(attack_plain.accuracy, 3)});

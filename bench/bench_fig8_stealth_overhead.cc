@@ -13,7 +13,6 @@
 
 #include "bench/common/bench_util.hh"
 #include "bench/common/crypto_cases.hh"
-#include "bench/common/parallel.hh"
 
 using namespace csd;
 using namespace csd::bench;
@@ -43,29 +42,16 @@ main(int argc, char **argv)
     std::array<double, numCpiBuckets> base_buckets{}, stealth_buckets{};
     double base_total = 0, stealth_total = 0;
 
-    // Compute all datapoints (possibly across --jobs threads), then
-    // render serially in case order so output is deterministic.
     const std::vector<CryptoCase> suite = cryptoSuite();
-    struct CaseRuns
-    {
-        CryptoRunStats baseNo, stealthNo, baseOpt, stealthOpt;
-    };
-    const auto runs =
-        parallelMap<CaseRuns>(suite.size(), [&](std::size_t i) {
-            CaseRuns r;
-            r.baseNo = runCryptoCase(suite[i], false, noopt);
-            r.stealthNo = runCryptoCase(suite[i], true, noopt);
-            r.baseOpt = runCryptoCase(suite[i], false, opt);
-            r.stealthOpt = runCryptoCase(suite[i], true, opt);
-            return r;
-        });
+    const std::vector<CryptoRunStats> runs =
+        runCryptoCells(suite, stealthPairs(suite, {noopt, opt}));
 
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const CryptoCase &c = suite[i];
-        const auto &base_no = runs[i].baseNo;
-        const auto &stealth_no = runs[i].stealthNo;
-        const auto &base_opt = runs[i].baseOpt;
-        const auto &stealth_opt = runs[i].stealthOpt;
+        const auto &base_no = runs[4 * i];
+        const auto &stealth_no = runs[4 * i + 1];
+        const auto &base_opt = runs[4 * i + 2];
+        const auto &stealth_opt = runs[4 * i + 3];
 
         const double ratio_no = static_cast<double>(stealth_no.cycles) /
                                 static_cast<double>(base_no.cycles);

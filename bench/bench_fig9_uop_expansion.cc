@@ -11,7 +11,6 @@
 
 #include "bench/common/bench_util.hh"
 #include "bench/common/crypto_cases.hh"
-#include "bench/common/parallel.hh"
 
 using namespace csd;
 using namespace csd::bench;
@@ -30,20 +29,13 @@ main(int argc, char **argv)
     std::vector<double> ratios;
 
     const std::vector<CryptoCase> suite = cryptoSuite();
-    struct CaseRuns
-    {
-        CryptoRunStats base, stealth;
-    };
-    const auto runs =
-        parallelMap<CaseRuns>(suite.size(), [&](std::size_t i) {
-            return CaseRuns{runCryptoCase(suite[i], false, frontend),
-                            runCryptoCase(suite[i], true, frontend)};
-        });
+    const std::vector<CryptoRunStats> runs =
+        runCryptoCells(suite, stealthPairs(suite, {frontend}));
 
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const CryptoCase &c = suite[i];
-        const auto &base = runs[i].base;
-        const auto &stealth = runs[i].stealth;
+        const auto &base = runs[2 * i];
+        const auto &stealth = runs[2 * i + 1];
         const double ratio = static_cast<double>(stealth.uopsExecuted) /
                              static_cast<double>(base.uopsExecuted);
         ratios.push_back(ratio);

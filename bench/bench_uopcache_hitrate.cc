@@ -16,11 +16,11 @@
  * making tainted windows uncacheable actually relieves pressure.
  */
 
+#include <array>
 #include <cstdio>
 
 #include "bench/common/bench_util.hh"
 #include "bench/common/crypto_cases.hh"
-#include "bench/common/parallel.hh"
 
 using namespace csd;
 using namespace csd::bench;
@@ -44,45 +44,40 @@ main(int argc, char **argv)
                  "base (fusion)", "stealth (fusion)",
                  "stealth (fusion, FLUSH ablation)"});
 
+    // Per case: base/stealth without fusion, base/stealth with it,
+    // then stealth under the FLUSH ablation.
     const std::vector<CryptoCase> suite = cryptoSuite();
-    struct CaseRates
-    {
-        double bnf, snf, bf, sf, sfl;
-    };
-    const auto rates =
-        parallelMap<CaseRates>(suite.size(), [&](std::size_t i) {
-            const CryptoCase &c = suite[i];
-            CaseRates r;
-            r.bnf = runCryptoCase(c, false, unfused).uopCacheHitRate;
-            r.snf = runCryptoCase(c, true, unfused).uopCacheHitRate;
-            r.bf = runCryptoCase(c, false, fused).uopCacheHitRate;
-            r.sf = runCryptoCase(c, true, fused).uopCacheHitRate;
-            r.sfl = runCryptoCase(c, true, flush).uopCacheHitRate;
-            return r;
-        });
-
-    std::vector<double> base_nf, st_nf, base_f, st_f, st_flush;
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        const CryptoCase &c = suite[i];
-        const auto [bnf, snf, bf, sf, sfl] = rates[i];
-        base_nf.push_back(bnf);
-        st_nf.push_back(snf);
-        base_f.push_back(bf);
-        st_f.push_back(sf);
-        st_flush.push_back(sfl);
-        table.addRow({c.name, pct(bnf), pct(snf), pct(bf), pct(sf),
-                      pct(sfl)});
+    std::vector<CryptoCell> cells;
+    for (const CryptoCase &c : suite) {
+        for (const FrontEndParams &frontend : {unfused, fused})
+            for (const bool stealth : {false, true})
+                cells.push_back(figureCell(c.name, frontend, stealth));
+        cells.push_back(figureCell(c.name, flush, true));
     }
-    table.addRow({"average", pct(mean(base_nf)), pct(mean(st_nf)),
-                  pct(mean(base_f)), pct(mean(st_f)),
-                  pct(mean(st_flush))});
+    const std::vector<CryptoRunStats> runs = runCryptoCells(suite, cells);
+
+    // One column of rates per cell of a case, in cell order.
+    constexpr std::size_t columns = 5;
+    std::array<std::vector<double>, columns> rates;
+    std::vector<std::string> average = {"average"};
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        std::vector<std::string> row = {suite[i].name};
+        for (std::size_t k = 0; k < columns; ++k) {
+            rates[k].push_back(runs[columns * i + k].uopCacheHitRate);
+            row.push_back(pct(rates[k].back()));
+        }
+        table.addRow(row);
+    }
+    for (const std::vector<double> &column : rates)
+        average.push_back(pct(mean(column)));
+    table.addRow(average);
     table.print();
 
-    benchStat("avg_base_hit_rate_no_fusion", mean(base_nf));
-    benchStat("avg_stealth_hit_rate_no_fusion", mean(st_nf));
-    benchStat("avg_base_hit_rate_fusion", mean(base_f));
-    benchStat("avg_stealth_hit_rate_fusion", mean(st_f));
-    benchStat("avg_stealth_hit_rate_flush_ablation", mean(st_flush));
+    benchStat("avg_base_hit_rate_no_fusion", mean(rates[0]));
+    benchStat("avg_stealth_hit_rate_no_fusion", mean(rates[1]));
+    benchStat("avg_base_hit_rate_fusion", mean(rates[2]));
+    benchStat("avg_stealth_hit_rate_fusion", mean(rates[3]));
+    benchStat("avg_stealth_hit_rate_flush_ablation", mean(rates[4]));
 
     std::printf("\nPaper: 44%%->39%% (no fusion), 43%%->42%% (fusion); "
                 "the fusion configuration is far more stable under "

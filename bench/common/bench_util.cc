@@ -44,8 +44,6 @@ struct Sidecar
     std::string title;
     std::vector<SidecarTable> tables;
     std::vector<SidecarStat> stats;
-    /** Arguments that define the run's inputs (not --jobs/--json). */
-    std::vector<std::string> hashedArgs;
     obs::Manifest manifest;
     bool atexitArmed = false;
     bool written = false;
@@ -97,22 +95,39 @@ jsonCell(std::ostream &os, const std::string &cell)
 void
 benchInit(int argc, char **argv)
 {
-    std::lock_guard<std::mutex> lock(sidecarMutex());
-    Sidecar &s = sidecar();
+    const char *prog = argc > 0 ? argv[0] : "bench";
+    const auto usage = [prog](const std::string &problem) {
+        std::fprintf(stderr,
+                     "%s: %s\nusage: %s [--json <path>] [--jobs N]\n",
+                     prog, problem.c_str(), prog);
+        std::exit(2);
+    };
+
+    // Parse before locking: a usage error exits, and exit runs the
+    // sidecar writer an earlier benchInit() may have armed.
     std::string path = Knobs::process().text(Knob::BenchJson);
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--json" && i + 1 < argc)
-            path = argv[++i];
-        else if (arg.rfind("--json=", 0) == 0)
-            path = arg.substr(7);
-        else if (arg == "--jobs" && i + 1 < argc)
-            benchSetJobs(parseNonNegativeSetting("--jobs", argv[++i]));
-        else if (arg.rfind("--jobs=", 0) == 0)
-            benchSetJobs(parseNonNegativeSetting("--jobs", arg.c_str() + 7));
+        std::string flag = argv[i];
+        std::string value;
+        const auto eq = flag.find('=');
+        if (eq != std::string::npos) {
+            value = flag.substr(eq + 1);
+            flag.resize(eq);
+        }
+        if (flag != "--json" && flag != "--jobs")
+            usage("unknown argument '" + std::string(argv[i]) + "'");
+        if (eq == std::string::npos && i + 1 < argc)
+            value = argv[++i];
+        if (value.empty())
+            usage(flag + " needs a value");
+        if (flag == "--json")
+            path = value;
         else
-            s.hashedArgs.push_back(arg);
+            benchSetJobs(parseNonNegativeSetting("--jobs", value.c_str()));
     }
+
+    std::lock_guard<std::mutex> lock(sidecarMutex());
+    Sidecar &s = sidecar();
     s.path = std::move(path);
     if (!s.path.empty() && !s.atexitArmed) {
         std::atexit(benchWriteJson);
@@ -209,8 +224,6 @@ benchWriteJson()
     obs::ConfigHasher hasher;
     hasher.add("artifact", s.artifact);
     hasher.add("title", s.title);
-    for (const std::string &arg : s.hashedArgs)
-        hasher.add("arg", arg);
     for (const KnobSpec &spec : knobTable)
         if (spec.cls == KnobClass::OutputShaping)
             hasher.add(spec.name, Knobs::process().rendered(spec.knob));

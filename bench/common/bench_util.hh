@@ -11,11 +11,10 @@
  * process exit, so the perf trajectory of each figure harness can be
  * tracked by tooling instead of scraping stdout. Every sidecar also
  * carries a "manifest" member (obs/manifest.hh): config hash over the
- * artifact, result-relevant arguments (--jobs/--json excluded, so
- * parallel and serial runs hash identically), and the effective values
- * of the output-shaping knobs (common/env.hh), plus build/host
- * provenance and wall-time phases. Diff two sidecars with the
- * csd-report tool.
+ * artifact and the effective values of the output-shaping knobs
+ * (common/env.hh) — never --jobs/--json, so parallel and serial runs
+ * hash identically — plus build/host provenance and wall-time phases.
+ * Diff two sidecars with the csd-report tool.
  */
 
 #ifndef CSD_BENCH_COMMON_BENCH_UTIL_HH
@@ -30,8 +29,10 @@ namespace csd::bench
 {
 
 /**
- * Parse harness arguments (--json <path>, --jobs N) and arm the JSON
- * sidecar (--json, else CSD_BENCH_JSON). Call before benchHeader().
+ * Parse harness arguments (--json <path>, --jobs N, or the `=value`
+ * forms) and arm the JSON sidecar (--json, else CSD_BENCH_JSON). Any
+ * other argument, or a flag without a value, prints a usage error and
+ * exits with status 2. Call before benchHeader().
  */
 void benchInit(int argc, char **argv);
 
@@ -76,8 +77,8 @@ void benchStat(const std::string &key, const std::string &value);
  * sweep axis) into the sidecar's "manifest" member. Unlike
  * benchStat(), these are *inputs*, not results: they also feed the
  * manifest's config_hash, so two sidecars are comparable iff their
- * artifact, arguments, relevant environment, and manifest notes all
- * match. Thread safe.
+ * artifact, relevant environment, and manifest notes all match.
+ * Thread safe.
  */
 void benchManifestNote(const std::string &key, const std::string &value);
 void benchManifestNote(const std::string &key, double value);

@@ -1,5 +1,13 @@
 #include "bench/common/crypto_cases.hh"
 
+#include <algorithm>
+#include <cstdio>
+
+#include "bench/common/bench_util.hh"
+#include "bench/common/parallel.hh"
+#include "common/env.hh"
+#include "common/logging.hh"
+#include "verify/channel_crosscheck.hh"
 #include "workloads/aes.hh"
 #include "workloads/blowfish.hh"
 #include "workloads/rijndael.hh"
@@ -91,6 +99,47 @@ makeRsaCase(bool decrypt)
     return c;
 }
 
+/** Simulate one cell in detailed-timing mode. */
+CryptoRunStats
+runCell(const std::vector<CryptoCase> &suite, const CryptoCell &cell)
+{
+    const auto it =
+        std::find_if(suite.begin(), suite.end(), [&](const CryptoCase &c) {
+            return c.name == cell.caseName;
+        });
+    if (it == suite.end())
+        csd_fatal("crypto cell: no case '", cell.caseName,
+                  "' in the suite");
+    const CryptoCase &c = *it;
+
+    SimParams params;
+    params.mode = SimMode::Detailed;
+    params.frontend = cell.frontend;
+    DefenseConfig defense = c.defense;
+    defense.enabled = cell.stealth;
+    defense.watchdogPeriod = cell.watchdogPeriod;
+    Victim victim(c.program, defense, params);
+    if (victim.csd())
+        victim.csd()->decoyStyle = cell.decoyStyle;
+    Simulation &sim = victim.sim();
+    sim.enableCpiStack();
+
+    Random rng(cell.inputSeed);
+    c.run(victim, rng);
+
+    CryptoRunStats stats;
+    stats.cycles = sim.cycles();
+    stats.uopsExecuted = sim.uopsExecuted();
+    stats.decoyUops =
+        sim.stats().counterValue("decoy_uops_executed");
+    stats.l1dMpki =
+        1000.0 * static_cast<double>(sim.mem().l1d().misses()) /
+        static_cast<double>(sim.instructions());
+    stats.uopCacheHitRate = sim.frontend().uopCache().hitRate();
+    stats.cpiCycles = sim.cpiStack()->buckets();
+    return stats;
+}
+
 } // namespace
 
 std::vector<CryptoCase>
@@ -117,36 +166,115 @@ CryptoCase::run(Victim &victim, Random &rng) const
     }
 }
 
-CryptoRunStats
-runCryptoCase(const CryptoCase &c, bool stealth,
-              const FrontEndParams &frontend, Cycles watchdog_period)
+CryptoCell
+figureCell(const std::string &case_name, const FrontEndParams &frontend,
+           bool stealth, Cycles watchdog_period)
 {
-    SimParams params;
-    params.mode = SimMode::Detailed;
-    params.frontend = frontend;
-    DefenseConfig defense = c.defense;
-    defense.enabled = stealth;
-    defense.watchdogPeriod = watchdog_period;
-    Victim victim(c.program, defense, params);
-    Simulation &sim = victim.sim();
-    sim.enableCpiStack();
+    return {case_name, frontend, stealth, watchdog_period,
+            DecoyStyle::MicroLoop, 0xbe7c4u + stealth};
+}
 
-    Random rng(0xbe7c4 + stealth);
-    c.run(victim, rng);
+std::vector<CryptoCell>
+stealthPairs(const std::vector<CryptoCase> &suite,
+             const std::vector<FrontEndParams> &frontends)
+{
+    std::vector<CryptoCell> cells;
+    for (const CryptoCase &c : suite)
+        for (const FrontEndParams &frontend : frontends)
+            for (const bool stealth : {false, true})
+                cells.push_back(figureCell(c.name, frontend, stealth));
+    return cells;
+}
 
-    CryptoRunStats stats;
-    stats.cycles = sim.cycles();
-    stats.instructions = sim.instructions();
-    stats.uopsExecuted = sim.uopsExecuted();
-    stats.slotsDelivered = sim.slotsDelivered();
-    stats.decoyUops =
-        sim.stats().counterValue("decoy_uops_executed");
-    stats.l1dMpki =
-        1000.0 * static_cast<double>(sim.mem().l1d().misses()) /
-        static_cast<double>(sim.instructions());
-    stats.uopCacheHitRate = sim.frontend().uopCache().hitRate();
-    stats.cpiCycles = sim.cpiStack()->buckets();
-    return stats;
+std::vector<CryptoRunStats>
+runCryptoCells(const std::vector<CryptoCase> &suite,
+               const std::vector<CryptoCell> &cells)
+{
+    return parallelMap<CryptoRunStats>(cells.size(), [&](std::size_t i) {
+        return runCell(suite, cells[i]);
+    });
+}
+
+std::vector<MonitoredRun>
+runAttackVariants(
+    const Program &program, const std::vector<AttackVariant> &variants,
+    const std::function<void(std::size_t, Victim &, ObservationLedger &)>
+        &attack)
+{
+    const std::string &dir =
+        Knobs::process().text(Knob::ChannelHeatmapDir);
+    return parallelMap<MonitoredRun>(variants.size(), [&](std::size_t i) {
+        const AttackVariant &variant = variants[i];
+        return runMonitoredAttack(
+            program, variant.defense,
+            [&](Victim &victim, ObservationLedger &ledger) {
+                attack(i, victim, ledger);
+            },
+            dir.empty() || variant.heatmap.empty()
+                ? std::string()
+                : dir + "/" + variant.heatmap);
+    });
+}
+
+LeakProof
+reportStaticBound(const Program &program,
+                  const std::vector<AddrRange> &secrets,
+                  const DefenseConfig &defense, const ProveOptions &prove)
+{
+    VerifyOptions options;
+    options.taintSources = secrets;
+    LeakProof proof = proveLeaks(program, options, defense, prove);
+
+    std::printf("static model: %zu leak site(s), %.1f bits/run "
+                "undefended, %.1f bits/run defended (%s)\n",
+                proof.sites.size(), proof.totalBits,
+                proof.residualTotalBits,
+                proof.allClosed() ? "all closed" : "NOT closed");
+    benchStat("static_leak.sites", static_cast<double>(proof.sites.size()));
+    benchStat("static_leak.total_bits", proof.totalBits);
+    benchStat("static_leak.residual_bits_defended",
+              proof.residualTotalBits);
+    benchStat("static_leak.verdict",
+              proof.allClosed() ? "closed" : "open");
+    return proof;
+}
+
+std::size_t
+reportMeasuredLeak(const LeakChannel &channel, const LeakProof &proof,
+                   const MonitoredRun &undefended,
+                   const MonitoredRun &defended)
+{
+    const ProbedSite &probed = channel.probed;
+    const std::vector<Finding> findings = crossCheckChannels(
+        channel.figure, proof,
+        {measuredChannel(probed, undefended, false),
+         measuredChannel(probed, defended, true)});
+    const LedgerTally off = undefended.tally(probed.site);
+    const double on_bits =
+        defended.tally(probed.site).mutualInformationBits();
+
+    std::printf("measured leak (%s): %.4f bits/obs undefended, %.4f "
+                "defended; static bound %s / cross-check %s\n",
+                channel.description.c_str(), off.mutualInformationBits(),
+                on_bits, proof.allClosed() ? "closed" : "open",
+                findings.empty() ? "agrees" : "DISAGREES");
+    for (const Finding &f : findings)
+        std::printf("  %s: %s\n", f.checkId.c_str(), f.message.c_str());
+
+    const std::string key = std::string("channel.") + probed.site + ".";
+    benchStat(key + "measured_bits_per_obs", off.mutualInformationBits());
+    benchStat(key + "measured_bits_defended", on_bits);
+    benchStat(key + "observations", static_cast<double>(off.total()));
+    benchStat(key + "true_positives", static_cast<double>(off.tp));
+    benchStat(key + "false_positives", static_cast<double>(off.fp));
+    for (const std::string &site : channel.fidelitySites)
+        benchStat("channel." + site + ".measured_bits_per_obs",
+                  undefended.tally(site).mutualInformationBits());
+    benchStat("channel.crosscheck_findings",
+              static_cast<double>(findings.size()));
+    benchStat("channel.probes_total",
+              static_cast<double>(undefended.probes + defended.probes));
+    return findings.size();
 }
 
 } // namespace csd::bench

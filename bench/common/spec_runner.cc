@@ -1,10 +1,15 @@
 #include "bench/common/spec_runner.hh"
 
+#include "bench/common/parallel.hh"
 #include "csd/csd.hh"
 
 namespace csd::bench
 {
 
+namespace
+{
+
+/** Run one preset under one policy. */
 SpecRunResult
 runSpecPolicy(const SpecPreset &preset, GatingPolicy policy,
               const SpecRunConfig &config)
@@ -42,9 +47,7 @@ runSpecPolicy(const SpecPreset &preset, GatingPolicy policy,
 
     SpecRunResult result;
     result.name = preset.name;
-    result.policy = policy;
     result.cycles = sim.cycles();
-    result.instructions = sim.instructions();
     result.uops = sim.uopsExecuted();
     result.energy = sim.energy();
     const double total_cycles = static_cast<double>(
@@ -58,12 +61,33 @@ runSpecPolicy(const SpecPreset &preset, GatingPolicy policy,
     result.sseWaking = controller.sseCount(SseExecClass::PoweringOn);
     result.sseGated = controller.sseCount(SseExecClass::PowerGated);
     result.gateEvents = controller.gateEvents();
-    result.wakeStallCycles =
-        sim.stats().counterValue("vpu_wake_stalls");
     result.devectUops =
         sim.stats().counterValue("devect_uops_executed");
     result.cpiCycles = sim.cpiStack()->buckets();
     return result;
+}
+
+} // namespace
+
+std::vector<SpecCell>
+presetCells(const std::vector<GatingPolicy> &policies,
+            const SpecRunConfig &config)
+{
+    std::vector<SpecCell> cells;
+    for (const SpecPreset &preset : specPresets())
+        for (const GatingPolicy policy : policies)
+            cells.push_back({preset.name, policy, config});
+    return cells;
+}
+
+std::vector<SpecRunResult>
+runSpecCells(const std::vector<SpecCell> &cells)
+{
+    return parallelMap<SpecRunResult>(cells.size(), [&](std::size_t i) {
+        const SpecCell &cell = cells[i];
+        return runSpecPolicy(specPreset(cell.preset), cell.policy,
+                             cell.config);
+    });
 }
 
 } // namespace csd::bench

@@ -1,12 +1,17 @@
 /**
  * @file
- * Runner for the devectorization experiments (Figs. 12-16): executes a
- * synthetic SPEC preset under one of the three VPU policies and
- * collects timing, micro-op, gating, and energy statistics.
+ * The SPEC figure family (Figs. 12-16, the devectorization
+ * experiments). Each harness is a view: it lists the SpecCells it
+ * needs (a synthetic SPEC preset under one of the three VPU policies),
+ * runSpecCells() simulates them, and the harness renders tables from
+ * the timing, micro-op, gating and energy statistics in request order.
  */
 
 #ifndef CSD_BENCH_COMMON_SPEC_RUNNER_HH
 #define CSD_BENCH_COMMON_SPEC_RUNNER_HH
+
+#include <string>
+#include <vector>
 
 #include "power/gating.hh"
 #include "sim/simulation.hh"
@@ -19,9 +24,7 @@ namespace csd::bench
 struct SpecRunResult
 {
     std::string name;
-    GatingPolicy policy{};
     Tick cycles = 0;
-    std::uint64_t instructions = 0;
     std::uint64_t uops = 0;
     EnergyBreakdown energy;
     double gatedFraction = 0.0;
@@ -30,7 +33,6 @@ struct SpecRunResult
     std::uint64_t sseWaking = 0;
     std::uint64_t sseGated = 0;
     std::uint64_t gateEvents = 0;
-    std::uint64_t wakeStallCycles = 0;
     std::uint64_t devectUops = 0;
     /** CPI-stack attribution; buckets sum to cycles. */
     std::array<Cycles, numCpiBuckets> cpiCycles{};
@@ -47,9 +49,21 @@ struct SpecRunConfig
     std::uint64_t seed = 1;
 };
 
-/** Run one preset under one policy. */
-SpecRunResult runSpecPolicy(const SpecPreset &preset, GatingPolicy policy,
-                            const SpecRunConfig &config = {});
+/** One (preset, policy, config) run: the unit a view requests. */
+struct SpecCell
+{
+    std::string preset;  //!< a specPresets() name
+    GatingPolicy policy{};
+    SpecRunConfig config;
+};
+
+/** Every preset under each of @p policies (preset-major). */
+std::vector<SpecCell> presetCells(const std::vector<GatingPolicy> &policies,
+                                  const SpecRunConfig &config = {});
+
+/** Simulate @p cells (across --jobs threads); results come back in
+ *  request order. */
+std::vector<SpecRunResult> runSpecCells(const std::vector<SpecCell> &cells);
 
 } // namespace csd::bench
 

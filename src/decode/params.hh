@@ -50,6 +50,8 @@ struct FrontEndParams
 
     // Stack pointer tracker (eliminates rsp-update uops at decode)
     bool spTracker = true;
+
+    bool operator==(const FrontEndParams &) const = default;
 };
 
 } // namespace csd

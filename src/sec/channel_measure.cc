@@ -13,30 +13,70 @@ namespace csd
 namespace
 {
 
-/** Fold one variant's ledger into the measurement record. */
-void
-collectVariant(ChannelMeasurement &out, ObservationLedger &ledger,
-               bool defended, const std::string &secret_site,
-               Channel channel, bool set_granular, double inject_bits)
+/** Run @p attack undefended, then under @p defense, and fold each
+ *  variant's ledger into one measurement of @p probed. */
+ChannelMeasurement
+measureVariants(
+    const std::string &target, const Program &program,
+    DefenseConfig defense,
+    const std::function<void(Victim &, ObservationLedger &)> &attack,
+    const ProbedSite &probed, double inject_bits)
 {
-    std::vector<SiteMeasure> sites = ledger.siteMeasures();
-    out.observations += ledger.totalObservations();
-
-    MeasuredChannel mc;
-    mc.site = secret_site;
-    mc.channel = channel;
-    mc.defended = defended;
-    mc.setGranular = set_granular;
-    const LedgerTally tally = ledger.tally(secret_site);
-    mc.bitsPerObservation = tally.mutualInformationBits() + inject_bits;
-    mc.observations = tally.total();
-    out.crossCheck.push_back(std::move(mc));
-
-    auto &dest = defended ? out.defendedSites : out.undefendedSites;
-    dest = std::move(sites);
+    ChannelMeasurement out;
+    out.target = target;
+    for (const bool defended : {false, true}) {
+        defense.enabled = defended;
+        MonitoredRun run = runMonitoredAttack(program, defense, attack);
+        out.observations += run.probes;
+        MeasuredChannel mc = measuredChannel(probed, run, defended);
+        mc.bitsPerObservation += inject_bits;
+        out.crossCheck.push_back(std::move(mc));
+        (defended ? out.defendedSites : out.undefendedSites) =
+            std::move(run.sites);
+    }
+    return out;
 }
 
 } // namespace
+
+LedgerTally
+MonitoredRun::tally(const std::string &site) const
+{
+    for (const SiteMeasure &sm : sites)
+        if (sm.site == site)
+            return sm.tally;
+    return {};
+}
+
+MonitoredRun
+runMonitoredAttack(
+    const Program &program, const DefenseConfig &defense,
+    const std::function<void(Victim &, ObservationLedger &)> &attack,
+    const std::string &heatmap_base)
+{
+    Victim victim(program, defense);
+    CacheSetMonitor &monitor = victim.armChannelMonitor();
+    ObservationLedger ledger(monitor);
+    attack(victim, ledger);
+    if (!heatmap_base.empty())
+        monitor.exportFiles(heatmap_base);
+    return {ledger.siteMeasures(), ledger.totalObservations()};
+}
+
+MeasuredChannel
+measuredChannel(const ProbedSite &probed, const MonitoredRun &run,
+                bool defended)
+{
+    const LedgerTally tally = run.tally(probed.site);
+    MeasuredChannel mc;
+    mc.site = probed.site;
+    mc.channel = probed.channel;
+    mc.defended = defended;
+    mc.setGranular = probed.setGranular;
+    mc.bitsPerObservation = tally.mutualInformationBits();
+    mc.observations = tally.total();
+    return mc;
+}
 
 ChannelMeasurement
 measureRsaChannels(const ChannelMeasureOptions &options)
@@ -49,27 +89,16 @@ measureRsaChannels(const ChannelMeasureOptions &options)
         {0x12345678u, 0x9abcdef0u}, {0xfffffff1u, 0xdeadbeefu},
         0xa5c3, /*exp_bits=*/16);
 
-    ChannelMeasurement out;
-    out.target = "rsa";
-
-    for (const bool defended : {false, true}) {
-        DefenseConfig defense = workload.defense();
-        defense.enabled = defended;
-        Victim victim(workload.program, defense);
-        CacheSetMonitor &monitor = victim.armChannelMonitor();
-        ObservationLedger ledger(monitor);
-
+    const auto attack = [&](Victim &victim, ObservationLedger &ledger) {
         RsaAttackConfig config;
         config.flushReload = true;
         config.sliceInstructions = options.rsaSliceInstructions;
         config.ledger = &ledger;
         runRsaAttack(victim, workload, config);
+    };
 
-        collectVariant(out, ledger, defended, "multiply",
-                       Channel::L1IFetch, /*set_granular=*/false,
-                       options.injectBits);
-    }
-    return out;
+    return measureVariants("rsa", workload.program, workload.defense(),
+                           attack, rsaMultiplySite, options.injectBits);
 }
 
 ChannelMeasurement
@@ -85,18 +114,9 @@ measureAesChannels(const ChannelMeasureOptions &options)
     const Addr monitored =
         workload.tTableRange.start + monitoredLine * cacheBlockSize;
 
-    ChannelMeasurement out;
-    out.target = "aes";
-
-    for (const bool defended : {false, true}) {
-        DefenseConfig defense = workload.defense();
-        defense.enabled = defended;
-        Victim victim(workload.program, defense);
-        CacheSetMonitor &monitor = victim.armChannelMonitor();
-        ObservationLedger ledger(monitor);
+    const auto attack = [&](Victim &victim, ObservationLedger &ledger) {
         const unsigned monitored_set =
             victim.mem().l1d().setIndex(monitored);
-
         PrimeProbeAttacker pp(victim.mem(), {monitored}, false);
         Random rng(options.seed);
         constexpr auto l1d = CacheSetMonitor::Structure::L1D;
@@ -112,18 +132,17 @@ measureAesChannels(const ChannelMeasureOptions &options)
             workload.setInput(victim.sim().state().mem, pt);
 
             pp.prime();
-            ledger.armSet("t0", l1d, monitored_set);
+            ledger.armSet(aesT0Site.site, l1d, monitored_set);
             victim.invoke();
             const ProbeResult probe = pp.probe()[0];
             // A probe miss means the victim displaced an attacker way.
-            ledger.observeSet("t0", l1d, monitored_set, probe.latency,
-                              !probe.hit);
+            ledger.observeSet(aesT0Site.site, l1d, monitored_set,
+                              probe.latency, !probe.hit);
         }
+    };
 
-        collectVariant(out, ledger, defended, "t0", Channel::L1DAccess,
-                       /*set_granular=*/true, options.injectBits);
-    }
-    return out;
+    return measureVariants("aes", workload.program, workload.defense(),
+                           attack, aesT0Site, options.injectBits);
 }
 
 } // namespace csd

@@ -1,13 +1,17 @@
 /**
  * @file
- * Canned dynamic leakage measurements for `csd-lint --channels`.
+ * Dynamic leakage measurement: one monitored attack-variant runner
+ * and one ledger-to-MeasuredChannel conversion, shared by the Fig. 7
+ * harnesses and the canned measurements of `csd-lint --channels`.
  *
- * Each measure*Channels() helper runs a small, deterministic attack
- * loop against the canonical lint victim twice — undefended and under
- * the canonical Fig. 7 defense — with the channel monitor armed and an
- * ObservationLedger classifying every probe. The ledger's empirical
- * mutual information becomes MeasuredChannel records the cross-check
- * (verify/channel_crosscheck.hh) compares against the static proof.
+ * runMonitoredAttack() runs an attack against a victim with the
+ * channel monitor armed and an ObservationLedger classifying every
+ * probe. Each measure*Channels() helper runs a small, deterministic
+ * attack loop through it against the canonical lint victim twice —
+ * undefended and under the canonical Fig. 7 defense. The ledger's
+ * empirical mutual information becomes MeasuredChannel records the
+ * cross-check (verify/channel_crosscheck.hh) compares against the
+ * static proof.
  *
  * Only the *secret-dependent* site feeds the cross-check: "multiply"
  * for RSA (invoked iff the exponent bit is 1) and "t0" for AES (the
@@ -26,14 +30,56 @@
 #ifndef CSD_SEC_CHANNEL_MEASURE_HH
 #define CSD_SEC_CHANNEL_MEASURE_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "sec/observation_ledger.hh"
+#include "sec/victim.hh"
 #include "verify/channel_crosscheck.hh"
 
 namespace csd
 {
+
+/** The secret-dependent site an attack probes, and through what. */
+struct ProbedSite
+{
+    const char *site;  //!< ledger site label
+    Channel channel;
+    bool setGranular;  //!< PRIME+PROBE (sets) vs F+R (lines)
+};
+
+/** FLUSH+RELOAD on RSA's `multiply` I-cache line (Fig. 7b, lint). */
+inline constexpr ProbedSite rsaMultiplySite{"multiply", Channel::L1IFetch,
+                                            false};
+
+/** PRIME+PROBE on AES's Te0 table (Fig. 7a, lint). */
+inline constexpr ProbedSite aesT0Site{"t0", Channel::L1DAccess, true};
+
+/** What one attack variant's ledger recorded. */
+struct MonitoredRun
+{
+    std::vector<SiteMeasure> sites;  //!< every site, sorted by name
+    std::uint64_t probes = 0;        //!< probes across all sites
+
+    /** @p site's tally (empty if the site never observed). */
+    LedgerTally tally(const std::string &site) const;
+};
+
+/**
+ * Run @p attack against a cache-only victim of @p program under
+ * @p defense, with the channel monitor armed and an ObservationLedger
+ * classifying every probe. A non-empty @p heatmap_base exports the
+ * monitor's per-set heatmaps there afterwards.
+ */
+MonitoredRun runMonitoredAttack(
+    const Program &program, const DefenseConfig &defense,
+    const std::function<void(Victim &, ObservationLedger &)> &attack,
+    const std::string &heatmap_base = "");
+
+/** The cross-check record of @p probed in one variant's ledger. */
+MeasuredChannel measuredChannel(const ProbedSite &probed,
+                                const MonitoredRun &run, bool defended);
 
 /** Measurement knobs (defaults are the lint CI configuration). */
 struct ChannelMeasureOptions
