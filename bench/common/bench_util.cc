@@ -188,20 +188,6 @@ benchManifestNote(const std::string &key, const std::string &value)
 }
 
 void
-benchManifestNote(const std::string &key, double value)
-{
-    std::lock_guard<std::mutex> lock(sidecarMutex());
-    sidecar().manifest.note(key, value);
-}
-
-void
-benchManifestNote(const std::string &key, std::uint64_t value)
-{
-    std::lock_guard<std::mutex> lock(sidecarMutex());
-    sidecar().manifest.note(key, value);
-}
-
-void
 benchWriteJson()
 {
     std::lock_guard<std::mutex> lock(sidecarMutex());
@@ -376,17 +362,6 @@ std::string
 pct(double fraction, int precision)
 {
     return fmt(fraction * 100.0, precision) + "%";
-}
-
-double
-geomean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double v : values)
-        log_sum += std::log(v);
-    return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 double

@@ -20,7 +20,6 @@
 #ifndef CSD_BENCH_COMMON_BENCH_UTIL_HH
 #define CSD_BENCH_COMMON_BENCH_UTIL_HH
 
-#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -57,12 +56,6 @@ class Table
     /** Write "header,header\ncell,cell\n..." with minimal quoting. */
     void writeCsv(std::ostream &os) const;
 
-    const std::vector<std::string> &headers() const { return headers_; }
-    const std::vector<std::vector<std::string>> &rows() const
-    {
-        return rows_;
-    }
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;
@@ -81,8 +74,6 @@ void benchStat(const std::string &key, const std::string &value);
  * Thread safe.
  */
 void benchManifestNote(const std::string &key, const std::string &value);
-void benchManifestNote(const std::string &key, double value);
-void benchManifestNote(const std::string &key, std::uint64_t value);
 
 /** True iff a sidecar path is armed (--json or CSD_BENCH_JSON). */
 bool benchJsonEnabled();
@@ -95,9 +86,6 @@ std::string fmt(double value, int precision = 3);
 
 /** Format a percentage. */
 std::string pct(double fraction, int precision = 1);
-
-/** Geometric mean of positive values. */
-double geomean(const std::vector<double> &values);
 
 /** Arithmetic mean. */
 double mean(const std::vector<double> &values);

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure, build, and run the full test suite, run the
 # csd-lint static analyser over every shipped workload (plus clang-tidy
-# when it is installed), then rebuild the common, sim, cpu, dift,
-# decode and verify tests under ASan+UBSan and run those.
+# when it is installed), then rebuild the common, memory, sim, cpu,
+# dift, decode and verify tests under ASan+UBSan and run those.
 #
 # Usage: scripts/check.sh [--no-sanitize]
 #   CSD_CHECK_JOBS=N   parallelism (default: nproc)
@@ -42,12 +42,14 @@ else
 fi
 
 if [[ "$sanitize" == 1 ]]; then
-    echo "== sanitize: ASan+UBSan build of common/sim/cpu/dift/decode/verify tests =="
+    echo "== sanitize: ASan+UBSan build of common/memory/sim/cpu/dift/decode/verify tests =="
     cmake -S . -B build-asan -DCSD_SANITIZE=ON >/dev/null
     cmake --build build-asan -j"$jobs" \
-        --target test_common test_sim test_cpu test_dift test_decode test_verify
+        --target test_common test_memory test_sim test_cpu test_dift test_decode \
+        test_verify
     echo "== sanitize: run =="
-    for suite in test_common test_sim test_cpu test_dift test_decode test_verify; do
+    for suite in test_common test_memory test_sim test_cpu test_dift test_decode \
+        test_verify; do
         ./build-asan/tests/"$suite"
     done
 fi

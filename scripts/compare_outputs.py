@@ -18,10 +18,17 @@ too: as a multiset of byte-identical files, the way
 check_sidecar_determinism.py --env compares them (context ids, and so
 file names, may differ).
 
+Every program run also gets a heatmap directory of its own
+(CSD_CHANNEL_HEATMAP_DIR), where the Figs. 7a/7b harnesses write their
+per-set channel heatmaps under case-derived names: the two builds must
+write the same files with byte-identical contents.
+
 --self-check proves the comparison can fail: bench_table1_config must
 compare equal against itself, different when one side runs with
 CSD_STATS_DETAIL=1, and different in its trace exports when both sides
-trace but one keeps a 1-event ring.
+trace but one keeps a 1-event ring; bench_fig7a_primeprobe_aes must
+compare equal against itself and different when one side's heatmap
+export alone is altered after the run.
 
 Exit status: 0 every output matches (self-check: every part holds),
 1 some output differs, 2 usage error or a program that did not run.
@@ -60,16 +67,28 @@ def programs():
     return progs
 
 
-def execute(build, prog, workdir, env_extra=None):
+def read_dir(path):
+    """{file name: contents} of every file in @p path."""
+    files = {}
+    for name in os.listdir(path):
+        with open(os.path.join(path, name), "rb") as f:
+            files[name] = f.read()
+    return files
+
+
+def execute(build, prog, workdir, env_extra=None, alter=None):
     """Run one program in its own working directory; returns
     (exit status, stdout bytes, parsed JSON document or None, multiset
-    of trace-export contents)."""
+    of trace-export contents, {heatmap file: contents}). @p alter, if
+    given, is called with the heatmap directory after the run."""
     name, rel, args, writes_json = prog
     binary = os.path.join(os.path.abspath(build), rel)
     if not os.access(binary, os.X_OK):
         raise FileNotFoundError(f"{binary}: not built")
     trace_dir = os.path.join(workdir, "traces")
+    heatmap_dir = os.path.join(workdir, "heatmaps")
     os.makedirs(trace_dir, exist_ok=True)
+    os.makedirs(heatmap_dir, exist_ok=True)
     cmd = [binary] + args
     json_path = os.path.join(workdir, name + ".json")
     if writes_json:
@@ -77,17 +96,17 @@ def execute(build, prog, workdir, env_extra=None):
     env = dict(os.environ)
     env.update(env_extra or {})
     env["CSD_TRACE_FILE"] = os.path.join(trace_dir, "trace_%c.json")
+    env["CSD_CHANNEL_HEATMAP_DIR"] = heatmap_dir
     proc = subprocess.run(cmd, cwd=workdir, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, check=False)
     doc = None
     if writes_json and os.path.exists(json_path):
         with open(json_path) as f:
             doc = analysis.scrub(json.load(f))
-    traces = collections.Counter()
-    for trace in os.listdir(trace_dir):
-        with open(os.path.join(trace_dir, trace), "rb") as f:
-            traces[f.read()] += 1
-    return proc.returncode, proc.stdout, doc, traces
+    traces = collections.Counter(read_dir(trace_dir).values())
+    if alter:
+        alter(heatmap_dir)
+    return proc.returncode, proc.stdout, doc, traces, read_dir(heatmap_dir)
 
 
 def first_difference(a, b):
@@ -99,23 +118,27 @@ def first_difference(a, b):
     return f"line count {len(la)} vs {len(lb)}"
 
 
-def compare(build_a, build_b, progs, env_b=None, env_a=None):
+def compare(build_a, build_b, progs, env_b=None, env_a=None, alter_b=None):
     """Run every program in both builds; returns the list of
-    differences (empty = identical)."""
+    differences (empty = identical). @p alter_b is passed to the B
+    side's execute()."""
     diffs = []
     with tempfile.TemporaryDirectory() as tmp, \
             concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
         jobs = {}
         for prog in progs:
-            for side, build, env in (("a", build_a, env_a),
-                                     ("b", build_b, env_b)):
+            for side, build, env, alter in (
+                    ("a", build_a, env_a, None),
+                    ("b", build_b, env_b, alter_b)):
                 workdir = os.path.join(tmp, side, prog[0])
                 jobs[(prog[0], side)] = pool.submit(
-                    execute, build, prog, workdir, env)
+                    execute, build, prog, workdir, env, alter)
         for prog in progs:
             name = prog[0]
-            status_a, out_a, doc_a, traces_a = jobs[(name, "a")].result()
-            status_b, out_b, doc_b, traces_b = jobs[(name, "b")].result()
+            status_a, out_a, doc_a, traces_a, heat_a = \
+                jobs[(name, "a")].result()
+            status_b, out_b, doc_b, traces_b, heat_b = \
+                jobs[(name, "b")].result()
             found = []
             if status_a != status_b:
                 found.append(f"{name}: exit status {status_a} vs {status_b}")
@@ -130,12 +153,49 @@ def compare(build_a, build_b, progs, env_b=None, env_a=None):
                     f"{name}: trace exports differ ({traces_a.total()} vs "
                     f"{traces_b.total()} file(s), {unmatched} without a "
                     "byte-identical counterpart)")
-            traced = (f" ({traces_a.total()} trace export(s))"
-                      if traces_a or traces_b else "")
-            print(f"{name:30s} {'DIFFERENT' if found else 'same'}{traced}",
+            if heat_a != heat_b:
+                unmatched = sorted(
+                    f for f in heat_a.keys() | heat_b.keys()
+                    if heat_a.get(f) != heat_b.get(f))
+                found.append(
+                    f"{name}: heatmap exports differ ({len(heat_a)} vs "
+                    f"{len(heat_b)} file(s); {', '.join(unmatched)})")
+            counts = []
+            if traces_a or traces_b:
+                counts.append(f"{traces_a.total()} trace export(s)")
+            if heat_a or heat_b:
+                counts.append(f"{len(heat_a)} heatmap export(s)")
+            detail = f" ({', '.join(counts)})" if counts else ""
+            print(f"{name:30s} {'DIFFERENT' if found else 'same'}{detail}",
                   flush=True)
             diffs += found
     return diffs
+
+
+def alter_one_heatmap(heatmap_dir):
+    """Append a byte to the first heatmap file in @p heatmap_dir, if
+    there is one."""
+    for name in sorted(os.listdir(heatmap_dir))[:1]:
+        with open(os.path.join(heatmap_dir, name), "ab") as f:
+            f.write(b"\n")
+
+
+def heatmap_check(build):
+    """The heatmap half of the self-check: a Fig. 7a run must match
+    itself, with heatmaps written, and a difference in one heatmap file
+    alone must be reported."""
+    prog = [p for p in programs() if p[0] == "bench_fig7a_primeprobe_aes"]
+    if compare(build, build, prog):
+        print("compare_outputs: self-check FAIL: a heatmap-writing build "
+              "differs from itself", file=sys.stderr)
+        return False
+    diffs = compare(build, build, prog, alter_b=alter_one_heatmap)
+    if len(diffs) != 1 or "heatmap exports differ" not in diffs[0]:
+        print("compare_outputs: self-check FAIL: an altered heatmap export "
+              "on one side was not reported alone (or none was written): "
+              f"{diffs}", file=sys.stderr)
+        return False
+    return True
 
 
 def self_check(build):
@@ -156,6 +216,8 @@ def self_check(build):
     if not any("trace exports differ" in d for d in diffs):
         print("compare_outputs: self-check FAIL: a truncated trace export "
               "on one side went unnoticed", file=sys.stderr)
+        return 1
+    if not heatmap_check(build):
         return 1
     print("compare_outputs: self-check ok")
     return 0

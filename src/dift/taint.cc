@@ -27,18 +27,10 @@ void
 TaintTracker::reset()
 {
     sources_.clear();
-    regTaint_.reset();
+    regTaint_ = 0;
     shadow_.clear();
     lastPage_ = invalidAddr;
     lastPageBits_ = nullptr;
-}
-
-void
-TaintTracker::setRegTaint(const RegId &reg, bool tainted)
-{
-    if (!reg.valid())
-        return;
-    regTaint_.set(reg.flatIndex(), tainted);
 }
 
 TaintTracker::ShadowPage *
@@ -134,59 +126,6 @@ TaintTracker::noteTaintedUse(const MacroOp &op)
     ++taintedBranches_;
     CSD_TRACE_NOW(Dift, "tainted_branch", 'i', "pc",
                   static_cast<double>(op.pc));
-}
-
-bool
-TaintTracker::uopSourceTaint(const Uop &uop, Addr eff_addr) const
-{
-    bool tainted = false;
-    if (uop.isLoad()) {
-        // Data taint plus pointer taint: a lookup indexed by a tainted
-        // value yields a tainted value (the AES T-table pattern).
-        tainted = memTainted(eff_addr, uop.memSize);
-        if (uop.src1.valid())
-            tainted = tainted || regTainted(uop.src1);
-        if (uop.src2.valid())
-            tainted = tainted || regTainted(uop.src2);
-        return tainted;
-    }
-    if (uop.src1.valid())
-        tainted = tainted || regTainted(uop.src1);
-    if (!uop.immData && uop.src2.valid() && !uop.isMem())
-        tainted = tainted || regTainted(uop.src2);
-    if (uop.readsFlags)
-        tainted = tainted || regTainted(flagsReg());
-    return tainted;
-}
-
-void
-TaintTracker::propagateDataflow(const Uop &uop, Addr eff_addr)
-{
-    if (uop.isStore()) {
-        bool data_taint = uop.src3.valid() && regTainted(uop.src3);
-        // Pointer taint flows into the stored location as well.
-        if (uop.src1.valid())
-            data_taint = data_taint || regTainted(uop.src1);
-        if (uop.src2.valid())
-            data_taint = data_taint || regTainted(uop.src2);
-        taintMem(eff_addr, uop.memSize, data_taint);
-        if (data_taint)
-            ++propagations_;
-        return;
-    }
-
-    if (uop.isBranch())
-        return;  // no data result
-
-    const bool tainted = uopSourceTaint(uop, eff_addr);
-    // Immediate loads break dependences (limm overwrites dst).
-    const bool clears = uop.op == MicroOpcode::LoadImm;
-    if (uop.dst.valid())
-        setRegTaint(uop.dst, clears ? false : tainted);
-    if (uop.writesFlags)
-        setRegTaint(flagsReg(), tainted);
-    if (tainted)
-        ++propagations_;
 }
 
 } // namespace csd

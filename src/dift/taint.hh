@@ -13,7 +13,7 @@
 #define CSD_DIFT_TAINT_HH
 
 #include <array>
-#include <bitset>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -39,14 +39,14 @@ class TaintTracker
     /** Is a register currently tainted? */
     bool regTainted(const RegId &reg) const
     {
-        return regTaint_.test(reg.flatIndex());
+        return (regTaint_ >> reg.flatIndex()) & 1;
     }
 
     /**
      * Register taint as a bitmask over flat register indices (bit
      * RegId::flatIndex()); indices past the last register read 0.
      */
-    std::uint64_t regTaintMask() const { return regTaint_.to_ullong(); }
+    std::uint64_t regTaintMask() const { return regTaint_; }
 
     /** Is any byte of [addr, addr+size) tainted? */
     bool memTainted(Addr addr, unsigned size) const;
@@ -91,6 +91,8 @@ class TaintTracker
     void taintMem(Addr addr, unsigned size, bool tainted);
     void propagateDataflow(const Uop &uop, Addr eff_addr);
 
+    static_assert(numFlatRegs <= 64, "register taint is one 64-bit mask");
+
     static constexpr unsigned granuleShift = 3; //!< 8-byte granules
     static constexpr unsigned pageShift = 12;   //!< 4 KiB shadow pages
     static constexpr unsigned granulesPerPage = 1u
@@ -103,7 +105,7 @@ class TaintTracker
     ShadowPage *findPage(Addr granule) const;
 
     std::vector<AddrRange> sources_;
-    std::bitset<numFlatRegs> regTaint_;
+    std::uint64_t regTaint_ = 0;  //!< bit RegId::flatIndex()
     // Shadow memory: a bitmap per 4 KiB page, allocated the first time
     // a granule in it is tainted. Node-based, so page pointers stay
     // valid across inserts; the last page looked up is memoized (taint
@@ -117,6 +119,68 @@ class TaintTracker
     Counter taintedBranches_;
     Counter propagations_;
 };
+
+inline void
+TaintTracker::setRegTaint(const RegId &reg, bool tainted)
+{
+    if (!reg.valid())
+        return;
+    const std::uint64_t bit = std::uint64_t{1} << reg.flatIndex();
+    regTaint_ = tainted ? regTaint_ | bit : regTaint_ & ~bit;
+}
+
+inline bool
+TaintTracker::uopSourceTaint(const Uop &uop, Addr eff_addr) const
+{
+    bool tainted = false;
+    if (uop.isLoad()) {
+        // Data taint plus pointer taint: a lookup indexed by a tainted
+        // value yields a tainted value (the AES T-table pattern).
+        tainted = memTainted(eff_addr, uop.memSize);
+        if (uop.src1.valid())
+            tainted = tainted || regTainted(uop.src1);
+        if (uop.src2.valid())
+            tainted = tainted || regTainted(uop.src2);
+        return tainted;
+    }
+    if (uop.src1.valid())
+        tainted = tainted || regTainted(uop.src1);
+    if (!uop.immData && uop.src2.valid() && !uop.isMem())
+        tainted = tainted || regTainted(uop.src2);
+    if (uop.readsFlags)
+        tainted = tainted || regTainted(flagsReg());
+    return tainted;
+}
+
+inline void
+TaintTracker::propagateDataflow(const Uop &uop, Addr eff_addr)
+{
+    if (uop.isStore()) {
+        bool data_taint = uop.src3.valid() && regTainted(uop.src3);
+        // Pointer taint flows into the stored location as well.
+        if (uop.src1.valid())
+            data_taint = data_taint || regTainted(uop.src1);
+        if (uop.src2.valid())
+            data_taint = data_taint || regTainted(uop.src2);
+        taintMem(eff_addr, uop.memSize, data_taint);
+        if (data_taint)
+            ++propagations_;
+        return;
+    }
+
+    if (uop.isBranch())
+        return;  // no data result
+
+    const bool tainted = uopSourceTaint(uop, eff_addr);
+    // Immediate loads break dependences (limm overwrites dst).
+    const bool clears = uop.op == MicroOpcode::LoadImm;
+    if (uop.dst.valid())
+        setRegTaint(uop.dst, clears ? false : tainted);
+    if (uop.writesFlags)
+        setRegTaint(flagsReg(), tainted);
+    if (tainted)
+        ++propagations_;
+}
 
 } // namespace csd
 

@@ -1,12 +1,16 @@
 #include "memory/cache.hh"
 
 #include <algorithm>
+#include <sstream>
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 
 namespace csd
 {
+
+static_assert(sizeof(Cache::Tag) + sizeof(Cache::Stamp) == 8,
+              "a way costs 8 host bytes");
 
 Cache::Cache(const CacheParams &params)
     : params_(params), stats_(params.name)
@@ -21,9 +25,7 @@ Cache::Cache(const CacheParams &params)
     if (!isPowerOf2(numSets_))
         csd_fatal("Cache ", params_.name, ": set count ", numSets_,
                   " is not a power of two");
-    tags_ = std::make_unique_for_overwrite<Addr[]>(num_blocks);
-    lruStamps_ = std::make_unique_for_overwrite<std::uint64_t[]>(num_blocks);
-    dirty_ = std::make_unique_for_overwrite<std::uint8_t[]>(num_blocks);
+    ways_ = std::make_unique_for_overwrite<std::uint32_t[]>(2 * num_blocks);
     liveSets_.assign((numSets_ + 63) / 64, 0);
 
     stats_.addCounter("accesses", &accesses_, "demand accesses");
@@ -35,13 +37,48 @@ Cache::Cache(const CacheParams &params)
 }
 
 void
+Cache::addressOutOfRange(Addr addr) const
+{
+    std::ostringstream hex;
+    hex << std::hex << "0x" << addr << " (tags cover addresses below 0x"
+        << maxAddr << ")";
+    csd_fatal("Cache ", params_.name, ": address ", hex.str());
+}
+
+void
 Cache::makeSetLive(unsigned set)
 {
-    const std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
-    std::fill_n(&tags_[base], params_.assoc, invalidAddr);
-    std::fill_n(&lruStamps_[base], params_.assoc, 0);
-    std::fill_n(&dirty_[base], params_.assoc, 0);
+    std::fill_n(tagsOf(set), params_.assoc, emptyTag);
+    std::fill_n(stampsOf(set), params_.assoc, 0);
     liveSets_[set >> 6] |= std::uint64_t{1} << (set & 63);
+}
+
+void
+Cache::renumberStamps()
+{
+    std::vector<unsigned> order;
+    order.reserve(params_.assoc);
+    for (unsigned set = 0; set < numSets_; ++set) {
+        if (!setLive(set))
+            continue;
+        const Tag *tags = tagsOf(set);
+        Stamp *stamps = stampsOf(set);
+        order.clear();
+        for (unsigned way = 0; way < params_.assoc; ++way) {
+            if (tags[way] == emptyTag)
+                stamps[way] = 0;
+            else
+                order.push_back(way);
+        }
+        std::sort(order.begin(), order.end(),
+                  [stamps](unsigned a, unsigned b) {
+                      return stamps[a] < stamps[b];
+                  });
+        Stamp rank = 0;
+        for (unsigned way : order)
+            stamps[way] = ++rank;
+    }
+    lruClock_ = params_.assoc;
 }
 
 bool
@@ -53,28 +90,28 @@ Cache::contains(Addr addr) const
 void
 Cache::fill(Addr addr)
 {
-    const unsigned set = setIndex(addr);
+    const Tag tag = tagOf(addr);
+    const unsigned set = tag & (numSets_ - 1);
     if (!setLive(set))
         makeSetLive(set);
-    const std::size_t base =
-        static_cast<std::size_t>(set) * params_.assoc;
-    std::size_t victim = base;
+    Tag *tags = tagsOf(set);
+    Stamp *stamps = stampsOf(set);
+    unsigned victim = 0;
     for (unsigned way = 0; way < params_.assoc; ++way) {
-        if (tags_[base + way] == invalidAddr) {
-            victim = base + way;
+        if (tags[way] == emptyTag) {
+            victim = way;
             break;
         }
-        if (lruStamps_[base + way] < lruStamps_[victim])
-            victim = base + way;
+        if (stamps[way] < stamps[victim])
+            victim = way;
     }
-    if (tags_[victim] != invalidAddr) {
+    if (tags[victim] != emptyTag) {
         ++evictions_;
         if (monitor_) [[unlikely]]
             monitor_->recordEviction(monitorStructure_, set);
     }
-    tags_[victim] = blockAlign(addr);
-    dirty_[victim] = 0;
-    lruStamps_[victim] = ++lruClock_;
+    tags[victim] = tag;
+    stamps[victim] = nextStamp();
 }
 
 bool
@@ -83,10 +120,7 @@ Cache::invalidate(Addr addr)
     const unsigned way = findWay(addr);
     if (way == invalidWay)
         return false;
-    const std::size_t idx =
-        static_cast<std::size_t>(setIndex(addr)) * params_.assoc + way;
-    tags_[idx] = invalidAddr;
-    dirty_[idx] = 0;
+    tagsOf(setIndex(addr))[way] = emptyTag;
     ++invalidations_;
     if (monitor_) [[unlikely]]
         monitor_->recordInvalidation(monitorStructure_, setIndex(addr));
@@ -110,11 +144,10 @@ Cache::setContents(unsigned set) const
     std::vector<Addr> contents;
     if (!setLive(set))
         return contents;
-    const std::size_t base =
-        static_cast<std::size_t>(set) * params_.assoc;
+    const Tag *tags = tagsOf(set);
     for (unsigned way = 0; way < params_.assoc; ++way)
-        if (tags_[base + way] != invalidAddr)
-            contents.push_back(tags_[base + way]);
+        if (tags[way] != emptyTag)
+            contents.push_back(static_cast<Addr>(tags[way]) * cacheBlockSize);
     return contents;
 }
 

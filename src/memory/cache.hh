@@ -6,6 +6,13 @@
  * what matters for both timing and the side-channel experiments is which
  * blocks are resident, and the precise eviction behaviour an attacker
  * can manipulate with PRIME+PROBE / FLUSH+RELOAD.
+ *
+ * Each way costs 8 host bytes: a 32-bit tag (the block number) and a
+ * 32-bit LRU stamp. Addresses must lie below maxAddr (256 GiB); any
+ * other fails loudly instead of aliasing. No writeback is modelled, so
+ * there is no dirty state. When a cache's stamp clock would wrap, each
+ * set's valid ways are renumbered 1..k in recency order, which keeps
+ * every victim choice of true LRU.
  */
 
 #ifndef CSD_MEMORY_CACHE_HH
@@ -36,6 +43,19 @@ struct CacheParams
 class Cache
 {
   public:
+    /** A way's tag: its block's number (blockNumber()). */
+    using Tag = std::uint32_t;
+    /** A way's LRU stamp; the larger of two was used more recently. */
+    using Stamp = std::uint32_t;
+
+    /**
+     * Exclusive bound of the addresses a cache takes: the block number
+     * must fit a tag below the empty-way marker. Any access, fill or
+     * invalidate at or above it fails with csd_fatal.
+     */
+    static constexpr Addr maxAddr =
+        static_cast<Addr>(~Tag{0}) * cacheBlockSize;
+
     explicit Cache(const CacheParams &params);
 
     /**
@@ -106,13 +126,27 @@ class Cache
     }
 
   private:
+    friend class CacheTestPeer;  //!< tests: start the clock near a wrap
+
     static constexpr unsigned invalidWay = ~0u;
+    static constexpr Tag emptyTag = ~Tag{0};  //!< an invalid way
+    static constexpr Stamp maxStamp = ~Stamp{0};
+
+    /** @p addr's tag; fails loudly if @p addr is not below maxAddr. */
+    Tag
+    tagOf(Addr addr) const
+    {
+        if (addr >= maxAddr) [[unlikely]]
+            addressOutOfRange(addr);
+        return static_cast<Tag>(blockNumber(addr));
+    }
+
+    [[noreturn]] void addressOutOfRange(Addr addr) const;
 
     /**
-     * Way of @p addr's block within its set, or invalidWay. The tag
-     * arrays are struct-of-arrays so the scan reads one contiguous run
-     * of tags (an invalid way holds invalidAddr, which no real block
-     * address equals, so there is no separate valid bit to test).
+     * Way of @p addr's block within its set, or invalidWay. An invalid
+     * way holds emptyTag, which no block number equals, so there is no
+     * separate valid bit to test.
      */
     unsigned findWay(Addr addr) const;
 
@@ -126,17 +160,46 @@ class Cache
     /** Initialize @p set's ways (all invalid) and mark it live. */
     void makeSetLive(unsigned set);
 
+    /** @p set's tags (assoc of them); its stamps follow them. */
+    Tag *
+    tagsOf(unsigned set) const
+    {
+        return &ways_[static_cast<std::size_t>(set) * 2 * params_.assoc];
+    }
+
+    Stamp *stampsOf(unsigned set) const
+    {
+        return tagsOf(set) + params_.assoc;
+    }
+
+    /** Advance the LRU clock, renumbering the stamps first on a wrap. */
+    Stamp
+    nextStamp()
+    {
+        if (lruClock_ == maxStamp) [[unlikely]]
+            renumberStamps();
+        return ++lruClock_;
+    }
+
+    /**
+     * Renumber every live set's valid ways 1..k in stamp order and
+     * restart the clock above them. Only the order within a set picks
+     * a victim, so no replacement decision changes.
+     */
+    void renumberStamps();
+
     CacheParams params_;
     unsigned numSets_;
-    // numSets_ x assoc, row-major, parallel arrays. Left uninitialized
-    // at construction (a large LLC is megabytes most runs never touch);
-    // a set's ways are only meaningful once liveSets_ marks it live,
-    // and the first fill() into a set initializes them.
-    std::unique_ptr<Addr[]> tags_;      //!< block base, invalidAddr = empty
-    std::unique_ptr<std::uint64_t[]> lruStamps_;
-    std::unique_ptr<std::uint8_t[]> dirty_;
+    // Per set, its assoc tags then its assoc stamps, so a hit's tag
+    // scan and stamp write touch one run of 8 * assoc bytes (measured
+    // no slower than separate tag and stamp arrays). Left
+    // uninitialized at construction (the LLC's is a megabyte most
+    // runs never touch); a set's ways are only meaningful once
+    // liveSets_ marks it live, and the first fill() into a set
+    // initializes them.
+    std::unique_ptr<std::uint32_t[]> ways_;
     std::vector<std::uint64_t> liveSets_;  //!< one bit per set
-    std::uint64_t lruClock_ = 0;
+    Stamp lruClock_ = 0;
 
     // Channel-observability hook (null = disarmed, the default).
     CacheSetMonitor *monitor_ = nullptr;
@@ -160,13 +223,13 @@ Cache::setIndex(Addr addr) const
 inline unsigned
 Cache::findWay(Addr addr) const
 {
-    const unsigned set = setIndex(addr);
+    const Tag tag = tagOf(addr);
+    const unsigned set = tag & (numSets_ - 1);
     if (!setLive(set))
         return invalidWay;
-    const Addr tag = blockAlign(addr);
-    const std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
+    const Tag *tags = tagsOf(set);
     for (unsigned way = 0; way < params_.assoc; ++way) {
-        if (tags_[base + way] == tag)
+        if (tags[way] == tag)
             return way;
     }
     return invalidWay;
@@ -180,15 +243,10 @@ Cache::access(Addr addr, bool is_write)
         ++writeAccesses_;
     const unsigned way = findWay(addr);
     const bool hit = way != invalidWay;
-    if (hit) {
-        const std::size_t idx =
-            static_cast<std::size_t>(setIndex(addr)) * params_.assoc + way;
-        lruStamps_[idx] = ++lruClock_;
-        if (is_write)
-            dirty_[idx] = 1;
-    } else {
+    if (hit)
+        stampsOf(setIndex(addr))[way] = nextStamp();
+    else
         ++misses_;
-    }
     if (monitor_) [[unlikely]]
         monitor_->recordAccess(monitorStructure_, setIndex(addr),
                                blockAlign(addr), !hit);
