@@ -104,8 +104,10 @@ benchInit(int argc, char **argv)
     };
 
     // Parse before locking: a usage error exits, and exit runs the
-    // sidecar writer an earlier benchInit() may have armed.
-    std::string path = Knobs::process().text(Knob::BenchJson);
+    // sidecar writer an earlier benchInit() may have armed. The knobs
+    // parse first, so a bad CSD_* variable fails before any output.
+    Knobs::process();
+    std::string path;
     for (int i = 1; i < argc; ++i) {
         std::string flag = argv[i];
         std::string value;
@@ -151,12 +153,6 @@ benchHeader(const std::string &artifact, const std::string &title,
     if (!notes.empty())
         std::printf("%s\n", notes.c_str());
     std::printf("================================================================\n");
-}
-
-bool
-benchJsonEnabled()
-{
-    return !sidecar().path.empty();
 }
 
 void
@@ -311,38 +307,6 @@ Table::print() const
         copy.headers = headers_;
         copy.rows = rows_;
         s.tables.push_back(std::move(copy));
-    }
-}
-
-void
-Table::writeCsv(std::ostream &os) const
-{
-    auto csv_cell = [&os](const std::string &cell) {
-        if (cell.find_first_of(",\"\n") == std::string::npos) {
-            os << cell;
-            return;
-        }
-        os << '"';
-        for (char c : cell) {
-            if (c == '"')
-                os << '"';
-            os << c;
-        }
-        os << '"';
-    };
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-        if (c)
-            os << ',';
-        csv_cell(headers_[c]);
-    }
-    os << '\n';
-    for (const auto &row : rows_) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ',';
-            csv_cell(row[c]);
-        }
-        os << '\n';
     }
 }
 

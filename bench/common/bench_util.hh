@@ -1,13 +1,12 @@
 /**
  * @file
  * Shared helpers for the figure-reproduction harnesses: aligned table
- * printing with CSV export, normalization, geometric means, and a
- * machine-readable JSON sidecar.
+ * printing, number formatting, means, and a machine-readable JSON
+ * sidecar.
  *
  * Sidecar: call benchInit(argc, argv) first thing in main(). If
- * `--json <path>` (or `--json=<path>`) is passed, or the
- * CSD_BENCH_JSON environment variable names a path, every printed
- * table plus any benchStat() key/values are written there as JSON at
+ * `--json <path>` (or `--json=<path>`) is passed, every printed table
+ * plus any benchStat() key/values are written there as JSON at
  * process exit, so the perf trajectory of each figure harness can be
  * tracked by tooling instead of scraping stdout. Every sidecar also
  * carries a "manifest" member (obs/manifest.hh): config hash over the
@@ -20,7 +19,6 @@
 #ifndef CSD_BENCH_COMMON_BENCH_UTIL_HH
 #define CSD_BENCH_COMMON_BENCH_UTIL_HH
 
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -29,9 +27,10 @@ namespace csd::bench
 
 /**
  * Parse harness arguments (--json <path>, --jobs N, or the `=value`
- * forms) and arm the JSON sidecar (--json, else CSD_BENCH_JSON). Any
- * other argument, or a flag without a value, prints a usage error and
- * exits with status 2. Call before benchHeader().
+ * forms), arm the JSON sidecar, and parse the CSD_* knobs. Any other
+ * argument, or a flag without a value, prints a usage error and exits
+ * with status 2; a malformed or unknown knob is fatal. Call before
+ * benchHeader().
  */
 void benchInit(int argc, char **argv);
 
@@ -53,9 +52,6 @@ class Table
      */
     void print() const;
 
-    /** Write "header,header\ncell,cell\n..." with minimal quoting. */
-    void writeCsv(std::ostream &os) const;
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;
@@ -74,9 +70,6 @@ void benchStat(const std::string &key, const std::string &value);
  * Thread safe.
  */
 void benchManifestNote(const std::string &key, const std::string &value);
-
-/** True iff a sidecar path is armed (--json or CSD_BENCH_JSON). */
-bool benchJsonEnabled();
 
 /** Write the sidecar now (also runs automatically at exit). */
 void benchWriteJson();

@@ -3,17 +3,14 @@
 #include <atomic>
 #include <thread>
 
-#include "common/env.hh"
-
 namespace csd::bench
 {
 
 namespace
 {
 
-/** --jobs request; 0 = auto (hardware threads), unset = CSD_BENCH_JOBS. */
-unsigned requestedJobs = 0;
-bool jobsRequested = false;
+/** --jobs request; 0 = auto (hardware threads). */
+unsigned requestedJobs = 1;
 
 } // namespace
 
@@ -21,8 +18,6 @@ unsigned
 benchJobs()
 {
     unsigned jobs = requestedJobs;
-    if (!jobsRequested)
-        jobs = static_cast<unsigned>(Knobs::process().number(Knob::BenchJobs));
     if (jobs == 0) {
         jobs = std::thread::hardware_concurrency();
         if (jobs == 0)
@@ -35,7 +30,6 @@ void
 benchSetJobs(unsigned jobs)
 {
     requestedJobs = jobs;
-    jobsRequested = true;
 }
 
 namespace detail

@@ -12,11 +12,10 @@
  * case — and all printing and `Table` building happen on the main
  * thread afterwards, in case order. A `--jobs N` run therefore
  * produces byte-identical stdout and JSON sidecars to `--jobs 1`,
- * with or without CSD_TRACE / CSD_LIFECYCLE armed (use "%c" in the
- * export paths for one file per simulation context).
+ * with or without CSD_TRACE / CSD_LIFECYCLE_FILE armed (use "%c" in
+ * the export paths for one file per simulation context).
  *
- * Job count resolution: `--jobs N` / `--jobs=N` (parsed by
- * benchInit()), else the CSD_BENCH_JOBS environment variable, else 1.
+ * Job count: `--jobs N` / `--jobs=N` (parsed by benchInit()), else 1.
  * `--jobs 0` means one job per hardware thread. Malformed values are
  * fatal rather than silently serialized.
  */

@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure, build, and run the full test suite, run the
 # csd-lint static analyser over every shipped workload (plus clang-tidy
-# when it is installed), then rebuild the common, memory, sim, cpu,
-# dift, decode and verify tests under ASan+UBSan and run those.
+# when it is installed), then run the ASan+UBSan suites
+# (scripts/sanitize.sh).
 #
 # Usage: scripts/check.sh [--no-sanitize]
-#   CSD_CHECK_JOBS=N   parallelism (default: nproc)
+#   CHECK_JOBS=N   parallelism (default: nproc)
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-jobs="${CSD_CHECK_JOBS:-$(nproc)}"
+jobs="${CHECK_JOBS:-$(nproc)}"
 sanitize=1
 if [[ "${1:-}" == "--no-sanitize" ]]; then
     sanitize=0
@@ -42,16 +42,8 @@ else
 fi
 
 if [[ "$sanitize" == 1 ]]; then
-    echo "== sanitize: ASan+UBSan build of common/memory/sim/cpu/dift/decode/verify tests =="
-    cmake -S . -B build-asan -DCSD_SANITIZE=ON >/dev/null
-    cmake --build build-asan -j"$jobs" \
-        --target test_common test_memory test_sim test_cpu test_dift test_decode \
-        test_verify
-    echo "== sanitize: run =="
-    for suite in test_common test_memory test_sim test_cpu test_dift test_decode \
-        test_verify; do
-        ./build-asan/tests/"$suite"
-    done
+    echo "== sanitize: ASan+UBSan suites =="
+    CHECK_JOBS="$jobs" scripts/sanitize.sh
 fi
 
 echo "check.sh: all green"

@@ -1,5 +1,6 @@
 #include "common/context.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
@@ -91,13 +92,10 @@ ObservabilityContext::ObservabilityContext(const Knobs &knobs)
     tracer_.setMask(static_cast<std::uint32_t>(knobs.number(Knob::Trace)));
     profiler_.setEnabled(knobs.flag(Knob::HostProfile));
 
-    // A file name arms its recorder on its own.
-    const std::string &lc_file = knobs.text(Knob::LifecycleFile);
-    lifecycle_ = {knobs.flag(Knob::Lifecycle) || !lc_file.empty(),
-                  knobs.number(Knob::LifecycleCapacity), lc_file};
-    const std::string &cm_file = knobs.text(Knob::ChannelHeatmap);
-    channelMonitor_ = {knobs.flag(Knob::ChannelMonitor) || !cm_file.empty(),
-                       knobs.number(Knob::ChannelMonitorInterval), cm_file};
+    lifecycle_ = {knobs.number(Knob::LifecycleCapacity),
+                  knobs.text(Knob::LifecycleFile)};
+    channelMonitor_ = {knobs.number(Knob::ChannelMonitorInterval),
+                       knobs.text(Knob::ChannelHeatmap)};
 
     registerSelf("process");
 }
@@ -198,10 +196,16 @@ ObservabilityContext::addFlushHook(std::function<void()> hook)
     return token;
 }
 
-void
+std::function<void()>
 ObservabilityContext::removeFlushHook(std::uint64_t token)
 {
-    std::erase_if(hooks_, [token](const auto &h) { return h.first == token; });
+    const auto it = std::ranges::find_if(
+        hooks_, [token](const auto &h) { return h.first == token; });
+    if (it == hooks_.end())
+        return {};
+    std::function<void()> hook = std::move(it->second);
+    hooks_.erase(it);
+    return hook;
 }
 
 void

@@ -67,20 +67,24 @@ std::string expandContextPath(std::string path, unsigned context_id);
 class ObservabilityContext
 {
   public:
-    /** Lifecycle-tracer (cpu/lifecycle.hh) arming. */
+    /**
+     * Lifecycle-tracer (cpu/lifecycle.hh) arming: detailed simulations
+     * record and export at teardown iff exportPath is set.
+     */
     struct LifecycleConfig
     {
-        bool enabled = false;
         std::size_t capacity = 1u << 16;
-        std::string exportPath;  //!< empty = no export at teardown
+        std::string exportPath;  //!< "%c"-expandable; empty = disarmed
     };
 
-    /** Channel-monitor (memory/set_monitor.hh) arming. */
+    /**
+     * Channel-monitor (memory/set_monitor.hh) arming: simulations arm
+     * a monitor and export its heatmaps iff exportPath is set.
+     */
     struct ChannelMonitorConfig
     {
-        bool enabled = false;
         std::uint64_t heatmapInterval = 4096;
-        std::string exportPath;  //!< "%c"-expandable base; empty = none
+        std::string exportPath;  //!< "%c"-expandable base; empty = disarmed
     };
 
     /**
@@ -195,13 +199,15 @@ class ObservabilityContext
 
     /**
      * Register a callback run by flushNow() (owner teardown, atexit,
-     * SIGINT/SIGTERM). Simulations register their lifecycle-ring
-     * export here so an interrupted run still writes a loadable file.
-     * Returns a token for removeFlushHook(); remove before the state
-     * the hook touches dies.
+     * SIGINT/SIGTERM). Simulations register their lifecycle and
+     * heatmap exports here so an interrupted run still writes a
+     * loadable file. Returns a token for removeFlushHook(); remove
+     * before the state the hook touches dies.
      */
     std::uint64_t addFlushHook(std::function<void()> hook);
-    void removeFlushHook(std::uint64_t token);
+
+    /** Unregister the hook @p token and return it (empty if unknown). */
+    std::function<void()> removeFlushHook(std::uint64_t token);
 
     /**
      * Write everything armed on this context now: the Chrome trace (if

@@ -1,7 +1,10 @@
 #include "common/env.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+
+#include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -25,6 +28,37 @@ parseLongLong(const char *value, long long &out)
 }
 
 using enum KnobType;
+
+/**
+ * A lookup over a "NAME=VALUE" block, after checking that every
+ * CSD_-prefixed name in it is a table row.
+ */
+KnobLookup
+checkedBlockLookup(const char *const *environment)
+{
+    for (const char *const *entry = environment; *entry; ++entry) {
+        const std::string_view var(*entry);
+        const std::string_view name = var.substr(0, var.find('='));
+        if (!name.starts_with("CSD_"))
+            continue;
+        if (std::ranges::none_of(knobTable, [name](const KnobSpec &spec) {
+                return name == spec.name;
+            }))
+            csd_fatal("unknown knob ", name,
+                      " in the environment (README.md lists every CSD_* "
+                      "knob)");
+    }
+    return [environment](const char *name) -> const char * {
+        const std::string_view want(name);
+        for (const char *const *entry = environment; *entry; ++entry) {
+            const std::string_view var(*entry);
+            if (var.size() > want.size() && var[want.size()] == '=' &&
+                var.starts_with(want))
+                return *entry + want.size() + 1;
+        }
+        return nullptr;
+    };
+}
 
 } // namespace
 
@@ -71,9 +105,6 @@ Knobs::Knobs(const KnobLookup &lookup)
           case Count:
             numbers_[i] = parsePositiveSetting(spec.name, value);
             break;
-          case Jobs:
-            numbers_[i] = parseNonNegativeSetting(spec.name, value);
-            break;
           case Text:
             texts_[i] = value;
             break;
@@ -84,11 +115,15 @@ Knobs::Knobs(const KnobLookup &lookup)
     }
 }
 
+Knobs::Knobs(const char *const *environment)
+    : Knobs(checkedBlockLookup(environment))
+{
+}
+
 const Knobs &
 Knobs::process()
 {
-    static const Knobs knobs(
-        [](const char *name) { return std::getenv(name); });
+    static const Knobs knobs(environ);
     return knobs;
 }
 

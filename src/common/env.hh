@@ -5,8 +5,9 @@
  * Every CSD_* environment knob is one row of CSD_KNOB_TABLE, parsed
  * once per process by Knobs::process(); readers take effective values
  * from there, never from the environment. A malformed value of any
- * knob is fatal (csd_fatal throws std::runtime_error) and names the
- * knob, so a typo'd CSD_SUPERBLOCK=ture fails loudly instead of
+ * knob, and any CSD_* name that is not a row, is fatal (csd_fatal
+ * throws std::runtime_error) and names the variable, so a typo'd
+ * CSD_SUPERBLOCK=ture or CSD_SUPERBLOK=0 fails loudly instead of
  * producing a run that looks configured but isn't.
  */
 
@@ -48,8 +49,6 @@ bool parseBoolSetting(std::string_view name, const char *value);
  * knob. The default is spelled as it would be in the environment.
  */
 #define CSD_KNOB_TABLE(X)                                                    \
-    X(Verify, "CSD_VERIFY", Bool, "1", HostOnly,                             \
-      "run the structural program verifier in ProgramBuilder::build()")      \
     X(FlowCache, "CSD_FLOW_CACHE", Bool, "1", HostOnly,                      \
       "memoize stable translations per static instruction; 0 also turns "    \
       "the superblock tier off")                                             \
@@ -69,25 +68,18 @@ bool parseBoolSetting(std::string_view name, const char *value);
       "write each context's Chrome trace here (%c = context id)")            \
     X(TraceCapacity, "CSD_TRACE_CAPACITY", Count, "65536", HostOnly,         \
       "event ring size per context; oldest events drop first")               \
-    X(Lifecycle, "CSD_LIFECYCLE", Bool, "0", HostOnly,                       \
-      "record per-uop lifecycles in detailed simulations")                   \
     X(LifecycleFile, "CSD_LIFECYCLE_FILE", Text, "", HostOnly,               \
-      "export lifecycles here (implies CSD_LIFECYCLE=1; %c = context id)")   \
+      "record per-uop lifecycles in every detailed simulation and export "   \
+      "them here (%c = context id)")                                         \
     X(LifecycleCapacity, "CSD_LIFECYCLE_CAPACITY", Count, "65536", HostOnly, \
       "lifecycle ring size")                                                 \
-    X(ChannelMonitor, "CSD_CHANNEL_MONITOR", Bool, "0", HostOnly,            \
-      "arm the per-set channel monitor in every simulation")                 \
     X(ChannelMonitorInterval, "CSD_CHANNEL_MONITOR_INTERVAL", Count, "4096", \
       HostOnly, "channel heatmap interval in cycles")                        \
     X(ChannelHeatmap, "CSD_CHANNEL_HEATMAP", Text, "", HostOnly,             \
-      "export channel heatmaps here (implies CSD_CHANNEL_MONITOR=1; "        \
-      "%c = context id)")                                                    \
+      "arm the per-set channel monitor in every simulation and export its "  \
+      "heatmaps here (%c = context id)")                                     \
     X(ChannelHeatmapDir, "CSD_CHANNEL_HEATMAP_DIR", Text, "", HostOnly,      \
-      "directory for the Fig. 7a/7b attack heatmaps")                        \
-    X(BenchJson, "CSD_BENCH_JSON", Text, "", HostOnly,                       \
-      "bench JSON sidecar path (like --json)")                               \
-    X(BenchJobs, "CSD_BENCH_JOBS", Jobs, "1", HostOnly,                      \
-      "bench worker threads (like --jobs; 0 = one per hardware thread)")
+      "directory for the Fig. 7a/7b attack heatmaps")
 
 /** Every CSD_* knob; indexes the table and Knobs. */
 enum class Knob : unsigned
@@ -106,7 +98,6 @@ enum class KnobType
 {
     Bool,        //!< exactly "0" or "1"
     Count,       //!< a strictly positive integer
-    Jobs,        //!< a non-negative integer, 0 = one per hardware thread
     Text,        //!< free text (a path); empty = unset
     TraceFlags,  //!< CSV of trace flag names, or "all"
 };
@@ -151,13 +142,20 @@ class Knobs
      */
     explicit Knobs(const KnobLookup &lookup);
 
+    /**
+     * Parse a null-terminated "NAME=VALUE" block (the shape of
+     * `environ`). Fatal (throws) on a CSD_-prefixed name that is not a
+     * table row, naming the variable, then as the lookup form.
+     */
+    explicit Knobs(const char *const *environment);
+
     /** The process environment's knobs, parsed on first use. */
     static const Knobs &process();
 
     /** A Bool knob's value. */
     bool flag(Knob knob) const { return number(knob) != 0; }
 
-    /** A Count or Jobs knob's value, or a TraceFlags knob's mask. */
+    /** A Count knob's value, or a TraceFlags knob's mask. */
     std::uint64_t number(Knob knob) const
     {
         return numbers_[static_cast<std::size_t>(knob)];

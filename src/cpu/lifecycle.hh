@@ -13,10 +13,10 @@
  *    input, which carries per-uop labels with the provenance flags.
  *
  * Runtime control (read by Simulation at construction):
- *  - CSD_LIFECYCLE=1             enable recording
- *  - CSD_LIFECYCLE_FILE=path     export at simulation teardown
+ *  - CSD_LIFECYCLE_FILE=path     record, and export at simulation teardown
  *                                (.kanata/.klog -> Kanata, else O3PipeView)
  *  - CSD_LIFECYCLE_CAPACITY=N    ring capacity (default 65536 records)
+ * In code, Simulation::enableLifecycle() records without an export.
  *
  * Recording is off by default: the simulator's per-uop fast path pays
  * one pointer test when the tracer is not installed.

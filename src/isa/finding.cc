@@ -20,15 +20,19 @@ severityName(Severity severity)
 }
 
 std::string
+hexPc(Addr pc)
+{
+    std::ostringstream os;
+    os << "0x" << std::hex << pc;
+    return os.str();
+}
+
+std::string
 Finding::location() const
 {
     if (pc == invalidAddr)
         return "<program>";
-    std::ostringstream os;
-    os << "0x" << std::hex << pc;
-    if (!symbol.empty())
-        os << " <" << symbol << ">";
-    return os.str();
+    return symbol.empty() ? hexPc(pc) : hexPc(pc) + " <" + symbol + ">";
 }
 
 std::string

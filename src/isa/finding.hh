@@ -39,6 +39,9 @@ enum class Severity : std::uint8_t
 /** Printable severity name ("error"/"warning"/"note"). */
 const char *severityName(Severity severity);
 
+/** @p pc as findings print it: "0x400010". */
+std::string hexPc(Addr pc);
+
 /** One diagnostic from a verification pass. */
 struct Finding
 {

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/bitutils.hh"
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "isa/finding.hh"
 
@@ -535,11 +534,9 @@ ProgramBuilder::verifyStructure(const Program &prog) const
 {
     // The cheap structural subset of csd-verify (verify/verify.hh);
     // the full dataflow/leak analysis is opt-in via csd-lint. Gated by
-    // setVerify(false) per builder or CSD_VERIFY=0 globally so
-    // deliberately broken programs (verifier self-tests) can still be
-    // assembled.
-    if (!verify_ || !Knobs::process().flag(Knob::Verify) ||
-        prog.code_.empty())
+    // setVerify(false) per builder so deliberately broken programs
+    // (verifier self-tests) can still be assembled.
+    if (!verify_ || prog.code_.empty())
         return;
 
     // Unified with the csd-verify diagnostic path: structural errors

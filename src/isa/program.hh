@@ -254,12 +254,12 @@ class ProgramBuilder
 
     /**
      * Enable/disable the structural verification build() runs after
-     * linking (on by default; also disabled globally by CSD_VERIFY=0
-     * in the environment). The checks are the cheap subset of
-     * csd-verify (verify/verify.hh): every direct branch or call
-     * target must start an instruction, and the entry PC must be
-     * executable. Violations are fatal — they would make the
-     * simulator wander into undefined fetch behavior.
+     * linking (on by default; off only for builders that must
+     * assemble broken programs, such as the verifier self-tests). The
+     * checks are the cheap subset of csd-verify (verify/verify.hh):
+     * every direct branch or call target must start an instruction,
+     * and the entry PC must be executable. Violations are fatal — they
+     * would make the simulator wander into undefined fetch behavior.
      */
     void setVerify(bool on) { verify_ = on; }
 

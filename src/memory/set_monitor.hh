@@ -10,8 +10,8 @@
  * victim-attributed ground truth for the attacker-observation ledger
  * (sec/observation_ledger.hh).
  *
- * Arming is per ObservabilityContext (CSD_CHANNEL_MONITOR=1 /
- * CSD_CHANNEL_HEATMAP=path, see common/context.hh) or explicit
+ * Arming is per ObservabilityContext (CSD_CHANNEL_HEATMAP=path, which
+ * also exports the heatmaps there; see common/context.hh) or explicit
  * (MemHierarchy::armSetMonitor()). Disarmed — the default — the only
  * cost in the cache hot paths is one null-pointer test behind an
  * [[unlikely]] branch, the same pattern the host profiler uses;

@@ -111,67 +111,65 @@ Simulation::Simulation(const Program &prog, const SimParams &params,
     stats_.addChild(&mem_->stats());
 
     // Instruction-grain observability, armed through the context
-    // (configured from CSD_CPI_STACK and CSD_LIFECYCLE*) so existing
+    // (configured from CSD_CPI_STACK and CSD_LIFECYCLE_*) so existing
     // harnesses grow traces without code changes.
     if (params_.mode == SimMode::Detailed) {
         if (obs_->cpiStack())
             enableCpiStack();
         const ObservabilityContext::LifecycleConfig &lc =
             obs_->lifecycleConfig();
-        if (lc.enabled) {
+        if (!lc.exportPath.empty()) {
             enableLifecycle(lc.capacity);
-            // "%c" names a per-context file (parallel simulations).
-            lifecycleExportPath_ =
-                expandContextPath(lc.exportPath, obs_->id());
-            if (!lifecycleExportPath_.empty()) {
-                // Abnormal-exit safety: the context flushes this ring
-                // from atexit/SIGINT/SIGTERM, so an interrupted run
-                // still leaves a loadable (truncated) pipeline trace.
-                lifecycleFlushToken_ = obs_->addFlushHook([this] {
-                    if (lifecycle_)
-                        lifecycle_->exportFile(lifecycleExportPath_);
+            lifecycleExport_ =
+                armExport(lc.exportPath, [this](const std::string &path) {
+                    lifecycle_->exportFile(path);
                 });
-            }
         }
     }
 
     // Channel telemetry (memory/set_monitor.hh), armed through the
-    // context (CSD_CHANNEL_MONITOR / CSD_CHANNEL_HEATMAP) in any
-    // fidelity mode — the Fig. 7 attacks run cache-only.
+    // context (CSD_CHANNEL_HEATMAP) in any fidelity mode — the Fig. 7
+    // attacks run cache-only.
     const ObservabilityContext::ChannelMonitorConfig &cm =
         obs_->channelMonitorConfig();
-    if (cm.enabled) {
+    if (!cm.exportPath.empty()) {
         SetMonitorConfig monitor_config;
         monitor_config.heatmapInterval = cm.heatmapInterval;
         CacheSetMonitor &monitor = mem_->armSetMonitor(monitor_config);
         frontend_->uopCache().setMonitor(&monitor);
-        channelExportPath_ = expandContextPath(cm.exportPath, obs_->id());
-        if (!channelExportPath_.empty()) {
-            channelFlushToken_ = obs_->addFlushHook([this] {
-                if (const CacheSetMonitor *mon = mem_->setMonitor())
-                    mon->exportFiles(channelExportPath_);
+        channelExport_ =
+            armExport(cm.exportPath, [&monitor](const std::string &base) {
+                monitor.exportFiles(base);
             });
-        }
     }
 }
 
 Simulation::~Simulation()
 {
-    if (lifecycleFlushToken_ != 0)
-        obs_->removeFlushHook(lifecycleFlushToken_);
-    if (lifecycle_ && !lifecycleExportPath_.empty()) {
+    finishExport(lifecycleExport_, HostPhase::Other);
+    finishExport(channelExport_, HostPhase::ChannelMonitor);
+}
+
+std::uint64_t
+Simulation::armExport(const std::string &path,
+                      std::function<void(const std::string &)> write)
+{
+    // "%c" names a per-context file (parallel simulations).
+    return obs_->addFlushHook(
+        [path = expandContextPath(path, obs_->id()),
+         write = std::move(write)] { write(path); });
+}
+
+void
+Simulation::finishExport(std::uint64_t token, HostPhase phase)
+{
+    if (token == 0)
+        return;
+    const std::function<void()> write = obs_->removeFlushHook(token);
+    profiled(phase, [&] {
         std::lock_guard<std::mutex> lock(ObservabilityContext::exportLock());
-        lifecycle_->exportFile(lifecycleExportPath_);
-    }
-    if (channelFlushToken_ != 0)
-        obs_->removeFlushHook(channelFlushToken_);
-    if (!channelExportPath_.empty() && mem_->setMonitor()) {
-        profiled(HostPhase::ChannelMonitor, [&] {
-            std::lock_guard<std::mutex> lock(
-                ObservabilityContext::exportLock());
-            mem_->setMonitor()->exportFiles(channelExportPath_);
-        });
-    }
+        write();
+    });
 }
 
 CpiStack &

@@ -27,6 +27,7 @@
 #ifndef CSD_SIM_SIMULATION_HH
 #define CSD_SIM_SIMULATION_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -201,8 +202,8 @@ class Simulation
     /**
      * Enable per-uop lifecycle tracing into a bounded ring (detailed
      * mode only; records export as O3PipeView / Kanata). Also armed at
-     * construction by CSD_LIFECYCLE=1 with CSD_LIFECYCLE_CAPACITY and,
-     * when CSD_LIFECYCLE_FILE names a path, exported at destruction.
+     * construction when CSD_LIFECYCLE_FILE names a path, with
+     * CSD_LIFECYCLE_CAPACITY, and then exported there at destruction.
      */
     LifecycleTracer &enableLifecycle(std::size_t capacity = 1 << 16);
 
@@ -294,6 +295,22 @@ class Simulation
         }
         return fn();
     }
+
+    /**
+     * Arm a recorder export through the context: a flush hook that
+     * runs @p write on @p path ("%c" expanded), so an interrupted run
+     * still leaves a loadable (truncated) file. Returns its token.
+     */
+    std::uint64_t armExport(const std::string &path,
+                            std::function<void(const std::string &)> write);
+
+    /**
+     * Teardown of the export armed as @p token (0 = none): take its
+     * hook back from the context and run it under
+     * ObservabilityContext::exportLock(), charging the host time to
+     * @p phase.
+     */
+    void finishExport(std::uint64_t token, HostPhase phase);
 
     void maybeSample();
 
@@ -488,10 +505,8 @@ class Simulation
     // beyond two pointer tests).
     std::unique_ptr<CpiStack> cpiStack_;
     std::unique_ptr<LifecycleTracer> lifecycle_;
-    std::string lifecycleExportPath_;
-    std::uint64_t lifecycleFlushToken_ = 0;  //!< context flush-hook handle
-    std::string channelExportPath_;  //!< set-heatmap base ("%c" expanded)
-    std::uint64_t channelFlushToken_ = 0;
+    std::uint64_t lifecycleExport_ = 0;  //!< CSD_LIFECYCLE_FILE hook token
+    std::uint64_t channelExport_ = 0;    //!< CSD_CHANNEL_HEATMAP hook token
     std::uint64_t feL1iSeen_ = 0;     //!< fetch-stall counter watermark
     std::uint64_t feDecodeSeen_ = 0;  //!< decode-bw counter watermark
 

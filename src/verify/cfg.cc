@@ -2,23 +2,9 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
 namespace csd
 {
-
-namespace
-{
-
-std::string
-hexPc(Addr pc)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << pc;
-    return os.str();
-}
-
-} // namespace
 
 std::string
 Cfg::symbolAt(Addr pc) const

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "isa/program.hh"
-#include "verify/finding.hh"
+#include "isa/finding.hh"
 
 namespace csd
 {

@@ -52,7 +52,7 @@
 #include <vector>
 
 #include "csd/mcu.hh"
-#include "verify/finding.hh"
+#include "isa/finding.hh"
 #include "verify/leak_prover.hh"
 #include "verify/translation_check.hh"
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <deque>
 #include <set>
-#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -13,14 +12,6 @@ namespace csd
 
 namespace
 {
-
-std::string
-hexPc(Addr pc)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << pc;
-    return os.str();
-}
 
 // ---------------------------------------------------------------------
 // Path walk: stack balance, reachability, return-site discovery

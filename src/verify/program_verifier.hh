@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "verify/cfg.hh"
-#include "verify/finding.hh"
+#include "isa/finding.hh"
 #include "verify/options.hh"
 
 namespace csd

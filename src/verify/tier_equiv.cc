@@ -1,7 +1,6 @@
 #include "verify/tier_equiv.hh"
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 
 #include "csd/devect.hh"
@@ -248,14 +247,6 @@ timingDrift(const UopTimingRec &got, const Uop &uop,
         if (got.has(b.bit) != b.expect)
             return b.name;
     return nullptr;
-}
-
-std::string
-hexPc(Addr pc)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << pc;
-    return os.str();
 }
 
 void

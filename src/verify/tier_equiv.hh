@@ -58,7 +58,7 @@
 #include "isa/program.hh"
 #include "power/energy.hh"
 #include "sim/fastpath.hh"
-#include "verify/finding.hh"
+#include "isa/finding.hh"
 #include "verify/translation_check.hh"
 
 namespace csd

@@ -24,7 +24,7 @@
 
 #include "common/types.hh"
 #include "uop/uop.hh"
-#include "verify/finding.hh"
+#include "isa/finding.hh"
 
 namespace csd
 {

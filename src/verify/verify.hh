@@ -25,7 +25,7 @@
 #define CSD_VERIFY_VERIFY_HH
 
 #include "isa/program.hh"
-#include "verify/finding.hh"
+#include "isa/finding.hh"
 #include "verify/options.hh"
 #include "verify/translation_check.hh"
 

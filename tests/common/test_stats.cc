@@ -4,8 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json.hh"
 #include "common/stats.hh"
-#include "tests/support/mini_json.hh"
 
 namespace csd
 {
@@ -248,7 +248,7 @@ TEST(Stats, JsonDumpRoundTrips)
 
     std::ostringstream os;
     root.dumpJson(os);
-    const auto doc = testsupport::parseJson(os.str());
+    const auto doc = minijson::parseJson(os.str());
 
     EXPECT_EQ(doc->at("name").str, "sim");
     const auto &counters = doc->at("counters");

@@ -6,8 +6,8 @@
 #include <string>
 
 #include "common/context.hh"
+#include "common/json.hh"
 #include "common/trace.hh"
-#include "tests/support/mini_json.hh"
 
 namespace csd
 {
@@ -156,7 +156,7 @@ TEST_F(TraceTest, ChromeExportIsValidJson)
 
     std::ostringstream os;
     tm.exportChromeTrace(os);
-    const auto doc = testsupport::parseJson(os.str());
+    const auto doc = minijson::parseJson(os.str());
     const auto &events = doc->at("traceEvents");
     ASSERT_TRUE(events.isArray());
 
@@ -197,7 +197,7 @@ TEST_F(TraceTest, ExportToFile)
     ASSERT_TRUE(in.good());
     std::stringstream buf;
     buf << in.rdbuf();
-    const auto doc = testsupport::parseJson(buf.str());
+    const auto doc = minijson::parseJson(buf.str());
     EXPECT_GE(doc->at("traceEvents").size(), 1u);
     EXPECT_FALSE(tm.exportChromeTrace("/nonexistent-dir/x/y.json"));
 }

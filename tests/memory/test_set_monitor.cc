@@ -12,16 +12,16 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "memory/hierarchy.hh"
 #include "memory/set_monitor.hh"
-#include "tests/support/mini_json.hh"
 
 namespace csd
 {
 namespace
 {
 
-using testsupport::parseJson;
+using minijson::parseJson;
 using Structure = CacheSetMonitor::Structure;
 
 TEST(SetMonitor, StructureNames)

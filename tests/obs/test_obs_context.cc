@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/stats.hh"
 #include "common/context.hh"
-#include "tests/support/mini_json.hh"
 
 namespace csd
 {
@@ -89,11 +89,8 @@ TEST_F(ObsContextTest, RootAndChildFromOneTableAgree)
     EXPECT_TRUE(root.statsDetail());
     EXPECT_TRUE(root.cpiStack());
     EXPECT_TRUE(root.profiler().enabled());
-    // A file name arms its recorder without the on/off knob.
-    EXPECT_TRUE(root.lifecycleConfig().enabled);
     EXPECT_EQ(root.lifecycleConfig().capacity, 77u);
     EXPECT_EQ(root.lifecycleConfig().exportPath, "unused.kanata");
-    EXPECT_TRUE(root.channelMonitorConfig().enabled);
     EXPECT_EQ(root.channelMonitorConfig().heatmapInterval, 64u);
     EXPECT_EQ(root.channelMonitorConfig().exportPath, "unused_%c");
 
@@ -107,14 +104,10 @@ TEST_F(ObsContextTest, RootAndChildFromOneTableAgree)
     EXPECT_EQ(child.statsDetail(), root.statsDetail());
     EXPECT_EQ(child.cpiStack(), root.cpiStack());
     EXPECT_EQ(child.profiler().enabled(), root.profiler().enabled());
-    EXPECT_EQ(child.lifecycleConfig().enabled,
-              root.lifecycleConfig().enabled);
     EXPECT_EQ(child.lifecycleConfig().capacity,
               root.lifecycleConfig().capacity);
     EXPECT_EQ(child.lifecycleConfig().exportPath,
               root.lifecycleConfig().exportPath);
-    EXPECT_EQ(child.channelMonitorConfig().enabled,
-              root.channelMonitorConfig().enabled);
     EXPECT_EQ(child.channelMonitorConfig().heatmapInterval,
               root.channelMonitorConfig().heatmapInterval);
     EXPECT_EQ(child.channelMonitorConfig().exportPath,
@@ -143,7 +136,7 @@ TEST_F(ObsContextTest, RegistryFlushExportsTableArmedTrace)
     ASSERT_TRUE(in.good()) << resolved;
     std::stringstream buf;
     buf << in.rdbuf();
-    const auto doc = testsupport::parseJson(buf.str());
+    const auto doc = minijson::parseJson(buf.str());
     EXPECT_EQ(doc->at("traceEvents").size(),
               static_cast<std::size_t>(TraceFlag::NumFlags) + 1);
     root.setTraceExportPath("");
@@ -165,8 +158,8 @@ TEST_F(ObsContextTest, InheritsConfigurationFromBoundContext)
     p.tracer().setCapacity(512);
     p.setStatsDetail(true);
     ObservabilityContext::LifecycleConfig lc;
-    lc.enabled = true;
     lc.capacity = 99;
+    lc.exportPath = "unused.kanata";
     p.setLifecycleConfig(lc);
 
     ObservabilityContext child("victim");
@@ -176,8 +169,8 @@ TEST_F(ObsContextTest, InheritsConfigurationFromBoundContext)
     EXPECT_EQ(child.tracer().mask(), p.tracer().mask());
     EXPECT_EQ(child.tracer().capacity(), 512u);
     EXPECT_TRUE(child.statsDetail());
-    EXPECT_TRUE(child.lifecycleConfig().enabled);
     EXPECT_EQ(child.lifecycleConfig().capacity, 99u);
+    EXPECT_EQ(child.lifecycleConfig().exportPath, "unused.kanata");
     EXPECT_EQ(child.logSink().label, "victim");
 
     // Anonymous contexts keep unprefixed log output.
@@ -262,17 +255,15 @@ TEST_F(ObsContextTest, ChannelMonitorConfigInheritsFromBoundContext)
 {
     ObservabilityContext parent;
     ObservabilityContext::ChannelMonitorConfig config;
-    config.enabled = true;
     config.heatmapInterval = 128;
     config.exportPath = "mon_%c";
     parent.setChannelMonitorConfig(config);
     parent.bindToThread();
 
     // A child constructed while the parent is bound copies the
-    // channel-monitor arming — the mechanism CSD_CHANNEL_MONITOR uses
+    // channel-monitor arming — the mechanism CSD_CHANNEL_HEATMAP uses
     // to reach every Simulation a process creates.
     ObservabilityContext child;
-    EXPECT_TRUE(child.channelMonitorConfig().enabled);
     EXPECT_EQ(child.channelMonitorConfig().heatmapInterval, 128u);
     EXPECT_EQ(child.channelMonitorConfig().exportPath, "mon_%c");
 
@@ -297,7 +288,7 @@ TEST_F(ObsContextTest, FlushWritesArmedTraceFile)
     ASSERT_TRUE(in.good()) << resolved;
     std::stringstream buf;
     buf << in.rdbuf();
-    const auto doc = testsupport::parseJson(buf.str());
+    const auto doc = minijson::parseJson(buf.str());
     EXPECT_TRUE(doc->at("traceEvents").isArray());
     std::remove(resolved.c_str());
 }
@@ -383,7 +374,7 @@ TEST_F(ObsContextTest, ConcurrentTeardownFoldsEveryProfile)
 TEST_F(ObsContextTest, MalformedSettingsAreFatalNotSilent)
 {
     // The exact parses behind CSD_TRACE_CAPACITY, CSD_LIFECYCLE_CAPACITY
-    // (positive) and CSD_BENCH_JOBS / --jobs (non-negative).
+    // (positive) and --jobs (non-negative).
     EXPECT_THROW(parsePositiveSetting("CSD_TRACE_CAPACITY", "abc"),
                  std::runtime_error);
     EXPECT_THROW(parsePositiveSetting("CSD_TRACE_CAPACITY", "12abc"),
@@ -396,13 +387,13 @@ TEST_F(ObsContextTest, MalformedSettingsAreFatalNotSilent)
                  std::runtime_error);
     EXPECT_EQ(parsePositiveSetting("CSD_TRACE_CAPACITY", "4096"), 4096u);
 
-    EXPECT_THROW(parseNonNegativeSetting("CSD_BENCH_JOBS", "-1"),
+    EXPECT_THROW(parseNonNegativeSetting("--jobs", "-1"),
                  std::runtime_error);
-    EXPECT_THROW(parseNonNegativeSetting("CSD_BENCH_JOBS", "two"),
+    EXPECT_THROW(parseNonNegativeSetting("--jobs", "two"),
                  std::runtime_error);
     EXPECT_THROW(parseNonNegativeSetting("--jobs", "8x"),
                  std::runtime_error);
-    EXPECT_EQ(parseNonNegativeSetting("CSD_BENCH_JOBS", "0"), 0u);
+    EXPECT_EQ(parseNonNegativeSetting("--jobs", "0"), 0u);
     EXPECT_EQ(parseNonNegativeSetting("--jobs", "8"), 8u);
 }
 

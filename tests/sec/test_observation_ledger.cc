@@ -13,18 +13,18 @@
 
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/types.hh"
 #include "memory/hierarchy.hh"
 #include "sec/attacker.hh"
 #include "sec/observation_ledger.hh"
-#include "tests/support/mini_json.hh"
 
 namespace csd
 {
 namespace
 {
 
-using testsupport::parseJson;
+using minijson::parseJson;
 using Structure = CacheSetMonitor::Structure;
 
 // ---------------------------------------------------------------------

@@ -11,16 +11,16 @@
 
 #include <sstream>
 
+#include "common/json.hh"
 #include "csd/csd.hh"
 #include "sim/simulation.hh"
-#include "tests/support/mini_json.hh"
 
 namespace csd
 {
 namespace
 {
 
-using testsupport::parseJson;
+using minijson::parseJson;
 
 /** Sum of all buckets must equal the run's cycles, with no residue. */
 void

@@ -17,18 +17,18 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "csd/csd.hh"
 #include "common/context.hh"
 #include "sim/simulation.hh"
-#include "tests/support/mini_json.hh"
 
 namespace csd
 {
 namespace
 {
 
-using testsupport::JsonValue;
-using testsupport::parseJson;
+using minijson::JsonValue;
+using minijson::parseJson;
 
 Program
 loopProgram(unsigned iterations)
@@ -307,7 +307,6 @@ TEST_F(ObservabilityTest, TwoContextChannelMonitorExportsArePerContext)
 
     ObservabilityContext parent;
     ObservabilityContext::ChannelMonitorConfig config;
-    config.enabled = true;
     config.exportPath = base;
     parent.setChannelMonitorConfig(config);
     parent.bindToThread();
@@ -390,6 +389,65 @@ TEST(Observability, CpiStackKnobIsStrict)
         Simulation sim(prog, params);
         EXPECT_NE(sim.cpiStack(), nullptr);
     }
+}
+
+/** The contents of @p path ("" if it cannot be read). */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/**
+ * The two export paths alone arm their recorders: a detailed run under
+ * a context holding only CSD_LIFECYCLE_FILE and CSD_CHANNEL_HEATMAP
+ * writes the pipeline trace and the heatmap CSV/JSON at teardown, and
+ * with neither path set neither recorder exists.
+ */
+TEST(Observability, ExportPathsAloneArmRecorders)
+{
+    const std::string lc_file = ::testing::TempDir() + "/arm_%c.kanata";
+    const std::string heatmap = ::testing::TempDir() + "/arm_heat_%c";
+    const Program prog = loopProgram(300);
+    SimParams params;
+    params.mode = SimMode::Detailed;
+
+    std::string lc_path;
+    std::string heat_base;
+    {
+        ObservabilityContext ctx(Knobs([&](const char *knob) {
+            const std::string name(knob);
+            return name == "CSD_LIFECYCLE_FILE" ? lc_file.c_str()
+                   : name == "CSD_CHANNEL_HEATMAP" ? heatmap.c_str()
+                                                   : nullptr;
+        }));
+        params.obs = &ctx;
+        lc_path = expandContextPath(lc_file, ctx.id());
+        heat_base = expandContextPath(heatmap, ctx.id());
+        for (const std::string &path :
+             {lc_path, heat_base + ".l1i.csv", heat_base + ".l1d.csv",
+              heat_base + ".json"})
+            std::remove(path.c_str());
+        Simulation sim(prog, params);
+        ASSERT_NE(sim.lifecycle(), nullptr);
+        ASSERT_NE(sim.mem().setMonitor(), nullptr);
+        sim.runToHalt();
+        EXPECT_TRUE(slurp(lc_path).empty()) << "exported before teardown";
+    }
+    EXPECT_EQ(slurp(lc_path).rfind("Kanata", 0), 0u) << lc_path;
+    EXPECT_FALSE(slurp(heat_base + ".l1i.csv").empty());
+    EXPECT_FALSE(slurp(heat_base + ".l1d.csv").empty());
+    const auto doc = parseJson(slurp(heat_base + ".json"));
+    EXPECT_GT(doc->at("structures").at("l1i").at("events").number, 0.0);
+
+    ObservabilityContext bare(Knobs([](const char *) { return nullptr; }));
+    params.obs = &bare;
+    Simulation sim(prog, params);
+    EXPECT_EQ(sim.lifecycle(), nullptr);
+    EXPECT_EQ(sim.mem().setMonitor(), nullptr);
 }
 
 /**
