@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <stdexcept>
 #include <sstream>
 #include <utility>
 
@@ -105,8 +106,14 @@ benchInit(int argc, char **argv)
 
     // Parse before locking: a usage error exits, and exit runs the
     // sidecar writer an earlier benchInit() may have armed. The knobs
-    // parse first, so a bad CSD_* variable fails before any output.
-    Knobs::process();
+    // parse first, so a bad CSD_* variable fails before any output,
+    // with the exit status of a bad flag: csd_fatal has printed its
+    // one message already.
+    try {
+        Knobs::process();
+    } catch (const std::runtime_error &) {
+        std::exit(2);
+    }
     std::string path;
     for (int i = 1; i < argc; ++i) {
         std::string flag = argv[i];

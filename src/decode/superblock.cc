@@ -3,44 +3,6 @@
 namespace csd
 {
 
-SbHandler
-sbHandlerFor(MicroOpcode op)
-{
-    switch (op) {
-      case MicroOpcode::Load:        return SbHandler::Load;
-      case MicroOpcode::Store:       return SbHandler::Store;
-      case MicroOpcode::StoreImm:    return SbHandler::StoreImm;
-      case MicroOpcode::LoadVec:     return SbHandler::LoadVec;
-      case MicroOpcode::StoreVec:    return SbHandler::StoreVec;
-      case MicroOpcode::Br:          return SbHandler::Br;
-      case MicroOpcode::BrInd:       return SbHandler::BrInd;
-      case MicroOpcode::CacheFlush:  return SbHandler::CacheFlush;
-      case MicroOpcode::ReadCycles:  return SbHandler::ReadCycles;
-      case MicroOpcode::Nop:         return SbHandler::Nop;
-      case MicroOpcode::VAdd: case MicroOpcode::VSub:
-      case MicroOpcode::VAnd: case MicroOpcode::VOr:
-      case MicroOpcode::VXor: case MicroOpcode::VMulLo16:
-      case MicroOpcode::VShlI: case MicroOpcode::VShrI:
-      case MicroOpcode::VMov:
-      case MicroOpcode::FAddPs: case MicroOpcode::FMulPs:
-      case MicroOpcode::FSubPs: case MicroOpcode::FAddPd:
-      case MicroOpcode::FMulPd: case MicroOpcode::FSubPd:
-      case MicroOpcode::FDivPs: case MicroOpcode::FSqrtPs:
-      case MicroOpcode::VInsert:
-        return SbHandler::Vector;
-      case MicroOpcode::VExtract:    return SbHandler::VExtract;
-      case MicroOpcode::FAddS: case MicroOpcode::FSubS:
-      case MicroOpcode::FMulS: case MicroOpcode::FDivS:
-      case MicroOpcode::FSqrtS:
-      case MicroOpcode::FAddSd: case MicroOpcode::FSubSd:
-      case MicroOpcode::FMulSd:
-        return SbHandler::ScalarFp;
-      case MicroOpcode::Halt:        return SbHandler::Halt;
-      default:
-        return SbHandler::ScalarAlu;
-    }
-}
-
 namespace
 {
 
@@ -62,73 +24,7 @@ endsRegion(MacroOpcode op)
            op == MacroOpcode::Call || op == MacroOpcode::Ret;
 }
 
-/**
- * Append uops [@p lo, @p hi) of @p flow to @p uops, counting delivered
- * uops and front-end slots. Forced inline: resolveMacro runs once per
- * interpreted macro.
- */
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((always_inline))
-#endif
-inline void
-emitUops(const UopFlow &flow, const UopTimingRec *timing,
-         const EnergyModel &energy, std::size_t lo, std::size_t hi,
-         std::vector<SbOp> &uops, std::uint32_t &delivered,
-         std::uint32_t &slots)
-{
-    for (std::size_t i = lo; i < hi; ++i) {
-        const Uop &uop = flow.uops[i];
-        const UopTimingRec &rec = timing[i];
-        uops.push_back({&uop, &rec, energy.fuEnergy(rec.fu), rec.bits,
-                        sbHandlerFor(uop.op)});
-        if (!uop.eliminated) {
-            ++delivered;
-            slots += uop.fusedFollower ? 0 : 1;
-        }
-    }
-}
-
 } // namespace
-
-SbMacro
-resolveMacro(const MacroOp &op, const UopFlow &flow,
-             const UopTimingRec *timing, unsigned ctx,
-             const EnergyModel &energy, std::vector<SbOp> &uops)
-{
-    const auto begin = static_cast<std::uint32_t>(uops.size());
-    std::uint32_t delivered = 0;
-    std::uint32_t slots = 0;
-    // The expansion: prologue, body x tripCount, epilogue.
-    if (!flow.loop) {
-        emitUops(flow, timing, energy, 0, flow.uops.size(), uops, delivered,
-                 slots);
-    } else {
-        const MicroLoop &loop = *flow.loop;
-        emitUops(flow, timing, energy, 0, loop.bodyStart, uops, delivered,
-                 slots);
-        for (std::uint32_t trip = 0; trip < loop.tripCount; ++trip)
-            emitUops(flow, timing, energy, loop.bodyStart, loop.bodyEnd,
-                     uops, delivered, slots);
-        emitUops(flow, timing, energy, loop.bodyEnd, flow.uops.size(), uops,
-                 delivered, slots);
-    }
-    const auto end = static_cast<std::uint32_t>(uops.size());
-    return {.op = &op,
-            .flow = &flow,
-            .fallThrough = op.nextPc(),
-            .fetchFirst = blockAlign(op.pc),
-            .fetchLast = blockAlign(op.pc + op.length - 1),
-            .uopBegin = begin,
-            .uopEnd = end,
-            .dynCount = end - begin,
-            .delivered = delivered,
-            .frontEndSlots = slots,
-            .ctx = static_cast<std::uint16_t>(ctx),
-            // Build provenance: the tier performs the full guard
-            // sequence before every macro (sim/retire.cc); the
-            // prover audits these bits against the uop range's effects.
-            .guards = sbGuardAll};
-}
 
 const char *
 sbExitName(SbExit exit)
@@ -157,7 +53,6 @@ SuperblockBuilder::build(Addr entry_pc) const
     const Program &prog = prog_;
     const FlowCache &fc = fc_;
     const Translator &translator = translator_;
-    const EnergyModel &energy = energy_;
     const SuperblockLimits &limits = limits_;
 
     const std::uint64_t epoch = translator.translationEpoch();
@@ -169,12 +64,7 @@ SuperblockBuilder::build(Addr entry_pc) const
     // from incremental appends would fragment the heap around them.
     // The list is sized for the cap up front for the same reason: each
     // regrowth would leave its old buffer as a hole between blocks.
-    struct Pick
-    {
-        const MacroOp *op;
-        const FlowCache::Entry *entry;
-    };
-    thread_local std::vector<Pick> picks;
+    thread_local std::vector<const FlowCache::Entry *> picks;
     picks.clear();
     picks.reserve(limits.maxMacros);
     std::uint64_t uop_count = 0;
@@ -216,7 +106,7 @@ SuperblockBuilder::build(Addr entry_pc) const
         if (picks.size() >= limits.maxMacros ||
             uop_count + expand > limits.maxUops)
             break;
-        picks.push_back({op, entry});
+        picks.push_back(entry);
         uop_count += expand;
 
         if (endsRegion(op->opcode))
@@ -228,18 +118,13 @@ SuperblockBuilder::build(Addr entry_pc) const
     if (picks.size() < limits.minMacros)
         return nullptr;
 
-    // Pass 2: resolve the stream.
+    // Pass 2: list the entries' resolved macros.
     auto block = std::make_unique<Superblock>();
     block->entryPc = entry_pc;
     block->epoch = epoch;
     block->macros.reserve(picks.size());
-    block->uops.reserve(uop_count);
-    for (const Pick &pick : picks) {
-        const FlowCache::Entry &entry = *pick.entry;
-        block->macros.push_back(resolveMacro(*pick.op, entry.flow,
-                                             entry.timing.data(), entry.ctx,
-                                             energy, block->uops));
-    }
+    for (const FlowCache::Entry *entry : picks)
+        block->macros.push_back(&entry->macro);
     return block;
 }
 

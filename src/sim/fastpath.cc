@@ -11,7 +11,7 @@ FastPath::enter(const MacroOp &op, bool head, std::uint64_t epoch,
 {
     Cursor at = cursor_;
     cursor_ = {};
-    if (at.block && at.macro->op == &op) {
+    if (at.block && (*at.macro)->op == &op) {
         ++counters_.resumes;
         ++counters_.entries;
         return at;
@@ -35,7 +35,7 @@ FastPath::enter(const MacroOp &op, bool head, std::uint64_t epoch,
             return {};
         std::unique_ptr<Superblock> built =
             SuperblockBuilder(sim_.prog_, sim_.flowCache_, *sim_.translator_,
-                              sim_.energyModel_, cache_, limits_)
+                              cache_, limits_)
                 .build(op.pc);
         if (!built) {
             // Nothing compilable here (uncached/unstable region); back
@@ -46,7 +46,7 @@ FastPath::enter(const MacroOp &op, bool head, std::uint64_t epoch,
         }
         ++counters_.built;
         counters_.blockMacros += built->macros.size();
-        counters_.blockUops += built->uops.size();
+        counters_.blockUops += built->uopCount();
         cache_.install(slot, std::move(built));
         block = cache_.at(slot);
     }
@@ -55,7 +55,7 @@ FastPath::enter(const MacroOp &op, bool head, std::uint64_t epoch,
 }
 
 void
-FastPath::leave(const Cursor &from, const SbMacro *stop, SbExit exit,
+FastPath::leave(const Cursor &from, const SbMacro *const *stop, SbExit exit,
                 std::uint64_t uops)
 {
     const auto retired = static_cast<std::uint64_t>(stop - from.macro);
@@ -69,7 +69,7 @@ FastPath::leave(const Cursor &from, const SbMacro *stop, SbExit exit,
     const SbExitMeta meta = sbExitMeta(exit);
     if (!meta.reentersBlock)
         return;
-    const SbMacro *next = stop + meta.interpreterMacros;
+    const SbMacro *const *next = stop + meta.interpreterMacros;
     if (next != from.block->macros.data() + from.block->macros.size())
         cursor_ = {from.block, next};
 }

@@ -6,14 +6,16 @@
  *
  * Translating a macro pays per dynamic instance for work that is
  * invariant across the billions of instances a simulation executes:
- * a flow-cache probe (or translation) and resolving the flow into a
- * uop stream. This tier detects hot region heads via execution
- * counters hung off the flow-cache slots and compiles straight-line
- * runs of cached flows into superblocks (decode/superblock.hh) once.
- * Their macros retire through the same routine as translated ones
- * (Simulation::retireRun): the same per-macro protocol, handlers,
- * timing consumers, DIFT and commit bookkeeping, plus the guards
- * (epoch, stability, context) and the cached-translation replay. What
+ * a flow-cache probe (or a translation) and a region-head consult per
+ * macro, and one retire call each. This tier detects hot region heads
+ * via execution counters hung off the flow-cache slots and compiles
+ * straight-line runs of cached entries into superblocks
+ * (decode/superblock.hh) once, so a run of macros costs one call.
+ * Their macros, the flow cache's own resolved entries, retire through
+ * the same routine as translated ones (Simulation::retireRun): the
+ * same per-macro protocol, handlers, timing consumers, DIFT and commit
+ * bookkeeping, plus the guards (epoch, stability, context) and the
+ * cached-translation replay. What
  * lives here is the block cache, the head consult that compiles hot
  * heads (enter), the cursor that names the next compiled macro, and
  * the counters and cursor placement at each exit (leave).
@@ -137,16 +139,17 @@ class FastPath
         std::uint64_t resumes = 0;      //!< of which mid-block re-entries
         std::uint64_t macrosRetired = 0;  //!< dynamic macro-ops retired here
         std::uint64_t blockMacros = 0;  //!< static macro-ops compiled
-        std::uint64_t blockUops = 0;    //!< static uops compiled
+        std::uint64_t blockUops = 0;    //!< uops the compiled macros span
         std::uint64_t uopsRetired = 0;  //!< dynamic uops retired here
         std::uint64_t exits[numSbExits] = {};  //!< by SbExit reason
     };
 
-    /** A compiled macro: @p macro of @p block (both null = none). */
+    /** A compiled macro: @p macro of @p block's list (both null =
+     *  none). */
     struct Cursor
     {
         const Superblock *block = nullptr;
-        const SbMacro *macro = nullptr;
+        const SbMacro *const *macro = nullptr;
     };
 
     explicit FastPath(Simulation &sim) : sim_(sim) {}
@@ -161,10 +164,10 @@ class FastPath
 
     /**
      * Drop every compiled block. Required whenever the flow cache is
-     * cleared: superblocks hold pointers into its entries, and only the
+     * cleared: superblocks list its entries' macros, and only the
      * epoch compare keeps a block from being entered — a cleared flow
      * cache under an unchanged epoch would otherwise leave enterable
-     * blocks referencing destroyed flows.
+     * blocks referencing destroyed entries.
      */
     void
     clear()
@@ -199,7 +202,7 @@ class FastPath
      * point: @p stop after a budget exit, the macro after it once a
      * vetoed @p stop has been retired from its own translation.
      */
-    void leave(const Cursor &from, const SbMacro *stop, SbExit exit,
+    void leave(const Cursor &from, const SbMacro *const *stop, SbExit exit,
                std::uint64_t uops);
 
   private:

@@ -216,11 +216,11 @@ Simulation::enterMacro(Tr &tr, const MacroOp &op, RetireTally &t)
 
 template <class Tr, bool Taint, bool Detailed>
 Simulation::RunStop
-Simulation::retireRun(Tr &tr, const SbMacro *m, const Superblock *block,
-                      const SbOp *ops, std::uint64_t room, RetireTally &t,
-                      HostProfiler *prof)
+Simulation::retireRun(Tr &tr, const SbMacro *const *mp,
+                      const Superblock *block, std::uint64_t room,
+                      RetireTally &t, HostProfiler *prof)
 {
-    const SbMacro *const last = block ? &block->macros.back() : m;
+    const SbMacro *const *const last = block ? &block->macros.back() : mp;
     ArchState &state = state_;
     MemHierarchy &mem = *mem_;
     FunctionalExecutor &exec = executor_;
@@ -235,16 +235,17 @@ Simulation::retireRun(Tr &tr, const SbMacro *m, const Superblock *block,
 
 // Each pass retires *m, the macros of a run in order.
 next_macro:
+    const SbMacro *const m = *mp;
     if (block) {
         // The guards, in order: epoch currency, per-op stability, and
         // the stable context the block's flow was cached under (a
         // devectorization toggle moves it without an epoch bump). For
         // the native translator each folds to a constant.
         if (tr.translationEpoch() != block->epoch)
-            return {m, SbExit::EpochBump, false};
+            return {mp, SbExit::EpochBump, false};
         if (!tr.translationStable(*m->op) ||
             tr.stableContext(*m->op) != m->ctx)
-            return {m, SbExit::Unstable, false};
+            return {mp, SbExit::Unstable, false};
         tr.noteCachedTranslation(*m->op, *m->flow, m->ctx);
     }
 
@@ -268,7 +269,7 @@ next_macro:
         }
     }
 
-    Addr *effs = nullptr;
+    Addr *effs = nullptr;  //!< detailed: the next uop's slot in effs_
     if constexpr (Detailed) {
         if (effs_.size() < m->dynCount)
             effs_.resize(m->dynCount);
@@ -277,7 +278,7 @@ next_macro:
 
     Addr next_pc = m->fallThrough;
     bool took_branch = false;
-    const SbOp *const first = ops + m->uopBegin;
+    const SbOp *const first = m->ops;
     const SbOp *s = first;
     const SbOp *end = first + m->dynCount;  // a Halt cuts it short
     Addr eff = invalidAddr;
@@ -290,7 +291,7 @@ next_macro:
 #define CSD_SB_RETIRE()                                                   \
     do {                                                                  \
         if constexpr (Detailed) {                                         \
-            effs[s - first] = eff;                                        \
+            *effs++ = eff;                                                \
         } else if (s->counted()) {                                        \
             ++t.slots;                                                    \
             if (s->decoy())                                               \
@@ -446,8 +447,9 @@ uops_done:;
         lap(prof, mark, HostPhase::Execute);
         DetailedMacro mc = detailedBegin(*m->op, *m->flow, m->frontEndSlots,
                                          took_branch, next_pc);
+        effs = effs_.data();
         for (const SbOp *u = first; u != end; ++u)
-            detailedUop(*m->op, *u->uop, *u->timing, effs[u - first], mc);
+            detailedUop(*m->op, *u->uop, u->timing, *effs++, mc);
         detailedEnd(*m->op, mc, took_branch, next_pc);
     } else {
         // Pseudo-cycles: one per delivered uop plus a fraction of the
@@ -475,13 +477,13 @@ uops_done:;
     // run's end or when the budget is spent; else the next compiled
     // macro passes its protocol here, and its guards at the top.
     if (next_pc != m->fallThrough)
-        return {m + 1, SbExit::Branch, took_branch};
-    if (m == last)
-        return {m + 1, SbExit::End, took_branch};
-    ++m;
+        return {mp + 1, SbExit::Branch, took_branch};
+    if (mp == last)
+        return {mp + 1, SbExit::End, took_branch};
+    ++mp;
     if (--room == 0)
-        return {m, SbExit::Budget, took_branch};
-    enterMacro<Tr, Detailed>(tr, *m->op, t);
+        return {mp, SbExit::Budget, took_branch};
+    enterMacro<Tr, Detailed>(tr, *(*mp)->op, t);
     goto next_macro;
 }
 
@@ -533,8 +535,8 @@ Simulation::runLoop(Tr &tr, std::uint64_t budget)
                 const std::uint64_t uops = uopsSimulated_ + tally.uops;
                 const RunStop stop = profiled(HostPhase::Superblock, [&] {
                     return retireRun<Tr, Taint, Detailed>(
-                        tr, at.macro, at.block, at.block->uops.data(),
-                        budget - executed, tally, nullptr);
+                        tr, at.macro, at.block, budget - executed, tally,
+                        nullptr);
                 });
                 flushTally(tally);
                 fastpath_->leave(at, stop.at, stop.exit,
@@ -549,23 +551,22 @@ Simulation::runLoop(Tr &tr, std::uint64_t budget)
                 // A vetoed macro, its protocol run: translate it below.
                 // After an unstable exit the cursor waits at the next
                 // macro; should control go elsewhere, that is a head.
-                op = stop.at->op;
+                op = (*stop.at)->op;
                 head_after = stop.exit == SbExit::Unstable;
             }
         }
 
-        const SbMacro m = translatedFlow(*op);
+        const SbMacro *const m = translatedFlow(*op);
         const RunStop stop = [&] {
             // retireRun reads the translator only in compiled runs,
             // which a translator outside the tier never has: it
             // shares the native translator's instantiation.
             if constexpr (std::is_same_v<Tr, Translator>) {
                 return retireRun<NativeTranslator, Taint, Detailed>(
-                    nativeTranslator_, &m, nullptr, scratchOps_.data(), 1,
-                    tally, prof);
+                    nativeTranslator_, &m, nullptr, 1, tally, prof);
             } else {
-                return retireRun<Tr, Taint, Detailed>(
-                    tr, &m, nullptr, scratchOps_.data(), 1, tally, prof);
+                return retireRun<Tr, Taint, Detailed>(tr, &m, nullptr, 1,
+                                                      tally, prof);
             }
         }();
         flushTally(tally);

@@ -236,63 +236,50 @@ Simulation::setSuperblockThreshold(std::uint32_t threshold)
     fastpath_->setThreshold(threshold);
 }
 
-SbMacro
+const SbMacro *
 Simulation::translatedFlow(const MacroOp &op)
 {
-    scratchOps_.clear();
     // Cache slot = the op's position in the program's instruction
     // stream (run() always fetches through Program::at, which hands
     // out pointers into code()).
     const std::size_t slot =
         static_cast<std::size_t>(&op - prog_.code().data());
-    if (flowCacheEnabled_ && slot < flowCache_.slots() &&
-        translator_->translationStable(op)) {
-        const std::uint64_t epoch = translator_->translationEpoch();
-        const unsigned ctx = translator_->stableContext(op);
-        const FlowCache::Entry *entry =
-            profiled(HostPhase::FlowCache, [&] {
-                const FlowCache::Entry *hit =
-                    flowCache_.lookup(slot, epoch, ctx);
-                if (hit)
-                    translator_->noteCachedTranslation(op, hit->flow,
-                                                       hit->ctx);
-                return hit;
-            });
-        if (!entry) {
-            entry = profiled(HostPhase::Translate,
-                             [&]() -> const FlowCache::Entry * {
-                UopFlow flow = translator_->translate(op);
-                applyFusionConfig(flow, params_.frontend);
-                applySpTracking(flow, params_.frontend);
-                // Only a flow of the context the lookup expected is
-                // cached: filed under another context, it could
-                // overwrite a live entry compiled blocks point into.
-                if (!flow.cacheable || translator_->contextId() != ctx) {
-                    scratchFlow_ = std::move(flow);
-                    return nullptr;
-                }
-                return &flowCache_.insert(slot, epoch, ctx,
-                                          std::move(flow));
-            });
-        }
-        if (entry) {
-            return resolveMacro(op, entry->flow, entry->timing.data(),
-                                entry->ctx, energyModel_, scratchOps_);
-        }
+    const bool cached = flowCacheEnabled_ && slot < flowCache_.slots() &&
+                        translator_->translationStable(op);
+    std::uint64_t epoch = 0;
+    unsigned ctx = 0;
+    if (cached) {
+        epoch = translator_->translationEpoch();
+        ctx = translator_->stableContext(op);
+        const FlowCache::Entry *hit = profiled(HostPhase::FlowCache, [&] {
+            const FlowCache::Entry *entry =
+                flowCache_.lookup(slot, epoch, ctx);
+            if (entry)
+                translator_->noteCachedTranslation(op, entry->flow, ctx);
+            return entry;
+        });
+        if (hit)
+            return &hit->macro;
     } else {
         ++flowCache_.bypasses;
-        profiled(HostPhase::Translate, [&] {
-            scratchFlow_ = translator_->translate(op);
-            applyFusionConfig(scratchFlow_, params_.frontend);
-            applySpTracking(scratchFlow_, params_.frontend);
-        });
     }
-    // An uncached flow: derive its timing records on the fly.
-    scratchTiming_.clear();
-    for (const Uop &uop : scratchFlow_.uops)
-        scratchTiming_.push_back(timingRecordFor(uop));
-    return resolveMacro(op, scratchFlow_, scratchTiming_.data(),
-                        translator_->contextId(), energyModel_, scratchOps_);
+    return profiled(HostPhase::Translate, [&]() -> const SbMacro * {
+        UopFlow flow = translator_->translate(op);
+        applyFusionConfig(flow, params_.frontend);
+        applySpTracking(flow, params_.frontend);
+        const unsigned got = translator_->contextId();
+        // Only a flow of the context the lookup expected is cached:
+        // filed under another context, it could overwrite a live entry
+        // compiled blocks list.
+        if (cached && got == ctx && FlowCache::admits(flow)) {
+            return &flowCache_
+                        .insert(slot, epoch, ctx, op, std::move(flow),
+                                energyModel_)
+                        .macro;
+        }
+        scratch_.assign(op, std::move(flow), got, energyModel_);
+        return &scratch_.macro;
+    });
 }
 
 void

@@ -15,13 +15,14 @@
  * One loop drives every macro-op, in either fidelity (run(),
  * sim/retire.cc). Each macro first passes the per-macro protocol —
  * trace time hint, power-gating hook, translator tick — and then
- * retires through one routine (retireRun) that walks resolved uop
- * streams (decode/superblock.hh) through the functional handlers, the
+ * retires through one routine (retireRun) that walks resolved macros'
+ * uop spans (decode/flow_cache.hh) through the functional handlers, the
  * fidelity's timing consumer, DIFT and the commit bookkeeping. The
  * stream comes from a superblock the tier (sim/fastpath.hh) compiled
  * for a hot region, whose later macros then pass the protocol inside
- * the same call, or else from translating the one macro — from the
- * predecoded-flow cache when it can — into a scratch stream.
+ * the same call, or else from the one macro's entry in the
+ * predecoded-flow cache, or, when it cannot be cached, from a
+ * translation resolved into scratch.
  */
 
 #ifndef CSD_SIM_SIMULATION_HH
@@ -315,11 +316,12 @@ class Simulation
     void maybeSample();
 
     /**
-     * Translate @p op — from the predecoded-flow cache when the
-     * translator vouches that memoization is faithful — and resolve
-     * it into scratchOps_. The span stays valid until the next call.
+     * @p op's resolved translation: the predecoded-flow cache's entry
+     * when the translator vouches that memoization is faithful (a miss
+     * translates and inserts it), else a fresh translation resolved
+     * into scratch_, valid until the next call.
      */
-    SbMacro translatedFlow(const MacroOp &op);
+    const SbMacro *translatedFlow(const MacroOp &op);
 
     // --- the driver loop and retire routine (sim/retire.cc) -----------------
 
@@ -343,7 +345,7 @@ class Simulation
     /** Where and why retireRun() stopped. */
     struct RunStop
     {
-        const SbMacro *at;  //!< the first macro it did not retire
+        const SbMacro *const *at;  //!< the first macro it did not retire
         SbExit exit;
         bool tookBranch;    //!< the last retired macro took a branch
     };
@@ -369,9 +371,9 @@ class Simulation
     /**
      * Retire a run of resolved macros starting at @p m, whose protocol
      * has run, for the native translator or the CSD (@p tr is read
-     * only in compiled runs): with @p block null, @p m alone, with its
-     * uops at @p ops; otherwise @p m and the macros after it in
-     * @p block, whose uops are the block's. Per uop: the functional
+     * only in compiled runs): with @p block null, *@p m alone;
+     * otherwise *@p m and the macros after it in @p block's list. Per
+     * uop of each macro's span: the functional
      * handler, fused in cache-only mode with the memory probe and the
      * slot/decoy/energy accounting, DIFT propagation (Taint); per
      * macro, in detailed mode, the timing consumer below; then the
@@ -388,9 +390,9 @@ class Simulation
      * HostPhase::Superblock whole).
      */
     template <class Tr, bool Taint, bool Detailed>
-    RunStop retireRun(Tr &tr, const SbMacro *m, const Superblock *block,
-                      const SbOp *ops, std::uint64_t room, RetireTally &t,
-                      HostProfiler *prof);
+    RunStop retireRun(Tr &tr, const SbMacro *const *m,
+                      const Superblock *block, std::uint64_t room,
+                      RetireTally &t, HostProfiler *prof);
 
     /** Apply @p t's deltas (and cache-only clock) to the members. */
     void
@@ -478,12 +480,9 @@ class Simulation
     std::unique_ptr<FastPath> fastpath_;
     bool superblockEnabled_ = true;
 
-    // The translated path's scratch (reused across macros, so their heap
-    // buffers survive): the flow and timing records on the uncached
-    // path, and the resolved stream of the macro being retired.
-    UopFlow scratchFlow_;
-    std::vector<UopTimingRec> scratchTiming_;
-    std::vector<SbOp> scratchOps_;
+    // The uncached path's translation, resolved in the flow cache's
+    // form (reused across macros, so its span's buffer survives).
+    FlowCache::Entry scratch_;
     std::vector<Addr> effs_;  //!< detailed: one macro's effective addrs
 
     // Macro-fusion pairing state (previous committed macro-op; points

@@ -194,7 +194,7 @@ tierView(const std::string &defect)
         // Every load's record loses its memory access: the detailed
         // back end would charge it an ALU latency, not the cache's.
         view.timingOf = [](const SbOp &op) {
-            UopTimingRec rec = *op.timing;
+            UopTimingRec rec = op.timing;
             if (op.uop->op == MicroOpcode::Load)
                 rec.mem = UopMemKind::None;
             return rec;

@@ -17,7 +17,7 @@ SuperblockView::real()
     view.energyOf = [](const SbOp &op) { return op.energy; };
     view.vpuOf = [](const SbOp &op) { return op.vpu(); };
     view.countedOf = [](const SbOp &op) { return op.counted(); };
-    view.timingOf = [](const SbOp &op) { return *op.timing; };
+    view.timingOf = [](const SbOp &op) { return op.timing; };
     view.guardsOf = [](const SbMacro &macro) { return macro.guards; };
     view.exitMetaOf = [](SbExit exit) { return sbExitMeta(exit); };
     return view;
@@ -291,7 +291,7 @@ checkSuperblock(const Superblock &block, const Program &prog,
 {
     const std::string tag = "block " + hexPc(block.entryPc);
 
-    if (block.macros.empty() || block.uops.empty()) {
+    if (block.macros.empty() || block.uopCount() == 0) {
         addFinding(report, prog, "tier.partial-flush", block.entryPc,
                    tag + ": empty macro or uop stream — nothing for an "
                          "exit to flush");
@@ -306,11 +306,11 @@ checkSuperblock(const Superblock &block, const Program &prog,
     // its guards retire it, Branch after it if it can take a branch,
     // End after the last). Proving the exit protocol over this CFG
     // means proving (1) the declared contract for every exit edge
-    // flushes a clean whole-macro prefix, (2) the uop ranges partition
-    // the stream so "whole-macro prefix" is well defined at every node
-    // boundary, (3) chained fall-through edges follow interpreter
-    // order, and (4) every path from entry to a memory/branch effect
-    // crosses the effect macro's epoch guard.
+    // flushes a clean whole-macro prefix, (2) each macro retires its
+    // flow-cache entry's whole stored span, so "whole-macro prefix" is
+    // well defined at every node boundary, (3) chained fall-through
+    // edges follow interpreter order, and (4) every path from entry to
+    // a memory/branch effect crosses the effect macro's epoch guard.
 
     for (unsigned e = 0; e < numSbExits; ++e) {
         const auto exit = static_cast<SbExit>(e);
@@ -369,40 +369,23 @@ checkSuperblock(const Superblock &block, const Program &prog,
         }
     }
 
-    if (block.macros.front().op->pc != block.entryPc) {
+    if (block.macros.front()->op->pc != block.entryPc) {
         addFinding(report, prog, "tier.partial-flush", block.entryPc,
                    tag + ": first macro is at " +
-                       hexPc(block.macros.front().op->pc) +
+                       hexPc(block.macros.front()->op->pc) +
                        ", not the block entry");
     }
 
-    std::uint32_t expect_begin = 0;
     for (std::size_t mi = 0; mi < block.macros.size(); ++mi) {
-        const SbMacro &m = block.macros[mi];
+        const SbMacro &m = *block.macros[mi];
         const Addr mpc = m.op->pc;
 
-        const bool range_ok =
-            m.uopBegin == expect_begin && m.uopEnd >= m.uopBegin &&
-            m.uopEnd <= block.uops.size();
-        if (!range_ok) {
-            addFinding(report, prog, "tier.partial-flush", mpc,
-                       tag + ": macro " + std::to_string(mi) +
-                           " uop range [" + std::to_string(m.uopBegin) +
-                           ", " + std::to_string(m.uopEnd) +
-                           ") does not continue the stream at " +
-                           std::to_string(expect_begin) +
-                           " — a mid-block exit here cannot flush a "
-                           "clean whole-macro prefix");
-        }
-        expect_begin = m.uopEnd;
-
         if (mi + 1 < block.macros.size()) {
-            if (block.macros[mi + 1].op->pc != m.fallThrough) {
-                addFinding(report, prog, "tier.partial-flush",
-                           block.macros[mi + 1].op->pc,
+            const Addr next_pc = block.macros[mi + 1]->op->pc;
+            if (next_pc != m.fallThrough) {
+                addFinding(report, prog, "tier.partial-flush", next_pc,
                            tag + ": macro " + std::to_string(mi + 1) +
-                               " starts at " +
-                               hexPc(block.macros[mi + 1].op->pc) +
+                               " starts at " + hexPc(next_pc) +
                                " but the predecessor falls through to " +
                                hexPc(m.fallThrough) +
                                " — interpreter order diverges");
@@ -454,7 +437,7 @@ checkSuperblock(const Superblock &block, const Program &prog,
                            std::to_string(translator.stableContext(*m.op)) +
                            ", and no context guard can tell");
         }
-        if (m.flow != &entry->flow || m.ctx != entry->ctx) {
+        if (m.flow != &entry->flow || m.ctx != entry->macro.ctx) {
             addFinding(report, prog, "tier.accounting-skew", mpc,
                        tag + ": macro " + std::to_string(mi) +
                            " records stale flow/context provenance for "
@@ -493,48 +476,58 @@ checkSuperblock(const Superblock &block, const Program &prog,
                            "] does not cover the macro's encoded bytes");
         }
 
-        if (!range_ok)
+        // (c2) The macro retires its entry's whole stored span: a
+        // shorter or longer range would leave part of a macro behind,
+        // or retire part of the next, at an exit after it.
+        if (m.dynCount != entry->macro.dynCount) {
+            addFinding(report, prog, "tier.partial-flush", mpc,
+                       tag + ": macro " + std::to_string(mi) +
+                           " retires " + std::to_string(m.dynCount) +
+                           " uop(s) of its entry's stored span of " +
+                           std::to_string(entry->macro.dynCount) +
+                           " — a mid-block exit here cannot flush a "
+                           "clean whole-macro prefix");
             continue;  // per-uop indexing below needs a sane range
+        }
 
-        // Unrolled stream order must be the interpreter's expansion
-        // order: prologue, body x tripCount, epilogue.
-        const std::uint32_t span = m.uopEnd - m.uopBegin;
-        if (span != dyn_exp) {
+        // --- (d) the span is the flow cache's one stored form: the
+        // entry's own ops, over its flow's uops in the interpreter's
+        // expansion order (prologue, body x tripCount, epilogue). A
+        // copy, even an equal one, would outlive a re-translation.
+        if (m.ops != entry->ops.data()) {
             addFinding(report, prog, "tier.unroll-mismatch", mpc,
-                       tag + ": stream carries " + std::to_string(span) +
+                       tag + ": macro " + std::to_string(mi) +
+                           " retires a copy of its flow-cache entry's "
+                           "stored ops, not the stored span");
+        }
+        if (m.dynCount != dyn_exp) {
+            addFinding(report, prog, "tier.unroll-mismatch", mpc,
+                       tag + ": span carries " +
+                           std::to_string(m.dynCount) +
                            " uop(s) where the flow expands to " +
                            std::to_string(dyn_exp));
         } else {
-            std::uint32_t k = m.uopBegin;
+            std::uint32_t k = 0;
             bool ordered = true;
             expandFlow(flow, [&](const Uop &uop) {
-                // The stream points at the cached flow's own uops and
-                // their records: a copy (or a stale pointer) would
-                // outlive re-translation.
-                const SbOp &sbop = block.uops[k++];
-                const std::size_t i =
-                    static_cast<std::size_t>(&uop - flow.uops.data());
-                if (sbop.uop != &uop || i >= entry->timing.size() ||
-                    sbop.timing != &entry->timing[i])
-                    ordered = false;
+                ordered = ordered && m.ops[k++].uop == &uop;
             });
             if (!ordered) {
                 addFinding(report, prog, "tier.unroll-mismatch", mpc,
-                           tag + ": unrolled uop stream is not the "
+                           tag + ": unrolled span is not the "
                                  "interpreter's expansion order "
                                  "(prologue, body x trips, epilogue) "
-                                 "over the cached flow's uops and "
-                                 "timing records");
+                                 "over the cached flow's uops");
             }
         }
 
-        // --- (a) handler soundness over the macro's uop range.
-        for (std::uint32_t k = m.uopBegin; k < m.uopEnd; ++k) {
-            const SbOp &sbop = block.uops[k];
+        // --- (a) handler soundness over the macro's span.
+        for (std::uint32_t k = 0; k < m.dynCount; ++k) {
+            const SbOp &sbop = m.ops[k];
             const Uop &uop = *sbop.uop;
-            const std::string where =
-                tag + ": uop " + std::to_string(k) + " (" +
-                toString(uop) + ")";
+            const std::string where = tag + ": macro " + std::to_string(mi) +
+                                      " uop " + std::to_string(k) + " (" +
+                                      toString(uop) + ")";
 
             if (uop.op == MicroOpcode::Halt) {
                 addFinding(report, prog, "tier.partial-flush", mpc,
@@ -583,7 +576,7 @@ checkSuperblock(const Superblock &block, const Program &prog,
                                    "fuClass");
             }
 
-            // Exact (bitwise) double compare on purpose: the stream
+            // Exact (bitwise) double compare on purpose: the span
             // stores a copy of the model's scalar, and retireRun adds
             // it per-uop in expansion order precisely because double
             // addition is order-sensitive. Any representational drift
@@ -603,13 +596,6 @@ checkSuperblock(const Superblock &block, const Program &prog,
                                " drifted from its uop — the detailed "
                                "timing model would diverge from the "
                                "interpreter");
-            }
-            if (sbop.bits != sbop.timing->bits) {
-                addFinding(report, prog, "tier.timing-drift", mpc,
-                           where + ": inline flag bits disagree with "
-                                   "the timing record — the cache-only "
-                                   "consumer would diverge from the "
-                                   "detailed one");
             }
         }
 
@@ -638,8 +624,8 @@ checkSuperblock(const Superblock &block, const Program &prog,
                            "(a devectorization toggle bumps no epoch)");
         }
         bool effect = false;
-        for (std::uint32_t k = m.uopBegin; k < m.uopEnd && !effect; ++k)
-            effect = hasGuardedEffect(*block.uops[k].uop);
+        for (std::uint32_t k = 0; k < m.dynCount && !effect; ++k)
+            effect = hasGuardedEffect(*m.ops[k].uop);
         constexpr std::uint8_t epochGuard = sbGuardTick | sbGuardEpoch;
         const bool reentry_point =
             reentry_any && (mi > 0 || reentry_head);
@@ -658,20 +644,12 @@ checkSuperblock(const Superblock &block, const Program &prog,
                            "(tick + epoch compare) at its boundary");
         }
     }
-
-    if (expect_begin != block.uops.size()) {
-        addFinding(report, prog, "tier.partial-flush",
-                   block.macros.back().op->pc,
-                   tag + ": " +
-                       std::to_string(block.uops.size() - expect_begin) +
-                       " trailing uop(s) belong to no macro — "
-                       "unreachable by any flush");
-    }
 }
 
 std::uint64_t
 populateFlowCache(const Program &prog, Translator &translator,
-                  FlowCache &fc, const FrontEndParams &frontend)
+                  FlowCache &fc, const FrontEndParams &frontend,
+                  const EnergyModel &energy)
 {
     fc.reset(prog.size());
     const std::vector<MacroOp> &code = prog.code();
@@ -687,9 +665,9 @@ populateFlowCache(const Program &prog, Translator &translator,
         UopFlow flow = translator.translate(op);
         applyFusionConfig(flow, frontend);
         applySpTracking(flow, frontend);
-        if (flow.cacheable)
-            fc.insert(slot, epoch, translator.contextId(),
-                      std::move(flow));
+        if (FlowCache::admits(flow))
+            fc.insert(slot, epoch, translator.contextId(), op,
+                      std::move(flow), energy);
     }
     return epoch;
 }
@@ -728,15 +706,15 @@ auditProgramTiers(const Program &prog, Translator &translator,
 {
     TierAudit audit;
     FlowCache fc;
-    populateFlowCache(prog, translator, fc, options.frontend);
+    const EnergyModel energy;
+    populateFlowCache(prog, translator, fc, options.frontend, energy);
 
     // No live blocks to chain to: every head compiles its longest
     // region, of which the block the tier would build there (ending
     // where a live block starts) is a prefix.
-    const EnergyModel energy;
     const SuperblockCache no_blocks;
-    const SuperblockBuilder builder(prog, fc, translator, energy,
-                                    no_blocks, options.limits);
+    const SuperblockBuilder builder(prog, fc, translator, no_blocks,
+                                    options.limits);
     std::vector<Addr> heads = regionHeads(prog);
     if (heads.size() > options.maxHeads)
         heads.resize(options.maxHeads);
@@ -748,7 +726,7 @@ auditProgramTiers(const Program &prog, Translator &translator,
             continue;
         ++audit.blocks;
         audit.macros += block->macros.size();
-        audit.uops += block->uops.size();
+        audit.uops += block->uopCount();
         checkSuperblock(*block, prog, fc, translator, energy, report,
                         view, options);
     }

@@ -1,15 +1,14 @@
 /**
  * @file
- * Static tier-equivalence prover: superblock streams vs translator
+ * Static tier-equivalence prover: superblocks vs translator
  * semantics.
  *
- * The superblock tier (decode/superblock.hh, sim/fastpath.hh) executes
- * pre-resolved threaded-code streams instead of interpreting flows,
- * and the ROADMAP's next tier is a native x86-64 emitter behind the
- * same SbOp stream. Both are only sound if every compiled block is
- * *provably* equivalent to what the interpreter would have done — the
- * dynamic bit-identity tests sample that property; this pass proves it
- * per block, offline, with no simulation:
+ * The superblock tier (decode/superblock.hh, sim/fastpath.hh) retires
+ * runs of the predecoded-flow cache's resolved macros in one call. It
+ * is only sound if every compiled block is *provably* equivalent to
+ * what the interpreter would have done — the dynamic bit-identity
+ * tests sample that property; this pass proves it per block, offline,
+ * with no simulation:
  *
  *  (a) handler soundness — every SbOp's resolved handler, VPU/port
  *      binding, and precomputed energy agree with an independent
@@ -19,10 +18,10 @@
  *  (b) accounting equivalence — the per-macro deltas the block
  *      resolves at build time (delivered slots, decoy uops, dynamic
  *      uop count, micro-loop unrolls), replayed symbolically over the
- *      stream, equal what the interpreter would accumulate
+ *      spans, equal what the interpreter would accumulate
  *      flow-by-flow from the flow cache (tier.accounting-skew,
  *      tier.unroll-mismatch);
- *  (c) exit-protocol safety — a small CFG over the stream proving
+ *  (c) exit-protocol safety — a small CFG over the block proving
  *      every mid-block exit flushes a clean whole-macro prefix in
  *      interpreter order, every re-entry point after an Unstable or
  *      Budget exit is a legal macro boundary (k+1 after the
@@ -31,11 +30,13 @@
  *      or re-entry to a memory or branch effect crosses an epoch guard,
  *      and every devectorizable macro re-checks its stable context
  *      (tier.partial-flush, tier.unguarded-epoch-window);
- *  (d) timing-record soundness — every SbOp's timing record, the
- *      detailed consumer's per-uop input, agrees with a re-derivation
- *      from its Uop: flat register indices, FU class, port set,
- *      latency, memory kind, and the slot/decoy/devectorization/VPU
- *      bits (tier.timing-drift).
+ *  (d) one stored form — every macro retires its flow-cache entry's
+ *      own span, not a copy, over the entry's flow in expansion order
+ *      (tier.unroll-mismatch), and every SbOp's timing record, the
+ *      detailed consumer's per-uop input and the cache-only one's flag
+ *      bits, agrees with a re-derivation from its Uop: flat register
+ *      indices, FU class, port set, latency, memory kind, and the
+ *      slot/decoy/devectorization/VPU bits (tier.timing-drift).
  *
  * Checks read the block through SuperblockView — the same
  * fault-injection indirection MicroTableView gives the table audit —
@@ -95,7 +96,7 @@ struct TierAudit
     std::size_t heads = 0;   //!< region heads attempted
     std::size_t blocks = 0;  //!< superblocks compiled and proved
     std::size_t macros = 0;  //!< macro-ops covered by those blocks
-    std::size_t uops = 0;    //!< stream uops checked
+    std::size_t uops = 0;    //!< span uops checked
 };
 
 /**
@@ -111,15 +112,16 @@ void checkSuperblock(const Superblock &block, const Program &prog,
                      const TierEquivOptions &options = {});
 
 /**
- * Fill @p fc offline with every stable, cacheable translation of
- * @p prog under @p translator's current state, running the same
- * decode-time passes (fusion config, SP tracking) the simulator
- * applies before caching. Returns the translation epoch the entries
- * were recorded under.
+ * Fill @p fc offline with every stable translation of @p prog under
+ * @p translator's current state that the cache admits, running the
+ * same decode-time passes (fusion config, SP tracking) the simulator
+ * applies before caching, and resolving it with @p energy. Returns the
+ * translation epoch the entries were recorded under.
  */
 std::uint64_t populateFlowCache(const Program &prog,
                                 Translator &translator, FlowCache &fc,
-                                const FrontEndParams &frontend = {});
+                                const FrontEndParams &frontend = {},
+                                const EnergyModel &energy = EnergyModel());
 
 /**
  * Statically enumerable region heads of @p prog: the entry point,

@@ -322,6 +322,7 @@ checkTranslations(VerifyReport &report)
 
     FlowCache cache;
     cache.reset(1);
+    const EnergyModel energy;
 
     const unsigned n = static_cast<unsigned>(MacroOpcode::NumOpcodes);
     for (unsigned i = 0; i < n; ++i) {
@@ -359,7 +360,7 @@ checkTranslations(VerifyReport &report)
         // Flow-cache round trip: what the memo hands back must be the
         // flow that went in.
         cache.clear();
-        cache.insert(0, /*epoch=*/7, ctxNative, legacy);
+        cache.insert(0, /*epoch=*/7, ctxNative, op, legacy, energy);
         const FlowCache::Entry *entry =
             cache.lookup(0, /*epoch=*/7, ctxNative);
         if (!entry || !flowEq(entry->flow, legacy)) {

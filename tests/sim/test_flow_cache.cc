@@ -9,6 +9,7 @@
 #include "csd/csd.hh"
 #include "sim/simulation.hh"
 #include "tests/support/dump_diff.hh"
+#include "uop/translate.hh"
 #include "workloads/aes.hh"
 #include "workloads/rsa.hh"
 
@@ -265,13 +266,23 @@ TEST(FlowCache, NativeRunsAreFullyCachedAfterWarmup)
     EXPECT_EQ(sim.flowCache().invalidations, 0u);
 }
 
+/** insert() for unit tests that need no particular macro-op. */
+const FlowCache::Entry &
+insertFlow(FlowCache &cache, std::size_t slot, std::uint64_t epoch,
+           unsigned ctx, UopFlow flow)
+{
+    static const MacroOp op;
+    static const EnergyModel energy;
+    return cache.insert(slot, epoch, ctx, op, std::move(flow), energy);
+}
+
 TEST(FlowCache, LookupRejectsOtherContextsEntry)
 {
     // A slot keeps one entry per stable context side by side — the
     // native flow and the alternate (devectorized) one — so a
     // devectorization toggle, which bumps no epoch, reads the other
-    // entry instead of overwriting the one compiled superblocks point
-    // into. Entry::ctx is still compared on lookup: an alternate-side
+    // entry instead of overwriting the one compiled superblocks list.
+    // The entry's context is still compared on lookup: an alternate-side
     // entry filled from another non-native context is rejected and
     // counted as a ctx invalidation, never served.
     FlowCache cache;
@@ -282,7 +293,8 @@ TEST(FlowCache, LookupRejectsOtherContextsEntry)
     devect_flow.uops.resize(3);
 
     const FlowCache::Entry &native =
-        cache.insert(/*slot=*/1, /*epoch=*/7, /*ctx=*/ctxNative, native_flow);
+        insertFlow(cache, /*slot=*/1, /*epoch=*/7, /*ctx=*/ctxNative,
+                   native_flow);
     EXPECT_EQ(cache.lookup(1, 7, ctxNative), &native);
     EXPECT_EQ(cache.hits, 1u);
 
@@ -296,7 +308,7 @@ TEST(FlowCache, LookupRejectsOtherContextsEntry)
     // The devectorized translation lands beside the native one: both
     // hit, and the native entry (and its flow) is untouched.
     const FlowCache::Entry &devect =
-        cache.insert(1, 7, ctxDevect, devect_flow);
+        insertFlow(cache, 1, 7, ctxDevect, devect_flow);
     EXPECT_NE(&devect, &native);
     EXPECT_EQ(cache.lookup(1, 7, ctxDevect), &devect);
     EXPECT_EQ(cache.lookup(1, 7, ctxNative), &native);
@@ -328,7 +340,7 @@ TEST(FlowCache, LookupRejectsOtherContextsEntry)
 
     // Re-translating for the rejected context overwrites the alternate
     // side only; the native entry survives.
-    cache.insert(1, 7, ctxMcu, UopFlow{});
+    insertFlow(cache, 1, 7, ctxMcu, UopFlow{});
     EXPECT_NE(cache.lookup(1, 7, ctxMcu), nullptr);
     EXPECT_EQ(cache.lookup(1, 7, ctxDevect), nullptr);
     EXPECT_EQ(cache.ctx_invalidations, 2u);
@@ -343,18 +355,22 @@ TEST(FlowCache, LookupRejectsOtherContextsEntry)
 
 TEST(FlowCache, InsertResolvesTimingRecords)
 {
-    // Every cached uop carries its timing record, resolved once at
-    // insertion: the detailed consumer reads it per dynamic instance,
-    // from the interpreter and the superblock tier alike. A flow that
-    // spills out of the inline storage (here six, then seven uops)
-    // must get all of its records, and a re-insertion must replace
-    // them.
+    // insert() resolves the flow once into the entry's span, the form
+    // the interpreter and the superblock tier both retire: one op per
+    // dynamic uop in the reference executor's expansion order
+    // (prologue, body x trips, epilogue), each with its uop's timing
+    // record by value, its handler and its energy. A re-insertion
+    // rewrites the entry in place with the span at its new exact size.
     const auto same = [](const UopTimingRec &a, const UopTimingRec &b) {
         return std::memcmp(&a, &b, sizeof(UopTimingRec)) == 0;
     };
+    const EnergyModel energy;
+    const MacroOp op;
     FlowCache cache;
     cache.reset(2);
 
+    // Six uops, a micro-loop over [1, 3) run three times: it spills
+    // the flow's inline storage and unrolls to ten ops.
     UopFlow flow;
     for (unsigned i = 0; i < 6; ++i) {
         Uop uop;
@@ -363,39 +379,97 @@ TEST(FlowCache, InsertResolvesTimingRecords)
         uop.src1 = RegId(RegClass::Int, static_cast<std::uint8_t>(
                                             numGprs + i % numIntTemps));
         uop.eliminated = i == 5;
+        uop.uopIdx = static_cast<std::uint8_t>(i);
         flow.uops.push_back(uop);
     }
-    const FlowCache::Entry &entry = cache.insert(0, 3, ctxNative, flow);
-    ASSERT_EQ(entry.timing.size(), flow.uops.size());
-    for (std::size_t i = 0; i < flow.uops.size(); ++i) {
-        EXPECT_TRUE(same(entry.timing[i], timingRecordFor(flow.uops[i])))
-            << "uop " << i;
-        EXPECT_TRUE(entry.timing[i].has(UopTimingRec::devectExpansion));
-    }
-    EXPECT_EQ(entry.timing[1].mem, UopMemKind::Load);
-    EXPECT_TRUE(entry.timing[5].has(UopTimingRec::eliminated));
+    flow.loop = MicroLoop{1, 3, 3};
+    const std::vector<std::size_t> order = {0, 1, 2, 1, 2, 1, 2, 3, 4, 5};
+
+    // Every stored op is its uop's, in expansion order, with nothing
+    // left over from an earlier translation of the slot.
+    const auto expect_span = [&](const FlowCache::Entry &entry,
+                                 const std::vector<std::size_t> &uops) {
+        ASSERT_EQ(entry.ops.size(), uops.size());
+        EXPECT_EQ(entry.ops.capacity(), uops.size());
+        EXPECT_EQ(entry.macro.ops, entry.ops.data());
+        EXPECT_EQ(entry.macro.dynCount, uops.size());
+        EXPECT_EQ(entry.macro.flow, &entry.flow);
+        for (std::size_t k = 0; k < uops.size(); ++k) {
+            const Uop &uop = entry.flow.uops[uops[k]];
+            const SbOp &stored = entry.ops[k];
+            EXPECT_EQ(stored.uop, &uop) << "op " << k;
+            EXPECT_TRUE(same(stored.timing, timingRecordFor(uop)))
+                << "op " << k;
+            EXPECT_EQ(stored.handler, sbHandlerFor(uop.op)) << "op " << k;
+            EXPECT_EQ(stored.energy, energy.uopEnergy(uop)) << "op " << k;
+        }
+    };
+
+    const FlowCache::Entry &entry =
+        cache.insert(0, 3, ctxNative, op, flow, energy);
+    expect_span(entry, order);
+    for (const SbOp &stored : entry.ops)
+        EXPECT_TRUE(stored.timing.has(UopTimingRec::devectExpansion));
+    EXPECT_EQ(entry.ops[1].timing.mem, UopMemKind::Load);
+    EXPECT_FALSE(entry.ops.back().counted());
+    EXPECT_EQ(entry.macro.delivered, order.size() - 1);
 
     UopFlow shorter;
     shorter.uops.push_back(flow.uops[1]);
-    const FlowCache::Entry &again = cache.insert(0, 4, ctxNative, shorter);
-    ASSERT_EQ(again.timing.size(), 1u);
-    EXPECT_TRUE(same(again.timing[0], timingRecordFor(shorter.uops[0])));
+    const FlowCache::Entry &again =
+        cache.insert(0, 4, ctxNative, op, shorter, energy);
+    EXPECT_EQ(&again, &entry);
+    expect_span(again, {0});
 
-    flow.uops.push_back(flow.uops[0]);
-    cache.insert(0, 5, ctxNative, flow);
-    ASSERT_EQ(again.timing.size(), flow.uops.size());
-    EXPECT_TRUE(same(again.timing[6], timingRecordFor(flow.uops[6])));
+    cache.insert(0, 5, ctxNative, op, flow, energy);
+    expect_span(again, order);
 
     cache.clear();
-    EXPECT_TRUE(again.timing.empty());
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.peek(0, 5, ctxNative), nullptr);
+}
+
+TEST(FlowCache, LongExpansionsAreNotStored)
+{
+    // A span holds one op per dynamic uop, and a rep-stos trip count
+    // is a program immediate: a flow whose expansion exceeds
+    // maxStoredUops is not admitted, so the uncached path resolves it
+    // per step and nothing of it stays resident.
+    ProgramBuilder b;
+    const Addr buf = b.reserveData("buf", 64 * 8192);
+    b.markEntry();
+    b.repStos(buf, 16);
+    b.repStos(buf, 8192);
+    b.halt();
+    const Program prog = b.build();
+    UopFlow fits = translateNative(prog.code()[0]);
+    UopFlow spills = translateNative(prog.code()[1]);
+    ASSERT_LE(fits.expandedCount(), FlowCache::maxStoredUops);
+    ASSERT_GT(spills.expandedCount(), FlowCache::maxStoredUops);
+    EXPECT_TRUE(FlowCache::admits(fits));
+    EXPECT_FALSE(FlowCache::admits(spills));
+    fits.cacheable = false;
+    EXPECT_FALSE(FlowCache::admits(fits));
+
+    Simulation sim(prog);
+    sim.runToHalt();
+    sim.restart();
+    sim.runToHalt();
+    const FlowCache &fc = sim.flowCache();
+    EXPECT_NE(fc.peek(0, 0, ctxNative), nullptr);
+    EXPECT_EQ(fc.peek(1, 0, ctxNative), nullptr);
+    EXPECT_EQ(fc.size(), 2u);  // the short rep-stos and the halt
+    EXPECT_EQ(fc.misses, 4u);  // all three, then the long one again
+    EXPECT_EQ(fc.hits, 2u);
+    EXPECT_EQ(sim.uopsSimulated(), 2 * (1 + 2 * 16 + 1 + 2 * 8192 + 1));
 }
 
 TEST(FlowCache, EntryReferencesStableUntilClear)
 {
-    // Compiled superblocks point into cached entries, so neither side
-    // may move between reset() and clear(): not when the first
-    // non-native insert allocates the alternate side, and not when a
-    // slot is re-translated with a flow that spills its inline storage.
+    // Compiled superblocks list cached entries' macros, so no entry may
+    // move between reset() and clear(): not when the first non-native
+    // insert allocates the alternate side, and not when a slot is
+    // re-translated with a flow that spills its inline storage.
     FlowCache cache;
     cache.reset(64);
     UopFlow one;
@@ -405,18 +479,21 @@ TEST(FlowCache, EntryReferencesStableUntilClear)
 
     std::vector<const FlowCache::Entry *> native;
     for (std::size_t slot = 0; slot < 64; ++slot)
-        native.push_back(&cache.insert(slot, 1, ctxNative, one));
-    const FlowCache::Entry *devect = &cache.insert(5, 1, ctxDevect, many);
+        native.push_back(&insertFlow(cache, slot, 1, ctxNative, one));
+    const FlowCache::Entry *devect =
+        &insertFlow(cache, 5, 1, ctxDevect, many);
     for (std::size_t slot = 0; slot < 64; slot += 7) {
-        const FlowCache::Entry *entry = &cache.insert(slot, 2, ctxDevect, one);
+        const FlowCache::Entry *entry =
+            &insertFlow(cache, slot, 2, ctxDevect, one);
         EXPECT_EQ(cache.peek(slot, 2, ctxDevect), entry);
     }
     for (std::size_t slot = 0; slot < 64; ++slot) {
-        EXPECT_EQ(&cache.insert(slot, 2, ctxNative, many), native[slot]);
+        EXPECT_EQ(&insertFlow(cache, slot, 2, ctxNative, many),
+                  native[slot]);
         EXPECT_EQ(native[slot]->flow.uops.size(), 9u);
         EXPECT_EQ(cache.lookup(slot, 2, ctxNative), native[slot]);
     }
-    EXPECT_EQ(&cache.insert(5, 3, ctxDevect, one), devect);
+    EXPECT_EQ(&insertFlow(cache, 5, 3, ctxDevect, one), devect);
     EXPECT_EQ(cache.lookup(5, 3, ctxDevect), devect);
     EXPECT_EQ(devect->flow.uops.size(), 1u);
     EXPECT_EQ(cache.size(), 64u + 11u);  // alternates: slot 5 and 0, 7, .., 63
@@ -467,8 +544,8 @@ TEST(FlowCache, ClearKeepsHeatAndCounters)
     UopFlow flow;
     flow.uops.push_back(Uop{});
     cache.bumpHeat(2);
-    cache.insert(2, 1, ctxNative, flow);
-    cache.insert(2, 1, ctxDevect, flow);
+    insertFlow(cache, 2, 1, ctxNative, flow);
+    insertFlow(cache, 2, 1, ctxDevect, flow);
     EXPECT_TRUE(cache.recentAlternate(2));
     EXPECT_NE(cache.lookup(2, 1, ctxDevect), nullptr);
     EXPECT_EQ(cache.lookup(1, 1, ctxNative), nullptr);

@@ -12,6 +12,7 @@
 #include "sim/simulation.hh"
 #include "tests/support/dump_diff.hh"
 #include "tests/support/random_program.hh"
+#include "uop/translate.hh"
 #include "workloads/aes.hh"
 #include "workloads/rsa.hh"
 #include "workloads/spec.hh"
@@ -946,8 +947,8 @@ TEST(SuperblockContext, DevectTogglesKeepFlowsAndBlocks)
             const Superblock *outer = blocks.at(slot(loop_pc));
             const Superblock *inner = blocks.at(slot(mid_pc));
             if (outer && inner) {
-                for (const SbMacro &m : outer->macros)
-                    overlapping = overlapping || m.op->pc == mid_pc;
+                for (const SbMacro *m : outer->macros)
+                    overlapping = overlapping || m->op->pc == mid_pc;
             }
         };
         const FullRecord ref =
@@ -1077,6 +1078,61 @@ TEST(SuperblockTrace, TracedTierMatchesInterpreter)
             EXPECT_EQ(off.fp.entries, 0u) << label;
             EXPECT_GT(on.fp.entries, 0u) << label;
         }
+    }
+}
+
+// --- micro-loops -------------------------------------------------------------
+
+TEST(SuperblockRepStos, MicroLoopIdenticalAcrossCacheAndTier)
+{
+    // A rep-stos flow is a micro-loop (prologue, body x trips) that
+    // the flow cache stores unrolled. One short enough to be stored
+    // joins the block around it; one past FlowCache::maxStoredUops is
+    // resolved per step on the uncached path and ends the region.
+    // Neither the flow cache nor the tier may show in the stats dump,
+    // in either fidelity.
+    ProgramBuilder b;
+    const Addr buf = b.reserveData("buf", 64 * 8192);
+    b.markEntry();
+    b.movri(Gpr::Rcx, 6);
+    const ProgramBuilder::Label loop = b.newLabel();
+    b.bind(loop);
+    b.load(Gpr::Rax, memAbs(buf));
+    b.repStos(buf + 64, 5);
+    b.addi(Gpr::Rax, 1);
+    b.store(memAbs(buf + 8), Gpr::Rax);
+    b.repStos(buf, 4200);
+    b.subi(Gpr::Rcx, 1);
+    b.cmpi(Gpr::Rcx, 0);
+    b.jcc(Cond::Ne, loop);
+    b.halt();
+    const Program prog = b.build();
+    ASSERT_TRUE(FlowCache::admits(translateNative(prog.code()[2])));
+    ASSERT_FALSE(FlowCache::admits(translateNative(prog.code()[5])));
+
+    const Invoke twice = [](Simulation &sim) {
+        for (int run = 0; run < 2; ++run) {
+            sim.restart();
+            sim.runToHalt();
+        }
+    };
+    for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
+        const std::string label =
+            mode == SimMode::Detailed ? "detailed" : "cache-only";
+        const FullRecord ref =
+            runFull(prog, {mode, false, false, 1}, nullptr, twice);
+        const FullRecord cached =
+            runFull(prog, {mode, true, false, 1}, nullptr, twice);
+        const FullRecord tier =
+            runFull(prog, {mode, true, true, 1}, nullptr, twice);
+        EXPECT_PRED_FORMAT2(testsupport::sameDump, cached.dump, ref.dump)
+            << label;
+        EXPECT_PRED_FORMAT2(testsupport::sameDump, tier.dump, ref.dump)
+            << label;
+        // The short rep-stos retires from a block: its span is among
+        // the compiled ones.
+        EXPECT_GT(tier.fp.entries, 0u) << label;
+        EXPECT_GE(tier.fp.blockUops, 1u + 2u * 5u) << label;
     }
 }
 
