@@ -5,33 +5,31 @@
  * This is not a paper figure — it tracks how fast the simulator itself
  * runs, so CI can catch host-side regressions (scripts/
  * check_throughput.py compares the sidecar against a committed
- * baseline). Configurations of the AES detailed workload, the same
- * program BM_DetailedAesBlock drives:
+ * baseline). Configurations of the AES workload, the program
+ * BM_DetailedAesBlock drives, each with the flow cache on (the
+ * default: cached translations, retired in chains of resident entries,
+ * sim/fastpath.hh) and off (every macro-op re-translated, one per
+ * call):
  *
- *  - detailed, flow cache on  (the default production configuration:
- *                              superblock tier on)
- *  - detailed, interpreter    (flow cache on, superblock tier off)
- *  - detailed, flow cache off (every macro-op re-translated; the tier
- *                              needs the flow cache, so it is off too)
- *  - cache-only fidelity      (superblock tier on, the default)
- *  - cache-only interpreter   (superblock tier off)
+ *  - detailed fidelity
+ *  - cache-only fidelity, plus the channel monitor armed (on only)
  *  - cache-only under stealth (CSD decoys with a 1000-cycle watchdog,
- *                              several retriggers per AES block)
+ *    several retriggers per AES block; on only)
  *
  * plus one SPEC preset (milc) in detailed mode under the CSD-devect
- * power-gating policy, tier on and off: the Figs. 12-16 configuration,
- * where the power controller toggles devectorization per macro.
+ * power-gating policy, flow cache on and off: the Figs. 12-16
+ * configuration, where the power controller toggles devectorization
+ * per macro.
  *
- * The detailed interpreter / cache-off ratio is the measured speedup
- * of the predecoded-flow cache, and the tier-on / tier-off ratios in
- * each fidelity are the measured speedups of the superblock
- * threaded-code tier (DESIGN.md, "Host performance architecture").
- * All ratios come from runs inside one process, the compared
- * configurations interleaved batch by batch, so they are robust to
- * host noise in a way the absolute kuops/s floors are not;
- * the superblock ratios are the primary CI guards for the tier
- * (check_throughput.py MIN_SB_SPEEDUP, MIN_DETAILED_SB_SPEEDUP,
- * MIN_GATED_SB_SPEEDUP). The
+ * The on / off ratio in each configuration is the measured speedup of
+ * the flow cache and its chains (DESIGN.md, "Host performance
+ * architecture"). All ratios come from runs inside one process, the
+ * compared configurations interleaved batch by batch, so they are
+ * robust to host noise in a way the absolute kuops/s floors are not;
+ * they are the primary CI guards (check_throughput.py
+ * MIN_DETAILED_SPEEDUP, MIN_CACHEONLY_SPEEDUP, MIN_GATED_SPEEDUP), with
+ * the detailed run's chain uop coverage (MIN_DETAILED_COVERAGE) and
+ * the channel monitor's overhead (MAX_MONITOR_OVERHEAD_PCT). The
  * stealth row's flow-cache hit rate is the guard that watchdog
  * retriggers keep memoized flows (MIN_STEALTH_HIT_RATE); it is a pure
  * function of the simulated run, so host noise cannot move it.
@@ -61,7 +59,8 @@ struct ThroughputRun
     std::uint64_t uops = 0;
     double hostSeconds = 0;
     double flowCacheHitRate = 0;
-    FastPath::Counters fp;  //!< superblock-tier host counters
+    FastPath::Counters chain;  //!< the chain's host counters (uops:
+                               //!< the timed region's only)
 };
 
 /** One configuration of a workload and its timed work so far. */
@@ -69,15 +68,15 @@ class Rig
 {
   public:
     /** The AES workload (20 blocks per batch). */
-    Rig(SimMode mode, bool flow_cache_on, bool arm_monitor,
-        bool superblock_on, bool stealth)
+    Rig(SimMode mode, bool flow_cache_on, bool arm_monitor = false,
+        bool stealth = false)
     {
         std::array<std::uint8_t, 16> key{};
         for (unsigned i = 0; i < 16; ++i)
             key[i] = static_cast<std::uint8_t>(i);
         const AesWorkload workload = AesWorkload::build(key);
         program_ = workload.program;
-        build(mode, flow_cache_on, superblock_on);
+        build(mode, flow_cache_on);
         if (arm_monitor)
             sim_->mem().armSetMonitor();
         if (stealth) {
@@ -91,11 +90,11 @@ class Rig
     /** A SPEC preset in detailed mode under the CSD-devect gating
      *  policy, as the Figs. 12-16 harnesses run it (one program run
      *  of 20 phase pairs per batch). */
-    Rig(const SpecPreset &preset, bool superblock_on)
+    Rig(const SpecPreset &preset, bool flow_cache_on)
         : runsPerBatch_(1)
     {
         program_ = SpecWorkload::build(preset, 20).program;
-        build(SimMode::Detailed, true, superblock_on);
+        build(SimMode::Detailed, flow_cache_on);
         sim_->enableCpiStack();
         GatingParams gating;
         gating.policy = GatingPolicy::CsdDevect;
@@ -139,21 +138,21 @@ class Rig
         if (lookups > 0)
             run.flowCacheHitRate = static_cast<double>(fc.hits) /
                                    static_cast<double>(lookups);
-        run.fp = sim_->fastPath().counters();
+        run.chain = sim_->fastPath().counters();
+        run.chain.uopsRetired -= chainUopsBefore_;
         return run;
     }
 
   private:
     void
-    build(SimMode mode, bool flow_cache_on, bool superblock_on)
+    build(SimMode mode, bool flow_cache_on)
     {
         SimParams params;
         params.mode = mode;
         sim_ = std::make_unique<Simulation>(program_, params);
+        // Explicit, so CSD_FLOW_CACHE in the environment cannot skew
+        // the gated numbers: both configurations are measured.
         sim_->setFlowCacheEnabled(flow_cache_on);
-        // Explicit, so CSD_SUPERBLOCK in the environment cannot skew
-        // the gated numbers: both tier configurations are measured.
-        sim_->setSuperblockEnabled(superblock_on);
     }
 
     /** Warm host caches, the branch predictor, and the flow cache so
@@ -166,6 +165,7 @@ class Rig
             sim_->runToHalt();
         }
         uopsBefore_ = sim_->uopsSimulated();
+        chainUopsBefore_ = sim_->fastPath().counters().uopsRetired;
     }
 
     Program program_;
@@ -177,22 +177,12 @@ class Rig
     std::unique_ptr<PowerGateController> power_;
     std::unique_ptr<Simulation> sim_;
     std::uint64_t uopsBefore_ = 0;
+    std::uint64_t chainUopsBefore_ = 0;
     double seconds_ = 0;
 };
 
 /** Timed work per configuration. */
 constexpr double minSeconds = 0.5;
-
-ThroughputRun
-measure(SimMode mode, bool flow_cache_on, bool arm_monitor = false,
-        bool superblock_on = true, bool stealth = false)
-{
-    Rig rig(mode, flow_cache_on, arm_monitor, superblock_on, stealth);
-    do
-        rig.batch();
-    while (rig.seconds() < minSeconds);
-    return rig.result();
-}
 
 /**
  * Measure several configurations in alternating batches until each has
@@ -212,6 +202,22 @@ measureInterleaved(std::initializer_list<Rig *> rigs)
     }
 }
 
+/** Chain uops over all uops of @p run. */
+double
+chainCoverage(const ThroughputRun &run)
+{
+    return run.uops > 0 ? static_cast<double>(run.chain.uopsRetired) /
+                              static_cast<double>(run.uops)
+                        : 0.0;
+}
+
+/** @p on / @p off throughput, 0 when @p off did no work. */
+double
+speedup(const ThroughputRun &on, const ThroughputRun &off)
+{
+    return off.kuopsPerSec > 0 ? on.kuopsPerSec / off.kuopsPerSec : 0.0;
+}
+
 } // namespace
 
 int
@@ -223,169 +229,112 @@ main(int argc, char **argv)
                 "better. Tracks the simulator, not the paper.");
 
     // The configurations behind each in-process ratio run interleaved:
-    // detailed tier on / interpreter / flow cache off (which also turns
-    // the tier off), and cache-only tier on / interpreter.
-    Rig detailed_on(SimMode::Detailed, true, false, true, false);
-    Rig detailed_off_tier(SimMode::Detailed, true, false, false, false);
-    Rig detailed_off_cache(SimMode::Detailed, false, false, true, false);
-    measureInterleaved({&detailed_on, &detailed_off_tier,
-                        &detailed_off_cache});
+    // flow cache on and off in each fidelity, the armed channel
+    // monitor beside the cache-only baseline it is compared with, and
+    // milc under CSD-devect gating on and off.
+    Rig detailed_on(SimMode::Detailed, true);
+    Rig detailed_off(SimMode::Detailed, false);
+    measureInterleaved({&detailed_on, &detailed_off});
     const ThroughputRun on = detailed_on.result();
-    const ThroughputRun detailed_interp = detailed_off_tier.result();
-    const ThroughputRun off = detailed_off_cache.result();
-    Rig cache_only_on(SimMode::CacheOnly, true, false, true, false);
-    Rig cache_only_off(SimMode::CacheOnly, true, false, false, false);
-    measureInterleaved({&cache_only_on, &cache_only_off});
+    const ThroughputRun off = detailed_off.result();
+    Rig cache_only_on(SimMode::CacheOnly, true);
+    Rig cache_only_off(SimMode::CacheOnly, false);
+    Rig cache_only_monitor(SimMode::CacheOnly, true, /*arm_monitor=*/true);
+    measureInterleaved({&cache_only_on, &cache_only_off,
+                        &cache_only_monitor});
     const ThroughputRun cache_only = cache_only_on.result();
-    const ThroughputRun interp = cache_only_off.result();
-    // Channel-monitor cost when armed (memory/set_monitor.hh). The
-    // disarmed configurations above are the gated baseline: arming is
-    // opt-in, so only `cacheonly_kuops_per_s` has to stay inside the
-    // check_throughput.py envelope; these are informational.
-    const ThroughputRun monitored =
-        measure(SimMode::CacheOnly, true, /*arm_monitor=*/true);
-    const ThroughputRun stealth =
-        measure(SimMode::CacheOnly, true, /*arm_monitor=*/false,
-                /*superblock_on=*/true, /*stealth=*/true);
-    // The power-gated tier: the controller's hook and the context
-    // guard run per macro, tier on or off.
+    const ThroughputRun cache_only_uncached = cache_only_off.result();
+    const ThroughputRun monitored = cache_only_monitor.result();
+    Rig stealth_rig(SimMode::CacheOnly, true, /*arm_monitor=*/false,
+                    /*stealth=*/true);
+    measureInterleaved({&stealth_rig});
+    const ThroughputRun stealth = stealth_rig.result();
+    // Under the power controller: its hook and the chain's context
+    // guard run per macro.
     Rig gated_on(specPreset("milc"), true);
     Rig gated_off(specPreset("milc"), false);
     measureInterleaved({&gated_on, &gated_off});
     const ThroughputRun gated = gated_on.result();
-    const ThroughputRun gated_interp = gated_off.result();
+    const ThroughputRun gated_uncached = gated_off.result();
 
     Table table({"configuration", "kuops/s", "uops", "host s",
-                 "flow-cache hit"});
-    table.addRow({"detailed, flow cache on", fmt(on.kuopsPerSec, 1),
-                  std::to_string(on.uops), fmt(on.hostSeconds, 2),
-                  pct(on.flowCacheHitRate)});
-    table.addRow({"detailed, interpreter",
-                  fmt(detailed_interp.kuopsPerSec, 1),
-                  std::to_string(detailed_interp.uops),
-                  fmt(detailed_interp.hostSeconds, 2),
-                  pct(detailed_interp.flowCacheHitRate)});
-    table.addRow({"detailed, flow cache off", fmt(off.kuopsPerSec, 1),
-                  std::to_string(off.uops), fmt(off.hostSeconds, 2),
-                  "-"});
-    table.addRow({"cache-only fidelity", fmt(cache_only.kuopsPerSec, 1),
-                  std::to_string(cache_only.uops),
-                  fmt(cache_only.hostSeconds, 2),
-                  pct(cache_only.flowCacheHitRate)});
-    table.addRow({"cache-only interpreter", fmt(interp.kuopsPerSec, 1),
-                  std::to_string(interp.uops),
-                  fmt(interp.hostSeconds, 2),
-                  pct(interp.flowCacheHitRate)});
-    table.addRow({"cache-only + set monitor",
-                  fmt(monitored.kuopsPerSec, 1),
-                  std::to_string(monitored.uops),
-                  fmt(monitored.hostSeconds, 2),
-                  pct(monitored.flowCacheHitRate)});
-    table.addRow({"cache-only, stealth", fmt(stealth.kuopsPerSec, 1),
-                  std::to_string(stealth.uops),
-                  fmt(stealth.hostSeconds, 2),
-                  pct(stealth.flowCacheHitRate)});
-    table.addRow({"detailed, milc csd-devect", fmt(gated.kuopsPerSec, 1),
-                  std::to_string(gated.uops), fmt(gated.hostSeconds, 2),
-                  pct(gated.flowCacheHitRate)});
-    table.addRow({"detailed, milc csd-devect, interpreter",
-                  fmt(gated_interp.kuopsPerSec, 1),
-                  std::to_string(gated_interp.uops),
-                  fmt(gated_interp.hostSeconds, 2),
-                  pct(gated_interp.flowCacheHitRate)});
+                 "flow-cache hit", "chained uops"});
+    const auto row = [&table](const char *name, const ThroughputRun &run,
+                              bool cached) {
+        table.addRow({name, fmt(run.kuopsPerSec, 1),
+                      std::to_string(run.uops), fmt(run.hostSeconds, 2),
+                      cached ? pct(run.flowCacheHitRate) : "-",
+                      cached ? pct(chainCoverage(run)) : "-"});
+    };
+    row("detailed, flow cache on", on, true);
+    row("detailed, flow cache off", off, false);
+    row("cache-only, flow cache on", cache_only, true);
+    row("cache-only, flow cache off", cache_only_uncached, false);
+    row("cache-only + set monitor", monitored, true);
+    row("cache-only, stealth", stealth, true);
+    row("detailed, milc csd-devect", gated, true);
+    row("detailed, milc csd-devect, flow cache off", gated_uncached, false);
     table.print();
 
-    // The flow cache's own win, tier off on both sides.
-    const double speedup = detailed_interp.kuopsPerSec / off.kuopsPerSec;
-    const double detailed_sb_speedup =
-        detailed_interp.kuopsPerSec > 0
-            ? on.kuopsPerSec / detailed_interp.kuopsPerSec
-            : 0.0;
-    const double sb_speedup =
-        interp.kuopsPerSec > 0
-            ? cache_only.kuopsPerSec / interp.kuopsPerSec
-            : 0.0;
-    const double gated_sb_speedup =
-        gated_interp.kuopsPerSec > 0
-            ? gated.kuopsPerSec / gated_interp.kuopsPerSec
-            : 0.0;
+    const double detailed_speedup = speedup(on, off);
+    const double cacheonly_speedup = speedup(cache_only, cache_only_uncached);
+    const double gated_speedup = speedup(gated, gated_uncached);
     const double monitor_overhead =
         cache_only.kuopsPerSec > 0
             ? 100.0 * (1.0 - monitored.kuopsPerSec /
                                  cache_only.kuopsPerSec)
             : 0.0;
     benchStat("detailed_kuops_per_s_cache_on", on.kuopsPerSec);
-    benchStat("detailed_kuops_per_s_interp", detailed_interp.kuopsPerSec);
     benchStat("detailed_kuops_per_s_cache_off", off.kuopsPerSec);
     benchStat("cacheonly_kuops_per_s", cache_only.kuopsPerSec);
-    benchStat("cacheonly_kuops_per_s_interp", interp.kuopsPerSec);
+    benchStat("cacheonly_kuops_per_s_cache_off",
+              cache_only_uncached.kuopsPerSec);
     benchStat("cacheonly_kuops_per_s_monitor", monitored.kuopsPerSec);
     benchStat("channel_monitor_overhead_pct", monitor_overhead);
-    benchStat("flow_cache_speedup", speedup);
+    benchStat("gated_kuops_per_s", gated.kuopsPerSec);
+    benchStat("gated_kuops_per_s_cache_off", gated_uncached.kuopsPerSec);
+    benchStat("flow_cache_speedup", detailed_speedup);
+    benchStat("cacheonly_flow_cache_speedup", cacheonly_speedup);
+    benchStat("gated_flow_cache_speedup", gated_speedup);
     benchStat("flow_cache_hit_rate", on.flowCacheHitRate);
-    benchStat("superblock_speedup", sb_speedup);
-    benchStat("detailed_superblock_speedup", detailed_sb_speedup);
-    benchStat("gated_superblock_speedup", gated_sb_speedup);
     benchStat("stealth_kuops_per_s", stealth.kuopsPerSec);
     benchStat("stealth_flow_cache_hit_rate", stealth.flowCacheHitRate);
 
-    // Superblock-tier host counters from the tier-on cache-only run
+    // The chain's host counters from the cache-only run
     // (sim/fastpath.hh). These live outside the simulated stat tree;
-    // the sidecar is where CI sees the tier actually engaged.
-    const FastPath::Counters &fp = cache_only.fp;
-    benchStat("superblock.built", static_cast<double>(fp.built));
-    benchStat("superblock.build_aborts",
-              static_cast<double>(fp.buildAborts));
-    benchStat("superblock.invalidated",
-              static_cast<double>(fp.invalidated));
-    benchStat("superblock.entries", static_cast<double>(fp.entries));
-    benchStat("superblock.uops_retired",
-              static_cast<double>(fp.uopsRetired));
-    benchStat("superblock.uop_coverage",
-              cache_only.uops > 0
-                  ? static_cast<double>(fp.uopsRetired) /
-                        static_cast<double>(cache_only.uops)
-                  : 0.0);
+    // the sidecar is where CI sees chaining actually engaged.
+    const FastPath::Counters &chain = cache_only.chain;
+    benchStat("chain.built", static_cast<double>(chain.built));
+    benchStat("chain.invalidated", static_cast<double>(chain.invalidated));
+    benchStat("chain.entries", static_cast<double>(chain.entries));
+    benchStat("chain.uops_retired", static_cast<double>(chain.uopsRetired));
+    benchStat("chain.uop_coverage", chainCoverage(cache_only));
     for (unsigned i = 0; i < numSbExits; ++i)
-        benchStat(std::string("superblock.exit_") +
+        benchStat(std::string("chain.exit_") +
                       sbExitName(static_cast<SbExit>(i)),
-                  static_cast<double>(fp.exits[i]));
-    // The detailed tier-on run's engagement.
-    benchStat("superblock.detailed_uop_coverage",
-              on.uops > 0 ? static_cast<double>(on.fp.uopsRetired) /
-                                static_cast<double>(on.uops)
-                          : 0.0);
-    // The power-gated tier-on run's engagement.
-    benchStat("superblock.gated_uop_coverage",
-              gated.uops > 0 ? static_cast<double>(gated.fp.uopsRetired) /
-                                   static_cast<double>(gated.uops)
-                             : 0.0);
-    // The tier-off runs must never have compiled or entered a block.
-    benchStat("superblock.interp_entries",
-              static_cast<double>(interp.fp.entries +
-                                  detailed_interp.fp.entries +
-                                  gated_interp.fp.entries));
-    benchManifestNote("superblock", "on+off measured in-process");
+                  static_cast<double>(chain.exits[i]));
+    benchStat("chain.detailed_uop_coverage", chainCoverage(on));
+    benchStat("chain.gated_uop_coverage", chainCoverage(gated));
+    // The flow-cache-off runs must never have chained.
+    benchStat("chain.cache_off_entries",
+              static_cast<double>(off.chain.entries +
+                                  cache_only_uncached.chain.entries +
+                                  gated_uncached.chain.entries));
+    benchManifestNote("flow_cache", "on+off measured in-process");
 
-    std::printf("\nflow-cache speedup on the detailed interpreter: %sx "
-                "(hit rate %s)\n", fmt(speedup, 2).c_str(),
-                pct(on.flowCacheHitRate).c_str());
-    std::printf("superblock tier speedup on detailed: %sx "
-                "(%s of uops retired in compiled blocks)\n",
-                fmt(detailed_sb_speedup, 2).c_str(),
-                pct(on.uops > 0 ? static_cast<double>(on.fp.uopsRetired) /
-                                      static_cast<double>(on.uops)
-                                : 0.0).c_str());
-    std::printf("superblock tier speedup on detailed milc under "
-                "csd-devect gating: %sx\n",
-                fmt(gated_sb_speedup, 2).c_str());
-    std::printf("superblock tier speedup on cache-only: %sx "
-                "(%s of uops retired in compiled blocks)\n",
-                fmt(sb_speedup, 2).c_str(),
-                pct(cache_only.uops > 0
-                        ? static_cast<double>(fp.uopsRetired) /
-                              static_cast<double>(cache_only.uops)
-                        : 0.0).c_str());
+    std::printf("\nflow-cache speedup on detailed: %sx (hit rate %s, %s "
+                "of uops chained)\n",
+                fmt(detailed_speedup, 2).c_str(),
+                pct(on.flowCacheHitRate).c_str(),
+                pct(chainCoverage(on)).c_str());
+    std::printf("flow-cache speedup on cache-only: %sx (%s of uops "
+                "chained)\n",
+                fmt(cacheonly_speedup, 2).c_str(),
+                pct(chainCoverage(cache_only)).c_str());
+    std::printf("flow-cache speedup on detailed milc under csd-devect "
+                "gating: %sx (%s of uops chained)\n",
+                fmt(gated_speedup, 2).c_str(),
+                pct(chainCoverage(gated)).c_str());
     std::printf("channel monitor armed: %s kuops/s (%s%% overhead vs "
                 "disarmed cache-only)\n",
                 fmt(monitored.kuopsPerSec, 1).c_str(),

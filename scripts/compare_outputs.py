@@ -17,7 +17,7 @@ Given one bench binary (the determinism modes), it runs that binary
 twice with CSD_TRACE=all: at --jobs 1 and --jobs N (default 8), or,
 with --env, at --jobs N under NAME=V1 and under NAME=V2. This is how CI
 pins parallelism and host-side switches to the simulated output, e.g.
-`--env CSD_SUPERBLOCK=0,1`. Both runs must exit 0. Their sidecars must
+`--env CSD_FLOW_CACHE=0,1`. Both runs must exit 0. Their sidecars must
 match once manifest.phases, the host wall-time attribution and the
 only legitimately nondeterministic content, is emptied, and their
 stdout must match once the per-context "trace: wrote" notes are
@@ -328,7 +328,7 @@ def determinism_check(build):
     nothing else is. (The *_sidecar_determinism and *_invariance ctests
     prove that unaltered runs compare equal.)"""
     bench = os.path.join(build, "bench", "bench_fig7a_primeprobe_aes")
-    for env in (None, ("CSD_SUPERBLOCK", "0", "1")):
+    for env in (None, ("CSD_FLOW_CACHE", "0", "1")):
         diffs, _ = determinism(bench, jobs=2, env=env,
                                alter_b=alter_sidecar_and_heatmap)
         if len(diffs) != 2 or "JSON differs" not in diffs[0] or \

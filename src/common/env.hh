@@ -50,12 +50,8 @@ bool parseBoolSetting(std::string_view name, const char *value);
  */
 #define CSD_KNOB_TABLE(X)                                                    \
     X(FlowCache, "CSD_FLOW_CACHE", Bool, "1", HostOnly,                      \
-      "memoize stable translations per static instruction; 0 also turns "    \
-      "the superblock tier off")                                             \
-    X(Superblock, "CSD_SUPERBLOCK", Bool, "1", HostOnly,                     \
-      "run hot straight-line regions of cached flows as threaded-code "      \
-      "superblocks, in detailed and cache-only mode, traced or not, power "  \
-      "controller or not")                                                   \
+      "memoize stable translations per static instruction and retire runs "  \
+      "of them in one call")                                                 \
     X(StatsDetail, "CSD_STATS_DETAIL", Bool, "0", OutputShaping,             \
       "record the hot-path histograms (flow lengths, read latencies)")       \
     X(CpiStack, "CSD_CPI_STACK", Bool, "0", OutputShaping,                   \

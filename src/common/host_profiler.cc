@@ -8,8 +8,7 @@ namespace
 
 const char *const phaseNames[static_cast<unsigned>(HostPhase::NumPhases)] = {
     "translate", "flow_cache", "execute", "pipeline",
-    "memory",    "stat_overhead", "channel_monitor", "superblock",
-    "other",
+    "memory",    "stat_overhead", "channel_monitor", "other",
 };
 
 } // namespace

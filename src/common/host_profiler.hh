@@ -34,7 +34,6 @@ enum class HostPhase : unsigned
     Memory,        //!< cache-only memory modeling
     StatOverhead,  //!< interval sampling + stat maintenance
     ChannelMonitor,  //!< per-set channel telemetry exports
-    Superblock,    //!< superblock fast path: build + threaded execution
     Other,         //!< instrumented but unclassified
     NumPhases,
 };

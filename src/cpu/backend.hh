@@ -56,9 +56,9 @@ enum class UopMemKind : std::uint8_t
  * A uop's timing inputs, resolved once from its static fields: what
  * BackEnd::process, the CPI stack, the lifecycle tracer, and the slot
  * and energy accounting read per dynamic instance. The flow cache
- * resolves it when it caches a flow (decode/flow_cache.hh), and both
- * the interpreter and the superblock tier read it from there; only an
- * uncached flow's records are derived per instance.
+ * resolves it when it caches a flow (decode/flow_cache.hh), and the
+ * retire routine reads it from there; only an uncached flow's records
+ * are derived per instance.
  *
  * Register operands are flat indices into the back end's ready table.
  * An absent source reads a slot that is always 0 and an absent

@@ -9,8 +9,8 @@
  * execUop() and the flow-level execute()/executeInto() wrap the same
  * handlers in an opcode switch and return per-uop dynamic annotations
  * (effective addresses, branch outcomes). They are the reference
- * semantics that the tests, the superblock tier-equivalence prover
- * and bench_frontend_micro compare against, and what lets the test
+ * semantics that the tests, the tier-equivalence prover and
+ * bench_frontend_micro compare against, and what lets the test
  * suite prove that native, stealth-mode and devectorized translations
  * preserve architectural state.
  */

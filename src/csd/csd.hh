@@ -44,9 +44,9 @@ enum : unsigned
 
 /**
  * The context-sensitive decoder. Final, and its flow-cache protocol
- * hooks are defined inline below the class: the superblock fast path
- * consults them per macro-op on a devirtualized pointer
- * (sim/fastpath.cc), so they must be visible for inlining.
+ * hooks are defined inline below the class: the retire routine's
+ * chain consults them per macro-op on a devirtualized pointer
+ * (sim/retire.cc), so they must be visible for inlining.
  */
 class ContextSensitiveDecoder final : public Translator
 {

@@ -114,11 +114,7 @@ resolveMacro(const MacroOp &op, const UopFlow &flow, unsigned ctx,
             .dynCount = static_cast<std::uint32_t>(ops.size()),
             .delivered = delivered,
             .frontEndSlots = slots,
-            .ctx = static_cast<std::uint16_t>(ctx),
-            // Provenance: the tier performs the full guard sequence
-            // before every compiled macro (sim/retire.cc); the prover
-            // audits these bits against the span's effects.
-            .guards = sbGuardAll};
+            .ctx = static_cast<std::uint16_t>(ctx)};
 }
 
 } // namespace csd

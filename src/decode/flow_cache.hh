@@ -13,20 +13,22 @@
  * each op carrying its handler, its dynamic energy and its timing
  * record (UopTimingRec, cpu/backend.hh) by value. The cache resolves a
  * flow once, at insert(); a hit is retired straight from its entry,
- * and a superblock (decode/superblock.hh) lists the entries' macros
- * instead of resolving its own copy. Only a translation the cache does
- * not keep (unstable, not cacheable, from another context, or longer
- * than maxStoredUops) is resolved per step, into the simulator's
- * scratch entry.
+ * and the retire routine chains from one resident entry to the next
+ * (SbMacro::next links a macro to its fall-through's entry). Only a
+ * translation the cache does not keep (unstable, not cacheable, from
+ * another context, or longer than maxStoredUops) is resolved per step,
+ * into the simulator's scratch entry.
  *
- * The table is a flat vector with one compact header per static
+ * The table is a flat vector with one entry pointer per static
  * instruction (the simulator indexes it by the macro-op's position in
  * Program::code()), so a lookup is an array access plus an epoch
  * compare — no hashing on the hot path. The entry itself is allocated
  * on its first insert, with its span at its exact size, so reset()
- * writes headers only. A re-insert rewrites the entry in place, so an
+ * writes pointers only. A re-insert rewrites the entry in place, so an
  * entry (and its SbMacro) stays at one address until clear()/reset();
- * its span moves when the new flow resolves to another length.
+ * its span moves when the new flow resolves to another length. The
+ * epoch an entry was filled under lives in its macro (SbMacro::epoch),
+ * so following a link reads the entry alone.
  *
  * Each slot holds one entry per stable decode context, side by side:
  * the native translation, and — allocated on the first insertion of a
@@ -34,8 +36,7 @@
  * context is devectorization, csd/csd.hh). A devectorization toggle
  * switches which side a lookup reads without bumping the epoch, so
  * both flows stay live across toggles, and an insertion for one
- * context never overwrites the other context's entry that compiled
- * superblocks refer to.
+ * context never overwrites the other context's entry.
  *
  * This is purely a host optimization — it models no hardware structure
  * and must never change simulated timing or statistics. Architectural
@@ -54,6 +55,7 @@
 #define CSD_DECODE_FLOW_CACHE_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -88,7 +90,7 @@ enum class SbHandler : std::uint8_t
     VExtract,    //!< vector lane -> integer register
     ScalarFp,    //!< scalar FP unit (FunctionalExecutor entry)
     ScalarAlu,   //!< everything else (FunctionalExecutor entry)
-    Halt,        //!< program end: ends the macro (never in a superblock)
+    Halt,        //!< program end: ends the macro
     NumHandlers,
 };
 
@@ -100,25 +102,6 @@ enum class SbHandler : std::uint8_t
  * mapping it independently re-derives from the executor's switch.
  */
 SbHandler sbHandlerFor(MicroOpcode op);
-
-// Per-macro protocol guards. The driver (sim/retire.cc) performs all
-// four before every compiled macro's uops, in this order: tick (part
-// of the per-macro protocol) fires any due watchdog, the epoch compare
-// detects a translation change, the stability probe vetoes ops whose
-// translation depends on mutable per-instance state, and the context
-// compare vetoes a macro whose stable context moved since the block
-// was compiled (a devectorization toggle, which bumps no epoch).
-// resolveMacro stamps the set into SbMacro::guards as provenance; the
-// tier-equivalence prover requires the epoch+tick pair on every macro
-// with a memory or branch effect, the stability probe everywhere, and
-// the context compare on every devectorizable macro
-// (tier.unguarded-epoch-window).
-constexpr std::uint8_t sbGuardTick = 1u << 0;
-constexpr std::uint8_t sbGuardEpoch = 1u << 1;
-constexpr std::uint8_t sbGuardStability = 1u << 2;
-constexpr std::uint8_t sbGuardContext = 1u << 3;
-constexpr std::uint8_t sbGuardAll =
-    sbGuardTick | sbGuardEpoch | sbGuardStability | sbGuardContext;
 
 /** One pre-resolved uop of a macro's span. */
 struct SbOp
@@ -149,7 +132,16 @@ struct SbMacro
     std::uint32_t delivered = 0;   //!< dynamic uops excl. eliminated
     std::uint32_t frontEndSlots = 0;  //!< deliveredSlots(*flow)
     std::uint16_t ctx = 0;         //!< context the flow was translated in
-    std::uint8_t guards = 0;       //!< sbGuard* bits compiled against
+    std::uint64_t epoch = 0;       //!< translator epoch it was cached under
+    /**
+     * Host-side link to the fall-through macro's resident entry, set
+     * by the retire routine the first time it chains from this macro
+     * to that one by fall-through, and cleared by a re-insert (the
+     * link is only a hint: its target is re-checked against the live
+     * epoch and context before every use). Not part of the
+     * translation, so it may be set through a const entry.
+     */
+    mutable const SbMacro *next = nullptr;
 };
 
 /**
@@ -163,7 +155,7 @@ SbMacro resolveMacro(const MacroOp &op, const UopFlow &flow, unsigned ctx,
                      const EnergyModel &energy, std::vector<SbOp> &ops);
 
 /** Memoization table: (instruction slot, stable context side) ->
- *  (epoch, resolved translation). */
+ *  resolved translation, tagged with its epoch. */
 class FlowCache
 {
   public:
@@ -204,7 +196,7 @@ class FlowCache
     }
 
     /** Size the table for a program's static instruction count; writes
-     *  the headers only. */
+     *  the slot pointers only. */
     void
     reset(std::size_t slot_count)
     {
@@ -229,84 +221,61 @@ class FlowCache
     const Entry *
     lookup(std::size_t slot, std::uint64_t epoch, unsigned expected_ctx)
     {
-        native_[slot].recentAlternate = expected_ctx != nativeCtx;
-        const Slot *side = sideOf(slot, expected_ctx);
-        if (!side || !side->entry) {
+        const Entry *entry = resident(slot, expected_ctx);
+        if (!entry) {
             ++misses;
             return nullptr;
         }
-        if (side->epoch != epoch) {
+        if (entry->macro.epoch != epoch) {
             ++invalidations;
             return nullptr;
         }
-        if (side->entry->macro.ctx != expected_ctx) {
+        if (entry->macro.ctx != expected_ctx) {
             ++ctx_invalidations;
             return nullptr;
         }
         ++hits;
-        return side->entry.get();
+        return entry;
     }
 
-    /**
-     * lookup() without the accounting: the superblock builder walks
-     * cached flows speculatively and must not perturb the hit/miss
-     * counters the flow-cache tests pin.
-     */
+    /** lookup() without the accounting. */
     const Entry *
     peek(std::size_t slot, std::uint64_t epoch, unsigned expected_ctx) const
     {
-        const Slot *side = sideOf(slot, expected_ctx);
-        if (!side || !side->entry || side->epoch != epoch ||
-            side->entry->macro.ctx != expected_ctx)
+        const Entry *entry = resident(slot, expected_ctx);
+        if (!entry || entry->macro.epoch != epoch ||
+            entry->macro.ctx != expected_ctx)
             return nullptr;
-        return side->entry.get();
+        return entry;
     }
 
     /**
-     * The current entry of the context @p slot was last looked up or
-     * inserted in, else the other context's, else nullptr; no
-     * accounting. The superblock builder compiles an op that follows
-     * the region head in its most recent context: a power controller
-     * toggles devectorization per macro, so the context the op will
-     * see is not known at build time, and the tier re-checks it per
-     * macro (sbGuardContext).
+     * @p slot's entry on the side for @p ctx, whatever its epoch and
+     * context; null while unfilled. No accounting: the retire routine
+     * probes the next macro's entry with it while it chains, and that
+     * macro counts its one hit, miss or bypass either way (a chained
+     * hit, or the lookup of the translation that follows a failed
+     * probe).
      */
     const Entry *
-    peekRecent(std::size_t slot, std::uint64_t epoch) const
+    resident(std::size_t slot, unsigned ctx) const
     {
-        const Slot *sides[2] = {
-            &native_[slot], alternate_.empty() ? nullptr : &alternate_[slot]};
-        if (recentAlternate(slot))
-            std::swap(sides[0], sides[1]);
-        for (const Slot *side : sides)
-            if (side && side->entry && side->epoch == epoch)
-                return side->entry.get();
-        return nullptr;
+        if (ctx == nativeCtx)
+            return native_[slot].get();
+        return alternate_.empty() ? nullptr : alternate_[slot].get();
     }
 
-    /** True iff @p slot's last lookup or insertion was for a
-     *  non-native context (peekRecent() reads that side first). */
-    bool
-    recentAlternate(std::size_t slot) const
+    /** Apply @p fn to every live entry, native side first, in slot
+     *  order (the static prover audits them all). */
+    template <class Fn>
+    void
+    forEach(Fn &&fn) const
     {
-        return native_[slot].recentAlternate;
+        for (const std::vector<Slot> *sides : {&native_, &alternate_})
+            for (const Slot &entry : *sides)
+                if (entry)
+                    fn(*entry);
     }
-
-    /**
-     * Bump the region-entry counter hung off @p slot (superblock-tier
-     * hotness detection) and return the new value. Saturates.
-     */
-    std::uint32_t
-    bumpHeat(std::size_t slot)
-    {
-        std::uint32_t &heat = native_[slot].heat;
-        if (heat != ~0u)
-            ++heat;
-        return heat;
-    }
-
-    /** Reset @p slot's hotness after a failed superblock build. */
-    void coolSlot(std::size_t slot) { native_[slot].heat = 0; }
 
     /**
      * Record @p op's @p flow in @p slot's side for @p ctx under
@@ -321,15 +290,14 @@ class FlowCache
     {
         if (ctx != nativeCtx && alternate_.empty())
             alternate_ = std::vector<Slot>(native_.size());
-        native_[slot].recentAlternate = ctx != nativeCtx;
         Slot &side = (ctx == nativeCtx ? native_ : alternate_)[slot];
-        if (!side.entry) {
-            side.entry = std::make_unique<Entry>();
+        if (!side) {
+            side = std::make_unique<Entry>();
             ++count_;
         }
-        side.epoch = epoch;
-        Entry &entry = *side.entry;
+        Entry &entry = *side;
         entry.assign(op, std::move(flow), ctx, energy);
+        entry.macro.epoch = epoch;
         // Growth is exact already (resolveMacro reserves the length);
         // a shorter re-translation gives the slack back.
         if (entry.ops.capacity() != entry.ops.size()) {
@@ -339,15 +307,13 @@ class FlowCache
         return entry;
     }
 
-    /** Drop every cached flow; keeps the sizing, the counters and each
-     *  slot's heat. */
+    /** Drop every cached flow (and so every link between entries);
+     *  keeps the sizing and the counters. */
     void
     clear()
     {
-        for (Slot &side : native_) {
-            side.entry.reset();
-            side.recentAlternate = false;
-        }
+        for (Slot &side : native_)
+            side.reset();
         alternate_ = std::vector<Slot>();
         count_ = 0;
     }
@@ -367,26 +333,8 @@ class FlowCache
      *  translation); every other context uses the alternate side. */
     static constexpr unsigned nativeCtx = 0;
 
-    /** One side of one slot: its entry, once filled, and the epoch it
-     *  was filled under. heat and recentAlternate are the native
-     *  side's only. */
-    struct Slot
-    {
-        std::uint64_t epoch = 0;
-        std::unique_ptr<Entry> entry;
-        std::uint32_t heat = 0;   //!< region-entry count
-        bool recentAlternate = false;  //!< see peekRecent()
-    };
-
-    /** @p slot's side for @p ctx; null while the alternate side is
-     *  unallocated. */
-    const Slot *
-    sideOf(std::size_t slot, unsigned ctx) const
-    {
-        if (ctx == nativeCtx)
-            return &native_[slot];
-        return alternate_.empty() ? nullptr : &alternate_[slot];
-    }
+    /** One side of one slot: its entry, once filled. */
+    using Slot = std::unique_ptr<Entry>;
 
     std::vector<Slot> native_;
     std::vector<Slot> alternate_;  //!< empty until a non-native insert

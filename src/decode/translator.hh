@@ -95,9 +95,8 @@ class Translator
      * compares it against the context the entry was filled under, so a
      * translator that switches contexts without bumping the epoch is
      * served the flow of the context it switched to, never another
-     * context's; the superblock tier re-checks it per macro
-     * (sbGuardContext). Only meaningful when translationStable(op)
-     * holds.
+     * context's; the retire routine's chain re-checks it per macro.
+     * Only meaningful when translationStable(op) holds.
      */
     virtual unsigned stableContext(const MacroOp &op) const
     {
@@ -122,8 +121,8 @@ class Translator
 };
 
 /** The default static translation (contexts never change). Final so
- *  the superblock fast path's typed dispatch (sim/fastpath.cc) folds
- *  the no-op protocol hooks away entirely. */
+ *  the driver loop's typed dispatch (sim/retire.cc) folds the no-op
+ *  protocol hooks away entirely. */
 class NativeTranslator final : public Translator
 {
   public:

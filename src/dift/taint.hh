@@ -56,9 +56,9 @@ class TaintTracker
      * or branch — i.e. should stealth-mode translation inject decoys
      * for it? A memory op is tainted if any address register is; a
      * conditional branch if the flags are; an indirect branch if its
-     * target register is. A pure query: host-side probes (flow-cache
-     * and superblock stability checks) may call it any number of
-     * times; the decoder reports the uses it acts on through
+     * target register is. A pure query: host-side probes (the flow
+     * cache's and the chain's stability checks) may call it any
+     * number of times; the decoder reports the uses it acts on through
      * noteTaintedUse().
      */
     bool taintedLoadOrBranch(const MacroOp &op) const;

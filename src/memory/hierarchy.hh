@@ -119,7 +119,7 @@ class MemHierarchy
 
 // Forced inline: the L1-hit path must fold into the simulation loops
 // even when the caller is already near the inliner's growth budget
-// (the superblock fast path's dispatch loop is one big function).
+// (the retire routine's dispatch loop is one big function).
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((always_inline))
 #endif

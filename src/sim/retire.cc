@@ -5,25 +5,23 @@
  * (Simulation::retireRun) with the detailed-mode timing consumer it
  * feeds.
  *
- * The loop fetches the macro at the pc and runs its protocol. The
- * superblock tier (sim/fastpath.hh) then names the compiled macro to
- * retire it from, if any: its cursor's, or at a region head the first
- * of the block compiled there. retireRun walks that block's macros in
- * one call, with each later macro's protocol and every macro's guards
- * inlined between them. A macro a guard vetoes has passed its protocol
- * already; the loop retires it in the same iteration from its own
- * translation (translatedFlow), as it does every macro no block covers,
- * and the cursor moves on past it. The uop handlers dispatch through a
- * computed-goto label table (labels-as-values, a GNU extension the
- * build already requires with -Wall -Wextra and -fsanitize=), which
- * GCC never inlines, so this is one out-of-line call per run.
+ * The loop fetches the macro at the pc, runs its protocol and hands
+ * retireRun its translation (translatedFlow: the flow-cache entry, or
+ * a scratch one). retireRun retires it and chains on: the next macro's
+ * protocol and guards run inline, and while the flow cache holds its
+ * translation for the live context, it retires from that entry in the
+ * same call (sim/fastpath.hh). A macro the walk stops at has passed
+ * its protocol already; the loop translates it and calls retireRun
+ * again. The uop handlers dispatch through a computed-goto label table
+ * (labels-as-values, a GNU extension the build already requires with
+ * -Wall -Wextra and -fsanitize=), which GCC never inlines, so this is
+ * one out-of-line call per chain.
  */
 
 #include <chrono>
 #include <type_traits>
 
 #include "csd/csd.hh"
-#include "sim/fastpath.hh"
 #include "sim/simulation.hh"
 
 namespace csd
@@ -37,7 +35,7 @@ namespace
 
 /**
  * Charge the host time since @p mark to @p phase and restart @p mark,
- * when @p prof is set (a translated macro with the profiler on).
+ * when @p prof is set (the profiler is on).
  */
 inline void
 lap(HostProfiler *prof, HostProfiler::Clock::time_point &mark,
@@ -216,14 +214,15 @@ Simulation::enterMacro(Tr &tr, const MacroOp &op, RetireTally &t)
 
 template <class Tr, bool Taint, bool Detailed>
 Simulation::RunStop
-Simulation::retireRun(Tr &tr, const SbMacro *const *mp,
-                      const Superblock *block, std::uint64_t room,
+Simulation::retireRun(Tr &tr, const SbMacro *from, std::uint64_t room,
                       RetireTally &t, HostProfiler *prof)
 {
-    const SbMacro *const *const last = block ? &block->macros.back() : mp;
+    const SbMacro *next = from;  //!< the macro the next pass retires
     ArchState &state = state_;
     MemHierarchy &mem = *mem_;
     FunctionalExecutor &exec = executor_;
+    const MacroOp *const code = prog_.code().data();
+    std::uint64_t macros = 0;  //!< retired, a Halt not counted
 
     static const void *const dispatch[] = {
         &&h_Load, &&h_Store, &&h_StoreImm, &&h_LoadVec, &&h_StoreVec,
@@ -233,25 +232,16 @@ Simulation::retireRun(Tr &tr, const SbMacro *const *mp,
     static_assert(sizeof(dispatch) / sizeof(dispatch[0]) ==
                   static_cast<std::size_t>(SbHandler::NumHandlers));
 
-// Each pass retires *m, the macros of a run in order.
-next_macro:
-    const SbMacro *const m = *mp;
-    if (block) {
-        // The guards, in order: epoch currency, per-op stability, and
-        // the stable context the block's flow was cached under (a
-        // devectorization toggle moves it without an epoch bump). For
-        // the native translator each folds to a constant.
-        if (tr.translationEpoch() != block->epoch)
-            return {mp, SbExit::EpochBump, false};
-        if (!tr.translationStable(*m->op) ||
-            tr.stableContext(*m->op) != m->ctx)
-            return {mp, SbExit::Unstable, false};
-        tr.noteCachedTranslation(*m->op, *m->flow, m->ctx);
-    }
-
+    // The profiler's laps run back to back: a chained macro's protocol
+    // and guards are charged with its functional execution.
     HostProfiler::Clock::time_point mark;
     if (prof) [[unlikely]]
         mark = HostProfiler::Clock::now();
+
+// Each pass retires m, the macros of a chain in order.
+next_macro:
+    const SbMacro *const m = next;
+
     state.cycleHint = Detailed ? cycles_ : t.cycles;
     curCtx_ = m->ctx;
 
@@ -472,18 +462,52 @@ uops_done:;
             maybeSample();
     }
 
-    // Leave on a taken branch (next_pc compared, not took_branch: a
-    // branch to the fall-through stays on the straight line), at the
-    // run's end or when the budget is spent; else the next compiled
-    // macro passes its protocol here, and its guards at the top.
-    if (next_pc != m->fallThrough)
-        return {mp + 1, SbExit::Branch, took_branch};
-    if (mp == last)
-        return {mp + 1, SbExit::End, took_branch};
-    ++mp;
+    // Chain on, unless the program ended or the budget is spent. A
+    // fall-through successor comes from m's link when it has one (the
+    // next_pc compare, not took_branch: a branch to the fall-through
+    // stays on the link); any other from the program.
+    if (state.halted)
+        return {nullptr, SbExit::End, macros};
+    ++macros;
     if (--room == 0)
-        return {mp, SbExit::Budget, took_branch};
-    enterMacro<Tr, Detailed>(tr, *(*mp)->op, t);
+        return {nullptr, SbExit::Budget, macros};
+    const bool fell_through = next_pc == m->fallThrough;
+    next = fell_through ? m->next : nullptr;
+    const MacroOp *const op = next ? next->op : prog_.at(next_pc);
+    if (!op)
+        return {nullptr, SbExit::End, macros};  // the loop reports it
+    enterMacro<Tr, Detailed>(tr, *op, t);
+
+    // The guards, as a flow-cache lookup applies them: per-op
+    // stability, then an entry cached under the live epoch for the
+    // stable context (a devectorization toggle moves it without an
+    // epoch bump). For the native translator each folds to a
+    // constant. A stop hands op, its protocol run, to the loop.
+    if (!tr.translationStable(*op))
+        return {op, SbExit::Unstable, macros};
+    const std::uint64_t epoch = tr.translationEpoch();
+    const unsigned ctx = tr.stableContext(*op);
+    if (!next || next->epoch != epoch || next->ctx != ctx) {
+        if (next)
+            ++fastpath_.counters_.invalidated;
+        const FlowCache::Entry *entry =
+            flowCache_.resident(static_cast<std::size_t>(op - code), ctx);
+        if (!entry || entry->macro.epoch != epoch ||
+            entry->macro.ctx != ctx) {
+            const bool stale = entry && entry->macro.epoch != epoch;
+            return {op,
+                    stale          ? SbExit::EpochBump
+                    : fell_through ? SbExit::End
+                                   : SbExit::Branch,
+                    macros};
+        }
+        next = &entry->macro;
+        if (fell_through && m != &scratch_.macro) {
+            m->next = next;
+            ++fastpath_.counters_.built;
+        }
+    }
+    tr.noteCachedTranslation(*op, *next->flow, ctx);
     goto next_macro;
 }
 
@@ -495,22 +519,15 @@ Simulation::runLoop(Tr &tr, std::uint64_t budget)
     if (done >= params_.maxInstructions)
         return 0;
     budget = std::min(budget, params_.maxInstructions - done);
-    const bool tier = !std::is_same_v<Tr, Translator> &&
-                      superblockEnabled_ && flowCacheEnabled_;
+    // Chaining reads the flow cache and the translator's protocol
+    // hooks, which the native translator and the CSD have inline; any
+    // other translator retires one macro per call.
+    constexpr bool typed = !std::is_same_v<Tr, Translator>;
+    const bool chain = typed && flowCacheEnabled_;
     HostProfiler *const prof =
         obs_->profiler().enabled() ? &obs_->profiler() : nullptr;
+    FastPath::Counters &counters = fastpath_.counters_;
 
-    // Region heads are where superblocks anchor: program entry, every
-    // branch target, and where a block chains on. Consulting only
-    // there keeps the heat counters (and block count) bounded by the
-    // branch structure rather than by static code size. A consult that
-    // fails right after a block ran (the op is cold, not compilable,
-    // or must be translated now) makes the op after it a head too;
-    // failing again before any block ran does not, so an uncompilable
-    // stretch costs one probe per block exit, not one per translated
-    // op.
-    bool head = true;
-    bool progressed = false;  //!< a block ran since the last translation
     std::uint64_t executed = 0;
     while (executed < budget && !state_.halted) {
         const MacroOp *op = prog_.at(state_.pc);
@@ -519,62 +536,42 @@ Simulation::runLoop(Tr &tr, std::uint64_t budget)
                       state_.pc);
         RetireTally tally{cycles_, lastFetchBlock_};
         enterMacro<Tr, Detailed>(tr, *op, tally);
-
-        bool head_after = false;  //!< consult after op, even unbranched
-        if (tier) {
-            const FastPath::Cursor at =
-                profiled(HostPhase::Superblock, [&] {
-                    return fastpath_->enter(
-                        *op, head, tr.translationEpoch(),
-                        head && tr.translationStable(*op));
-                });
-            if (!at.block) {
-                head_after = head && progressed;
-            } else {
-                progressed = true;
-                const std::uint64_t uops = uopsSimulated_ + tally.uops;
-                const RunStop stop = profiled(HostPhase::Superblock, [&] {
+        // Retire op from its translation and chain on; the macro a
+        // walk stops at has run its protocol: translate it and go on.
+        do {
+            const SbMacro *const m = translatedFlow(*op);
+            const std::uint64_t uops = uopsSimulated_ + tally.uops;
+            const RunStop stop = [&] {
+                // retireRun reads the translator only while chaining,
+                // so a translator outside it shares the native
+                // translator's instantiation.
+                if constexpr (!typed) {
+                    return retireRun<NativeTranslator, Taint, Detailed>(
+                        nativeTranslator_, m, 1, tally, prof);
+                } else {
                     return retireRun<Tr, Taint, Detailed>(
-                        tr, at.macro, at.block, budget - executed, tally,
-                        nullptr);
-                });
-                flushTally(tally);
-                fastpath_->leave(at, stop.at, stop.exit,
-                                 uopsSimulated_ - uops);
-                executed += static_cast<std::uint64_t>(stop.at - at.macro);
-                if (!sbExitMeta(stop.exit).resumesInterpreter) {
-                    head = true;  // chain into the next block
-                    continue;
+                        tr, m, chain ? budget - executed : 1, tally, prof);
                 }
-                if (stop.exit == SbExit::Budget)
-                    continue;
-                // A vetoed macro, its protocol run: translate it below.
-                // After an unstable exit the cursor waits at the next
-                // macro; should control go elsewhere, that is a head.
-                op = (*stop.at)->op;
-                head_after = stop.exit == SbExit::Unstable;
+            }();
+            flushTally(tally);
+            executed += stop.retired;
+            if (chain) {
+                // The macros after m were retired from resident entries
+                // the walk probed without counting: each is the hit its
+                // lookup would have been. A Halt is retired, uncounted.
+                ++counters.entries;
+                ++counters.exits[static_cast<unsigned>(stop.exit)];
+                const std::uint64_t macros =
+                    stop.retired + (state_.halted ? 1 : 0);
+                if (macros > 1) {
+                    counters.macrosRetired += macros - 1;
+                    counters.uopsRetired +=
+                        uopsSimulated_ - uops - m->dynCount;
+                    flowCache_.hits += macros - 1;
+                }
             }
-        }
-
-        const SbMacro *const m = translatedFlow(*op);
-        const RunStop stop = [&] {
-            // retireRun reads the translator only in compiled runs,
-            // which a translator outside the tier never has: it
-            // shares the native translator's instantiation.
-            if constexpr (std::is_same_v<Tr, Translator>) {
-                return retireRun<NativeTranslator, Taint, Detailed>(
-                    nativeTranslator_, &m, nullptr, 1, tally, prof);
-            } else {
-                return retireRun<Tr, Taint, Detailed>(tr, &m, nullptr, 1,
-                                                      tally, prof);
-            }
-        }();
-        flushTally(tally);
-        if (state_.halted)
-            break;  // the Halt is not counted
-        ++executed;
-        head = stop.tookBranch || head_after;
-        progressed = false;
+            op = stop.at;
+        } while (op);
     }
     return executed;
 }

@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "csd/csd.hh"
 #include "csd/devect.hh"
-#include "sim/fastpath.hh"
 
 namespace csd
 {
@@ -57,14 +56,8 @@ Simulation::Simulation(const Program &prog, const SimParams &params,
     // Predecoded-flow cache: on unless CSD_FLOW_CACHE=0 (host-side
     // only; simulated timing/stats are identical either way). One
     // slot per static instruction, indexed by position in code().
-    const Knobs &knobs = Knobs::process();
     flowCache_.reset(prog.code().size());
-    flowCacheEnabled_ = knobs.flag(Knob::FlowCache);
-
-    // Superblock tier (host-side; both fidelities, see run()).
-    fastpath_ = std::make_unique<FastPath>(*this);
-    fastpath_->reset(prog.code().size());
-    superblockEnabled_ = knobs.flag(Knob::Superblock);
+    flowCacheEnabled_ = Knobs::process().flag(Knob::FlowCache);
 
     stats_.addCounter("instructions", &instructions_,
                       "macro-ops committed");
@@ -202,38 +195,18 @@ void
 Simulation::setTranslator(Translator *translator)
 {
     translator_ = translator ? translator : &nativeTranslator_;
-    // Cached flows belong to the previous translator: drop them, and
-    // the superblocks compiled from them (a new translator may reuse
-    // epoch numbers, so the entry-time epoch compare alone can't tell
-    // its flows from the old ones).
+    // Cached flows belong to the previous translator: drop them (a new
+    // translator may reuse epoch numbers, so the epoch compare alone
+    // can't tell its flows from the old ones).
     flowCache_.clear();
-    fastpath_->clear();
 }
 
 void
 Simulation::setFlowCacheEnabled(bool on)
 {
     flowCacheEnabled_ = on;
-    if (!on) {
-        flowCache_.clear();
-        // Superblocks point into the flow cache's entries; with the
-        // flows destroyed under an unchanged epoch they must go too.
-        fastpath_->clear();
-    }
-}
-
-void
-Simulation::setSuperblockEnabled(bool on)
-{
-    superblockEnabled_ = on;
     if (!on)
-        fastpath_->clear();
-}
-
-void
-Simulation::setSuperblockThreshold(std::uint32_t threshold)
-{
-    fastpath_->setThreshold(threshold);
+        flowCache_.clear();
 }
 
 const SbMacro *
@@ -269,8 +242,8 @@ Simulation::translatedFlow(const MacroOp &op)
         applySpTracking(flow, params_.frontend);
         const unsigned got = translator_->contextId();
         // Only a flow of the context the lookup expected is cached:
-        // filed under another context, it could overwrite a live entry
-        // compiled blocks list.
+        // filed under another context, it could overwrite the live
+        // entry of the context it was looked up for.
         if (cached && got == ctx && FlowCache::admits(flow)) {
             return &flowCache_
                         .insert(slot, epoch, ctx, op, std::move(flow),

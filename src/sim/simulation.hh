@@ -17,12 +17,12 @@
  * trace time hint, power-gating hook, translator tick — and then
  * retires through one routine (retireRun) that walks resolved macros'
  * uop spans (decode/flow_cache.hh) through the functional handlers, the
- * fidelity's timing consumer, DIFT and the commit bookkeeping. The
- * stream comes from a superblock the tier (sim/fastpath.hh) compiled
- * for a hot region, whose later macros then pass the protocol inside
- * the same call, or else from the one macro's entry in the
- * predecoded-flow cache, or, when it cannot be cached, from a
- * translation resolved into scratch.
+ * fidelity's timing consumer, DIFT and the commit bookkeeping. A macro
+ * retires from its entry in the predecoded-flow cache or, when it
+ * cannot be cached, from a translation resolved into scratch; after
+ * it, the routine chains on through the next macros' resident entries
+ * in the same call, each passing its protocol and the flow cache's
+ * guards first (sim/fastpath.hh).
  */
 
 #ifndef CSD_SIM_SIMULATION_HH
@@ -43,7 +43,6 @@
 #include "cpu/lifecycle.hh"
 #include "decode/flow_cache.hh"
 #include "decode/frontend.hh"
-#include "decode/superblock.hh"
 #include "decode/translator.hh"
 #include "dift/taint.hh"
 #include "isa/program.hh"
@@ -52,12 +51,12 @@
 #include "obs/manifest.hh"
 #include "power/energy.hh"
 #include "power/gating.hh"
+#include "sim/fastpath.hh"
 
 namespace csd
 {
 
 class ContextSensitiveDecoder;
-class FastPath;
 
 /** Simulation fidelity. */
 enum class SimMode : std::uint8_t
@@ -126,10 +125,13 @@ class Simulation
     void setPowerController(PowerGateController *power);
 
     /**
-     * Toggle the host-side predecoded-flow cache (decode/flow_cache.hh).
-     * On by default; CSD_FLOW_CACHE=0 in the environment disables it.
-     * Purely a host optimization: simulated timing and statistics are
-     * bit-identical either way (tests/sim/test_flow_cache.cc).
+     * Toggle the host-side predecoded-flow cache (decode/flow_cache.hh)
+     * and with it the chaining of resident entries (sim/fastpath.hh),
+     * which runs for the native translator and the CSD installed by
+     * setCsd(). On by default; CSD_FLOW_CACHE=0 in the environment
+     * disables it. Purely a host optimization: simulated timing and
+     * statistics are bit-identical either way
+     * (tests/sim/test_flow_cache.cc, tests/sim/test_chain.cc).
      */
     void setFlowCacheEnabled(bool on);
     bool flowCacheEnabled() const { return flowCacheEnabled_; }
@@ -137,30 +139,8 @@ class Simulation
     /** Host-side hit/miss accounting for the predecoded-flow cache. */
     const FlowCache &flowCache() const { return flowCache_; }
 
-    /**
-     * Toggle the superblock tier (sim/fastpath.hh): in either
-     * fidelity, hot straight-line regions of cached flows are compiled
-     * into flat pre-resolved uop streams and retired without the
-     * per-macro interpreter overhead. On by default;
-     * CSD_SUPERBLOCK=0 in the environment disables it. Purely a host
-     * optimization: simulated timing and statistics are bit-identical
-     * either way (tests/sim/test_superblock.cc). The tier engages only
-     * when the flow cache is enabled (so disabling the flow cache also
-     * disables the tier) and the translator is the native one or the
-     * CSD installed by setCsd() (run() re-checks per call); tracing and
-     * a power controller run on it like any other macro.
-     */
-    void setSuperblockEnabled(bool on);
-    bool superblockEnabled() const { return superblockEnabled_; }
-
-    /**
-     * Region-entry count at which a hot head is compiled (>= 1; default
-     * 16).
-     */
-    void setSuperblockThreshold(std::uint32_t threshold);
-
-    /** The superblock tier's host-side counters and block cache. */
-    const FastPath &fastPath() const { return *fastpath_; }
+    /** The chain's host-side counters (sim/fastpath.hh). */
+    const FastPath &fastPath() const { return fastpath_; }
 
     /**
      * Sample the statistics named by @p stat_paths (dotted paths under
@@ -328,7 +308,7 @@ class Simulation
     /**
      * The accounting retireRun() accumulates instead of updating the
      * members per macro; flushTally() applies it. The loop keeps one
-     * per iteration, across a whole run of compiled macros. cycles and
+     * per iteration, across the chains it retires. cycles and
      * lastFetch are the cache-only clock and I-fetch dedup (detailed
      * mode's timing consumer keeps the clock in cycles_).
      */
@@ -345,16 +325,18 @@ class Simulation
     /** Where and why retireRun() stopped. */
     struct RunStop
     {
-        const SbMacro *const *at;  //!< the first macro it did not retire
+        /** The macro it stopped at, its protocol run, for the loop to
+         *  translate; null when nothing is pending (budget, Halt). */
+        const MacroOp *at;
         SbExit exit;
-        bool tookBranch;    //!< the last retired macro took a branch
+        std::uint64_t retired;  //!< macros retired, a Halt not counted
     };
 
     /**
      * run(), specialized on the translator's concrete type (the
      * native translator's protocol hooks fold away and the CSD's
-     * inline ones devirtualize; any other Translator never runs
-     * compiled blocks), DIFT and the fidelity.
+     * inline ones devirtualize; any other Translator never chains),
+     * DIFT and the fidelity.
      */
     template <class Tr, bool Taint, bool Detailed>
     std::uint64_t runLoop(Tr &tr, std::uint64_t budget);
@@ -369,29 +351,24 @@ class Simulation
     void enterMacro(Tr &tr, const MacroOp &op, RetireTally &t);
 
     /**
-     * Retire a run of resolved macros starting at @p m, whose protocol
-     * has run, for the native translator or the CSD (@p tr is read
-     * only in compiled runs): with @p block null, *@p m alone;
-     * otherwise *@p m and the macros after it in @p block's list. Per
-     * uop of each macro's span: the functional
-     * handler, fused in cache-only mode with the memory probe and the
-     * slot/decoy/energy accounting, DIFT propagation (Taint); per
-     * macro, in detailed mode, the timing consumer below; then the
-     * commit (instruction and uop counts, flow-length sample,
+     * Retire @p from, whose protocol has run, and chain on through the
+     * macros after it, for the native translator or the CSD (@p tr is
+     * read only while chaining). Per uop of each macro's span: the
+     * functional handler, fused in cache-only mode with the memory
+     * probe and the slot/decoy/energy accounting, DIFT propagation
+     * (Taint); per macro, in detailed mode, the timing consumer below;
+     * then the commit (instruction and uop counts, flow-length sample,
      * macro-fusion pairing, interval sampling). A Halt uop ends its
-     * macro, as the reference executor's flow loop does. Each compiled
-     * macro first passes the guards — epoch, stability, stable context
-     * — and replays its cached translation; each after the first
-     * passes the protocol (enterMacro) too. The run stops on a taken
-     * branch, at the block's end, after @p room macros, or at a macro
-     * a guard vetoes, with its protocol run. @p prof, when non-null,
-     * is charged the functional and timing halves separately (a
-     * translated macro's run; block runs are charged to
-     * HostPhase::Superblock whole).
+     * macro, as the reference executor's flow loop does. Each macro
+     * after @p from passes its protocol (enterMacro), then the guards —
+     * stability, and an entry resident under the live epoch for its
+     * stable context — and replays its cached translation. The walk
+     * stops after @p room macros, at a Halt, or at a macro without a
+     * resident entry, with its protocol run. @p prof, when non-null,
+     * is charged the functional and timing halves of every macro.
      */
     template <class Tr, bool Taint, bool Detailed>
-    RunStop retireRun(Tr &tr, const SbMacro *const *m,
-                      const Superblock *block, std::uint64_t room,
+    RunStop retireRun(Tr &tr, const SbMacro *from, std::uint64_t room,
                       RetireTally &t, HostProfiler *prof);
 
     /** Apply @p t's deltas (and cache-only clock) to the members. */
@@ -474,11 +451,7 @@ class Simulation
     FlowCache flowCache_;
     bool flowCacheEnabled_ = true;
 
-    // Superblock tier (host optimization, see run()). FastPath is a
-    // friend: its head consult compiles from the flow cache.
-    friend class FastPath;
-    std::unique_ptr<FastPath> fastpath_;
-    bool superblockEnabled_ = true;
+    FastPath fastpath_;  //!< the chain's host-side counters
 
     // The uncached path's translation, resolved in the flow cache's
     // form (reused across macros, so its span's buffer survives).

@@ -56,15 +56,17 @@ struct UopFlow
 
     /**
      * Number of uops the flow delivers dynamically, expanding the
-     * micro-loop (one body replay counts each body uop once per trip).
+     * micro-loop as FunctionalExecutor::executeInto does: prologue,
+     * the body once per trip (not at all for a zero-trip loop), then
+     * the epilogue.
      */
     std::uint64_t
     expandedCount() const
     {
         std::uint64_t count = uops.size();
-        if (loop && loop->tripCount > 0) {
+        if (loop) {
             const std::uint64_t body = loop->bodyEnd - loop->bodyStart;
-            count += body * (loop->tripCount - 1);
+            count = count - body + body * loop->tripCount;
         }
         return count;
     }

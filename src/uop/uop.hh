@@ -193,8 +193,8 @@ enum class FuClass : std::uint8_t
 /**
  * One micro-op. The one-byte fields come first and the 8-byte ones
  * last, so the struct packs into 56 bytes with no interior padding
- * (flow-cache entries hold four inline, superblock streams and
- * lifecycle records point at or copy them).
+ * (flow-cache entries hold four inline, resolved spans and lifecycle
+ * records point at or copy them).
  */
 struct Uop
 {

@@ -164,16 +164,16 @@ measurementJson(const ChannelMeasurement &m)
 }
 
 /**
- * The SuperblockView --tiers runs under: the real one, or one with a
+ * The EntryView --tiers runs under: the real one, or one with a
  * deliberate defect spliced in so CI can prove each tier.* check
  * actually fires (pattern of --inject-dynamic-defect). The injection
- * lives in the view, never in a real block, so the build under test
+ * lives in the view, never in a real entry, so the build under test
  * stays healthy.
  */
-SuperblockView
+EntryView
 tierView(const std::string &defect)
 {
-    SuperblockView view = SuperblockView::real();
+    EntryView view = EntryView::real();
     if (defect == "handler") {
         // Route every scalar load to the Nop handler: wrong semantics
         // AND a dropped memory timing probe.
@@ -184,12 +184,6 @@ tierView(const std::string &defect)
     } else if (defect == "energy") {
         // Skew every precomputed scalar by a representable amount.
         view.energyOf = [](const SbOp &op) { return op.energy + 0.125; };
-    } else if (defect == "guard") {
-        // Drop the epoch compare from every macro boundary.
-        view.guardsOf = [](const SbMacro &macro) {
-            return static_cast<std::uint8_t>(macro.guards &
-                                             ~sbGuardEpoch);
-        };
     } else if (defect == "timing") {
         // Every load's record loses its memory access: the detailed
         // back end would charge it an ALU latency, not the cache's.
@@ -198,23 +192,6 @@ tierView(const std::string &defect)
             if (op.uop->op == MicroOpcode::Load)
                 rec.mem = UopMemKind::None;
             return rec;
-        };
-    } else if (defect == "context") {
-        // Drop the stable-context compare: a block compiled before a
-        // devectorization toggle would replay its vector ops' flows.
-        view.guardsOf = [](const SbMacro &macro) {
-            return static_cast<std::uint8_t>(macro.guards &
-                                             ~sbGuardContext);
-        };
-    } else if (defect == "reentry") {
-        // An epoch bump resumes the stale block at the next macro.
-        view.exitMetaOf = [](SbExit exit) {
-            SbExitMeta meta = sbExitMeta(exit);
-            if (exit == SbExit::EpochBump) {
-                meta.reentersBlock = true;
-                meta.interpreterMacros = 1;
-            }
-            return meta;
         };
     }
     return view;
@@ -227,9 +204,7 @@ tierAuditJson(const std::string &target, const char *config,
 {
     std::ostringstream os;
     os << "{\"target\": \"" << target << "\", \"config\": \"" << config
-       << "\", \"heads\": " << audit.heads
-       << ", \"blocks\": " << audit.blocks
-       << ", \"macros\": " << audit.macros
+       << "\", \"entries\": " << audit.entries
        << ", \"uops\": " << audit.uops << "}";
     return os.str();
 }
@@ -306,14 +281,13 @@ usage(const char *argv0, std::FILE *out)
                  "  --inject-dynamic-defect\n"
                  "               inflate the dynamic measurement so the\n"
                  "               cross-check must fail (CI self-test)\n"
-                 "  --tiers      prove compiled superblock streams\n"
-                 "               equivalent to the translator semantics\n"
-                 "               (native, CSD, and devectorizing\n"
-                 "               configurations per target)\n"
+                 "  --tiers      prove the flow cache's resolved\n"
+                 "               translations equivalent to the\n"
+                 "               translator semantics (native, CSD, and\n"
+                 "               devectorizing configurations per target)\n"
                  "  --inject-tier-defect KIND\n"
-                 "               splice a defect (handler|energy|guard|\n"
-                 "               context|timing|reentry)\n"
-                 "               into the prover's SuperblockView so the\n"
+                 "               splice a defect (handler|energy|timing)\n"
+                 "               into the prover's EntryView so the\n"
                  "               matching tier.* check must fail\n"
                  "  --mcu        prove the shipped microcode-update\n"
                  "               defense blobs admissible: integrity,\n"
@@ -369,11 +343,9 @@ main(int argc, char **argv)
         } else if (arg == "--inject-tier-defect" && i + 1 < argc) {
             tierDefect = argv[++i];
             if (tierDefect != "handler" && tierDefect != "energy" &&
-                tierDefect != "guard" && tierDefect != "context" &&
-                tierDefect != "timing" && tierDefect != "reentry") {
+                tierDefect != "timing") {
                 std::fprintf(stderr, "csd-lint: unknown tier defect "
-                             "'%s' (handler|energy|guard|context|"
-                             "timing|reentry)\n",
+                             "'%s' (handler|energy|timing)\n",
                              tierDefect.c_str());
                 return 2;
             }
@@ -522,18 +494,17 @@ main(int argc, char **argv)
             }
 
             if (tiers) {
-                const SuperblockView view = tierView(tierDefect);
+                const EntryView view = tierView(tierDefect);
                 const auto sweep = [&](const char *config,
                                        Translator &translator) {
                     VerifyReport tierReport;
                     const TierAudit audit = auditProgramTiers(
                         program, translator, tierReport, view);
-                    std::printf("%-14s tiers[%s]: %zu block(s), %zu "
-                                "macro(s), %zu uop(s) proved over %zu "
-                                "head(s)\n",
-                                target.name.c_str(), config,
-                                audit.blocks, audit.macros, audit.uops,
-                                audit.heads);
+                    std::printf("%-14s tiers[%s]: %zu entr%s, %zu "
+                                "uop(s) proved\n",
+                                target.name.c_str(), config, audit.entries,
+                                audit.entries == 1 ? "y" : "ies",
+                                audit.uops);
                     if (!tierReport.empty())
                         std::printf("%s", tierReport.text().c_str());
                     combined.merge(std::move(tierReport));
@@ -542,8 +513,8 @@ main(int argc, char **argv)
                                                audit);
                 };
 
-                // The same translator configurations the simulator
-                // runs the tier under: the static native translation,
+                // The translator configurations the simulator caches
+                // flows under: the static native translation,
                 // the CSD with the target's canonical defense armed,
                 // and the CSD devectorizing (ctxDevect stable flows).
                 NativeTranslator native;

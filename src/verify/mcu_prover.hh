@@ -36,7 +36,7 @@
  *
  * All engine state is read through McuBlobView (a struct of
  * std::functions with a real() factory, like MicroTableView and
- * SuperblockView) so seeded-defect tests prove every check fires
+ * EntryView) so seeded-defect tests prove every check fires
  * without corrupting a real blob or engine. The prover doubles as the
  * runtime admission hook: mcuAdmissionProver() adapts it to
  * McuEngine::setAdmissionProver so offline lint and applyUpdate are

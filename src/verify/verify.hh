@@ -12,9 +12,9 @@
  *    micro-table audit (trans.*, tables.* checks).
  *
  * A third pass family lives in verify/tier_equiv.hh: the static
- * tier-equivalence prover (tier.* checks), which proves compiled
- * superblock streams equivalent to the reference translator semantics
- * (csd-lint --tiers).
+ * tier-equivalence prover (tier.* checks), which proves the flow
+ * cache's resolved translations equivalent to the reference translator
+ * semantics (csd-lint --tiers).
  *
  * The standalone csd-lint driver (csd_lint.cc) runs all of them over
  * every shipped workload; ProgramBuilder::build() runs the cheap

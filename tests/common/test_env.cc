@@ -141,8 +141,9 @@ TEST(EnvParse, CountKnobsRejectZeroAndJunk)
  */
 TEST(EnvParse, UnknownKnobNamesAreFatal)
 {
-    for (const char *bad : {"CSD_SUPERBLOK=0", "CSD_BENCH_JOBS=2",
-                            "CSD_LIFECYCLE=1", "CSD_=1"}) {
+    for (const char *bad : {"CSD_SUPERBLOK=0", "CSD_SUPERBLOCK=0",
+                            "CSD_BENCH_JOBS=2", "CSD_LIFECYCLE=1",
+                            "CSD_=1"}) {
         const char *const block[] = {"PATH=/bin", bad, nullptr};
         const std::string name(bad, std::string_view(bad).find('='));
         try {
@@ -154,16 +155,15 @@ TEST(EnvParse, UnknownKnobNamesAreFatal)
         }
     }
 
-    const char *const block[] = {"HOME=/root", "CSD_SUPERBLOCK=0",
+    const char *const block[] = {"HOME=/root", "CSD_FLOW_CACHE=0",
                                  "CSD_TRACE_FILE=t=%c.json",
                                  "XCSD_BOGUS=1", "csd_bogus=1", nullptr};
     const Knobs knobs(block);
-    EXPECT_FALSE(knobs.flag(Knob::Superblock));
-    EXPECT_TRUE(knobs.flag(Knob::FlowCache));
+    EXPECT_FALSE(knobs.flag(Knob::FlowCache));
     EXPECT_EQ(knobs.text(Knob::TraceFile), "t=%c.json");
 
     const char *const empty[] = {nullptr};
-    EXPECT_TRUE(Knobs(empty).flag(Knob::Superblock));
+    EXPECT_TRUE(Knobs(empty).flag(Knob::FlowCache));
 }
 
 TEST(EnvParse, TraceKnobRejectsUnknownFlags)

@@ -66,24 +66,25 @@ TEST(Profiler, EndToEndCountsMatchExecution)
 
 TEST(Profiler, WrappedRunStaysOnTheInterpreter)
 {
-    // The superblock tier is compiled for the native translator and
-    // the CSD only: with the tier enabled, a profiler-wrapped run
-    // still takes the interpreter, and counts exactly what the
-    // tier-off run counts.
+    // The retire routine chains resident entries for the native
+    // translator and the CSD only: a profiler-wrapped run retires one
+    // translated macro per call, flow cache on or off, and counts the
+    // same either way; the bare native translator on the same program
+    // chains, and the simulation cannot tell the two apart.
     const Program prog = mixedProgram();
     struct Outcome
     {
         std::vector<std::uint64_t> counts;
         std::string stats;
-        std::uint64_t entries = 0;
+        FastPath::Counters chain;
     };
-    const auto run = [&](bool tier) {
+    const auto run = [&](bool flow_cache, bool wrapped) {
         NativeTranslator native;
         DecoderProfiler profiler(native);
         Simulation sim(prog);
-        sim.setSuperblockEnabled(tier);
-        sim.setSuperblockThreshold(1);
-        sim.setTranslator(&profiler);
+        sim.setFlowCacheEnabled(flow_cache);
+        if (wrapped)
+            sim.setTranslator(&profiler);
         for (int i = 0; i < 3; ++i) {
             sim.restart();
             sim.runToHalt();
@@ -96,15 +97,18 @@ TEST(Profiler, WrappedRunStaysOnTheInterpreter)
         std::ostringstream os;
         sim.stats().dumpJson(os);
         out.stats = os.str();
-        out.entries = sim.fastPath().counters().entries;
+        out.chain = sim.fastPath().counters();
         return out;
     };
-    const Outcome on = run(true);
-    const Outcome off = run(false);
-    EXPECT_EQ(on.entries, 0u);
+    const Outcome on = run(true, true);
+    const Outcome off = run(false, true);
+    const Outcome bare = run(true, false);
+    EXPECT_EQ(on.chain.entries, 0u);
     EXPECT_EQ(on.counts, off.counts);
     EXPECT_EQ(on.stats, off.stats);
     EXPECT_GT(on.counts.front(), 0u);
+    EXPECT_GT(bare.chain.macrosRetired, 0u);
+    EXPECT_EQ(bare.stats, on.stats);
 }
 
 TEST(Profiler, HotnessProfileFindsTheLoop)

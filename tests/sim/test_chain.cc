@@ -23,15 +23,21 @@ namespace
 {
 
 /**
- * The superblock tier (sim/fastpath.hh) is, like the flow cache it
- * builds on, a host-side optimization: with the tier on or off the
- * simulated machine must be bit-identical — cycles, uop counts,
- * energy scalars, the whole stat tree. These tests mirror the
- * flow-cache equivalence suite in both fidelities across the paper's
- * crypto victims and the adversarial trigger-toggling program (in
- * detailed mode with the CPI stack and lifecycle tracer armed), pin
- * the tier's exit and resume protocol with targeted unit scenarios,
- * and run a randomized differential over generated programs.
+ * The retire routine's chain (sim/fastpath.hh) retires runs of
+ * resident flow-cache entries in one call. Like the flow cache it
+ * runs on, it is a host-side optimization: with the flow cache on
+ * (chained) or off (every macro translated, one per call) the
+ * simulated machine must be bit-identical — cycles, uop counts, energy
+ * scalars, the whole stat tree. These tests compare the two in both
+ * fidelities across the paper's crypto victims and the adversarial
+ * trigger-toggling program (in detailed mode with the CPI stack and
+ * lifecycle tracer armed), pin where and why a walk stops with
+ * targeted unit scenarios, and run a randomized differential over
+ * generated programs.
+ *
+ * The suite names (Superblock*) are those of the superblock tier the
+ * chain replaced; each test keeps its scenario and now holds the chain
+ * to it.
  */
 
 struct CacheOnlyRecord
@@ -41,7 +47,7 @@ struct CacheOnlyRecord
     std::uint64_t instructions = 0;
     std::string simStats;  //!< full dumpStatsJson text (phases scrubbed)
     std::string csdStats;  //!< the CSD's own stat tree (when attached)
-    FastPath::Counters fp; //!< host-side tier counters
+    FastPath::Counters fp; //!< host-side chain counters
 };
 
 /** Blank the manifest's host wall-time phases (nondeterministic). */
@@ -84,13 +90,13 @@ expectIdentical(const CacheOnlyRecord &on, const CacheOnlyRecord &off)
     EXPECT_EQ(on.instructions, off.instructions);
     EXPECT_PRED_FORMAT2(testsupport::sameDump, on.simStats, off.simStats);
     EXPECT_PRED_FORMAT2(testsupport::sameDump, on.csdStats, off.csdStats);
-    // The tier-off run must never have entered a superblock.
+    // The flow-cache-off run must never have chained.
     EXPECT_EQ(off.fp.entries, 0u);
     EXPECT_EQ(off.fp.built, 0u);
 }
 
 CacheOnlyRecord
-runAesNative(bool tier_on)
+runAesNative(bool flow_cache_on)
 {
     std::array<std::uint8_t, 16> key{};
     for (unsigned i = 0; i < 16; ++i)
@@ -100,8 +106,7 @@ runAesNative(bool tier_on)
     SimParams params;
     params.mode = SimMode::CacheOnly;
     Simulation sim(workload.program, params);
-    sim.setSuperblockEnabled(tier_on);
-    sim.setSuperblockThreshold(2);
+    sim.setFlowCacheEnabled(flow_cache_on);
 
     for (int block = 0; block < 6; ++block) {
         AesReference::Block plain{};
@@ -115,7 +120,7 @@ runAesNative(bool tier_on)
 }
 
 CacheOnlyRecord
-runRsaStealth(bool tier_on)
+runRsaStealth(bool flow_cache_on)
 {
     const RsaWorkload workload = RsaWorkload::build(
         {0x12345678u, 0x9abcdef0u}, {0xfffffff1u, 0xdeadbeefu},
@@ -124,8 +129,7 @@ runRsaStealth(bool tier_on)
     SimParams params;
     params.mode = SimMode::CacheOnly;
     Simulation sim(workload.program, params);
-    sim.setSuperblockEnabled(tier_on);
-    sim.setSuperblockThreshold(2);
+    sim.setFlowCacheEnabled(flow_cache_on);
 
     MsrFile msrs;
     TaintTracker taint;
@@ -144,10 +148,10 @@ runRsaStealth(bool tier_on)
 /**
  * The adversarial case: CSD trigger state toggles between phases
  * (stealth, devectorization, timing noise), each toggle an MSR write
- * that bumps the translation epoch and must drop compiled blocks.
+ * that bumps the translation epoch and stales every resident entry.
  */
 CacheOnlyRecord
-runTriggerToggling(bool tier_on)
+runTriggerToggling(bool flow_cache_on)
 {
     std::array<std::uint8_t, 16> key{};
     for (unsigned i = 0; i < 16; ++i)
@@ -157,8 +161,7 @@ runTriggerToggling(bool tier_on)
     SimParams params;
     params.mode = SimMode::CacheOnly;
     Simulation sim(workload.program, params);
-    sim.setSuperblockEnabled(tier_on);
-    sim.setSuperblockThreshold(2);
+    sim.setFlowCacheEnabled(flow_cache_on);
 
     MsrFile msrs;
     TaintTracker taint;
@@ -199,6 +202,23 @@ runTriggerToggling(bool tier_on)
     return finishRecord(sim, &csd);
 }
 
+/** Walks that stopped for @p exit. */
+std::uint64_t
+stops(const FastPath::Counters &c, SbExit exit)
+{
+    return c.exits[static_cast<unsigned>(exit)];
+}
+
+/** Sum of the walks' stop reasons. */
+std::uint64_t
+allStops(const FastPath::Counters &c)
+{
+    std::uint64_t total = 0;
+    for (unsigned i = 0; i < numSbExits; ++i)
+        total += c.exits[i];
+    return total;
+}
+
 TEST(Superblock, AesNativeBitIdentical)
 {
     const CacheOnlyRecord on = runAesNative(true);
@@ -215,6 +235,7 @@ TEST(Superblock, RsaStealthBitIdentical)
     const CacheOnlyRecord off = runRsaStealth(false);
     expectIdentical(on, off);
     EXPECT_GT(on.fp.entries, 0u);
+    EXPECT_GT(on.fp.macrosRetired, 0u);
 }
 
 TEST(Superblock, TriggerTogglingBitIdentical)
@@ -223,66 +244,52 @@ TEST(Superblock, TriggerTogglingBitIdentical)
     const CacheOnlyRecord off = runTriggerToggling(false);
     expectIdentical(on, off);
     EXPECT_GT(on.fp.entries, 0u);
-    // The MSR writes at phase entry bump the epoch; blocks compiled in
-    // the previous phase must be dropped at their next entry attempt.
-    EXPECT_GT(on.fp.invalidated, 0u);
+    // The MSR writes at phase entry bump the epoch: walks stop at the
+    // stale entries, which are re-translated, and each re-insert drops
+    // the entry's own link, so no link ever leads to a stale entry.
+    EXPECT_GT(stops(on.fp, SbExit::EpochBump), 0u);
+    EXPECT_EQ(on.fp.invalidated, 0u);
 }
 
-// --- exit-protocol unit scenarios --------------------------------------
-
-TEST(Superblock, ThresholdNotReachedNeverCompiles)
-{
-    std::array<std::uint8_t, 16> key{};
-    const AesWorkload workload = AesWorkload::build(key);
-    SimParams params;
-    params.mode = SimMode::CacheOnly;
-    Simulation sim(workload.program, params);
-    sim.setSuperblockThreshold(100000);
-
-    sim.runToHalt();
-    sim.restart();
-    sim.runToHalt();
-    EXPECT_EQ(sim.fastPath().counters().built, 0u);
-    EXPECT_EQ(sim.fastPath().counters().entries, 0u);
-}
+// --- where a walk stops -----------------------------------------------
 
 TEST(Superblock, BranchOutExitsBlock)
 {
-    // RSA's square-and-multiply loop takes real branches: a compiled
-    // straight-line region is left by a taken branch mid-stream (the
-    // loop back-edge), never by running past it into wrong code.
+    // RSA's square-and-multiply loop takes real branches. A walk
+    // follows a taken branch to a resident entry, so once every op is
+    // cached a whole invocation is one walk that ends at the Halt; on
+    // the cold first invocation, walks stop at uncached branch targets.
     const RsaWorkload workload = RsaWorkload::build(
         {0x12345678u, 0x9abcdef0u}, {0xfffffff1u, 0xdeadbeefu},
         0xb1e5, 16);
     SimParams params;
     params.mode = SimMode::CacheOnly;
     Simulation sim(workload.program, params);
-    sim.setSuperblockThreshold(1);
 
-    for (int i = 0; i < 2; ++i) {
-        sim.restart();
-        sim.runToHalt();
-    }
+    sim.runToHalt();
+    const FastPath::Counters cold = sim.fastPath().counters();
+    EXPECT_GT(stops(cold, SbExit::Branch), 0u);
+    sim.restart();
+    sim.runToHalt();
     const FastPath::Counters &fp = sim.fastPath().counters();
-    EXPECT_GT(fp.entries, 0u);
-    EXPECT_GT(fp.exits[static_cast<unsigned>(SbExit::Branch)], 0u);
-    // The sum over all exit reasons must equal the number of entries:
-    // every entered block leaves through exactly one recorded reason.
-    std::uint64_t total = 0;
-    for (unsigned i = 0; i < numSbExits; ++i)
-        total += fp.exits[i];
-    EXPECT_EQ(total, fp.entries);
+    EXPECT_EQ(fp.entries - cold.entries, 1u);
+    EXPECT_EQ(stops(fp, SbExit::End) - stops(cold, SbExit::End), 1u);
+    EXPECT_EQ(fp.macrosRetired - cold.macrosRetired,
+              sim.instructions() / 2 - 1);
+    // Every walk stops for exactly one recorded reason.
+    EXPECT_EQ(allStops(fp), fp.entries);
 }
 
 TEST(Superblock, EpochBumpMidBlockFallsBack)
 {
     // The stealth watchdog period (5000 cycles) outlives one AES run
-    // (~3200 cycles) but not two: blocks compile between retriggers,
-    // and then a retrigger fires mid-execution. A retrigger refills the
-    // decoy queue without changing any stable translation, so it keeps
-    // the epoch: the first tainted op surfaces as an Unstable exit and
-    // the compiled blocks stay valid. An MSR write does move the epoch,
-    // and the blocks compiled before it are dropped at their next entry.
+    // (~3200 cycles) but not two, so retriggers fire mid-walk. A
+    // retrigger refills the decoy queue without changing any stable
+    // translation, so it keeps the epoch: the walk stops at the first
+    // tainted op (Unstable), whose translation must be taken now, and
+    // every link stays good. An MSR write does move the epoch: the
+    // next walks stop at stale entries, whose re-insert under the new
+    // epoch drops their links.
     std::array<std::uint8_t, 16> key{};
     for (unsigned i = 0; i < 16; ++i)
         key[i] = static_cast<std::uint8_t>(0x60 + i);
@@ -291,7 +298,6 @@ TEST(Superblock, EpochBumpMidBlockFallsBack)
     SimParams params;
     params.mode = SimMode::CacheOnly;
     Simulation sim(workload.program, params);
-    sim.setSuperblockThreshold(1);
 
     MsrFile msrs;
     TaintTracker taint;
@@ -310,12 +316,12 @@ TEST(Superblock, EpochBumpMidBlockFallsBack)
     const FastPath::Counters &fp = sim.fastPath().counters();
     EXPECT_GT(csd.stats().counterValue("watchdog_fires"), 1u);
     EXPECT_GT(fp.entries, 0u);
-    EXPECT_GT(fp.exits[static_cast<unsigned>(SbExit::Unstable)], 0u);
-    EXPECT_EQ(fp.exits[static_cast<unsigned>(SbExit::EpochBump)], 0u);
+    EXPECT_GT(stops(fp, SbExit::Unstable), 0u);
+    EXPECT_EQ(stops(fp, SbExit::EpochBump), 0u);
     EXPECT_EQ(fp.invalidated, 0u);
     EXPECT_EQ(sim.flowCache().invalidations, 0u);
 
-    // A decoy-range write halfway through a run bumps the epoch.
+    // A decoy-range write between two slices of a run bumps the epoch.
     const std::uint64_t epoch = csd.translationEpoch();
     sim.restart();
     sim.run(1000);
@@ -324,7 +330,8 @@ TEST(Superblock, EpochBumpMidBlockFallsBack)
     sim.runToHalt();
     sim.restart();
     sim.runToHalt();
-    EXPECT_GT(fp.invalidated, 0u);
+    EXPECT_GT(stops(fp, SbExit::EpochBump), 0u);
+    EXPECT_EQ(fp.invalidated, 0u);
     EXPECT_GT(sim.flowCache().invalidations, 0u);
 }
 
@@ -350,11 +357,11 @@ stealthDump(Simulation &sim, ContextSensitiveDecoder &csd)
 
 /**
  * A 100-cycle watchdog retriggers stealth many times per invocation,
- * so memoized flows and compiled blocks live across dozens of decoy
- * bursts. Runs @p invoke under every flow-cache x tier setting for
- * each fidelity and demands byte-identical dumps; in cache-only mode
- * with both on the tier must engage and the flow cache must keep
- * hitting across retriggers.
+ * so memoized flows and their links live across dozens of decoy
+ * bursts. Runs @p invoke with the flow cache off and on for each
+ * fidelity and demands byte-identical dumps; with the cache on the
+ * chain must engage, no link may go stale and the flow cache must
+ * keep hitting across retriggers.
  */
 template <class Setup, class Invoke>
 void
@@ -363,39 +370,33 @@ expectStealthDifferential(const Program &prog, Setup setup, Invoke invoke)
     for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
         std::string reference;
         for (const bool flow_cache : {false, true}) {
-            for (const bool tier : {false, true}) {
-                SimParams params;
-                params.mode = mode;
-                Simulation sim(prog, params);
-                sim.setFlowCacheEnabled(flow_cache);
-                sim.setSuperblockEnabled(tier);
-                sim.setSuperblockThreshold(2);
-                if (mode == SimMode::Detailed)
-                    sim.enableCpiStack();
-                MsrFile msrs;
-                TaintTracker taint;
-                ContextSensitiveDecoder csd(msrs, &taint);
-                msrs.setWatchdogPeriod(100);
-                setup(msrs, taint);
-                sim.setTaintTracker(&taint);
-                sim.setCsd(&csd);
-                invoke(sim);
+            SimParams params;
+            params.mode = mode;
+            Simulation sim(prog, params);
+            sim.setFlowCacheEnabled(flow_cache);
+            if (mode == SimMode::Detailed)
+                sim.enableCpiStack();
+            MsrFile msrs;
+            TaintTracker taint;
+            ContextSensitiveDecoder csd(msrs, &taint);
+            msrs.setWatchdogPeriod(100);
+            setup(msrs, taint);
+            sim.setTaintTracker(&taint);
+            sim.setCsd(&csd);
+            invoke(sim);
 
-                const std::string dump = stealthDump(sim, csd);
-                EXPECT_GT(csd.stats().counterValue("watchdog_fires"), 10u);
-                if (reference.empty())
-                    reference = dump;
-                EXPECT_PRED_FORMAT2(testsupport::sameDump, dump, reference)
-                    << (mode == SimMode::Detailed ? "detailed" : "cache-only")
-                    << " flow_cache=" << flow_cache << " tier=" << tier;
-                if (mode == SimMode::CacheOnly && flow_cache && tier) {
-                    EXPECT_GT(sim.fastPath().counters().entries, 0u);
-                    EXPECT_EQ(sim.fastPath().counters().invalidated, 0u);
-                }
-                if (flow_cache) {
-                    EXPECT_GT(sim.flowCache().hits, 0u);
-                    EXPECT_EQ(sim.flowCache().invalidations, 0u);
-                }
+            const std::string dump = stealthDump(sim, csd);
+            EXPECT_GT(csd.stats().counterValue("watchdog_fires"), 10u);
+            if (reference.empty())
+                reference = dump;
+            EXPECT_PRED_FORMAT2(testsupport::sameDump, dump, reference)
+                << (mode == SimMode::Detailed ? "detailed" : "cache-only")
+                << " flow_cache=" << flow_cache;
+            if (flow_cache) {
+                EXPECT_GT(sim.fastPath().counters().entries, 0u);
+                EXPECT_EQ(sim.fastPath().counters().invalidated, 0u);
+                EXPECT_GT(sim.flowCache().hits, 0u);
+                EXPECT_EQ(sim.flowCache().invalidations, 0u);
             }
         }
     }
@@ -448,78 +449,48 @@ TEST(Superblock, RsaWatchdog100IdenticalAcrossHostSwitches)
 
 TEST(Superblock, ExitNamesPinTheSidecarKeys)
 {
-    // bench_sim_throughput.cc emits one sidecar counter per exit
-    // reason under "superblock.exit_<name>"; dashboards key on the
-    // exact spellings, so renaming an enumerator is a breaking change
-    // this test makes explicit.
+    // bench_sim_throughput.cc emits one sidecar counter per stop
+    // reason under "chain.exit_<name>", and the repository benchmark
+    // one under "sb.exit.<name>"; both key on the exact spellings, so
+    // renaming an enumerator is a breaking change this test makes
+    // explicit.
     const std::array<const char *, numSbExits> names = {
         "end", "branch", "epoch_bump", "unstable", "budget"};
     for (unsigned i = 0; i < numSbExits; ++i) {
         const SbExit exit = static_cast<SbExit>(i);
         EXPECT_STREQ(sbExitName(exit), names[i]);
-        const std::string key =
-            std::string("superblock.exit_") + sbExitName(exit);
-        EXPECT_EQ(key, std::string("superblock.exit_") + names[i]);
+        const std::string key = std::string("chain.exit_") + sbExitName(exit);
+        EXPECT_EQ(key, std::string("chain.exit_") + names[i]);
     }
-}
-
-TEST(Superblock, ExitMetaContractInvariants)
-{
-    // The contract the tier-equivalence prover enforces per block
-    // (verify/tier_equiv.hh): every exit flushes a clean whole-macro
-    // prefix; only End is not a mid-block exit; the exits taken under
-    // changed translation state (epoch bump, instability) hand control
-    // back to the interpreter instead of chaining into another block.
-    for (unsigned i = 0; i < numSbExits; ++i) {
-        const SbExit exit = static_cast<SbExit>(i);
-        const SbExitMeta meta = sbExitMeta(exit);
-        EXPECT_TRUE(meta.flushesPrefix) << sbExitName(exit);
-        EXPECT_EQ(meta.midBlock, exit != SbExit::End) << sbExitName(exit);
-    }
-    EXPECT_TRUE(sbExitMeta(SbExit::EpochBump).resumesInterpreter);
-    EXPECT_TRUE(sbExitMeta(SbExit::Unstable).resumesInterpreter);
-    EXPECT_TRUE(sbExitMeta(SbExit::Budget).resumesInterpreter);
-    EXPECT_FALSE(sbExitMeta(SbExit::Branch).resumesInterpreter);
-    EXPECT_FALSE(sbExitMeta(SbExit::End).resumesInterpreter);
-    // Re-entry points: k+1 once the interpreter retired the vetoed
-    // macro k, k itself after a budget slice, never after an epoch
-    // bump (the block's translations are stale).
-    EXPECT_TRUE(sbExitMeta(SbExit::Unstable).reentersBlock);
-    EXPECT_EQ(sbExitMeta(SbExit::Unstable).interpreterMacros, 1u);
-    EXPECT_TRUE(sbExitMeta(SbExit::Budget).reentersBlock);
-    EXPECT_EQ(sbExitMeta(SbExit::Budget).interpreterMacros, 0u);
-    EXPECT_FALSE(sbExitMeta(SbExit::EpochBump).reentersBlock);
-    EXPECT_FALSE(sbExitMeta(SbExit::Branch).reentersBlock);
-    EXPECT_FALSE(sbExitMeta(SbExit::End).reentersBlock);
 }
 
 TEST(Superblock, DisablingDropsCompiledBlocks)
 {
+    // Disabling the flow cache drops every entry, and with them every
+    // link; nothing chains afterwards.
     std::array<std::uint8_t, 16> key{};
     const AesWorkload workload = AesWorkload::build(key);
     SimParams params;
     params.mode = SimMode::CacheOnly;
     Simulation sim(workload.program, params);
-    sim.setSuperblockThreshold(1);
 
-    // Two runs: the first fills the flow cache (a build at the entry
-    // head can only stitch already-cached flows), the second compiles.
-    sim.restart();
     sim.runToHalt();
     sim.restart();
     sim.runToHalt();
     ASSERT_GT(sim.fastPath().counters().built, 0u);
-    ASSERT_GT(sim.fastPath().cache().size(), 0u);
+    ASSERT_GT(sim.flowCache().size(), 0u);
 
-    sim.setSuperblockEnabled(false);
-    EXPECT_EQ(sim.fastPath().cache().size(), 0u);
-    const std::uint64_t entries_before = sim.fastPath().counters().entries;
+    sim.setFlowCacheEnabled(false);
+    EXPECT_EQ(sim.flowCache().size(), 0u);
+    const FastPath::Counters before = sim.fastPath().counters();
     sim.restart();
     sim.runToHalt();
-    EXPECT_EQ(sim.fastPath().counters().entries, entries_before);
+    EXPECT_EQ(sim.fastPath().counters().entries, before.entries);
+    EXPECT_EQ(sim.fastPath().counters().macrosRetired,
+              before.macrosRetired);
 }
 
-// --- detailed mode on the superblock stream ------------------------------
+// --- detailed mode ------------------------------------------------------
 
 /** One CSD setup step; null = native translator (no CSD attached). */
 using CsdSetup = std::function<void(MsrFile &, TaintTracker &,
@@ -532,18 +503,20 @@ struct HostConfig
 {
     SimMode mode = SimMode::Detailed;
     bool flowCache = true;
-    bool tier = true;
-    std::uint32_t threshold = 16;
     bool traced = false;  //!< every trace flag on, in a private context
 };
 
-/** Everything a run publishes, plus the host-side tier counters. */
+/** Everything a run publishes, plus the host-side counters. */
 struct FullRecord
 {
     std::string dump;   //!< stats + CSD + DIFT trees, CPI stack, lifecycle
     std::string dift;   //!< the DIFT tree alone
     std::string trace;  //!< the Chrome trace export (traced runs)
     FastPath::Counters fp;
+    std::uint64_t uops = 0;  //!< uopsSimulated()
+    std::uint64_t fcHits = 0;
+    std::uint64_t fcMisses = 0;
+    std::uint64_t fcBypasses = 0;
 };
 
 /**
@@ -579,8 +552,6 @@ runFull(const Program &prog, const HostConfig &host, const CsdSetup &setup,
     }
     Simulation sim(prog, params);
     sim.setFlowCacheEnabled(host.flowCache);
-    sim.setSuperblockEnabled(host.tier);
-    sim.setSuperblockThreshold(host.threshold);
     if (host.mode == SimMode::Detailed) {
         sim.enableCpiStack();
         sim.enableLifecycle(1 << 12);
@@ -638,34 +609,31 @@ runFull(const Program &prog, const HostConfig &host, const CsdSetup &setup,
         rec.trace = trace_os.str();
     }
     rec.fp = sim.fastPath().counters();
+    rec.uops = sim.uopsSimulated();
+    rec.fcHits = sim.flowCache().hits;
+    rec.fcMisses = sim.flowCache().misses;
+    rec.fcBypasses = sim.flowCache().bypasses;
     return rec;
 }
 
 /**
- * Detailed mode, CPI stack and lifecycle armed: the tier at threshold
- * 1 and 16 must publish exactly what the interpreter does, and at
- * threshold 1 it must engage. Returns the threshold-1 record for
- * scenario-specific checks.
+ * Detailed mode, CPI stack and lifecycle armed: the chained run must
+ * publish exactly what the flow-cache-off run does, and chain.
+ * Returns the chained record for scenario-specific checks.
  */
 FullRecord
-expectDetailedTierIdentical(const Program &prog, const CsdSetup &setup,
-                            const Invoke &invoke)
+expectDetailedChainIdentical(const Program &prog, const CsdSetup &setup,
+                             const Invoke &invoke)
 {
     const FullRecord off =
-        runFull(prog, {SimMode::Detailed, true, false, 16}, setup, invoke);
+        runFull(prog, {SimMode::Detailed, false}, setup, invoke);
     EXPECT_EQ(off.fp.entries, 0u);
-    FullRecord engaged;
-    for (const std::uint32_t threshold : {1u, 16u}) {
-        const FullRecord on = runFull(
-            prog, {SimMode::Detailed, true, true, threshold}, setup, invoke);
-        EXPECT_PRED_FORMAT2(testsupport::sameDump, on.dump, off.dump)
-            << "threshold " << threshold;
-        if (threshold == 1) {
-            EXPECT_GT(on.fp.entries, 0u);
-            engaged = on;
-        }
-    }
-    return engaged;
+    const FullRecord on =
+        runFull(prog, {SimMode::Detailed, true}, setup, invoke);
+    EXPECT_PRED_FORMAT2(testsupport::sameDump, on.dump, off.dump);
+    EXPECT_GT(on.fp.entries, 0u);
+    EXPECT_GT(on.fp.macrosRetired, 0u);
+    return on;
 }
 
 AesWorkload
@@ -696,10 +664,10 @@ aesBlocks(const AesWorkload &workload, int blocks)
 TEST(SuperblockDetailed, AesBitIdenticalAcrossTierAndThreshold)
 {
     const AesWorkload workload = detailedAes();
-    const FullRecord on = expectDetailedTierIdentical(
+    const FullRecord on = expectDetailedChainIdentical(
         workload.program, nullptr, aesBlocks(workload, 20));
-    // Straight-line AES runs almost entirely on the stream.
-    EXPECT_GT(on.fp.uopsRetired, 10 * on.fp.blockUops);
+    // Straight-line AES runs almost entirely on the chain.
+    EXPECT_GT(on.fp.uopsRetired, on.uops * 9 / 10);
 }
 
 TEST(SuperblockDetailed, RsaStealthWatchdog100BitIdentical)
@@ -707,7 +675,7 @@ TEST(SuperblockDetailed, RsaStealthWatchdog100BitIdentical)
     const RsaWorkload workload = RsaWorkload::build(
         {0x12345678u, 0x9abcdef0u}, {0xfffffff1u, 0xdeadbeefu},
         0xb1e5, 16);
-    expectDetailedTierIdentical(
+    expectDetailedChainIdentical(
         workload.program,
         [&](MsrFile &msrs, TaintTracker &taint, ContextSensitiveDecoder &) {
             taint.addTaintSource(workload.exponentRange);
@@ -731,7 +699,7 @@ TEST(SuperblockDetailed, TriggerTogglingBitIdentical)
     const AesWorkload workload = AesWorkload::build(key);
     MsrFile *msrs_seen = nullptr;
     ContextSensitiveDecoder *csd_seen = nullptr;
-    const FullRecord on = expectDetailedTierIdentical(
+    const FullRecord on = expectDetailedChainIdentical(
         workload.program,
         [&](MsrFile &msrs, TaintTracker &taint,
             ContextSensitiveDecoder &csd) {
@@ -743,7 +711,7 @@ TEST(SuperblockDetailed, TriggerTogglingBitIdentical)
         },
         [&](Simulation &sim) {
             // Phases: native, stealth, devectorizing, timing noise —
-            // each entry an epoch bump that must drop compiled blocks.
+            // each entry an epoch bump that stales every link.
             for (int block = 0; block < 24; ++block) {
                 if (block % 3 == 0) {
                     switch ((block / 3) % 4) {
@@ -773,18 +741,19 @@ TEST(SuperblockDetailed, TriggerTogglingBitIdentical)
                 sim.runToHalt();
             }
         });
-    EXPECT_GT(on.fp.invalidated, 0u);
+    EXPECT_GT(stops(on.fp, SbExit::EpochBump), 0u);
 }
 
-// --- resume protocol --------------------------------------------------------
+// --- resuming after a stop ---------------------------------------------------
 
 /**
- * After an Unstable exit the interpreter retires only the vetoed macro
- * and the tier continues the same block at the next one: once the
- * blocks are compiled, every vetoed op of an AES invocation (none of
- * which ends its block here) is followed by a resume, in both
- * fidelities, and the invocation stays bit-identical to the
- * interpreter's.
+ * After a stop the loop translates only the macro the walk stopped at,
+ * and a new walk goes on right after it. Once every stable op is
+ * cached, an AES invocation under stealth stops only at vetoed ops
+ * (Unstable: each the one bypass of its macro), at the ops whose
+ * translations the cache does not keep (each a miss) and at its Halt,
+ * in both fidelities, and stays bit-identical to the flow-cache-off
+ * run.
  */
 TEST(SuperblockResume, UnstableExitContinuesAtNextMacro)
 {
@@ -796,41 +765,53 @@ TEST(SuperblockResume, UnstableExitContinuesAtNextMacro)
         msrs.setDecoyDRange(0, workload.tTableRange);
         msrs.setControl(ctrlStealthEnable | ctrlDiftTrigger);
     };
-    const auto unstable = [](const FastPath::Counters &c) {
-        return c.exits[static_cast<unsigned>(SbExit::Unstable)];
-    };
     for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
         FastPath::Counters warm;
+        std::uint64_t warm_bypasses = 0;
+        std::uint64_t warm_misses = 0;
         const Invoke invoke = [&](Simulation &sim) {
-            aesBlocks(workload, 4)(sim);  // fill the flow cache, compile
+            aesBlocks(workload, 4)(sim);  // fill the flow cache
             warm = sim.fastPath().counters();
+            warm_bypasses = sim.flowCache().bypasses;
+            warm_misses = sim.flowCache().misses;
             aesBlocks(workload, 2)(sim);
         };
-        const FullRecord on =
-            runFull(workload.program, {mode, true, true, 1}, setup, invoke);
+        // The chained run goes last: the warm counters are its own.
         const FullRecord off =
-            runFull(workload.program, {mode, true, false, 1}, setup, invoke);
+            runFull(workload.program, {mode, false}, setup, invoke);
+        const FullRecord on =
+            runFull(workload.program, {mode, true}, setup, invoke);
         const char *label =
             mode == SimMode::Detailed ? "detailed" : "cache-only";
         EXPECT_PRED_FORMAT2(testsupport::sameDump, on.dump, off.dump)
             << label;
-        const std::uint64_t vetoed = unstable(on.fp) - unstable(warm);
+        const std::uint64_t vetoed = stops(on.fp, SbExit::Unstable) -
+                                     stops(warm, SbExit::Unstable);
+        const std::uint64_t missed = on.fcMisses - warm_misses;
         EXPECT_GT(vetoed, 0u) << label;
-        EXPECT_EQ(on.fp.resumes - warm.resumes, vetoed) << label;
+        EXPECT_EQ(on.fcBypasses - warm_bypasses, vetoed) << label;
+        EXPECT_EQ(stops(on.fp, SbExit::End) + stops(on.fp, SbExit::Branch) -
+                      stops(warm, SbExit::End) -
+                      stops(warm, SbExit::Branch),
+                  missed + 2)
+            << label;
+        EXPECT_EQ(stops(on.fp, SbExit::EpochBump), 0u) << label;
+        EXPECT_EQ(on.fp.entries - warm.entries, vetoed + missed + 2)
+            << label;
     }
 }
 
 /**
- * run(n) slices end in Budget exits mid-block; the next slice resumes
- * the block where the last one stopped instead of compiling an
- * overlapping block at the slice boundary, and the sliced run is
- * bit-identical to one uninterrupted run.
+ * run(n) slices stop walks mid-chain (Budget); the next slice looks
+ * its first macro up and chains on. The sliced run is bit-identical to
+ * one uninterrupted run, and every macro still counts exactly one
+ * flow-cache hit, miss or bypass.
  */
 TEST(SuperblockResume, BudgetSlicesResumeTheBlock)
 {
     const AesWorkload workload = detailedAes();
     for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
-        const HostConfig host{mode, true, true, 1};
+        const HostConfig host{mode, true};
         const FullRecord whole =
             runFull(workload.program, host, nullptr, aesBlocks(workload, 4));
         const FullRecord sliced = runFull(
@@ -849,25 +830,23 @@ TEST(SuperblockResume, BudgetSlicesResumeTheBlock)
             mode == SimMode::Detailed ? "detailed" : "cache-only";
         EXPECT_PRED_FORMAT2(testsupport::sameDump, sliced.dump, whole.dump)
             << label;
-        EXPECT_GT(sliced.fp.exits[static_cast<unsigned>(SbExit::Budget)],
-                  0u)
-            << label;
-        EXPECT_GT(sliced.fp.resumes, 0u) << label;
-        EXPECT_EQ(sliced.fp.built, whole.fp.built) << label;
-        EXPECT_EQ(sliced.fp.macrosRetired, whole.fp.macrosRetired) << label;
+        EXPECT_GT(stops(sliced.fp, SbExit::Budget), 0u) << label;
+        EXPECT_GT(sliced.fp.macrosRetired, 0u) << label;
+        EXPECT_EQ(sliced.fcHits, whole.fcHits) << label;
+        EXPECT_EQ(sliced.fcMisses, whole.fcMisses) << label;
+        EXPECT_EQ(sliced.fcBypasses, whole.fcBypasses) << label;
     }
 }
 
 // --- devectorization toggles --------------------------------------------------
 
 /**
- * A vector loop whose body is reachable from two heads, so the tier
- * compiles overlapping blocks over the same flow-cache entries: the
- * loop head's block runs through `mid`, and a backward branch on every
- * fourth count enters a second block at `mid` itself.
+ * A vector loop whose body is reachable from two heads: the loop head
+ * falls through to `mid`, and a backward branch on every fourth count
+ * enters at `mid` itself.
  */
 Program
-overlappingVectorLoop(Addr &loop_pc, Addr &mid_pc)
+overlappingVectorLoop()
 {
     ProgramBuilder b;
     b.movri(Gpr::Rcx, 64);
@@ -875,13 +854,11 @@ overlappingVectorLoop(Addr &loop_pc, Addr &mid_pc)
     auto mid = b.newLabel();
     auto done = b.newLabel();
     b.bind(loop);
-    loop_pc = b.here();
     b.addi(Gpr::R8, 3);
     b.vecOp(MacroOpcode::Paddd, Xmm::Xmm0, Xmm::Xmm1);
     b.vecOp(MacroOpcode::Mulps, Xmm::Xmm1, Xmm::Xmm2);
     b.xor_(Gpr::R9, Gpr::R8);
     b.bind(mid);
-    mid_pc = b.here();
     b.vecOp(MacroOpcode::Pxor, Xmm::Xmm2, Xmm::Xmm0);
     b.addi(Gpr::R9, 5);
     b.vecOp(MacroOpcode::Paddw, Xmm::Xmm3, Xmm::Xmm1);
@@ -898,23 +875,18 @@ overlappingVectorLoop(Addr &loop_pc, Addr &mid_pc)
 }
 
 /**
- * Devectorization toggles every few macros, mid-block included, under
- * live overlapping blocks: a toggle bumps no epoch, so no flow-cache
- * entry or block goes stale; each slot keeps its native and its
- * devectorized flow side by side, and the context guard hands a vector
- * macro compiled under the other context to the interpreter. Output
- * must match the interpreter and the flow-cache-off reference in both
- * fidelities. An insertion that overwrote a flow live blocks point
- * into would read freed memory here (the sanitizer build runs this).
+ * Devectorization toggles every few macros, mid-walk included: a
+ * toggle bumps no epoch, so no flow-cache entry goes stale; each slot
+ * keeps its native and its devectorized flow side by side, and a link
+ * whose target is the other context's entry fails its check, so the
+ * walk probes the entry for the live context and goes on instead of
+ * stopping. Output must match the flow-cache-off reference in both
+ * fidelities. An insertion that overwrote an entry a link names would
+ * read freed memory here (the sanitizer build runs this).
  */
 TEST(SuperblockContext, DevectTogglesKeepFlowsAndBlocks)
 {
-    Addr loop_pc = 0;
-    Addr mid_pc = 0;
-    const Program prog = overlappingVectorLoop(loop_pc, mid_pc);
-    const auto slot = [&](Addr pc) {
-        return static_cast<std::size_t>(prog.at(pc) - prog.code().data());
-    };
+    const Program prog = overlappingVectorLoop();
     for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
         const char *label =
             mode == SimMode::Detailed ? "detailed" : "cache-only";
@@ -925,10 +897,8 @@ TEST(SuperblockContext, DevectTogglesKeepFlowsAndBlocks)
         };
         std::uint64_t fc_invalidations = ~0ull;
         std::uint64_t fc_ctx_invalidations = ~0ull;
-        bool overlapping = false;
         const Invoke toggling = [&](Simulation &sim) {
-            // The first run compiles native-context blocks: the loop
-            // head's, through `mid`, before `mid` is first branched to.
+            // The first run links native-context entries.
             sim.restart();
             sim.runToHalt();
             bool on = false;
@@ -943,47 +913,29 @@ TEST(SuperblockContext, DevectTogglesKeepFlowsAndBlocks)
             }
             fc_invalidations = sim.flowCache().invalidations;
             fc_ctx_invalidations = sim.flowCache().ctx_invalidations;
-            const SuperblockCache &blocks = sim.fastPath().cache();
-            const Superblock *outer = blocks.at(slot(loop_pc));
-            const Superblock *inner = blocks.at(slot(mid_pc));
-            if (outer && inner) {
-                for (const SbMacro *m : outer->macros)
-                    overlapping = overlapping || m->op->pc == mid_pc;
-            }
         };
-        const FullRecord ref =
-            runFull(prog, {mode, false, false, 1}, attach, toggling);
-        const FullRecord interp =
-            runFull(prog, {mode, true, false, 1}, attach, toggling);
-        EXPECT_PRED_FORMAT2(testsupport::sameDump, interp.dump, ref.dump)
-            << label;
-        EXPECT_EQ(fc_invalidations, 0u) << label;
-        const FullRecord tier =
-            runFull(prog, {mode, true, true, 1}, attach, toggling);
-        EXPECT_PRED_FORMAT2(testsupport::sameDump, tier.dump, ref.dump)
+        const FullRecord ref = runFull(prog, {mode, false}, attach, toggling);
+        const FullRecord chained =
+            runFull(prog, {mode, true}, attach, toggling);
+        EXPECT_PRED_FORMAT2(testsupport::sameDump, chained.dump, ref.dump)
             << label;
         EXPECT_EQ(fc_invalidations, 0u) << label;
         EXPECT_EQ(fc_ctx_invalidations, 0u) << label;
-        EXPECT_EQ(tier.fp.invalidated, 0u) << label;
-        EXPECT_TRUE(overlapping) << label;
-        EXPECT_GT(tier.fp.macrosRetired, 0u) << label;
-        // The context guard handed vector macros back.
-        EXPECT_GT(tier.fp.exits[static_cast<unsigned>(SbExit::Unstable)],
-                  0u)
-            << label;
-        EXPECT_EQ(tier.fp.exits[static_cast<unsigned>(SbExit::EpochBump)],
-                  0u)
-            << label;
+        EXPECT_GT(chained.fp.macrosRetired, 0u) << label;
+        // Links met the other context's entries and the walk went on.
+        EXPECT_GT(chained.fp.invalidated, 0u) << label;
+        EXPECT_EQ(stops(chained.fp, SbExit::Unstable), 0u) << label;
+        EXPECT_EQ(stops(chained.fp, SbExit::EpochBump), 0u) << label;
     }
 }
 
 // --- DIFT counters ----------------------------------------------------------
 
 /**
- * The decoder's taint query is pure: host-side stability probes (flow
- * cache, superblock guards) must not bump dift.tainted_loads /
+ * The decoder's taint query is pure: host-side stability probes (the
+ * flow cache's and the chain's) must not bump dift.tainted_loads /
  * tainted_branches, which count decode-time tainted uses only. The
- * counters therefore agree across flow cache on/off x tier on/off.
+ * counters therefore agree with the flow cache on and off.
  */
 TEST(SuperblockDift, TaintCountersIndependentOfHostSwitches)
 {
@@ -998,18 +950,15 @@ TEST(SuperblockDift, TaintCountersIndependentOfHostSwitches)
     for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
         std::string reference;
         for (const bool flow_cache : {false, true}) {
-            for (const bool tier : {false, true}) {
-                const FullRecord rec = runFull(
-                    workload.program, {mode, flow_cache, tier, 2}, setup,
-                    aesBlocks(workload, 4));
-                EXPECT_EQ(rec.dift.find("\"tainted_loads\": 0,"),
-                          std::string::npos)
-                    << rec.dift;
-                if (reference.empty())
-                    reference = rec.dift;
-                EXPECT_EQ(rec.dift, reference)
-                    << "flow_cache=" << flow_cache << " tier=" << tier;
-            }
+            const FullRecord rec =
+                runFull(workload.program, {mode, flow_cache}, setup,
+                        aesBlocks(workload, 4));
+            EXPECT_EQ(rec.dift.find("\"tainted_loads\": 0,"),
+                      std::string::npos)
+                << rec.dift;
+            if (reference.empty())
+                reference = rec.dift;
+            EXPECT_EQ(rec.dift, reference) << "flow_cache=" << flow_cache;
         }
     }
 }
@@ -1017,13 +966,13 @@ TEST(SuperblockDift, TaintCountersIndependentOfHostSwitches)
 // --- tracing ---------------------------------------------------------------
 
 /**
- * Tracing runs on the tier: every macro passes the same protocol,
- * which keeps clock-less components' events on the timeline, whichever
- * stream it retires from. With every trace flag on, the tier
- * (threshold 1) must engage and record exactly the events the
- * interpreter does, at the same time stamps, next to identical dumps:
- * AES under a 100-cycle stealth watchdog, and the namd preset under
- * CSD-devectorization power gating, in both fidelities.
+ * Tracing runs on the chain: every macro passes the same protocol,
+ * which keeps clock-less components' events on the timeline, whether
+ * it retires from a walk or from its own translation. With every trace
+ * flag on, the chained run must record exactly the events the
+ * flow-cache-off run does, at the same time stamps, next to identical
+ * dumps: AES under a 100-cycle stealth watchdog, and the namd preset
+ * under CSD-devectorization power gating, in both fidelities.
  */
 TEST(SuperblockTrace, TracedTierMatchesInterpreter)
 {
@@ -1063,12 +1012,10 @@ TEST(SuperblockTrace, TracedTierMatchesInterpreter)
                 std::string(mode == SimMode::Detailed ? "detailed "
                                                       : "cache-only ") +
                 c.name;
-            const FullRecord off =
-                runFull(c.prog, {mode, true, false, 1, true}, c.setup,
-                        c.invoke, c.policy);
-            const FullRecord on =
-                runFull(c.prog, {mode, true, true, 1, true}, c.setup,
-                        c.invoke, c.policy);
+            const FullRecord off = runFull(c.prog, {mode, false, true},
+                                           c.setup, c.invoke, c.policy);
+            const FullRecord on = runFull(c.prog, {mode, true, true},
+                                          c.setup, c.invoke, c.policy);
             EXPECT_NE(off.trace.find("\"ts\""), std::string::npos)
                 << label;
             EXPECT_PRED_FORMAT2(testsupport::sameDump, on.trace, off.trace)
@@ -1076,7 +1023,7 @@ TEST(SuperblockTrace, TracedTierMatchesInterpreter)
             EXPECT_PRED_FORMAT2(testsupport::sameDump, on.dump, off.dump)
                 << label;
             EXPECT_EQ(off.fp.entries, 0u) << label;
-            EXPECT_GT(on.fp.entries, 0u) << label;
+            EXPECT_GT(on.fp.macrosRetired, 0u) << label;
         }
     }
 }
@@ -1086,11 +1033,11 @@ TEST(SuperblockTrace, TracedTierMatchesInterpreter)
 TEST(SuperblockRepStos, MicroLoopIdenticalAcrossCacheAndTier)
 {
     // A rep-stos flow is a micro-loop (prologue, body x trips) that
-    // the flow cache stores unrolled. One short enough to be stored
-    // joins the block around it; one past FlowCache::maxStoredUops is
-    // resolved per step on the uncached path and ends the region.
-    // Neither the flow cache nor the tier may show in the stats dump,
-    // in either fidelity.
+    // the flow cache stores unrolled. One short enough to be stored is
+    // retired by the walk like any other entry; one past
+    // FlowCache::maxStoredUops is resolved per step on the uncached
+    // path, so the walk stops at it and resumes after it. The flow
+    // cache may not show in the stats dump, in either fidelity.
     ProgramBuilder b;
     const Addr buf = b.reserveData("buf", 64 * 8192);
     b.markEntry();
@@ -1107,32 +1054,37 @@ TEST(SuperblockRepStos, MicroLoopIdenticalAcrossCacheAndTier)
     b.jcc(Cond::Ne, loop);
     b.halt();
     const Program prog = b.build();
-    ASSERT_TRUE(FlowCache::admits(translateNative(prog.code()[2])));
-    ASSERT_FALSE(FlowCache::admits(translateNative(prog.code()[5])));
+    const UopFlow short_flow = translateNative(prog.code()[2]);
+    const UopFlow long_flow = translateNative(prog.code()[5]);
+    ASSERT_TRUE(FlowCache::admits(short_flow));
+    ASSERT_FALSE(FlowCache::admits(long_flow));
 
-    const Invoke twice = [](Simulation &sim) {
-        for (int run = 0; run < 2; ++run) {
-            sim.restart();
-            sim.runToHalt();
-        }
+    // The second run starts warm: only its first macro (looked up by
+    // the loop) and the long rep-stos's six trips are not chained.
+    std::uint64_t first_uops = 0;
+    std::uint64_t first_chained = 0;
+    const Invoke twice = [&](Simulation &sim) {
+        sim.runToHalt();
+        first_uops = sim.uopsSimulated();
+        first_chained = sim.fastPath().counters().uopsRetired;
+        sim.restart();
+        sim.runToHalt();
     };
+    const std::uint64_t unchained =
+        translateNative(prog.code()[0]).expandedCount() +
+        6 * long_flow.expandedCount();
     for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
         const std::string label =
             mode == SimMode::Detailed ? "detailed" : "cache-only";
-        const FullRecord ref =
-            runFull(prog, {mode, false, false, 1}, nullptr, twice);
-        const FullRecord cached =
-            runFull(prog, {mode, true, false, 1}, nullptr, twice);
-        const FullRecord tier =
-            runFull(prog, {mode, true, true, 1}, nullptr, twice);
-        EXPECT_PRED_FORMAT2(testsupport::sameDump, cached.dump, ref.dump)
+        const FullRecord ref = runFull(prog, {mode, false}, nullptr, twice);
+        const FullRecord chained =
+            runFull(prog, {mode, true}, nullptr, twice);
+        EXPECT_PRED_FORMAT2(testsupport::sameDump, chained.dump, ref.dump)
             << label;
-        EXPECT_PRED_FORMAT2(testsupport::sameDump, tier.dump, ref.dump)
+        EXPECT_EQ(chained.fcBypasses, 0u) << label;
+        EXPECT_EQ(chained.fp.uopsRetired - first_chained,
+                  chained.uops - first_uops - unchained)
             << label;
-        // The short rep-stos retires from a block: its span is among
-        // the compiled ones.
-        EXPECT_GT(tier.fp.entries, 0u) << label;
-        EXPECT_GE(tier.fp.blockUops, 1u + 2u * 5u) << label;
     }
 }
 
@@ -1141,9 +1093,8 @@ TEST(SuperblockRepStos, MicroLoopIdenticalAcrossCacheAndTier)
 /**
  * Generated programs (the robustness fuzzer's generator), run bare and
  * under stealth with DIFT sourcing part of the data buffer and a short
- * watchdog, in both fidelities: the tier (threshold 1) and the
- * interpreter must both match the flow-cache-off reference byte for
- * byte.
+ * watchdog, in both fidelities: the chained run must match the
+ * flow-cache-off reference byte for byte.
  */
 class SuperblockFuzz : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -1180,36 +1131,27 @@ TEST_P(SuperblockFuzz, TierMatchesInterpreter)
     const Program prog = testsupport::randomProgram(rng, 90);
     for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
         for (const CsdSetup &setup : {CsdSetup{}, stealth(prog)}) {
-            const FullRecord ref =
-                runFull(prog, {mode, false, false, 1}, setup, invoke);
-            const FullRecord interp =
-                runFull(prog, {mode, true, false, 1}, setup, invoke);
             const std::string label = std::string(mode == SimMode::Detailed
                                                       ? "detailed"
                                                       : "cache-only") +
                                       (setup ? " stealth" : " bare");
-            EXPECT_PRED_FORMAT2(testsupport::sameDump, interp.dump, ref.dump)
+            const FullRecord ref = runFull(prog, {mode, false}, setup, invoke);
+            const FullRecord chained =
+                runFull(prog, {mode, true}, setup, invoke);
+            EXPECT_PRED_FORMAT2(testsupport::sameDump, chained.dump,
+                                ref.dump)
                 << label;
-            for (const std::uint32_t threshold : {1u, 16u}) {
-                const FullRecord tier = runFull(
-                    prog, {mode, true, true, threshold}, setup, invoke);
-                EXPECT_PRED_FORMAT2(testsupport::sameDump, tier.dump,
-                                    ref.dump)
-                    << label << ", threshold " << threshold;
-                if (threshold == 1) {
-                    EXPECT_GT(tier.fp.entries, 0u) << label;
-                }
-            }
+            EXPECT_GT(chained.fp.macrosRetired, 0u) << label;
         }
     }
 }
 
 /**
  * The same programs, bare and under stealth, retired through run(n)
- * slices of varying n, n = 1 as step(): a slice ends mid-block (the
- * next one resumes at the cursor), after a vetoed macro, or anywhere
- * on the interpreter. Every sliced run must publish exactly what one
- * uninterrupted run does, tier on at thresholds 1 and 16 and off.
+ * slices of varying n, n = 1 as step(): a slice ends mid-walk, after
+ * a vetoed macro, or between two translated macros. Every sliced run
+ * must publish exactly what one uninterrupted run does, with the flow
+ * cache on and off.
  */
 TEST_P(SuperblockFuzz, SlicedRunsMatchWholeRuns)
 {
@@ -1236,18 +1178,15 @@ TEST_P(SuperblockFuzz, SlicedRunsMatchWholeRuns)
                                                       : "cache-only") +
                                       (setup ? " stealth" : " bare");
             const FullRecord whole =
-                runFull(prog, {mode, true, false, 1}, setup, invoke);
-            for (const HostConfig &host :
-                 {HostConfig{mode, true, false, 1},
-                  HostConfig{mode, true, true, 1},
-                  HostConfig{mode, true, true, 16}}) {
-                const FullRecord rec = runFull(prog, host, setup, sliced);
+                runFull(prog, {mode, true}, setup, invoke);
+            for (const bool flow_cache : {false, true}) {
+                const FullRecord rec =
+                    runFull(prog, {mode, flow_cache}, setup, sliced);
                 EXPECT_PRED_FORMAT2(testsupport::sameDump, rec.dump,
                                     whole.dump)
-                    << label << ", tier " << host.tier << ", threshold "
-                    << host.threshold;
-                if (host.tier && host.threshold == 1) {
-                    EXPECT_GT(rec.fp.entries, 0u) << label;
+                    << label << ", flow cache " << flow_cache;
+                if (flow_cache) {
+                    EXPECT_GT(stops(rec.fp, SbExit::Budget), 0u) << label;
                 }
             }
         }
@@ -1256,13 +1195,13 @@ TEST_P(SuperblockFuzz, SlicedRunsMatchWholeRuns)
 
 /**
  * The same programs under each VPU gating policy (the CSD attached for
- * CsdDevect, whose toggles move vector ops' stable context mid-block),
+ * CsdDevect, whose toggles move vector ops' stable context mid-walk),
  * plus conventional gating over CSD stealth so watchdog ticks meet
- * demand-wake stalls, in both fidelities: the tier at thresholds 1 and
- * 16 must publish exactly what the interpreter does — stats, the
- * controller's tree and every energy term — which holds only if the
- * power hook runs once per macro, in order, whichever driver retires
- * it.
+ * demand-wake stalls, in both fidelities: the chained run must publish
+ * exactly what the flow-cache-off run does — stats, the controller's
+ * tree and every energy term — which holds only if the power hook runs
+ * once per macro, in order, whether the macro is chained or
+ * translated.
  */
 TEST_P(SuperblockFuzz, PowerGatedTierMatchesInterpreter)
 {
@@ -1287,19 +1226,14 @@ TEST_P(SuperblockFuzz, PowerGatedTierMatchesInterpreter)
                 std::string(mode == SimMode::Detailed ? "detailed "
                                                       : "cache-only ") +
                 v.name;
-            const FullRecord off = runFull(prog, {mode, true, false, 1},
-                                           v.setup, invoke, v.policy);
+            const FullRecord off =
+                runFull(prog, {mode, false}, v.setup, invoke, v.policy);
             EXPECT_EQ(off.fp.entries, 0u) << label;
-            for (const std::uint32_t threshold : {1u, 16u}) {
-                const FullRecord on =
-                    runFull(prog, {mode, true, true, threshold}, v.setup,
-                            invoke, v.policy);
-                EXPECT_PRED_FORMAT2(testsupport::sameDump, on.dump, off.dump)
-                    << label << ", threshold " << threshold;
-                if (threshold == 1) {
-                    EXPECT_GT(on.fp.entries, 0u) << label;
-                }
-            }
+            const FullRecord on =
+                runFull(prog, {mode, true}, v.setup, invoke, v.policy);
+            EXPECT_PRED_FORMAT2(testsupport::sameDump, on.dump, off.dump)
+                << label;
+            EXPECT_GT(on.fp.macrosRetired, 0u) << label;
         }
     }
 }

@@ -281,7 +281,7 @@ TEST(FlowCache, LookupRejectsOtherContextsEntry)
     // A slot keeps one entry per stable context side by side — the
     // native flow and the alternate (devectorized) one — so a
     // devectorization toggle, which bumps no epoch, reads the other
-    // entry instead of overwriting the one compiled superblocks list.
+    // entry instead of overwriting the one the chain's links name.
     // The entry's context is still compared on lookup: an alternate-side
     // entry filled from another non-native context is rejected and
     // counted as a ctx invalidation, never served.
@@ -356,7 +356,7 @@ TEST(FlowCache, LookupRejectsOtherContextsEntry)
 TEST(FlowCache, InsertResolvesTimingRecords)
 {
     // insert() resolves the flow once into the entry's span, the form
-    // the interpreter and the superblock tier both retire: one op per
+    // the retire routine retires: one op per
     // dynamic uop in the reference executor's expansion order
     // (prologue, body x trips, epilogue), each with its uop's timing
     // record by value, its handler and its energy. A re-insertion
@@ -466,7 +466,7 @@ TEST(FlowCache, LongExpansionsAreNotStored)
 
 TEST(FlowCache, EntryReferencesStableUntilClear)
 {
-    // Compiled superblocks list cached entries' macros, so no entry may
+    // The chain's links name cached entries' macros, so no entry may
     // move between reset() and clear(): not when the first non-native
     // insert allocates the alternate side, and not when a slot is
     // re-translated with a flow that spills its inline storage.
@@ -506,24 +506,15 @@ TEST(FlowCache, EntryReferencesStableUntilClear)
 
 TEST(FlowCache, ClearOfNeverFilledCache)
 {
-    // With no live entry clear() only resets the per-slot flags: a
-    // lookup's recentAlternate goes, the heat stays, and no counter
-    // moves.
+    // With no live entry clear() changes nothing: no counter moves.
     FlowCache cache;
     cache.reset(8);
-    EXPECT_EQ(cache.bumpHeat(3), 1u);
-    EXPECT_EQ(cache.bumpHeat(3), 2u);
     EXPECT_EQ(cache.lookup(3, 1, ctxDevect), nullptr);
     EXPECT_EQ(cache.lookup(6, 1, ctxNative), nullptr);
-    EXPECT_TRUE(cache.recentAlternate(3));
-    EXPECT_FALSE(cache.recentAlternate(6));
     EXPECT_EQ(cache.misses, 2u);
     EXPECT_EQ(cache.size(), 0u);
 
     cache.clear();
-    for (std::size_t slot = 0; slot < cache.slots(); ++slot)
-        EXPECT_FALSE(cache.recentAlternate(slot)) << "slot " << slot;
-    EXPECT_EQ(cache.bumpHeat(3), 3u);
     EXPECT_EQ(cache.slots(), 8u);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.hits, 0u);
@@ -531,22 +522,19 @@ TEST(FlowCache, ClearOfNeverFilledCache)
     EXPECT_EQ(cache.invalidations, 0u);
     EXPECT_EQ(cache.ctx_invalidations, 0u);
     EXPECT_EQ(cache.bypasses, 0u);
-    EXPECT_EQ(cache.peekRecent(3, 1), nullptr);
+    EXPECT_EQ(cache.resident(3, ctxDevect), nullptr);
 }
 
 TEST(FlowCache, ClearKeepsHeatAndCounters)
 {
     // The full clear() (live entries on both sides) drops every flow
-    // but keeps each slot's heat and the host-side counters, and
-    // resets recentAlternate like the empty one.
+    // but keeps the host-side counters.
     FlowCache cache;
     cache.reset(4);
     UopFlow flow;
     flow.uops.push_back(Uop{});
-    cache.bumpHeat(2);
     insertFlow(cache, 2, 1, ctxNative, flow);
     insertFlow(cache, 2, 1, ctxDevect, flow);
-    EXPECT_TRUE(cache.recentAlternate(2));
     EXPECT_NE(cache.lookup(2, 1, ctxDevect), nullptr);
     EXPECT_EQ(cache.lookup(1, 1, ctxNative), nullptr);
     EXPECT_EQ(cache.lookup(2, 2, ctxNative), nullptr);
@@ -558,9 +546,7 @@ TEST(FlowCache, ClearKeepsHeatAndCounters)
 
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.recentAlternate(2));
-    EXPECT_EQ(cache.peekRecent(2, 1), nullptr);
-    EXPECT_EQ(cache.bumpHeat(2), 2u);
+    EXPECT_EQ(cache.resident(2, ctxNative), nullptr);
     EXPECT_EQ(cache.hits, hits);
     EXPECT_EQ(cache.misses, misses);
     EXPECT_EQ(cache.invalidations, invalidations);
@@ -570,6 +556,33 @@ TEST(FlowCache, ClearKeepsHeatAndCounters)
     // lookup is a plain miss until the next non-native insert.
     EXPECT_EQ(cache.lookup(2, 1, ctxDevect), nullptr);
     EXPECT_EQ(cache.misses, misses + 1);
+}
+
+TEST(FlowCache, ReinsertClearsTheChainLink)
+{
+    // An entry records the epoch it was filled under, and the chain's
+    // link out of it is only a hint: a re-insert (a new epoch's
+    // translation) clears it, and resident() serves the entry whatever
+    // its epoch while peek() and lookup() filter it.
+    FlowCache cache;
+    cache.reset(4);
+    UopFlow flow;
+    flow.uops.push_back(Uop{});
+    const FlowCache::Entry &first = insertFlow(cache, 0, 1, ctxNative, flow);
+    const FlowCache::Entry &second = insertFlow(cache, 1, 1, ctxNative, flow);
+    EXPECT_EQ(first.macro.epoch, 1u);
+    EXPECT_EQ(first.macro.next, nullptr);
+    first.macro.next = &second.macro;
+
+    EXPECT_EQ(cache.resident(0, ctxNative), &first);
+    EXPECT_EQ(cache.peek(0, 2, ctxNative), nullptr);
+    const FlowCache::Entry &again = insertFlow(cache, 0, 2, ctxNative, flow);
+    EXPECT_EQ(&again, &first);
+    EXPECT_EQ(first.macro.epoch, 2u);
+    EXPECT_EQ(first.macro.next, nullptr);
+    EXPECT_EQ(cache.peek(0, 2, ctxNative), &first);
+    EXPECT_EQ(cache.resident(1, ctxNative), &second);
+    EXPECT_EQ(cache.peek(1, 2, ctxNative), nullptr);
 }
 
 TEST(FlowCache, DevectorizationTogglesUseCtxPath)

@@ -102,8 +102,8 @@ TEST_P(SimFuzz, DeterministicAcrossRuns)
  * The simulator retires every macro through one engine (its resolved
  * uop streams and threaded handlers); this pins that engine to the
  * reference executor's semantics (FunctionalExecutor::execute over
- * native flows) on random programs, in both fidelities, on the
- * interpreter and on the superblock tier.
+ * native flows) on random programs, in both fidelities, with the flow
+ * cache off (one translated macro per call) and on (chained).
  */
 TEST_P(SimFuzz, EngineMatchesReferenceExecutor)
 {
@@ -121,20 +121,20 @@ TEST_P(SimFuzz, EngineMatchesReferenceExecutor)
 
     const AddrRange buf = prog.symbol("buf");
     for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
-        for (const bool tier : {false, true}) {
+        for (const bool flow_cache : {false, true}) {
             SimParams params;
             params.mode = mode;
             Simulation sim(prog, params);
-            sim.setSuperblockEnabled(tier);
-            sim.setSuperblockThreshold(1);
+            sim.setFlowCacheEnabled(flow_cache);
             sim.runToHalt();
             ASSERT_TRUE(sim.halted());
             const std::string label =
                 std::string(mode == SimMode::Detailed ? "detailed"
                                                       : "cache-only") +
-                (tier ? ", tier" : ", interpreter");
-            if (tier) {
-                EXPECT_GT(sim.fastPath().counters().entries, 0u) << label;
+                (flow_cache ? ", chained" : ", flow cache off");
+            if (flow_cache) {
+                EXPECT_GT(sim.fastPath().counters().macrosRetired, 0u)
+                    << label;
             }
 
             for (unsigned r = 0; r < numGprs; ++r) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -21,6 +22,7 @@
 #include "csd/csd.hh"
 #include "common/context.hh"
 #include "sim/simulation.hh"
+#include "workloads/aes.hh"
 
 namespace csd
 {
@@ -474,6 +476,39 @@ TEST(Observability, HostProfileFoldsIntoProcessContext)
     process.setEnabled(was_enabled);
     EXPECT_GT(process.seconds(HostPhase::Execute), execute);
     EXPECT_GT(process.seconds(HostPhase::Pipeline), pipeline);
+}
+
+/**
+ * Chained macros lap the profiler's phases as translated ones do: a
+ * warm detailed AES run spends its attributed host time in functional
+ * execution and the pipeline model, more than in any other phase.
+ */
+TEST(Observability, HostProfileChargesChainedMacrosToTheirLayers)
+{
+    ObservabilityContext ctx(Knobs([](const char *) { return nullptr; }));
+    ctx.profiler().setEnabled(true);
+    std::array<std::uint8_t, 16> key{};
+    const AesWorkload aes = AesWorkload::build(key);
+    SimParams params;
+    params.mode = SimMode::Detailed;
+    params.obs = &ctx;
+    Simulation sim(aes.program, params);
+    for (int run = 0; run < 20; ++run) {
+        sim.restart();
+        sim.runToHalt();
+    }
+    ASSERT_GT(sim.fastPath().counters().macrosRetired, 0u);
+    const HostProfiler &prof = ctx.profiler();
+    const double layers = prof.seconds(HostPhase::Execute) +
+                          prof.seconds(HostPhase::Pipeline);
+    for (unsigned i = 0; i < static_cast<unsigned>(HostPhase::NumPhases);
+         ++i) {
+        const auto phase = static_cast<HostPhase>(i);
+        if (phase == HostPhase::Execute || phase == HostPhase::Pipeline)
+            continue;
+        EXPECT_GT(layers, prof.seconds(phase))
+            << HostProfiler::phaseName(phase);
+    }
 }
 
 } // namespace

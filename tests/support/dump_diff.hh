@@ -1,7 +1,7 @@
 /**
  * @file
- * Whole-dump comparison for the host-tier equivalence tests
- * (tests/sim/test_superblock.cc, tests/sim/test_flow_cache.cc): stat
+ * Whole-dump comparison for the host-side equivalence tests
+ * (tests/sim/test_chain.cc, tests/sim/test_flow_cache.cc): stat
  * trees, CPI stacks, pipe-view text and trace exports that must match
  * byte for byte. On a mismatch gtest's EXPECT_EQ prints a line diff of
  * both strings, which on these dumps takes seconds per failure and

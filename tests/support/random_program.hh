@@ -4,8 +4,8 @@
  * memory, vector, stack, branch-over, serializing, call/return,
  * indirect-jump, cache-flush and cycle-counter instructions that
  * indexes one 64 KiB buffer. Shared by the robustness fuzzer
- * (tests/sim/test_fuzz.cc) and the host-tier differential
- * (tests/sim/test_superblock.cc).
+ * (tests/sim/test_fuzz.cc) and the flow-cache differential
+ * (tests/sim/test_chain.cc).
  */
 
 #ifndef CSD_TESTS_SUPPORT_RANDOM_PROGRAM_HH
@@ -99,7 +99,7 @@ randomProgram(Random &rng, unsigned body_instrs)
             b.clflush(memIdx(Gpr::Rbx, Gpr::R12, 1, 0, MemSize::B8));
             break;
           case 14:
-            // The cycle counter picks the line to flush, so a tier that
+            // The cycle counter picks the line to flush, so a run that
             // read a stale count shows in the cache statistics; the
             // value is then dropped so registers stay independent of
             // timing (CSD modes must preserve them exactly).

@@ -136,6 +136,20 @@ TEST(Translate, RepStosHasMicroLoop)
     EXPECT_EQ(flow.expandedCount(), 1u + 2u * 10u);
 }
 
+TEST(Translate, ZeroTripRepStosExpandsPrologueOnly)
+{
+    // A zero-trip micro-loop runs its body no times, as the reference
+    // executor and the flow cache's resolved span expand it.
+    auto op = firstOpOf([](ProgramBuilder &b) { b.repStos(0x5000, 0); });
+    const UopFlow flow = translateNative(op);
+    ASSERT_TRUE(flow.loop.has_value());
+    EXPECT_EQ(flow.loop->tripCount, 0u);
+    const std::uint64_t body = flow.loop->bodyEnd - flow.loop->bodyStart;
+    EXPECT_EQ(body, 2u);
+    EXPECT_EQ(flow.expandedCount(), flow.uops.size() - body);
+    EXPECT_EQ(flow.expandedCount(), 1u);
+}
+
 TEST(Translate, ExpandedCountWithoutLoopEqualsSize)
 {
     auto op = firstOpOf([](ProgramBuilder &b) { b.push(Gpr::Rax); });

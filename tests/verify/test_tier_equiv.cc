@@ -4,21 +4,19 @@
  *
  * Two obligations beyond ordinary coverage:
  *
- *  - every seeded defect, injected through SuperblockView (never by
- *    corrupting a real build), must fail with its exact tier.* check
- *    id, pinned to the exact (block, op) it was planted at;
+ *  - every seeded defect, injected through EntryView (never by
+ *    corrupting a real translation), must fail with its exact tier.*
+ *    check id, pinned to the exact (entry, op) it was planted at;
  *  - the randomized cross-check: over a deterministic seeded corpus of
  *    generated programs, the prover's symbolic per-macro accounting
  *    must equal — exactly — what FunctionalExecutor::executeInto
- *    measures when it actually runs each compiled macro's flow.
+ *    measures when it actually runs each cached macro's flow.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,10 +24,10 @@
 #include "cpu/executor.hh"
 #include "decode/flow_cache.hh"
 #include "decode/fusion.hh"
-#include "decode/superblock.hh"
 #include "decode/translator.hh"
 #include "isa/program.hh"
 #include "power/energy.hh"
+#include "sim/simulation.hh"
 #include "verify/tier_equiv.hh"
 #include "workloads/aes.hh"
 #include "workloads/rsa.hh"
@@ -43,7 +41,7 @@ namespace
  * A straight-line fixture exercising every accounting feature the
  * prover replays: plain ALU, memory effects, stack ops the SP tracker
  * eliminates, and a microsequenced rep-stos whose flow carries a
- * micro-loop the builder unrolls.
+ * micro-loop the flow cache unrolls.
  */
 Program
 fixtureProgram()
@@ -65,65 +63,71 @@ fixtureProgram()
     return b.build();
 }
 
-/** One consistent build world plus the block compiled at entry. */
+/** One consistent build world: a program's flow cache, populated. */
 struct TierFixture
 {
     Program prog;
     NativeTranslator translator;
     FlowCache fc;
     EnergyModel energy;
-    SuperblockCache blocks;  //!< none live: regions never chain
-    std::unique_ptr<Superblock> block;
+    std::uint64_t epoch = 0;
+    /** The cached macros, in program order. */
+    std::vector<const SbMacro *> macros;
 
     explicit TierFixture(Program p = fixtureProgram()) : prog(std::move(p))
     {
-        populateFlowCache(prog, translator, fc, {}, energy);
-        block = SuperblockBuilder(prog, fc, translator, blocks)
-                    .build(prog.entry());
+        epoch = populateFlowCache(prog, translator, fc, {}, energy);
+        fc.forEach([this](const FlowCache::Entry &entry) {
+            macros.push_back(&entry.macro);
+        });
     }
 
+    /** Findings for @p m, which may be an altered copy of an entry's. */
     VerifyReport
-    check(const Superblock &b,
-          const SuperblockView &view = SuperblockView::real()) const
+    check(const SbMacro &m,
+          const EntryView &view = EntryView::real()) const
     {
         VerifyReport report;
-        checkSuperblock(b, prog, fc, translator, energy, report, view);
+        checkEntry(m, epoch, prog, fc, translator, energy, report, view);
         return report;
     }
 
+    /** Findings over every cached macro. */
     VerifyReport
-    check(const SuperblockView &view = SuperblockView::real()) const
+    check(const EntryView &view = EntryView::real()) const
     {
-        return check(*block, view);
+        VerifyReport report;
+        for (const SbMacro *m : macros)
+            checkEntry(*m, epoch, prog, fc, translator, energy, report,
+                       view);
+        return report;
     }
 
-    /** Where in the block a span op sits. */
+    /** Where a span op sits. */
     struct OpAt
     {
-        const SbOp *op = nullptr;  //!< null: not found
-        std::size_t macro = 0;     //!< index in block->macros
-        std::uint32_t k = 0;       //!< index in that macro's span
+        const SbOp *op = nullptr;     //!< null: not found
+        const SbMacro *macro = nullptr;
+        std::uint32_t k = 0;          //!< index in the macro's span
 
         /** The prover's name for the op in a finding message. */
         std::string
         where() const
         {
-            return "macro " + std::to_string(macro) + " uop " +
+            return "entry " + hexPc(macro->op->pc) + " (context 0): uop " +
                    std::to_string(k) + " (";
         }
     };
 
-    /** The first span op, in retire order, that satisfies @p pred. */
+    /** The first span op, in program order, that satisfies @p pred. */
     template <class Pred>
     OpAt
     findOp(Pred pred) const
     {
-        for (std::size_t mi = 0; mi < block->macros.size(); ++mi) {
-            const SbMacro &m = *block->macros[mi];
-            for (std::uint32_t k = 0; k < m.dynCount; ++k)
-                if (pred(m.ops[k]))
-                    return {&m.ops[k], mi, k};
-        }
+        for (const SbMacro *m : macros)
+            for (std::uint32_t k = 0; k < m->dynCount; ++k)
+                if (pred(m->ops[k]))
+                    return {&m->ops[k], m, k};
         return {};
     }
 
@@ -156,34 +160,24 @@ expectAllPinned(const VerifyReport &report, const std::string &check,
 TEST(TierEquiv, FixtureBlockProvesClean)
 {
     const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
+    ASSERT_EQ(f.macros.size(), f.prog.code().size());
     const VerifyReport report = f.check();
     EXPECT_TRUE(report.empty()) << report.text();
 
     // The fixture must actually exercise the features the defect tests
-    // below plant faults into; a degenerate block would prove nothing.
+    // below plant faults into; a degenerate program would prove
+    // nothing.
     EXPECT_NE(f.findUop(SbHandler::Load).op, nullptr);
     EXPECT_NE(f.findUop(SbHandler::Store).op, nullptr);
-    const bool has_unroll = std::any_of(
-        f.block->macros.begin(), f.block->macros.end(),
-        [](const SbMacro *m) { return m->flow->loop.has_value(); });
+    EXPECT_NE(f.findUop(SbHandler::Halt).op, nullptr);
+    bool has_unroll = false;
+    for (const SbMacro *m : f.macros)
+        has_unroll = has_unroll || m->flow->loop.has_value();
     EXPECT_TRUE(has_unroll) << "rep-stos micro-loop was not unrolled";
     const bool has_eliminated =
         f.findOp([](const SbOp &op) { return !op.counted(); }).op != nullptr;
     EXPECT_TRUE(has_eliminated)
         << "SP tracking eliminated no stack uops";
-
-    // The block holds no translation of its own: each macro is its
-    // flow-cache entry's, span and all.
-    for (const SbMacro *m : f.block->macros) {
-        const auto slot =
-            static_cast<std::size_t>(m->op - f.prog.code().data());
-        const FlowCache::Entry *entry =
-            f.fc.peek(slot, f.block->epoch, m->ctx);
-        ASSERT_NE(entry, nullptr);
-        EXPECT_EQ(m, &entry->macro);
-        EXPECT_EQ(m->ops, entry->ops.data());
-    }
 }
 
 TEST(TierEquiv, VictimProgramsAuditClean)
@@ -200,24 +194,71 @@ TEST(TierEquiv, VictimProgramsAuditClean)
         const TierAudit audit =
             auditProgramTiers(*prog, translator, report);
         EXPECT_TRUE(report.empty()) << report.text();
-        EXPECT_GT(audit.blocks, 0u);
+        EXPECT_EQ(audit.entries, prog->code().size());
         EXPECT_GT(audit.uops, 0u);
     }
 }
 
+TEST(TierEquiv, ZeroTripRepStosAuditsClean)
+{
+    // A zero-trip micro-loop runs its body no times: the entry's span,
+    // the flow's expanded count and the reference executor agree.
+    ProgramBuilder b;
+    const Addr buf = b.reserveData("buf", 256);
+    b.markEntry();
+    b.movri(Gpr::Rax, 1);
+    b.repStos(buf, 0);
+    b.addi(Gpr::Rax, 2);
+    b.halt();
+    const Program prog = b.build();
+    NativeTranslator translator;
+    VerifyReport report;
+    const TierAudit audit = auditProgramTiers(prog, translator, report);
+    EXPECT_TRUE(report.empty()) << report.text();
+    EXPECT_EQ(audit.entries, 4u);
+}
+
+TEST(TierEquiv, ChainLinksAuditClean)
+{
+    // The links a simulation's chain set name each macro's
+    // fall-through entry, and every resident entry still proves clean
+    // against the translator.
+    const AesWorkload aes = AesWorkload::build(
+        {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7,
+         0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c});
+    SimParams params;
+    params.mode = SimMode::CacheOnly;
+    Simulation sim(aes.program, params);
+    for (int i = 0; i < 2; ++i) {
+        sim.restart();
+        sim.runToHalt();
+    }
+    ASSERT_GT(sim.fastPath().counters().built, 0u);
+    NativeTranslator translator;
+    const EnergyModel energy;
+    VerifyReport report;
+    std::size_t linked = 0;
+    sim.flowCache().forEach([&](const FlowCache::Entry &entry) {
+        linked += entry.macro.next ? 1 : 0;
+        checkEntry(entry.macro, translator.translationEpoch(), aes.program,
+                   sim.flowCache(), translator, energy, report);
+    });
+    EXPECT_TRUE(report.empty()) << report.text();
+    EXPECT_EQ(linked, sim.fastPath().counters().built);
+}
+
 // ---------------------------------------------------------------------
-// Seeded defects through SuperblockView, pinned to (block, op, check)
+// Seeded defects through EntryView, pinned to (entry, op, check)
 // ---------------------------------------------------------------------
 
 TEST(TierEquiv, HandlerDefectPinsHandlerMismatch)
 {
     const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
     const TierFixture::OpAt at = f.findUop(SbHandler::Load);
     ASSERT_NE(at.op, nullptr);
     const SbOp *target = at.op;
 
-    SuperblockView view = SuperblockView::real();
+    EntryView view = EntryView::real();
     view.handlerOf = [target](const SbOp &op) {
         return &op == target ? SbHandler::Nop : op.handler;
     };
@@ -235,11 +276,10 @@ TEST(TierEquiv, HandlerDefectPinsHandlerMismatch)
 TEST(TierEquiv, VpuDefectPinsHandlerMismatch)
 {
     const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
     const SbOp *target = f.findUop(SbHandler::ScalarAlu).op;
     ASSERT_NE(target, nullptr);
 
-    SuperblockView view = SuperblockView::real();
+    EntryView view = EntryView::real();
     view.vpuOf = [target](const SbOp &op) {
         return &op == target ? !op.vpu() : op.vpu();
     };
@@ -252,12 +292,11 @@ TEST(TierEquiv, VpuDefectPinsHandlerMismatch)
 TEST(TierEquiv, EnergyDefectPinsEnergyDrift)
 {
     const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
     const TierFixture::OpAt at = f.findUop(SbHandler::Store);
     ASSERT_NE(at.op, nullptr);
     const SbOp *target = at.op;
 
-    SuperblockView view = SuperblockView::real();
+    EntryView view = EntryView::real();
     view.energyOf = [target](const SbOp &op) {
         return &op == target ? op.energy + 0.125 : op.energy;
     };
@@ -272,12 +311,11 @@ TEST(TierEquiv, EnergyDefectPinsEnergyDrift)
 TEST(TierEquiv, CountedDefectPinsAccountingSkew)
 {
     const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
     const SbOp *target =
         f.findOp([](const SbOp &op) { return !op.counted(); }).op;
     ASSERT_NE(target, nullptr);
 
-    SuperblockView view = SuperblockView::real();
+    EntryView view = EntryView::real();
     view.countedOf = [target](const SbOp &op) {
         return &op == target ? !op.counted() : op.counted();
     };
@@ -287,166 +325,17 @@ TEST(TierEquiv, CountedDefectPinsAccountingSkew)
     EXPECT_EQ(report.findings().size(), 1u) << report.text();
 }
 
-TEST(TierEquiv, DroppedEpochGuardPinsUnguardedWindow)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    // Plant on a macro with a memory effect: the store.
-    const TierFixture::OpAt at = f.findUop(SbHandler::Store);
-    ASSERT_NE(at.op, nullptr);
-    const SbMacro *target = f.block->macros[at.macro];
-
-    SuperblockView view = SuperblockView::real();
-    view.guardsOf = [target](const SbMacro &macro) {
-        const std::uint8_t guards = macro.guards;
-        return &macro == target
-                   ? static_cast<std::uint8_t>(guards & ~sbGuardEpoch)
-                   : guards;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.unguarded-epoch-window", target->op->pc);
-    EXPECT_EQ(report.findings().size(), 1u) << report.text();
-}
-
-TEST(TierEquiv, DroppedStabilityProbePinsUnguardedWindow)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    // Stability must be probed even on effect-free macros.
-    const TierFixture::OpAt at = f.findUop(SbHandler::ScalarAlu);
-    ASSERT_NE(at.op, nullptr);
-    const SbMacro *target = f.block->macros[at.macro];
-
-    SuperblockView view = SuperblockView::real();
-    view.guardsOf = [target](const SbMacro &macro) {
-        const std::uint8_t guards = macro.guards;
-        return &macro == target
-                   ? static_cast<std::uint8_t>(guards & ~sbGuardStability)
-                   : guards;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.unguarded-epoch-window", target->op->pc);
-}
-
-TEST(TierEquiv, DroppedContextGuardPinsUnguardedWindowOnVectorMacro)
-{
-    // A devectorization toggle moves a vector op's stable context
-    // without an epoch bump, so only devectorizable macros need the
-    // context compare: dropping it everywhere flags the vector macro
-    // alone.
-    ProgramBuilder b;
-    b.markEntry();
-    b.movri(Gpr::Rax, 5);
-    b.vecOp(MacroOpcode::Paddd, Xmm::Xmm0, Xmm::Xmm1);
-    b.addi(Gpr::Rax, 1);
-    b.halt();
-    const TierFixture f(b.build());
-    ASSERT_NE(f.block, nullptr);
-    ASSERT_TRUE(f.check().empty()) << f.check().text();
-    const SbMacro &vector = *f.block->macros[1];
-    ASSERT_EQ(vector.op->opcode, MacroOpcode::Paddd);
-
-    SuperblockView view = SuperblockView::real();
-    view.guardsOf = [](const SbMacro &macro) {
-        return static_cast<std::uint8_t>(macro.guards & ~sbGuardContext);
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.unguarded-epoch-window", vector.op->pc);
-    EXPECT_EQ(report.findings().size(), 1u) << report.text();
-}
-
-TEST(TierEquiv, NonFlushingExitPinsPartialFlush)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    SuperblockView view = SuperblockView::real();
-    view.exitMetaOf = [](SbExit exit) {
-        SbExitMeta meta = sbExitMeta(exit);
-        if (exit == SbExit::Branch)
-            meta.flushesPrefix = false;
-        return meta;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.partial-flush", f.block->entryPc);
-    EXPECT_NE(report.findings().front().message.find("branch"),
-              std::string::npos);
-}
-
-TEST(TierEquiv, ChainingEpochBumpExitPinsPartialFlush)
-{
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    SuperblockView view = SuperblockView::real();
-    view.exitMetaOf = [](SbExit exit) {
-        SbExitMeta meta = sbExitMeta(exit);
-        if (exit == SbExit::EpochBump)
-            meta.resumesInterpreter = false;
-        return meta;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.partial-flush", f.block->entryPc);
-}
-
-TEST(TierEquiv, ReenteringEpochBumpPinsPartialFlush)
-{
-    // An epoch bump stales every translation in the block: resuming it
-    // after the interpreter step would replay stale flows.
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    SuperblockView view = SuperblockView::real();
-    view.exitMetaOf = [](SbExit exit) {
-        SbExitMeta meta = sbExitMeta(exit);
-        if (exit == SbExit::EpochBump) {
-            meta.reentersBlock = true;
-            meta.interpreterMacros = 1;
-        }
-        return meta;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.partial-flush", f.block->entryPc);
-    EXPECT_EQ(report.findings().size(), 1u) << report.text();
-    EXPECT_NE(report.findings().front().message.find("epoch_bump"),
-              std::string::npos);
-}
-
-TEST(TierEquiv, UnstableReentryAtVetoedMacroPinsPartialFlush)
-{
-    // Re-entering at the vetoed macro k (not k+1) would run the stable
-    // translation the stability probe just refused.
-    const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    SuperblockView view = SuperblockView::real();
-    view.exitMetaOf = [](SbExit exit) {
-        SbExitMeta meta = sbExitMeta(exit);
-        if (exit == SbExit::Unstable)
-            meta.interpreterMacros = 0;
-        return meta;
-    };
-
-    const VerifyReport report = f.check(view);
-    expectAllPinned(report, "tier.partial-flush", f.block->entryPc);
-    EXPECT_NE(report.findings().front().message.find("unstable"),
-              std::string::npos);
-}
-
 TEST(TierEquiv, TimingDefectPinsTimingDrift)
 {
     // One store's timing record loses its data-register dependence:
     // the detailed back end would issue it before its data is ready.
     const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
     const TierFixture::OpAt at = f.findUop(SbHandler::Store);
     ASSERT_NE(at.op, nullptr);
     const SbOp *target = at.op;
     ASSERT_NE(target->timing.src[2], UopTimingRec::noSrc);
 
-    SuperblockView view = SuperblockView::real();
+    EntryView view = EntryView::real();
     view.timingOf = [target](const SbOp &op) {
         UopTimingRec rec = op.timing;
         if (&op == target)
@@ -466,7 +355,6 @@ TEST(TierEquiv, EveryTimingFieldDriftIsCaught)
     // Each field the detailed consumer reads, perturbed alone on one
     // load, must surface as tier.timing-drift.
     const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
     const SbOp *target = f.findUop(SbHandler::Load).op;
     ASSERT_NE(target, nullptr);
 
@@ -485,7 +373,7 @@ TEST(TierEquiv, EveryTimingFieldDriftIsCaught)
         [](UopTimingRec &r) { r.bits ^= UopTimingRec::devectExpansion; },
     };
     for (std::size_t d = 0; d < defects.size(); ++d) {
-        SuperblockView view = SuperblockView::real();
+        EntryView view = EntryView::real();
         view.timingOf = [target, &defects, d](const SbOp &op) {
             UopTimingRec rec = op.timing;
             if (&op == target)
@@ -499,36 +387,29 @@ TEST(TierEquiv, EveryTimingFieldDriftIsCaught)
 }
 
 // ---------------------------------------------------------------------
-// Structural corruption of a (copied) block
+// Structural corruption of a (copied) macro header
 // ---------------------------------------------------------------------
 
 TEST(TierEquiv, TornUopRangeIsPartialFlush)
 {
     // A macro that retires less than its entry's stored span leaves
-    // part of itself behind at any exit after it.
+    // part of itself behind before the chain moves on.
     const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    ASSERT_GE(f.block->macros.size(), 2u);
-    Superblock torn = *f.block;
-    SbMacro shortened = *torn.macros[1];
+    SbMacro shortened = *f.macros[1];
     ASSERT_GT(shortened.dynCount, 0u);
     shortened.dynCount -= 1;
-    torn.macros[1] = &shortened;
 
-    const VerifyReport report = f.check(torn);
+    const VerifyReport report = f.check(shortened);
     EXPECT_TRUE(report.hasCheck("tier.partial-flush")) << report.text();
 }
 
 TEST(TierEquiv, SkewedDeliveredDeltaIsAccountingSkew)
 {
     const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    Superblock skewed = *f.block;
-    SbMacro macro = *skewed.macros.front();
+    SbMacro macro = *f.macros.front();
     macro.delivered += 1;
-    skewed.macros.front() = &macro;
 
-    const VerifyReport report = f.check(skewed);
+    const VerifyReport report = f.check(macro);
     ASSERT_TRUE(report.hasCheck("tier.accounting-skew")) << report.text();
     EXPECT_EQ(report.findings().size(), 1u) << report.text();
     EXPECT_EQ(report.findings().front().pc, macro.op->pc);
@@ -537,14 +418,12 @@ TEST(TierEquiv, SkewedDeliveredDeltaIsAccountingSkew)
 TEST(TierEquiv, ReorderedExpansionIsUnrollMismatch)
 {
     const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    Superblock shuffled = *f.block;
     // Swap two adjacent span ops within one macro whose identities
     // differ — the count stays right, only the order is wrong.
     std::vector<SbOp> span;
     SbMacro macro;
     bool swapped = false;
-    for (const SbMacro *&m : shuffled.macros) {
+    for (const SbMacro *m : f.macros) {
         span.assign(m->ops, m->ops + m->dynCount);
         for (std::size_t k = 0; k + 1 < span.size() && !swapped; ++k) {
             const Uop &a = *span[k].uop;
@@ -557,7 +436,6 @@ TEST(TierEquiv, ReorderedExpansionIsUnrollMismatch)
         if (swapped) {
             macro = *m;
             macro.ops = span.data();
-            m = &macro;
             break;
         }
     }
@@ -565,7 +443,7 @@ TEST(TierEquiv, ReorderedExpansionIsUnrollMismatch)
 
     // The swapped span is a copy, so the copy check fires too; the
     // order check must add its own finding on the same macro.
-    const VerifyReport report = f.check(shuffled);
+    const VerifyReport report = f.check(macro);
     ASSERT_EQ(report.findings().size(), 2u) << report.text();
     bool order_found = false;
     for (const auto &finding : report.findings()) {
@@ -580,19 +458,16 @@ TEST(TierEquiv, ReorderedExpansionIsUnrollMismatch)
 
 TEST(TierEquiv, CopiedSpanIsUnrollMismatch)
 {
-    // A block macro must retire its flow-cache entry's own span: a
-    // copy (even an equal one) is a second stored form, and would
-    // outlive a re-translation of its flow.
+    // A macro must retire its flow-cache entry's own span: a copy
+    // (even an equal one) is a second stored form, and would outlive a
+    // re-translation of its flow.
     const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    Superblock copied = *f.block;
-    const SbMacro &first = *copied.macros.front();
+    const SbMacro &first = *f.macros.front();
     const std::vector<SbOp> span(first.ops, first.ops + first.dynCount);
     SbMacro macro = first;
     macro.ops = span.data();
-    copied.macros.front() = &macro;
 
-    const VerifyReport report = f.check(copied);
+    const VerifyReport report = f.check(macro);
     ASSERT_TRUE(report.hasCheck("tier.unroll-mismatch")) << report.text();
     EXPECT_FALSE(report.hasCheck("tier.timing-drift")) << report.text();
     EXPECT_EQ(report.findings().size(), 1u) << report.text();
@@ -602,21 +477,35 @@ TEST(TierEquiv, CopiedSpanIsUnrollMismatch)
 TEST(TierEquiv, DivergedFallThroughIsPartialFlush)
 {
     const TierFixture f;
-    ASSERT_NE(f.block, nullptr);
-    Superblock diverged = *f.block;
-    SbMacro macro = *diverged.macros.front();
+    SbMacro macro = *f.macros.front();
     macro.fallThrough += 2;
-    diverged.macros.front() = &macro;
 
-    const VerifyReport report = f.check(diverged);
+    const VerifyReport report = f.check(macro);
     EXPECT_TRUE(report.hasCheck("tier.partial-flush")) << report.text();
+}
+
+TEST(TierEquiv, MisdirectedLinkIsPartialFlush)
+{
+    // A chain link must name the fall-through macro's entry: one that
+    // skips it would retire the program out of order.
+    const TierFixture f;
+    SbMacro macro = *f.macros.front();
+    macro.next = f.macros[1];
+    EXPECT_TRUE(f.check(macro).empty()) << f.check(macro).text();
+    macro.next = f.macros[2];
+
+    const VerifyReport report = f.check(macro);
+    expectAllPinned(report, "tier.partial-flush", macro.op->pc);
+    EXPECT_EQ(report.findings().size(), 1u) << report.text();
 }
 
 TEST(TierEquiv, EmptyBlockIsPartialFlush)
 {
+    // A header whose span is empty retires nothing of its macro.
     const TierFixture f;
-    Superblock empty;
-    empty.entryPc = f.prog.entry();
+    SbMacro empty = *f.macros.front();
+    empty.dynCount = 0;
+    empty.ops = nullptr;
 
     const VerifyReport report = f.check(empty);
     EXPECT_TRUE(report.hasCheck("tier.partial-flush")) << report.text();
@@ -625,34 +514,6 @@ TEST(TierEquiv, EmptyBlockIsPartialFlush)
 // ---------------------------------------------------------------------
 // Offline driver plumbing
 // ---------------------------------------------------------------------
-
-TEST(TierEquiv, RegionHeadsCoverEntryAndBranchTargets)
-{
-    ProgramBuilder b;
-    b.markEntry();
-    b.movri(Gpr::Rax, 1);
-    ProgramBuilder::Label target = b.newLabel();
-    b.cmpi(Gpr::Rax, 0);
-    b.jcc(Cond::Ne, target);
-    b.nop();
-    b.bind(target);
-    b.nop();
-    b.halt();
-    const Program prog = b.build();
-
-    const std::vector<Addr> heads = regionHeads(prog);
-    EXPECT_NE(std::find(heads.begin(), heads.end(), prog.entry()),
-              heads.end());
-    // The Jcc target must be enumerated as a head.
-    bool found_target = false;
-    for (const MacroOp &op : prog.code())
-        if (op.opcode == MacroOpcode::Jcc)
-            found_target =
-                std::find(heads.begin(), heads.end(), op.target) !=
-                heads.end();
-    EXPECT_TRUE(found_target);
-    EXPECT_TRUE(std::is_sorted(heads.begin(), heads.end()));
-}
 
 TEST(TierEquiv, PopulateFlowCacheMatchesSimulatorProtocol)
 {
@@ -762,8 +623,8 @@ randomProgram(Rng &rng)
         }
     }
     if (rng.pick(2) == 0) {
-        // A conditional branch: stays mid-block (exits dynamically when
-        // taken) and contributes its target as another region head.
+        // A conditional branch: its fall-through and its target are
+        // both cached.
         b.cmpi(Gpr::Rax, 3);
         const ProgramBuilder::Label skip = b.newLabel();
         b.jcc(Cond::Ne, skip);
@@ -778,7 +639,6 @@ randomProgram(Rng &rng)
 TEST(TierEquivRandom, ProverAccountingEqualsInterpreterMeasurement)
 {
     Rng rng(0x243f6a8885a308d3ull);
-    std::size_t total_blocks = 0;
     std::size_t total_macros = 0;
 
     for (int pi = 0; pi < 100; ++pi) {
@@ -796,44 +656,37 @@ TEST(TierEquivRandom, ProverAccountingEqualsInterpreterMeasurement)
             << report.text();
 
         // And its symbolic per-macro deltas must equal what actually
-        // executing each compiled flow measures — exact equality, per
+        // executing each cached flow measures — exact equality, per
         // macro, for dynamic and delivered uops — and the front-end
         // slots must be the flow's deliveredSlots.
-        const SuperblockCache blocks;
-        const SuperblockBuilder builder(prog, fc, translator, blocks);
         ArchState state;
         state.loadProgram(prog);
         FunctionalExecutor exec(state);
-        for (const Addr head : regionHeads(prog)) {
-            const std::unique_ptr<Superblock> block = builder.build(head);
-            if (!block)
-                continue;
-            ++total_blocks;
-            for (const SbMacro *macro : block->macros) {
-                const SbMacro &m = *macro;
-                ++total_macros;
-                FlowResult result;
-                exec.executeInto(*m.op, *m.flow, result);
-                std::uint64_t delivered = 0;
-                for (const DynUop &dyn : result.dynUops)
-                    delivered += dyn.uop->eliminated ? 0 : 1;
-                ASSERT_EQ(m.dynCount, result.dynUops.size())
-                    << "program " << pi << " macro @ 0x" << std::hex
-                    << m.op->pc;
-                ASSERT_EQ(m.delivered, delivered)
-                    << "program " << pi << " macro @ 0x" << std::hex
-                    << m.op->pc;
-                ASSERT_EQ(m.frontEndSlots, deliveredSlots(*m.flow))
-                    << "program " << pi << " macro @ 0x" << std::hex
-                    << m.op->pc;
-            }
-        }
+        fc.forEach([&](const FlowCache::Entry &entry) {
+            const SbMacro &m = entry.macro;
+            if (m.op->opcode == MacroOpcode::Halt)
+                return;  // would end the executor's program
+            ++total_macros;
+            FlowResult result;
+            exec.executeInto(*m.op, *m.flow, result);
+            std::uint64_t delivered = 0;
+            for (const DynUop &dyn : result.dynUops)
+                delivered += dyn.uop->eliminated ? 0 : 1;
+            EXPECT_EQ(m.dynCount, result.dynUops.size())
+                << "program " << pi << " macro @ 0x" << std::hex
+                << m.op->pc;
+            EXPECT_EQ(m.delivered, delivered)
+                << "program " << pi << " macro @ 0x" << std::hex
+                << m.op->pc;
+            EXPECT_EQ(m.frontEndSlots, deliveredSlots(*m.flow))
+                << "program " << pi << " macro @ 0x" << std::hex
+                << m.op->pc;
+        });
     }
 
-    // The corpus must genuinely exercise the tier; a generator drift
-    // that stops producing compilable regions would otherwise pass
+    // The corpus must genuinely exercise the cache; a generator drift
+    // that stops producing cacheable ops would otherwise pass
     // vacuously.
-    EXPECT_GT(total_blocks, 50u);
     EXPECT_GT(total_macros, 500u);
 }
 
