@@ -32,7 +32,10 @@
  * the channel monitor's overhead (MAX_MONITOR_OVERHEAD_PCT). The
  * stealth row's flow-cache hit rate is the guard that watchdog
  * retriggers keep memoized flows (MIN_STEALTH_HIT_RATE); it is a pure
- * function of the simulated run, so host noise cannot move it.
+ * function of the simulated run, so host noise cannot move it. So is
+ * `memory.cache_storage_kib`, the host bytes the milc rig's four caches
+ * store their ways in after its timed runs (MAX_CACHE_STORAGE_KIB): the
+ * caches store only the ways the run fills.
  */
 
 #include <chrono>
@@ -123,6 +126,15 @@ class Rig
     }
 
     double seconds() const { return seconds_; }
+
+    /** Host bytes the rig's four caches store their ways in. */
+    std::size_t
+    cacheStorageBytes() const
+    {
+        MemHierarchy &mem = sim_->mem();
+        return mem.l1i().storageBytes() + mem.l1d().storageBytes() +
+               mem.l2().storageBytes() + mem.llc().storageBytes();
+    }
 
     ThroughputRun
     result() const
@@ -256,6 +268,8 @@ main(int argc, char **argv)
     measureInterleaved({&gated_on, &gated_off});
     const ThroughputRun gated = gated_on.result();
     const ThroughputRun gated_uncached = gated_off.result();
+    const double cache_storage_kib =
+        static_cast<double>(gated_on.cacheStorageBytes()) / 1024.0;
 
     Table table({"configuration", "kuops/s", "uops", "host s",
                  "flow-cache hit", "chained uops"});
@@ -299,6 +313,7 @@ main(int argc, char **argv)
     benchStat("flow_cache_hit_rate", on.flowCacheHitRate);
     benchStat("stealth_kuops_per_s", stealth.kuopsPerSec);
     benchStat("stealth_flow_cache_hit_rate", stealth.flowCacheHitRate);
+    benchStat("memory.cache_storage_kib", cache_storage_kib);
 
     // The chain's host counters from the cache-only run
     // (sim/fastpath.hh). These live outside the simulated stat tree;
@@ -339,5 +354,8 @@ main(int argc, char **argv)
                 "disarmed cache-only)\n",
                 fmt(monitored.kuopsPerSec, 1).c_str(),
                 fmt(monitor_overhead, 1).c_str());
+    std::printf("cache way storage after milc: %s KiB (L1I, L1D, L2, "
+                "LLC)\n",
+                fmt(cache_storage_kib, 1).c_str());
     return 0;
 }

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
-#include <stdexcept>
 #include <sstream>
 #include <utility>
 
@@ -109,11 +108,7 @@ benchInit(int argc, char **argv)
     // parse first, so a bad CSD_* variable fails before any output,
     // with the exit status of a bad flag: csd_fatal has printed its
     // one message already.
-    try {
-        Knobs::process();
-    } catch (const std::runtime_error &) {
-        std::exit(2);
-    }
+    Knobs::processOrExit();
     std::string path;
     for (int i = 1; i < argc; ++i) {
         std::string flag = argv[i];

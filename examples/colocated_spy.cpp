@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "common/env.hh"
 #include "csd/csd.hh"
 #include "sec/spy.hh"
 #include "sim/duo.hh"
@@ -89,6 +90,9 @@ runScenario(bool defended)
 int
 main()
 {
+    // A bad CSD_* knob exits 2 with one message, not an abort.
+    Knobs::processOrExit();
+
     std::printf("Fully simulated co-located FLUSH+RELOAD: the spy is a "
                 "mini-ISA program using clflush/rdtsc,\nsharing the "
                 "cache hierarchy with the RSA victim "

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "common/env.hh"
 #include "csd/csd.hh"
 #include "csd/profiler.hh"
 #include "sim/simulation.hh"
@@ -22,6 +23,9 @@ using namespace csd;
 int
 main()
 {
+    // A bad CSD_* knob exits 2 with one message, not an abort.
+    Knobs::processOrExit();
+
     std::array<std::uint8_t, 16> key{};
     for (unsigned i = 0; i < 16; ++i)
         key[i] = static_cast<std::uint8_t>(i);

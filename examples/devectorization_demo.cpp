@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "common/env.hh"
 #include "csd/csd.hh"
 #include "csd/devect.hh"
 #include "sim/simulation.hh"
@@ -60,6 +61,9 @@ runPolicy(const SpecWorkload &workload, GatingPolicy policy,
 int
 main()
 {
+    // A bad CSD_* knob exits 2 with one message, not an abort.
+    Knobs::processOrExit();
+
     std::printf("=== one instruction, two translations ===\n");
     MacroOp paddb;
     paddb.opcode = MacroOpcode::Paddb;

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 
+#include "common/env.hh"
 #include "csd/csd.hh"
 #include "sim/simulation.hh"
 
@@ -23,6 +24,9 @@ using namespace csd;
 int
 main()
 {
+    // A bad CSD_* knob exits 2 with one message, not an abort.
+    Knobs::processOrExit();
+
     // ------------------------------------------------------------------
     // 1. Author the update in plain x86 (the API exposed to software
     //    is the entire native ISA, auto-translated by the decoder).

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/env.hh"
 #include "csd/csd.hh"
 #include "sim/simulation.hh"
 
@@ -18,6 +19,9 @@ using namespace csd;
 int
 main()
 {
+    // A bad CSD_* knob exits 2 with one message, not an abort.
+    Knobs::processOrExit();
+
     // ------------------------------------------------------------------
     // 1. Write a program with the assembler-style builder.
     // ------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/env.hh"
 #include "csd/csd.hh"
 #include "sim/simulation.hh"
 #include "workloads/rsa.hh"
@@ -27,6 +28,9 @@ using namespace csd;
 int
 main(int argc, char **argv)
 {
+    // A bad CSD_* knob exits 2 with one message, not an abort.
+    Knobs::processOrExit();
+
     const std::string o3_path =
         argc > 1 ? argv[1] : "rsa_pipeview.o3log";
     const std::string kanata_path =

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "common/env.hh"
 #include "sec/aes_attack.hh"
 
 using namespace csd;
@@ -36,6 +37,9 @@ showByteZeroCurve(const AesAttackResult &result)
 int
 main()
 {
+    // A bad CSD_* knob exits 2 with one message, not an abort.
+    Knobs::processOrExit();
+
     const std::array<std::uint8_t, 16> key = {
         0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
         0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};

@@ -35,6 +35,12 @@ rate at or above MIN_STEALTH_HIT_RATE: a retrigger only refills the
 decoy queue, so memoized flows must survive it. The ratio is a pure
 function of the simulated run, so host noise cannot flake it.
 
+`memory.cache_storage_kib`, the host memory the milc rig's L1I, L1D, L2
+and LLC store their ways in after its timed runs, must stay at or below
+MAX_CACHE_STORAGE_KIB: a cache stores only as many ways per set as the
+run has filled (memory/cache.hh). It is deterministic too, and unlike
+peak RSS it does not depend on the C library's heap behaviour.
+
 Host machines differ, so the committed baseline is a floor for CI's
 runner class, not a universal truth; refresh it with
 `bench_sim_throughput --json bench/baseline_throughput.json` on the CI
@@ -69,6 +75,10 @@ MIN_DETAILED_COVERAGE = 0.9
 MAX_MONITOR_OVERHEAD_PCT = 30.0
 # Floor for stealth_flow_cache_hit_rate (deterministic).
 MIN_STEALTH_HIT_RATE = 0.95
+# Ceiling for memory.cache_storage_kib (deterministic): 164.5 KiB with
+# ways stored as sets fill; 1,064 KiB (1,024 LLC + 32 L2 + 4 + 4) when
+# every cache stores its full associativity.
+MAX_CACHE_STORAGE_KIB = 256.0
 
 
 def fail(msg):
@@ -143,6 +153,9 @@ def main():
     ok &= gate("stealth_flow_cache_hit_rate",
                require(current, "stealth_flow_cache_hit_rate"),
                MIN_STEALTH_HIT_RATE, True)
+    ok &= gate("memory.cache_storage_kib",
+               require(current, "memory.cache_storage_kib"),
+               MAX_CACHE_STORAGE_KIB, False, " KiB")
     if require(current, "chain.cache_off_entries") != 0:
         fail("a flow-cache-off run chained; setFlowCacheEnabled(false) "
              "is not being honored")

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 
 #include <unistd.h>
 
@@ -125,6 +126,16 @@ Knobs::process()
 {
     static const Knobs knobs(environ);
     return knobs;
+}
+
+const Knobs &
+Knobs::processOrExit()
+{
+    try {
+        return process();
+    } catch (const std::runtime_error &) {
+        std::exit(2);
+    }
 }
 
 std::string

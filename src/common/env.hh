@@ -148,6 +148,13 @@ class Knobs
     /** The process environment's knobs, parsed on first use. */
     static const Knobs &process();
 
+    /**
+     * process() for a program's main(): on a bad knob, after
+     * csd_fatal's one message, exit with status 2 (a usage error)
+     * instead of letting the exception terminate the program.
+     */
+    static const Knobs &processOrExit();
+
     /** A Bool knob's value. */
     bool flag(Knob knob) const { return number(knob) != 0; }
 

@@ -1,6 +1,11 @@
 #include "memory/cache.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <bit>
+#include <cerrno>
+#include <cstring>
 #include <sstream>
 
 #include "common/bitutils.hh"
@@ -10,7 +15,7 @@ namespace csd
 {
 
 static_assert(sizeof(Cache::Tag) + sizeof(Cache::Stamp) == 8,
-              "a way costs 8 host bytes");
+              "a stored way costs 8 host bytes");
 
 Cache::Cache(const CacheParams &params)
     : params_(params), stats_(params.name)
@@ -25,7 +30,6 @@ Cache::Cache(const CacheParams &params)
     if (!isPowerOf2(numSets_))
         csd_fatal("Cache ", params_.name, ": set count ", numSets_,
                   " is not a power of two");
-    ways_ = std::make_unique_for_overwrite<std::uint32_t[]>(2 * num_blocks);
     liveSets_.assign((numSets_ + 63) / 64, 0);
 
     stats_.addCounter("accesses", &accesses_, "demand accesses");
@@ -46,25 +50,67 @@ Cache::addressOutOfRange(Addr addr) const
 }
 
 void
+Cache::Unmap::operator()(std::uint32_t *rows) const
+{
+    munmap(rows, bytes);
+}
+
+Cache::Rows
+Cache::mapRows(unsigned width) const
+{
+    const std::size_t bytes = rowsBytes(width);
+    void *rows = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (rows == MAP_FAILED)
+        csd_fatal("Cache ", params_.name, ": cannot map ", bytes,
+                  " bytes of ways: ", std::strerror(errno));
+    return Rows(static_cast<std::uint32_t *>(rows), Unmap{bytes});
+}
+
+void
 Cache::makeSetLive(unsigned set)
 {
-    std::fill_n(tagsOf(set), params_.assoc, emptyTag);
-    std::fill_n(stampsOf(set), params_.assoc, 0);
+    if (!rows_)
+        rows_ = mapRows(width_);
+    std::fill_n(tagsOf(set), width_, emptyTag);
+    std::fill_n(stampsOf(set), width_, 0);
     liveSets_[set >> 6] |= std::uint64_t{1} << (set & 63);
+}
+
+void
+Cache::widen()
+{
+    const unsigned old_width = width_;
+    const unsigned new_width = std::min(2 * old_width, params_.assoc);
+    Rows rows = mapRows(new_width);
+    for (std::size_t word = 0; word < liveSets_.size(); ++word) {
+        for (std::uint64_t bits = liveSets_[word]; bits; bits &= bits - 1) {
+            const std::size_t set = word * 64 + std::countr_zero(bits);
+            const std::uint32_t *from = &rows_[set * 2 * old_width];
+            std::uint32_t *to = &rows[set * 2 * new_width];
+            std::copy_n(from, old_width, to);
+            std::fill_n(to + old_width, new_width - old_width, emptyTag);
+            std::copy_n(from + old_width, old_width, to + new_width);
+            std::fill_n(to + new_width + old_width, new_width - old_width,
+                        0);
+        }
+    }
+    rows_ = std::move(rows);
+    width_ = new_width;
 }
 
 void
 Cache::renumberStamps()
 {
     std::vector<unsigned> order;
-    order.reserve(params_.assoc);
+    order.reserve(width_);
     for (unsigned set = 0; set < numSets_; ++set) {
         if (!setLive(set))
             continue;
         const Tag *tags = tagsOf(set);
         Stamp *stamps = stampsOf(set);
         order.clear();
-        for (unsigned way = 0; way < params_.assoc; ++way) {
+        for (unsigned way = 0; way < width_; ++way) {
             if (tags[way] == emptyTag)
                 stamps[way] = 0;
             else
@@ -97,15 +143,23 @@ Cache::fill(Addr addr)
     Tag *tags = tagsOf(set);
     Stamp *stamps = stampsOf(set);
     unsigned victim = 0;
-    for (unsigned way = 0; way < params_.assoc; ++way) {
-        if (tags[way] == emptyTag) {
-            victim = way;
+    unsigned way = 0;
+    for (; way < width_; ++way) {
+        if (tags[way] == emptyTag)
             break;
-        }
         if (stamps[way] < stamps[victim])
             victim = way;
     }
-    if (tags[victim] != emptyTag) {
+    if (way == width_ && width_ < params_.assoc) {
+        // Every stored way is valid but the set has more: store them;
+        // the first new way is the first invalid one.
+        widen();
+        tags = tagsOf(set);
+        stamps = stampsOf(set);
+    }
+    if (way < width_) {
+        victim = way;  // the first invalid way
+    } else {
         ++evictions_;
         if (monitor_) [[unlikely]]
             monitor_->recordEviction(monitorStructure_, set);
@@ -145,7 +199,7 @@ Cache::setContents(unsigned set) const
     if (!setLive(set))
         return contents;
     const Tag *tags = tagsOf(set);
-    for (unsigned way = 0; way < params_.assoc; ++way)
+    for (unsigned way = 0; way < width_; ++way)
         if (tags[way] != emptyTag)
             contents.push_back(static_cast<Addr>(tags[way]) * cacheBlockSize);
     return contents;

@@ -7,17 +7,29 @@
  * blocks are resident, and the precise eviction behaviour an attacker
  * can manipulate with PRIME+PROBE / FLUSH+RELOAD.
  *
- * Each way costs 8 host bytes: a 32-bit tag (the block number) and a
- * 32-bit LRU stamp. Addresses must lie below maxAddr (256 GiB); any
- * other fails loudly instead of aliasing. No writeback is modelled, so
- * there is no dirty state. When a cache's stamp clock would wrap, each
- * set's valid ways are renumbered 1..k in recency order, which keeps
- * every victim choice of true LRU.
+ * Each stored way costs 8 host bytes: a 32-bit tag (the block number)
+ * and a 32-bit LRU stamp. A cache stores only as many ways per set as
+ * the run has filled: every set keeps its first `width` ways, and the
+ * ways it does not store are invalid by definition. The width starts
+ * at 1 and doubles, capped at the associativity, the first time a fill
+ * finds every stored way of its set valid; the new ways start invalid,
+ * so the victim rule (the first invalid way, else the least recently
+ * used) and every decision of true LRU over the full associativity
+ * are unchanged. The rows live in their own anonymous mapping, made at
+ * the first fill and replaced on a widen, so an untouched cache costs
+ * no memory and a widened one returns its old rows to the OS.
+ *
+ * Addresses must lie below maxAddr (256 GiB); any other fails loudly
+ * instead of aliasing. No writeback is modelled, so there is no dirty
+ * state. When a cache's stamp clock would wrap, each set's valid ways
+ * are renumbered 1..k in recency order, which keeps every victim
+ * choice of true LRU.
  */
 
 #ifndef CSD_MEMORY_CACHE_HH
 #define CSD_MEMORY_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -90,6 +102,17 @@ class Cache
 
     unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return params_.assoc; }
+
+    /**
+     * Host bytes of the stored rows (numSets() x stored ways x 8); 0
+     * before the first fill. Deterministic for a given access stream.
+     */
+    std::size_t
+    storageBytes() const
+    {
+        return rows_ ? rowsBytes(width_) : 0;
+    }
+
     Cycles hitLatency() const { return params_.hitLatency; }
     const std::string &name() const { return params_.name; }
 
@@ -126,7 +149,7 @@ class Cache
     }
 
   private:
-    friend class CacheTestPeer;  //!< tests: start the clock near a wrap
+    friend class CacheTestPeer;  //!< tests: the clock, the stored ways
 
     static constexpr unsigned invalidWay = ~0u;
     static constexpr Tag emptyTag = ~Tag{0};  //!< an invalid way
@@ -157,20 +180,49 @@ class Cache
         return (liveSets_[set >> 6] >> (set & 63)) & 1;
     }
 
-    /** Initialize @p set's ways (all invalid) and mark it live. */
+    /**
+     * Initialize @p set's stored ways (all invalid) and mark it live,
+     * mapping the rows first if this is the cache's first fill.
+     */
     void makeSetLive(unsigned set);
 
-    /** @p set's tags (assoc of them); its stamps follow them. */
+    /**
+     * Double the stored ways (capped at assoc): copy every live set's
+     * row into new rows whose added ways are invalid, and release the
+     * old rows.
+     */
+    void widen();
+
+    /** @p set's tags (width_ of them); its stamps follow them. */
     Tag *
     tagsOf(unsigned set) const
     {
-        return &ways_[static_cast<std::size_t>(set) * 2 * params_.assoc];
+        return &rows_[static_cast<std::size_t>(set) * 2 * width_];
     }
 
     Stamp *stampsOf(unsigned set) const
     {
-        return tagsOf(set) + params_.assoc;
+        return tagsOf(set) + width_;
     }
+
+    /** Bytes of rows @p width ways wide. */
+    std::size_t
+    rowsBytes(unsigned width) const
+    {
+        return static_cast<std::size_t>(numSets_) * width *
+               (sizeof(Tag) + sizeof(Stamp));
+    }
+
+    /** Unmaps rows; holds their byte length. */
+    struct Unmap
+    {
+        std::size_t bytes;
+        void operator()(std::uint32_t *rows) const;
+    };
+    using Rows = std::unique_ptr<std::uint32_t[], Unmap>;
+
+    /** Map zeroed rows @p width ways wide (pages untouched). */
+    Rows mapRows(unsigned width) const;
 
     /** Advance the LRU clock, renumbering the stamps first on a wrap. */
     Stamp
@@ -190,14 +242,16 @@ class Cache
 
     CacheParams params_;
     unsigned numSets_;
-    // Per set, its assoc tags then its assoc stamps, so a hit's tag
-    // scan and stamp write touch one run of 8 * assoc bytes (measured
-    // no slower than separate tag and stamp arrays). Left
-    // uninitialized at construction (the LLC's is a megabyte most
-    // runs never touch); a set's ways are only meaningful once
-    // liveSets_ marks it live, and the first fill() into a set
-    // initializes them.
-    std::unique_ptr<std::uint32_t[]> ways_;
+    // Per set, its width_ tags then its width_ stamps, so a hit's tag
+    // scan and stamp write touch one run of 8 * width_ bytes (measured
+    // no slower than separate tag and stamp arrays). Null until the
+    // first fill() maps them; a page is only touched once a set on it
+    // goes live (the full LLC is a megabyte most runs never touch). A
+    // set's row is only meaningful once liveSets_ marks it live, and
+    // the first fill() into a set initializes it; ways at or past
+    // width_ are not stored, and are invalid.
+    Rows rows_;
+    unsigned width_ = 1;
     std::vector<std::uint64_t> liveSets_;  //!< one bit per set
     Stamp lruClock_ = 0;
 
@@ -228,7 +282,7 @@ Cache::findWay(Addr addr) const
     if (!setLive(set))
         return invalidWay;
     const Tag *tags = tagsOf(set);
-    for (unsigned way = 0; way < params_.assoc; ++way) {
+    for (unsigned way = 0; way < width_; ++way) {
         if (tags[way] == tag)
             return way;
     }

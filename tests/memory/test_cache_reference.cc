@@ -4,8 +4,11 @@
  * per-set recency list (most recent first) plus the way slots, so the
  * order setContents() reports is checked too. Random access, fill,
  * invalidate and invalidateAll streams run over the production L1D,
- * L2 and LLC geometries and a 2-set toy; a second run starts the LRU
- * clock just below its wrap.
+ * L2 and LLC geometries, a 2-set toy and a 12-way cache (its stored
+ * width caps at 12, not a power of two); a second run starts the LRU
+ * clock just below its wrap. Directed streams drive sets past each
+ * stored width with invalidate holes before a widen, invalidateAll
+ * after one and a clock wrap after one.
  */
 
 #include <gtest/gtest.h>
@@ -24,11 +27,15 @@
 namespace csd
 {
 
-/** Reaches Cache's LRU clock; Cache names it a friend. */
+/** Reaches Cache's LRU clock and stored width; Cache names it a
+ *  friend. */
 class CacheTestPeer
 {
   public:
     static Cache::Stamp clock(const Cache &cache) { return cache.lruClock_; }
+
+    /** Ways @p cache stores per set. */
+    static unsigned storedWays(const Cache &cache) { return cache.width_; }
 
     /** Move the clock forward to @p stamp (never back, so every stamp
      *  in the cache stays at or below it). */
@@ -240,14 +247,76 @@ runDifferential(const CacheParams &params, std::uint64_t seed,
     }
 }
 
-/** The geometries under test: the production hierarchy's caches and a
- *  toy with two 4-way sets. */
+/** A cache of four 12-way sets. */
+const CacheParams twelveWay{"twelve", 4 * 12 * cacheBlockSize, 12, 1};
+
+/** The geometries under test: the production hierarchy's caches, a
+ *  toy with two 4-way sets and the 12-way cache. */
 std::vector<CacheParams>
 geometries()
 {
     const MemHierarchyParams mem;
-    return {mem.l1d, mem.l2, mem.llc, CacheParams{"toy", 512, 4, 1}};
+    return {mem.l1d, mem.l2, mem.llc, CacheParams{"toy", 512, 4, 1},
+            twelveWay};
 }
+
+/** A Cache and the reference driven in lockstep by directed steps. */
+class Lockstep
+{
+  public:
+    explicit Lockstep(const CacheParams &params)
+        : cache(params), ref(cache.numSets(), cache.assoc())
+    {
+    }
+
+    /** The address of the @p i-th block of @p set. */
+    Addr
+    block(unsigned set, Addr i) const
+    {
+        return (i * cache.numSets() + set) * cacheBlockSize;
+    }
+
+    /** Access @p addr and fill it on a miss. */
+    void
+    touch(Addr addr)
+    {
+        const unsigned set = cache.setIndex(addr);
+        const bool hit = cache.access(addr, false);
+        ASSERT_EQ(hit, ref.access(set, addr));
+        if (!hit) {
+            cache.fill(addr);
+            ref.fill(set, addr);
+        }
+    }
+
+    void
+    invalidate(Addr addr)
+    {
+        ASSERT_EQ(cache.invalidate(addr),
+                  ref.invalidate(cache.setIndex(addr), addr));
+    }
+
+    void
+    invalidateAll()
+    {
+        cache.invalidateAll();
+        ref.invalidateAll();
+    }
+
+    /** Every set's contents and the eviction count agree. */
+    void
+    check()
+    {
+        for (unsigned set = 0; set < cache.numSets(); ++set)
+            ASSERT_EQ(cache.setContents(set), ref.contents(set))
+                << "set " << set;
+        ASSERT_EQ(cache.stats().valueOf("evictions"),
+                  static_cast<double>(ref.evictions()));
+    }
+
+    Cache cache;
+    ReferenceCache ref;
+};
 
 TEST(CacheReference, RandomStreamsMatchTrueLru)
 {
@@ -277,6 +346,85 @@ TEST(CacheReference, RenumberingRestartsTheClockAboveTheLiveStamps)
     EXPECT_TRUE(cache.contains(0));
     EXPECT_FALSE(cache.contains(stride));
     EXPECT_TRUE(cache.contains(2 * stride));
+}
+
+TEST(CacheReference, StoredWaysGrowOnlyWhenASetIsFull)
+{
+    Lockstep run(twelveWay);
+    Cache &cache = run.cache;
+    EXPECT_EQ(cache.storageBytes(), 0u);  // nothing mapped before a fill
+    run.touch(run.block(0, 0));
+    EXPECT_EQ(CacheTestPeer::storedWays(cache), 1u);
+    EXPECT_EQ(cache.storageBytes(), cache.numSets() * 8u);
+    run.touch(run.block(1, 0));  // another set: its own first way
+    EXPECT_EQ(CacheTestPeer::storedWays(cache), 1u);
+    run.touch(run.block(0, 1));  // set 0 full at width 1
+    EXPECT_EQ(CacheTestPeer::storedWays(cache), 2u);
+    run.check();
+
+    // A hole before the widen takes the next fill, not a new way.
+    run.invalidate(run.block(0, 0));
+    run.touch(run.block(0, 2));
+    EXPECT_EQ(CacheTestPeer::storedWays(cache), 2u);
+    EXPECT_EQ(cache.setContents(0),
+              (std::vector<Addr>{run.block(0, 2), run.block(0, 1)}));
+    // Set 1 was copied with an invalid second way: no eviction.
+    run.touch(run.block(1, 1));
+    EXPECT_EQ(CacheTestPeer::storedWays(cache), 2u);
+    run.check();
+
+    // Filling set 0 walks the width through 4 and 8 to the cap of 12;
+    // each new block lands in the first new way.
+    for (Addr i = 3; i < 13; ++i) {
+        run.touch(run.block(0, i));
+        run.check();
+    }
+    EXPECT_EQ(CacheTestPeer::storedWays(cache), 12u);
+    EXPECT_EQ(cache.storageBytes(), cache.numSets() * 12u * 8u);
+    EXPECT_EQ(cache.stats().valueOf("evictions"), 0.0);
+    // Past the cap a fill evicts the LRU way (block 1, way 1).
+    run.touch(run.block(0, 13));
+    EXPECT_EQ(CacheTestPeer::storedWays(cache), 12u);
+    EXPECT_FALSE(cache.contains(run.block(0, 1)));
+    run.check();
+}
+
+TEST(CacheReference, WideningStreamsMatchTrueLru)
+{
+    // Per set: fill past each stored width, punch holes, refill, empty
+    // the cache, and cross a clock wrap once the rows are wide.
+    for (const CacheParams &params :
+         {twelveWay, CacheParams{"toy", 512, 4, 1}, MemHierarchyParams{}.l2,
+          MemHierarchyParams{}.llc}) {
+        SCOPED_TRACE(params.name);
+        Lockstep run(params);
+        const unsigned assoc = run.cache.assoc();
+        const unsigned sets = std::min(run.cache.numSets(), 4u);
+        Random rng(11);
+        for (unsigned round = 0; round < 6; ++round) {
+            for (unsigned set = 0; set < sets; ++set) {
+                const unsigned fills = 1 + static_cast<unsigned>(
+                                               rng.below(assoc + 2));
+                for (unsigned i = 0; i < fills; ++i)
+                    run.touch(run.block(set, rng.below(2 * assoc)));
+                for (unsigned i = 0; i < 2; ++i)
+                    run.invalidate(run.block(set, rng.below(2 * assoc)));
+            }
+            run.check();
+            if (round == 2) {
+                run.invalidateAll();
+                run.check();
+            }
+            if (round == 3) {
+                EXPECT_GT(CacheTestPeer::storedWays(run.cache), 1u);
+                CacheTestPeer::advanceClock(run.cache,
+                                            ~Cache::Stamp{0} - 5);
+            }
+        }
+        EXPECT_GT(run.ref.evictions(), 0u);
+        EXPECT_EQ(CacheTestPeer::storedWays(run.cache), assoc);
+        EXPECT_LT(CacheTestPeer::clock(run.cache), 1000u);  // wrapped
+    }
 }
 
 TEST(CacheReference, AddressBeyondTagRangeFailsLoudly)
