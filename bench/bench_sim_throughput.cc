@@ -19,7 +19,7 @@
  * plus one SPEC preset (milc) in detailed mode under the CSD-devect
  * power-gating policy, flow cache on and off: the Figs. 12-16
  * configuration, where the power controller toggles devectorization
- * per macro.
+ * as vector activity comes and goes.
  *
  * The on / off ratio in each configuration is the measured speedup of
  * the flow cache and its chains (DESIGN.md, "Host performance
@@ -35,7 +35,11 @@
  * function of the simulated run, so host noise cannot move it. So is
  * `memory.cache_storage_kib`, the host bytes the milc rig's four caches
  * store their ways in after its timed runs (MAX_CACHE_STORAGE_KIB): the
- * caches store only the ways the run fills.
+ * caches store only the ways the run fills. So is
+ * `power.controller_call_fraction`, the share of the milc rig's macros
+ * (over its warm-up runs) that reached the power controller past its
+ * event gate (MAX_CONTROLLER_CALL_FRACTION): the controller sees vector
+ * macros and its own deadlines, not every macro.
  */
 
 #include <chrono>
@@ -126,6 +130,17 @@ class Rig
     }
 
     double seconds() const { return seconds_; }
+
+    /** The share of macros that reached the power controller past
+     *  its event gate (0 without a controller). */
+    double
+    controllerCallFraction() const
+    {
+        return power_ && power_->macros() > 0
+            ? static_cast<double>(power_->calls()) /
+                  static_cast<double>(power_->macros())
+            : 0.0;
+    }
 
     /** Host bytes the rig's four caches store their ways in. */
     std::size_t
@@ -261,10 +276,13 @@ main(int argc, char **argv)
                     /*stealth=*/true);
     measureInterleaved({&stealth_rig});
     const ThroughputRun stealth = stealth_rig.result();
-    // Under the power controller: its hook and the chain's context
-    // guard run per macro.
+    // Under the power controller: its event gate and the chain's
+    // context guard run per macro.
     Rig gated_on(specPreset("milc"), true);
     Rig gated_off(specPreset("milc"), false);
+    // Over the warm-up runs alone, so it is a function of the run.
+    const double controller_call_fraction =
+        gated_on.controllerCallFraction();
     measureInterleaved({&gated_on, &gated_off});
     const ThroughputRun gated = gated_on.result();
     const ThroughputRun gated_uncached = gated_off.result();
@@ -314,6 +332,7 @@ main(int argc, char **argv)
     benchStat("stealth_kuops_per_s", stealth.kuopsPerSec);
     benchStat("stealth_flow_cache_hit_rate", stealth.flowCacheHitRate);
     benchStat("memory.cache_storage_kib", cache_storage_kib);
+    benchStat("power.controller_call_fraction", controller_call_fraction);
 
     // The chain's host counters from the cache-only run
     // (sim/fastpath.hh). These live outside the simulated stat tree;
@@ -357,5 +376,7 @@ main(int argc, char **argv)
     std::printf("cache way storage after milc: %s KiB (L1I, L1D, L2, "
                 "LLC)\n",
                 fmt(cache_storage_kib, 1).c_str());
+    std::printf("milc macros that reached the power controller: %s\n",
+                pct(controller_call_fraction).c_str());
     return 0;
 }

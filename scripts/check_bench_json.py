@@ -128,8 +128,9 @@ def main():
 
         print(
             f"check_bench_json: OK: {os.path.basename(bench)}: "
-            f"{len(doc['tables'])} table(s), {cells} cells, "
-            f"{len(doc['stats'])} stat(s) match stdout, "
+            f"{len(doc['tables'])} table(s), {cells} cells match stdout, "
+            f"{len(doc['stats'])} stat(s) finite, "
+            f"{len(required)} required key(s) present, "
             f"manifest {chash}"
         )
     finally:

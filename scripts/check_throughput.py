@@ -41,6 +41,12 @@ MAX_CACHE_STORAGE_KIB: a cache stores only as many ways per set as the
 run has filled (memory/cache.hh). It is deterministic too, and unlike
 peak RSS it does not depend on the C library's heap behaviour.
 
+`power.controller_call_fraction`, the share of the milc rig's macros
+(over its warm-up runs) that reached the power-gating controller past
+its event gate (power/gating.hh), must stay at or below
+MAX_CONTROLLER_CALL_FRACTION: the controller sees vector macros and its
+own deadlines, not every macro. It is deterministic as well.
+
 Host machines differ, so the committed baseline is a floor for CI's
 runner class, not a universal truth; refresh it with
 `bench_sim_throughput --json bench/baseline_throughput.json` on the CI
@@ -79,6 +85,10 @@ MIN_STEALTH_HIT_RATE = 0.95
 # ways stored as sets fill; 1,064 KiB (1,024 LLC + 32 L2 + 4 + 4) when
 # every cache stores its full associativity.
 MAX_CACHE_STORAGE_KIB = 256.0
+# Ceiling for power.controller_call_fraction (deterministic): 0.104
+# with the event gate; 1.0 when the controller is called for every
+# macro.
+MAX_CONTROLLER_CALL_FRACTION = 0.25
 
 
 def fail(msg):
@@ -156,6 +166,9 @@ def main():
     ok &= gate("memory.cache_storage_kib",
                require(current, "memory.cache_storage_kib"),
                MAX_CACHE_STORAGE_KIB, False, " KiB")
+    ok &= gate("power.controller_call_fraction",
+               require(current, "power.controller_call_fraction"),
+               MAX_CONTROLLER_CALL_FRACTION, False)
     if require(current, "chain.cache_off_entries") != 0:
         fail("a flow-cache-off run chained; setFlowCacheEnabled(false) "
              "is not being honored")

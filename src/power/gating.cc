@@ -7,7 +7,7 @@ namespace csd
 
 PowerGateController::PowerGateController(const GatingParams &params,
                                          const EnergyModel &energy)
-    : params_(params), energy_(energy), window_(params.windowInstrs, 0),
+    : params_(params), energy_(energy), window_(params.windowInstrs),
       idleThreshold_(std::max(params.idleGateThreshold,
                               energy.breakEvenCycles())),
       stats_("gating")
@@ -29,6 +29,7 @@ PowerGateController::PowerGateController(const GatingParams &params,
     gatedFrac_ = [this] { return gatedFraction(); };
     stats_.addFormula("gated_fraction", &gatedFrac_,
                       "fraction of time the VPU spent power-gated");
+    schedule();
 }
 
 void
@@ -79,22 +80,89 @@ PowerGateController::vpuUsable(Tick now)
     return state_ == VpuState::On;
 }
 
+void
+PowerGateController::expireWindow()
+{
+    const std::size_t width = window_.size();
+    while (windowSize_ > 0 &&
+           window_[windowHead_].macro + width < macros_) {
+        windowCount_ -= window_[windowHead_].weight;
+        if (++windowHead_ == width)
+            windowHead_ = 0;
+        --windowSize_;
+    }
+}
+
+void
+PowerGateController::schedule()
+{
+    // The instruction after a devectorizing directive switches
+    // devectorization back off.
+    dueMacro_ = devectorized_ ? macros_ : never;
+    dueCycle_ = never;
+    switch (params_.policy) {
+      case GatingPolicy::AlwaysOn:
+        break;
+
+      case GatingPolicy::ConventionalPG:
+        // Only an idle stretch gates (a wake is on demand), the first
+        // cycle past the threshold (saturating: an unreachable
+        // break-even time never gates).
+        if (state_ == VpuState::On && idleThreshold_ < never - lastVectorUse_)
+            dueCycle_ = lastVectorUse_ + idleThreshold_ + 1;
+        break;
+
+      case GatingPolicy::CsdDevect:
+        // Between vector instructions the count can only fall: it
+        // gates an On unit when it is at the low watermark already or
+        // once the oldest vector instruction leaves the window, and it
+        // wakes a gated one only when it is at the high watermark
+        // already. A wake completes at its own cycle.
+        switch (state_) {
+          case VpuState::On:
+            if (windowCount_ <= params_.lowWatermark)
+                dueMacro_ = macros_;
+            else
+                dueMacro_ = std::min<std::uint64_t>(
+                    dueMacro_, window_[windowHead_].macro + window_.size());
+            break;
+          case VpuState::Gated:
+            if (windowCount_ >= params_.highWatermark)
+                dueMacro_ = macros_;
+            break;
+          case VpuState::PoweringOn:
+            dueCycle_ = wakeDoneAt_;
+            break;
+        }
+        break;
+    }
+}
+
 PowerGateController::Directive
 PowerGateController::onMacroOp(const MacroOp &op, Tick now,
                                unsigned vec_uops)
 {
     accountUntil(now);
     Directive directive;
+    ++calls_;
 
-    // Maintain the vector-activity window.
+    // Maintain the vector-activity window: the vector instructions
+    // windowInstrs or more before this one leave (skipped instructions
+    // count, so the window catches up on them here), and this one
+    // enters if it is a vector instruction.
+    const std::uint64_t macro = macros_++;
     const unsigned weight = isVector(op.opcode) ? std::max(vec_uops, 1u)
                                                 : 0u;
     if (!window_.empty()) {
-        windowCount_ += weight;
-        windowCount_ -= window_[windowPos_];
-        window_[windowPos_] = weight;
-        if (++windowPos_ == window_.size())
-            windowPos_ = 0;
+        expireWindow();
+        if (weight > 0) {
+            std::size_t slot = windowHead_ + windowSize_;
+            if (slot >= window_.size())
+                slot -= window_.size();
+            window_[slot] = {macro, weight};
+            ++windowSize_;
+            windowCount_ += weight;
+        }
     }
 
     const bool uses_vpu = vec_uops > 0;
@@ -161,6 +229,8 @@ PowerGateController::onMacroOp(const MacroOp &op, Tick now,
       }
     }
 
+    devectorized_ = directive.devectorize;
+    schedule();
     return directive;
 }
 
@@ -169,6 +239,8 @@ PowerGateController::finalize(Tick now)
 {
     vpuUsable(now);
     accountUntil(now);
+    expireWindow();
+    schedule();
 }
 
 double

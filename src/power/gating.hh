@@ -74,10 +74,16 @@ struct GatingParams
 /**
  * The unit-criticality-driven power-gating controller.
  *
- * Driven in program order: the simulator calls onMacroOp() for every
- * instruction with the current cycle; the returned directive says
- * whether the instruction must be devectorized and how many stall
- * cycles a demand wake costs (ConventionalPG only).
+ * Driven in program order, as hardware that reacts to vector
+ * instructions and to its own timers: for every instruction the
+ * simulator asks the inline event gate skipMacro() first, and calls
+ * onMacroOp() with the current cycle only when the gate says the
+ * instruction can change something (a vector instruction, or one of
+ * the controller's deadlines is due). The directive onMacroOp()
+ * returns says whether the instruction must be devectorized and how
+ * many stall cycles a demand wake costs (ConventionalPG only); a
+ * skipped instruction's directive is {false, 0}. The cycle passed in
+ * never decreases.
  */
 class PowerGateController
 {
@@ -93,9 +99,29 @@ class PowerGateController
     };
 
     /**
+     * The event gate, asked for every instruction in program order.
+     * A vector instruction always needs onMacroOp(); any other only
+     * once one of the controller's deadlines is due (schedule()).
+     * Until then onMacroOp() would return {false, 0} and change
+     * nothing the next call or finalize() does not catch up on, so the
+     * gate counts @p op as observed and returns true. Returns false,
+     * counting nothing, when the caller must call onMacroOp() for
+     * @p op at cycle @p now.
+     */
+    bool
+    skipMacro(const MacroOp &op, Tick now)
+    {
+        if (isVector(op.opcode) || macros_ >= dueMacro_ || now >= dueCycle_)
+            return false;
+        ++macros_;
+        return true;
+    }
+
+    /**
      * Observe one macro-op in program order at cycle @p now.
      * @param vec_uops the VPU uop count of the instruction's native
-     *        translation (0 for non-vector instructions)
+     *        translation (0 for non-vector instructions, and only a
+     *        vector instruction may use the VPU)
      */
     Directive onMacroOp(const MacroOp &op, Tick now, unsigned vec_uops);
 
@@ -121,10 +147,26 @@ class PowerGateController
 
     StatGroup &stats() { return stats_; }
 
+    // --- host-side counts (in no stats dump) -------------------------
+
+    /** Instructions observed: onMacroOp() calls plus skipped ones. */
+    std::uint64_t macros() const { return macros_; }
+    /** onMacroOp() calls: the instructions that reached the
+     *  controller past its event gate. */
+    std::uint64_t calls() const { return calls_; }
+
   private:
+    static constexpr std::uint64_t never = ~std::uint64_t{0};
+
     void switchState(VpuState next, Tick now);
     void accountUntil(Tick now);
     bool vpuUsable(Tick now);
+    /** Drop the window's vector instructions older than the last
+     *  windowInstrs instructions observed. */
+    void expireWindow();
+    /** Set the deadlines the event gate waits for (dueMacro_,
+     *  dueCycle_) from the state onMacroOp() or finalize() left. */
+    void schedule();
 
     GatingParams params_;
     const EnergyModel &energy_;
@@ -135,13 +177,29 @@ class PowerGateController
     Tick lastVectorUse_ = 0;
     Tick lastNow_ = 0;
 
-    // Sliding window of the last windowInstrs per-instruction vector
-    // weights, as a ring. Slots not yet written hold 0, which is what a
-    // non-vector instruction contributes, so the count is exact from
-    // the first instruction on.
-    std::vector<unsigned> window_;
-    std::size_t windowPos_ = 0;
-    std::uint64_t windowCount_ = 0;
+    std::uint64_t macros_ = 0;  //!< observed; the next one's number
+    std::uint64_t calls_ = 0;
+    /** The gate's deadlines: the number of the first instruction, and
+     *  the first cycle, at which a non-vector instruction may change
+     *  something (never: no such deadline). */
+    std::uint64_t dueMacro_ = never;
+    Tick dueCycle_ = never;
+    bool devectorized_ = false;  //!< the last directive devectorized
+
+    // Sliding window over the last windowInstrs instructions, holding
+    // only its vector instructions (a non-vector one weighs 0), oldest
+    // first in a ring: an instruction leaves when the one windowInstrs
+    // after it is observed, so skipped ones need no entry and the count
+    // is exact from the first instruction on.
+    struct VectorUse
+    {
+        std::uint64_t macro;  //!< its number in program order
+        unsigned weight;
+    };
+    std::vector<VectorUse> window_;  //!< capacity windowInstrs
+    std::size_t windowHead_ = 0;     //!< the oldest entry's slot
+    std::size_t windowSize_ = 0;
+    std::uint64_t windowCount_ = 0;  //!< the entries' summed weight
 
     /** ConventionalPG idle threshold, clamped to the break-even time. */
     Cycles idleThreshold_;

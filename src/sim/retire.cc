@@ -201,7 +201,7 @@ Simulation::enterMacro(Tr &tr, const MacroOp &op, RetireTally &t)
 {
     if (traceAnyEnabled()) [[unlikely]]
         obs_->tracer().setTimeHint(Detailed ? cycles_ : t.cycles);
-    if (power_) {
+    if (power_ && !power_->skipMacro(op, Detailed ? cycles_ : t.cycles)) {
         // The hook reads and may advance the clock.
         if constexpr (!Detailed)
             flushTally(t);

@@ -14,15 +14,17 @@
  *
  * One loop drives every macro-op, in either fidelity (run(),
  * sim/retire.cc). Each macro first passes the per-macro protocol —
- * trace time hint, power-gating hook, translator tick — and then
- * retires through one routine (retireRun) that walks resolved macros'
- * uop spans (decode/flow_cache.hh) through the functional handlers, the
- * fidelity's timing consumer, DIFT and the commit bookkeeping. A macro
- * retires from its entry in the predecoded-flow cache or, when it
- * cannot be cached, from a translation resolved into scratch; after
- * it, the routine chains on through the next macros' resident entries
- * in the same call, each passing its protocol and the flow cache's
- * guards first (sim/fastpath.hh).
+ * trace time hint, the power-gating controller's event gate (its hook
+ * runs for vector macros and at the controller's own deadlines),
+ * translator tick — and then retires through one routine (retireRun)
+ * that walks resolved macros' uop spans (decode/flow_cache.hh) through
+ * the functional handlers, the fidelity's timing consumer, DIFT and the
+ * commit bookkeeping. A macro retires from its entry in the
+ * predecoded-flow cache or, when it cannot be cached, from a
+ * translation resolved into scratch; after it, the routine chains on
+ * through the next macros' resident entries in the same call, each
+ * passing its protocol and the flow cache's guards first
+ * (sim/fastpath.hh).
  */
 
 #ifndef CSD_SIM_SIMULATION_HH
@@ -121,7 +123,10 @@ class Simulation
     /** Enable DIFT propagation. */
     void setTaintTracker(TaintTracker *taint);
 
-    /** Drive VPU power gating. */
+    /**
+     * Drive VPU power gating. With a CSD installed, the controller's
+     * directives then own its devectorization switch.
+     */
     void setPowerController(PowerGateController *power);
 
     /**
@@ -344,8 +349,9 @@ class Simulation
     /**
      * The per-macro protocol every macro passes once before it
      * retires, whichever stream it retires from: keep clock-less trace
-     * events on the timeline, run the power hook, tick the translator
-     * (watchdog). Reads the cache-only clock from @p t.
+     * events on the timeline, run the power hook when the controller's
+     * event gate asks for it, tick the translator (watchdog). Reads the
+     * cache-only clock from @p t, and flushes it only around the hook.
      */
     template <class Tr, bool Detailed>
     void enterMacro(Tr &tr, const MacroOp &op, RetireTally &t);
@@ -411,11 +417,16 @@ class Simulation
                             bool took_branch, Addr next_pc);
 
     /**
-     * The power-gating controller's per-macro hook (unit-criticality
-     * predictor input): observe @p op, the next macro to retire, at
-     * the current cycle, switch CSD devectorization as directed, and
-     * charge a conventional demand-wake stall. Requires power_. Runs
-     * once per retired macro, in its protocol (enterMacro).
+     * The power-gating controller's hook (unit-criticality predictor
+     * input): observe @p op, the next macro to retire, at the current
+     * cycle, switch CSD devectorization as directed, and charge a
+     * conventional demand-wake stall. Requires power_. Runs in a
+     * macro's protocol (enterMacro) only when the controller's event
+     * gate (PowerGateController::skipMacro) passes it on: for a vector
+     * macro, or once one of the controller's deadlines is due. Any
+     * other macro's directive would be {false, 0}, which changes
+     * nothing: devectorization is already off after a non-devectorizing
+     * directive.
      */
     void powerHook(const MacroOp &op);
 

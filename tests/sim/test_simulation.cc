@@ -2,6 +2,7 @@
 
 #include "csd/csd.hh"
 #include "sim/simulation.hh"
+#include "workloads/spec.hh"
 
 namespace csd
 {
@@ -223,6 +224,38 @@ TEST(Simulation, DevectPolicyKeepsResultsAndGates)
     EXPECT_EQ(sim.state().xmm(Xmm::Xmm0).bytes[0], 2);
     EXPECT_GT(power.gatedCycles(), 0u);
     EXPECT_GT(power.sseCount(SseExecClass::PowerGated), 0u);
+}
+
+TEST(Simulation, PowerHookRunsOncePerVectorMacroUnderAlwaysOn)
+{
+    // AlwaysOn has no deadlines, so only vector macros pass the
+    // controller's event gate, chained or not, in either fidelity.
+    const Program prog = SpecWorkload::build(specPreset("milc"), 4).program;
+    for (const SimMode mode : {SimMode::Detailed, SimMode::CacheOnly}) {
+        SimParams params;
+        params.mode = mode;
+        // Reference: the macro at the pc before each single step.
+        Simulation stepped(prog, params);
+        std::uint64_t macros = 0, vectors = 0;
+        while (!stepped.halted()) {
+            ++macros;
+            vectors += isVector(prog.at(stepped.state().pc)->opcode);
+            stepped.run(1);
+        }
+
+        EnergyModel energy(params.energy);
+        GatingParams gp;
+        gp.policy = GatingPolicy::AlwaysOn;
+        PowerGateController power(gp, energy);
+        Simulation sim(prog, params);
+        sim.setPowerController(&power);
+        sim.runToHalt();
+        EXPECT_GT(vectors, 0u);
+        EXPECT_LT(vectors, macros);
+        EXPECT_EQ(power.calls(), vectors);
+        EXPECT_EQ(power.macros(), macros);
+        EXPECT_EQ(sim.instructions(), stepped.instructions());
+    }
 }
 
 TEST(Simulation, EnergyBreakdownIsPositiveAndComplete)
